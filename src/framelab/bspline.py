@@ -23,10 +23,9 @@ from .core import (
     FrameBounds,
     GridError,
     LatticeError,
-    frame_bounds,
     resolve_tolerance,
 )
-from .gabor import GaborSpec, SampledWindow, finite_gabor_system, ron_shen_duality_check
+from .gabor import GaborSpec, SampledWindow, gabor_frame_bounds, ron_shen_duality_check
 
 
 def bspline_eval(N: int, x) -> np.ndarray:
@@ -205,7 +204,7 @@ def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
     x = np.arange(L) / M
     window = bspline_eval(N, x)
     spec = GaborSpec(L, a_int, b_int, window)
-    fb = frame_bounds(finite_gabor_system(spec))
+    fb = gabor_frame_bounds(spec)
     return FrameBounds(fb.lower / M, fb.upper / M)
 
 

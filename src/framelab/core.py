@@ -344,10 +344,13 @@ def frame_bounds(system: VectorSystem, mode: str = "full_space") -> FrameBounds:
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "span" and system.count == 0:
         raise DomainError("span bounds of an empty system are undefined")
-    S = frame_operator(system)
     if system.count == 0:
         return FrameBounds(0.0, 0.0)
-    ev = np.linalg.eigvalsh(S)
+    if mode == "full_space" and system.count < system.ambient_dim:
+        # rank <= count < dim, and S = T T* shares its nonzero spectrum with
+        # the smaller Gram matrix T* T
+        return FrameBounds(0.0, max(_hermitian_extremes(gram_matrix(system))[1], 0.0))
+    ev = np.linalg.eigvalsh(frame_operator(system))
     upper = max(float(ev[-1]), 0.0)
     if mode == "full_space":
         return FrameBounds(max(float(ev[0]), 0.0), upper)
@@ -364,6 +367,10 @@ def riesz_bounds(system: VectorSystem) -> FrameBounds:
     """
     if system.count == 0:
         raise DomainError("Riesz bounds of an empty system are undefined")
+    if system.count > system.ambient_dim:
+        # more vectors than dimensions: dependent, and the Gram matrix T* T
+        # shares its nonzero spectrum with the smaller frame operator T T*
+        return FrameBounds(0.0, max(_hermitian_extremes(frame_operator(system))[1], 0.0))
     lo, hi = _hermitian_extremes(gram_matrix(system))
     return FrameBounds(max(lo, 0.0), max(hi, 0.0))
 

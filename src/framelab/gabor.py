@@ -6,6 +6,12 @@ divisor of L, so the lattice identities (duality principle, Wexler-Raz,
 frame-operator commutation, dual-pair extension) hold exactly and are
 verified to rounding, not to a truncation error.
 
+Lattice frame operators use Walnut's representation, L/b blocks of size
+b x b: O(L^2 b / a) to build and O(L b^2) to diagonalize, against O(L^3)
+for the dense operator.  The other side of each theorem check is computed
+densely from the generated systems (adjoint Riesz bounds and Gram, the
+commutation check's S^-1), so no check verifies the blocks against themselves.
+
 Real-parameter checks (the translation-bound dual-pair criterion and the
 time-frequency independence probe) run on sampled windows with compact
 support hints; the k-sums are then finite and exact, and only grid effects
@@ -30,7 +36,6 @@ from .core import (
     VectorSystem,
     bound_agreement_residual,
     cross_gram,
-    duality_check,
     frame_bounds,
     frame_operator,
     resolve_tolerance,
@@ -60,14 +65,12 @@ class GaborSpec:
         w = np.asarray(window, dtype=complex).reshape(-1)
         if w.shape[0] != L:
             raise DimensionMismatch(f"window has length {w.shape[0]}, expected L={L}")
+        if not np.all(np.isfinite(w)):
+            raise DomainError("window entries must be finite (no NaN or Inf)")
         w = w.copy()
         w.flags.writeable = False
         self.L, self.a, self.b = L, a, b
         self.window = w
-
-    @property
-    def system_size(self) -> int:
-        return (self.L // self.a) * (self.L // self.b)
 
     def adjoint(self) -> "GaborSpec":
         """Adjoint lattice (time step L/b, frequency step L/a), window scaled.
@@ -94,43 +97,45 @@ class GaborSpec:
         return f"GaborSpec(L={self.L}, a={self.a}, b={self.b})"
 
 
-def translation_matrix(L: int, shift: int) -> np.ndarray:
-    return np.roll(np.eye(L), shift % L, axis=0)
-
-
-def modulation_matrix(L: int, freq: int) -> np.ndarray:
-    t = np.arange(L)
-    return np.diag(np.exp(2j * np.pi * freq * t / L))
-
-
 def finite_gabor_system(spec: GaborSpec) -> VectorSystem:
     """All lattice time-frequency shifts of the window, (n, m)-lexicographic."""
     L, a, b = spec.L, spec.a, spec.b
     t = np.arange(L)
     phases = np.exp(2j * np.pi * b * np.outer(np.arange(L // b), t) / L)  # (m, t)
-    rows = np.empty((spec.system_size, L), dtype=complex)
-    idx = 0
-    for n in range(L // a):
-        shifted = np.roll(spec.window, n * a)
-        rows[idx:idx + L // b] = phases * shifted
-        idx += L // b
+    shifts = spec.window[(t[None, :] - a * np.arange(L // a)[:, None]) % L]  # (n, t)
+    rows = (shifts[:, None, :] * phases[None, :, :]).reshape(-1, L)
     return VectorSystem(rows, label=f"gabor(L={L},a={a},b={b})")
 
 
+def _walnut_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(L/b, b, b) Walnut blocks of the mixed operator x -> sum <x, g_nm> h_nm.
+
+    Block r acts on the samples x[r + k L/b], k < b:
+    K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a)).
+    """
+    L = g.shape[0]
+    q = L // b
+    idx = (np.arange(q)[:, None, None] + q * np.arange(b)[None, :, None]
+           - a * np.arange(L // a)[None, None, :]) % L  # (r, k, n)
+    return q * (h[idx] @ g[idx].conj().transpose(0, 2, 1))  # sum over n, batched over r
+
+
+def _apply_blocks(K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.einsum("rkl,lr->kr", K, x.reshape(K.shape[1], -1)).reshape(-1)
+
+
 def gabor_frame_bounds(spec: GaborSpec) -> FrameBounds:
-    return frame_bounds(finite_gabor_system(spec))
+    ev = np.linalg.eigvalsh(_walnut_blocks(spec.window, spec.window, spec.a, spec.b))
+    return FrameBounds(max(float(ev.min()), 0.0), max(float(ev.max()), 0.0))
 
 
 def canonical_dual_window(spec: GaborSpec, tolerance=None) -> np.ndarray:
     """S^-1 w; by commutation this window generates the canonical dual system."""
     tol = resolve_tolerance(tolerance)
-    S = frame_operator(finite_gabor_system(spec))
-    bounds = frame_bounds(finite_gabor_system(spec))
-    if bounds.lower <= tol * max(bounds.upper, 1.0):
-        raise SingularSystemError(
-            f"lattice system is not a frame (lower bound {bounds.lower:.3e})"
-        )
-    return np.linalg.solve(S, spec.window)
+    ev, U = np.linalg.eigh(_walnut_blocks(spec.window, spec.window, spec.a, spec.b))
+    if ev.min() <= tol * max(ev.max(), 1.0):
+        raise SingularSystemError(f"lattice system is not a frame (lower bound {max(ev.min(), 0.0):.3e})")
+    return _apply_blocks((U / ev[:, None, :]) @ U.conj().transpose(0, 2, 1), spec.window)
 
 
 def duality_principle_check(spec: GaborSpec, tolerance=None) -> AnalysisReport:
@@ -168,21 +173,22 @@ def wexler_raz_check(spec_g: GaborSpec, spec_h: GaborSpec, tolerance=None) -> An
     tol = resolve_tolerance(tolerance)
     if (spec_g.L, spec_g.a, spec_g.b) != (spec_h.L, spec_h.a, spec_h.b):
         raise LatticeError("both windows must share the same (L, a, b) lattice")
-    direct = duality_check(finite_gabor_system(spec_g), finite_gabor_system(spec_h), tol)
-    adj_g = finite_gabor_system(spec_g.adjoint())
-    adj_h = finite_gabor_system(spec_h.adjoint())
-    M = cross_gram(adj_g, adj_h)
-    bio = float(np.abs(M - np.eye(M.shape[0])).max())
+    K = _walnut_blocks(spec_g.window, spec_h.window, spec_g.a, spec_g.b)
+    duality = float(np.linalg.norm(np.eye(spec_g.b) - K, 2, axis=(1, 2)).max())
+    dual_pass = duality <= tol
+    M = cross_gram(finite_gabor_system(spec_g.adjoint()), finite_gabor_system(spec_h.adjoint()))
+    M[np.diag_indices_from(M)] -= 1.0  # in place: M is up to 576 x 576 on the acceptance sweep
+    bio = float(np.abs(M).max())
     bio_pass = bio <= tol
-    disagreement = 0.0 if direct.passed == bio_pass else 1.0
+    disagreement = 0.0 if dual_pass == bio_pass else 1.0
     return AnalysisReport.from_residuals(
         {"verdict_disagreement": disagreement}, tol,
         notes=(
             "Wexler-Raz equivalence; "
-            f"dual-pair check {'passed' if direct.passed else 'failed'}, "
+            f"dual-pair check {'passed' if dual_pass else 'failed'}, "
             f"adjoint biorthogonality {'passed' if bio_pass else 'failed'}"
         ),
-        details={"duality_residual": direct.residuals["duality"], "biorthogonality_residual": bio},
+        details={"duality_residual": duality, "biorthogonality_residual": bio},
     )
 
 
@@ -193,18 +199,17 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
     """
     tol = resolve_tolerance(tolerance)
     system = finite_gabor_system(spec)
-    bounds = frame_bounds(system)
-    if not bounds.is_frame(1e-10):
+    if not frame_bounds(system).is_frame(1e-10):
         raise SingularSystemError("commutation check needs a frame (invertible S)")
-    S = frame_operator(system)
-    Sinv = np.linalg.inv(S)
-    worst = 0.0
+    Sinv = np.linalg.inv(frame_operator(system))
     L, a, b = spec.L, spec.a, spec.b
-    for n in range(L // a):
-        T = translation_matrix(L, n * a)
-        for m in range(L // b):
-            P = modulation_matrix(L, m * b) @ T
-            worst = max(worst, float(np.linalg.norm(Sinv @ P - P @ Sinv, 2)))
+    waves = np.exp(2j * np.pi * b * np.outer(np.arange(L // b), np.arange(L)) / L)  # (m, t)
+    worst = 0.0
+    for s in range(0, L, a):
+        # S^-1 M T_s: column t + s, phase at t + s; M T_s S^-1: row t - s, phase at t
+        right = np.roll(Sinv, -s, axis=1)[None] * np.roll(waves, -s, axis=1)[:, None, :]
+        left = waves[:, :, None] * np.roll(Sinv, s, axis=0)[None]
+        worst = max(worst, float(np.linalg.svd(right - left, compute_uv=False).max()))
     return AnalysisReport.from_residuals(
         {"commutator": worst}, tol,
         notes="max over the lattice of ||S^-1 E T - E T S^-1||; canonical dual window is S^-1 w",
@@ -376,16 +381,11 @@ def extend_gabor_windows(spec_g: GaborSpec, spec_h: GaborSpec, r1_window=None):
         r1[:a] = 1.0
         r2 = (b / L) * r1  # canonical dual: the block system is tight with bound L/b
     else:
-        r1 = np.asarray(r1_window, dtype=complex).reshape(-1)
-        if r1.shape[0] != L:
-            raise DimensionMismatch("r1 window has the wrong length")
-        r2 = canonical_dual_window(GaborSpec(L, a, b, r1))
-    Vg = finite_gabor_system(spec_g).vectors
-    Vh = finite_gabor_system(spec_h).vectors
-    Phi = np.eye(L) - Vh.T @ Vg.conj()
-    g2 = Phi.conj().T @ r1
-    h2 = r2
-    return g2, h2
+        r1_spec = GaborSpec(L, a, b, r1_window)  # checks length and finiteness
+        r1, r2 = r1_spec.window, canonical_dual_window(r1_spec)
+    # Phi* r1 = r1 - sum <r1, h_nm> g_nm, from the (h, g) Walnut blocks
+    g2 = r1 - _apply_blocks(_walnut_blocks(spec_h.window, spec_g.window, a, b), r1)
+    return g2, r2
 
 
 def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
@@ -393,8 +393,7 @@ def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
     out = np.zeros(L, dtype=complex)
     if window.count > L:
         raise LatticeError(f"window ({window.count} samples) does not fit in a cycle of {L}")
-    for i in range(window.count):
-        out[(t0 + i) % L] = window.samples[i]
+    out[(t0 + np.arange(window.count)) % L] = window.samples
     return out
 
 

@@ -232,3 +232,18 @@ def test_unknown_subcommand_exits_2():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_gabor_nan_window_is_usage_error(tmp_path):
+    window = [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({"window": window}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "framelab.cli", "gabor", "duality",
+         "--L", "4", "--a", "2", "--b", "2", "--window", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

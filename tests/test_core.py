@@ -126,6 +126,22 @@ def test_riesz_bounds_examples():
         riesz_bounds(VectorSystem([], ambient_dim=2))
 
 
+@pytest.mark.parametrize("count,dim", [(1, 2), (3, 8), (7, 24), (24, 7), (40, 3), (576, 24)])
+def test_rank_deficient_bounds_match_dense(count, dim):
+    # fewer vectors than dimensions (frame bounds) or more (Riesz bounds):
+    # the lower bound is exactly 0 and the upper bound comes from the smaller
+    # of S and G; check it against the dense eigensolve of the larger one
+    sys = random_system(np.random.default_rng(count * 100 + dim), count, dim)
+    if count < dim:
+        bounds, dense = frame_bounds(sys), np.linalg.eigvalsh(frame_operator(sys))
+    else:
+        V = sys.vectors
+        bounds, dense = riesz_bounds(sys), np.linalg.eigvalsh(V.conj() @ V.T)
+    assert bounds.lower == 0.0
+    assert bounds.upper == pytest.approx(dense[-1], rel=1e-12)
+    assert abs(dense[0]) <= 1e-12 * dense[-1]
+
+
 def test_canonical_dual_onb_and_tight():
     onb = standard_basis(3)
     np.testing.assert_allclose(canonical_dual(onb).vectors, onb.vectors, atol=1e-14)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import framelab.gabor as gabor_module
 from framelab.core import (
     DomainError,
     GridError,
@@ -23,17 +24,51 @@ from framelab.gabor import (
     gabor_extension,
     gabor_frame_bounds,
     hrt_independence,
-    modulation_matrix,
     ron_shen_duality_check,
     sampled_gaussian,
     sampled_indicator,
-    translation_matrix,
     wexler_raz_check,
 )
+
+ACCEPTANCE_LENGTHS = (4, 6, 8, 12, 16, 24)
 
 
 def rand_window(rng, L):
     return rng.standard_normal(L) + 1j * rng.standard_normal(L)
+
+
+def divisor_pairs(L):
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    return [(a, b) for a in divisors for b in divisors]
+
+
+def dense_translation(L, shift):
+    return np.roll(np.eye(L), shift % L, axis=0)
+
+
+def dense_modulation(L, freq):
+    return np.diag(np.exp(2j * np.pi * freq * np.arange(L) / L))
+
+
+def dense_commutator_norm(A, a, b):
+    """Oracle: max over the lattice of ||A M T - M T A||_2 with dense M, T."""
+    L = A.shape[0]
+    worst = 0.0
+    for n in range(L // a):
+        T = dense_translation(L, n * a)
+        for m in range(L // b):
+            P = dense_modulation(L, m * b) @ T
+            worst = max(worst, float(np.linalg.norm(A @ P - P @ A, 2)))
+    return worst
+
+
+def dense_mixed_operator(spec_g, spec_h):
+    """Oracle: the L x L matrix of x -> sum <x, g_nm> h_nm from the generated systems."""
+    return finite_gabor_system(spec_h).vectors.T @ finite_gabor_system(spec_g).vectors.conj()
+
+
+def dense_canonical_dual(spec):
+    return np.linalg.solve(frame_operator(finite_gabor_system(spec)), spec.window)
 
 
 def test_single_element_system():
@@ -168,7 +203,7 @@ def test_commutation_breaks_off_lattice():
         pytest.skip("unlucky draw")
     S = frame_operator(sys)
     Sinv = np.linalg.inv(S)
-    P = modulation_matrix(12, 1) @ translation_matrix(12, 1)  # not in the lattice
+    P = dense_modulation(12, 1) @ dense_translation(12, 1)  # not in the lattice
     assert np.linalg.norm(Sinv @ P - P @ Sinv, 2) > 1e-6
 
 
@@ -348,3 +383,116 @@ def test_duplicated_window_duality_and_wexler_raz_equivalence():
                 g = GaborSpec(L, a, b, rand_window(rng, L))
                 h = GaborSpec(L, a, b, rand_window(rng, L))
                 assert wexler_raz_check(g, h).passed
+
+
+# -- Walnut block engine vs the dense oracles -----------------------------------
+
+
+def test_window_must_be_finite():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        w = np.ones(8, dtype=complex)
+        w[3] = bad
+        with pytest.raises(DomainError):
+            GaborSpec(8, 2, 2, w)
+
+
+def _specs(rng, L, a, b):
+    return GaborSpec(L, a, b, rand_window(rng, L)), GaborSpec(L, a, b, rand_window(rng, L))
+
+
+def _is_frame(spec, ratio=1e-6):
+    fb = frame_bounds(finite_gabor_system(spec))
+    return fb.lower > ratio * fb.upper
+
+
+def _assert_bounds_match_dense(spec):
+    fb = gabor_frame_bounds(spec)
+    dense = frame_bounds(finite_gabor_system(spec))
+    assert fb.upper == pytest.approx(dense.upper, rel=1e-12)
+    assert fb.lower == pytest.approx(dense.lower, rel=1e-12, abs=1e-12 * dense.upper)
+
+
+def _assert_dual_matches_dense(spec):
+    expected = dense_canonical_dual(spec)
+    got = canonical_dual_window(spec)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def _assert_duality_residual_matches_dense(spec_g, spec_h):
+    got = wexler_raz_check(spec_g, spec_h).details["duality_residual"]
+    dense = duality_check(finite_gabor_system(spec_g), finite_gabor_system(spec_h))
+    expected = dense.residuals["duality"]
+    assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
+    L, a, b = spec_g.L, spec_g.a, spec_g.b
+    if r1_window is None:
+        r1 = np.zeros(L, dtype=complex)
+        r1[:a] = 1.0
+        r2 = (b / L) * r1
+    else:
+        r1, r2 = r1_window, dense_canonical_dual(GaborSpec(L, a, b, r1_window))
+    phi = np.eye(L) - dense_mixed_operator(spec_g, spec_h)
+    g2, h2 = extend_gabor_windows(spec_g, spec_h, r1_window)
+    expected = phi.conj().T @ r1
+    assert np.abs(g2 - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1.0)
+    assert np.abs(h2 - r2).max() <= 1e-10 * np.abs(r2).max()
+
+
+@pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS)
+def test_block_bounds_and_dual_match_dense(L):
+    rng = np.random.default_rng(100 + L)
+    for a, b in divisor_pairs(L):
+        spec, partner = _specs(rng, L, a, b)
+        _assert_bounds_match_dense(spec)
+        _assert_duality_residual_matches_dense(spec, partner)
+        if _is_frame(spec):
+            _assert_dual_matches_dense(spec)
+            dual = GaborSpec(L, a, b, canonical_dual_window(spec))
+            _assert_duality_residual_matches_dense(spec, dual)
+
+
+@pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS)
+def test_block_extension_matches_dense(L):
+    rng = np.random.default_rng(200 + L)
+    for a, b in divisor_pairs(L):
+        if a * b > L:
+            continue
+        spec_g, spec_h = _specs(rng, L, a, b)
+        _assert_extension_matches_dense(spec_g, spec_h)
+        r1 = rand_window(rng, L)
+        if _is_frame(GaborSpec(L, a, b, r1)):
+            _assert_extension_matches_dense(spec_g, spec_h, r1)
+
+
+def test_block_engine_matches_dense_at_L512():
+    rng = np.random.default_rng(512)
+    spec, partner = _specs(rng, 512, 8, 8)
+    _assert_bounds_match_dense(spec)
+    _assert_dual_matches_dense(spec)
+    _assert_duality_residual_matches_dense(spec, partner)
+    _assert_extension_matches_dense(spec, partner)
+
+
+@pytest.mark.parametrize("L", [L for L in ACCEPTANCE_LENGTHS if L <= 12])
+def test_commutation_matches_dense_loop(L, monkeypatch):
+    rng = np.random.default_rng(300 + L)
+    for a, b in divisor_pairs(L):
+        spec = GaborSpec(L, a, b, rand_window(rng, L))
+        if not _is_frame(spec):
+            continue
+        Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
+        got = frame_operator_commutation_check(spec).residuals["commutator"]
+        expected = dense_commutator_norm(Sinv, a, b)
+        assert got == pytest.approx(expected, abs=1e-13 * np.linalg.norm(Sinv, 2))
+        # a positive definite operator that commutes with no lattice shift: the
+        # residual is far above rounding and must still equal the dense loop
+        X = rand_window(rng, L * L).reshape(L, L)
+        A = X @ X.conj().T + L * np.eye(L)
+        monkeypatch.setattr(gabor_module, "frame_operator", lambda system: A)
+        got = frame_operator_commutation_check(spec).residuals["commutator"]
+        monkeypatch.undo()
+        expected = dense_commutator_norm(np.linalg.inv(A), a, b)
+        assert expected > 1e-4 or (a, b) == (L, L)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
