@@ -1,10 +1,21 @@
 """Command-line entry point.
 
-One binary with a subcommand tree mirroring the library modules; every
-analysis prints a deterministic JSON envelope (schema 1, sorted keys) or
-CSV rows, so fixed-seed sweeps are byte-identical across runs.  Exit code
-0 means success or verdict pass, 1 a verdict fail, 2 a usage or input
-error.  FRAMELAB_TOLERANCE overrides the default tolerance globally.
+One binary with a subcommand tree mirroring the library modules, built from
+one command table; every analysis prints a deterministic JSON envelope
+(schema 1, sorted keys) or CSV rows, so fixed-seed sweeps are byte-identical
+across runs.  Exit code 0 means success or verdict pass, 1 a verdict fail
+(or a failed `rdual verify`), 2 a usage or input error.
+
+Every command takes --format and --output; the others exist only where they
+are read:
+
+- --tolerance: frame dual/check-dual, rdual verify/check-dual-pair/nseq,
+  extend run, gabor duality/wexler-raz/commute/ron-shen/hrt, wavelet
+  check-dual, wavepacket check-dual, bspline props/dual-window.  Without it
+  FRAMELAB_TOLERANCE, then 1e-10, applies (gabor ron-shen/hrt and bspline
+  dual-window keep their own defaults).
+- --seed: every rdual command and gabor bounds/duality/wexler-raz/commute/sweep.
+- --jobs: gabor sweep and bspline scan.
 """
 
 from __future__ import annotations
@@ -13,52 +24,85 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bspline as bsp
+from . import core, extension, gabor, rdual
 from . import dilation as dil
 from . import exponentials as expo
-from .core import (
-    FrameLabError,
-    VectorSystem,
-    canonical_dual,
-    cross_gram,
-    duality_check,
-    frame_bounds,
-    random_system,
-    riesz_bounds,
-)
-from .extension import extend_to_dual_pair, verify_extension
-from .gabor import (
-    GaborSpec,
-    SampledWindow,
-    TFPoint,
-    duality_principle_check,
-    frame_operator_commutation_check,
-    gabor_extension,
-    gabor_frame_bounds,
-    gabor_sweep_row,
-    hrt_independence,
-    ron_shen_duality_check,
-    sampled_gaussian,
-    sampled_indicator,
-    wexler_raz_check,
-)
-from .rdual import (
-    OrthonormalPair,
-    n_sequence,
-    r_dual,
-    verify_dual_pair_biorthogonality,
-    verify_rdual_theorem,
-)
+from .core import DomainError, FrameLabError, _decode_pairs, _encode_pairs
 
 SCHEMA_VERSION = 1
 
 
-# -- input parsing helpers ----------------------------------------------------
+# -- typed converters for option values -----------------------------------------
+
+
+def _number(token):
+    """A finite float."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid number {token!r}")
+    return value
+
+
+def _float_list(text):
+    """Comma-separated numbers, at least one."""
+    values = [_number(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
+def _int_list(text):
+    values = _float_list(text)
+    if any(v != int(v) or v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _range(text):
+    """Comma list of values, or start:stop:step (stop inclusive)."""
+    if ":" not in text:
+        return _float_list(text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = (_number(tok) for tok in parts)
+    if step == 0:
+        raise argparse.ArgumentTypeError(f"zero step in {text!r}")
+    values = [float(v) for v in np.arange(start, stop + step / 2, step)]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
+def _points(text):
+    """Semicolon-separated lam,mu pairs."""
+    points = []
+    for chunk in text.split(";"):
+        pair = [_number(tok) for tok in chunk.split(",")]
+        if len(pair) != 2:
+            raise argparse.ArgumentTypeError(f"expected lam,mu pairs, got {chunk!r} in {text!r}")
+        points.append(gabor.TFPoint(*pair))
+    return points
+
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+# -- input files and window specs ------------------------------------------------
 
 
 def _load_json(path):
@@ -66,23 +110,26 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _vector_system(path) -> VectorSystem:
+def _vector_system(path) -> core.VectorSystem:
     if path.endswith(".csv"):
         with open(path) as fh:
-            return VectorSystem.from_csv(fh.read())
-    return VectorSystem.from_json_dict(_load_json(path))
+            return core.VectorSystem.from_csv(fh.read())
+    return core.VectorSystem.from_json_dict(_load_json(path))
 
 
-def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _range_spec(text):
-    """Comma list of values, or start:stop:step (stop inclusive)."""
-    if ":" in text:
-        start, stop, step = (float(t) for t in text.split(":"))
-        return list(np.arange(start, stop + step / 2, step))
-    return _floats(text)
+def _spec_params(spec, defaults):
+    """Numbers after the name in 'name:p1:p2...', the missing ones from defaults."""
+    given = spec.split(":")[1:]
+    try:
+        values = [float(tok) for tok in given]
+    except ValueError:
+        values = [math.nan]
+    if len(given) > len(defaults) or not all(map(math.isfinite, values)):
+        raise DomainError(f"invalid parameters in {spec!r}")
+    values += defaults[len(given):]
+    if None in values:
+        raise DomainError(f"{spec!r} needs {len(defaults)} parameters")
+    return values
 
 
 def _lattice_window(spec: str, L: int, rng) -> np.ndarray:
@@ -97,23 +144,21 @@ def _lattice_window(spec: str, L: int, rng) -> np.ndarray:
     data = _load_json(spec)
     if isinstance(data, dict) and "window" in data:
         data = data["window"]
-    return np.array([complex(re, im) for re, im in data])
+    return _decode_pairs(data, "window")
 
 
-def _sampled_window(spec: str, step: float) -> SampledWindow:
-    if spec.startswith("indicator"):
-        parts = spec.split(":")
-        lo = float(parts[1]) if len(parts) > 1 else 0.0
-        hi = float(parts[2]) if len(parts) > 2 else 1.0
-        return sampled_indicator(lo, hi, step)
-    if spec.startswith("gaussian"):
-        parts = spec.split(":")
-        hw = float(parts[1]) if len(parts) > 1 else 8.0
-        return sampled_gaussian(hw, step)
-    if spec.startswith("bspline"):
-        order = int(spec.split(":")[1])
-        return bsp.sample_bspline(order, step)
-    return SampledWindow.from_json_dict(_load_json(spec))
+def _sampled_window(spec: str, step: float) -> gabor.SampledWindow:
+    name = spec.split(":")[0]
+    if name == "indicator":
+        return gabor.sampled_indicator(*_spec_params(spec, [0.0, 1.0]), step)
+    if name == "gaussian":
+        return gabor.sampled_gaussian(*_spec_params(spec, [8.0]), step)
+    if name == "bspline":
+        (order,) = _spec_params(spec, [None])
+        if order != int(order):
+            raise DomainError(f"spline order must be an integer in {spec!r}")
+        return bsp.sample_bspline(int(order), step)
+    return gabor.SampledWindow.from_json_dict(_load_json(spec))
 
 
 def _freq_function(spec: str) -> dil.FreqFunction:
@@ -122,34 +167,22 @@ def _freq_function(spec: str) -> dil.FreqFunction:
     if spec == "zero":
         base = dil.shannon_wavelet()
         return dil.FreqFunction(base.start, base.step, np.zeros(base.count), base.band)
-    if spec.startswith("indicator"):
-        parts = spec.split(":")
-        lo, hi = float(parts[1]), float(parts[2])
-        amp = float(parts[3]) if len(parts) > 3 else 1.0
+    if spec.split(":")[0] == "indicator":
+        lo, hi, amp = _spec_params(spec, [None, None, 1.0])
         return dil.freq_indicator(lo, hi, amplitude=amp)
     return dil.FreqFunction.from_json_dict(_load_json(spec))
 
 
-def _tf_points(text):
-    pts = []
-    for chunk in text.split(";"):
-        lam, mu = (float(t) for t in chunk.split(","))
-        pts.append(TFPoint(lam, mu))
-    return pts
+def _psi_pair(args):
+    psi = _freq_function(args.psi)
+    return psi, (_freq_function(args.psit) if args.psit else psi)
 
 
-def _pair_from_args(args, dim) -> OrthonormalPair:
-    if getattr(args, "e_basis", None) and getattr(args, "h_basis", None):
-        return OrthonormalPair(_vector_system(args.e_basis), _vector_system(args.h_basis))
-    if getattr(args, "random_pair", False):
-        return OrthonormalPair.random(np.random.default_rng(args.seed), dim)
-    return OrthonormalPair.standard(dim)
-
-
-# -- output ------------------------------------------------------------------
+# -- output ----------------------------------------------------------------------
 
 
 def _json_ready(obj):
+    """JSON-ready copy: reports, bounds and systems via their to_dict/to_json_dict."""
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -161,10 +194,13 @@ def _json_ready(obj):
         return value if np.isfinite(value) else repr(value)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+    if isinstance(obj, complex) or (isinstance(obj, np.ndarray) and np.iscomplexobj(obj)):
+        return _json_ready(_encode_pairs(obj))
     if isinstance(obj, np.ndarray):
         return _json_ready(obj.tolist())
+    for method in ("to_json_dict", "to_dict"):
+        if hasattr(obj, method):
+            return _json_ready(getattr(obj, method)())
     return obj
 
 
@@ -194,573 +230,369 @@ def emit(args, command: str, result: dict, rows=None, fieldnames=None) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_exit(report) -> int:
-    return 1 if report.verdict == "fail" else 0
+# -- command bodies longer than one expression ------------------------------------
 
 
-# -- handlers ------------------------------------------------------------------
+def _pair(args, dim) -> rdual.OrthonormalPair:
+    if args.e_basis and args.h_basis:
+        return rdual.OrthonormalPair(_vector_system(args.e_basis), _vector_system(args.h_basis))
+    if args.random_pair:
+        return rdual.OrthonormalPair.random(np.random.default_rng(args.seed), dim)
+    return rdual.OrthonormalPair.standard(dim)
 
 
-def cmd_frame_bounds(args):
-    system = _vector_system(args.file)
-    fb = frame_bounds(system, args.mode)
-    emit(args, "frame bounds", {"bounds": fb.to_dict(), "mode": args.mode})
-    return 0
-
-
-def cmd_frame_riesz(args):
-    rb = riesz_bounds(_vector_system(args.file))
-    emit(args, "frame riesz", {"bounds": rb.to_dict()})
-    return 0
-
-
-def cmd_frame_dual(args):
-    dual = canonical_dual(_vector_system(args.file), args.mode, args.tolerance)
-    emit(args, "frame dual", {"system": dual.to_json_dict()})
-    return 0
-
-
-def cmd_frame_check_dual(args):
-    report = duality_check(_vector_system(args.f), _vector_system(args.g), args.tolerance)
-    emit(args, "frame check-dual", {"report": report.to_dict()})
-    return _verdict_exit(report)
-
-
-def cmd_frame_gram(args):
-    M = cross_gram(_vector_system(args.f), _vector_system(args.g))
-    emit(args, "frame gram", {"matrix": [[[z.real, z.imag] for z in row] for row in M]})
-    return 0
-
-
-def cmd_rdual_transform(args):
+def _rdual_transform(args):
     f = _vector_system(args.file)
-    pair = _pair_from_args(args, f.ambient_dim)
-    emit(args, "rdual transform", {"system": r_dual(f, pair).to_json_dict()})
-    return 0
+    return {"system": rdual.r_dual(f, _pair(args, f.ambient_dim))}
 
 
-def cmd_rdual_verify(args):
+def _rdual_verify(args):
     if args.file:
         f = _vector_system(args.file)
     else:
-        rng = np.random.default_rng(args.seed)
-        f = random_system(rng, args.random_dim, args.random_dim)
-    pair = _pair_from_args(args, f.ambient_dim)
-    rep = verify_rdual_theorem(f, pair)
-    tol = args.tolerance if args.tolerance is not None else 1e-10
-    result = {
-        "frame_bounds": rep.frame_f.to_dict(),
-        "riesz_bounds": rep.riesz_omega.to_dict(),
-        "bound_gap": rep.bound_gap,
-        "involution_residual": rep.involution_residual,
-        "passes": rep.passes(tol),
-    }
-    emit(args, "rdual verify", result)
-    return 0 if rep.passes(tol) else 1
+        f = core.random_system(np.random.default_rng(args.seed), args.random_dim, args.random_dim)
+    rep = rdual.verify_rdual_theorem(f, _pair(args, f.ambient_dim))
+    return {"frame_bounds": rep.frame_f, "riesz_bounds": rep.riesz_omega,
+            "bound_gap": rep.bound_gap, "involution_residual": rep.involution_residual,
+            "passes": rep.passes(core.resolve_tolerance(args.tolerance))}
 
 
-def cmd_rdual_check_dual_pair(args):
+def _rdual_check_dual_pair(args):
+    f = _vector_system(args.f)
+    return {"report": rdual.verify_dual_pair_biorthogonality(
+        f, _vector_system(args.g), _pair(args, f.ambient_dim), args.tolerance)}
+
+
+def _rdual_nseq(args):
+    f = _vector_system(args.f)
+    ns = rdual.n_sequence(f, _vector_system(args.omega), _pair(args, f.ambient_dim), args.tolerance)
+    return {"bounds_on_span": ns.tight_bound_estimate, "report": ns.report, "system": ns.vectors}
+
+
+def _extend_run(args):
     f, g = _vector_system(args.f), _vector_system(args.g)
-    pair = _pair_from_args(args, f.ambient_dim)
-    report = verify_dual_pair_biorthogonality(f, g, pair, args.tolerance)
-    emit(args, "rdual check-dual-pair", {"report": report.to_dict()})
-    return _verdict_exit(report)
+    a, b = (_vector_system(path) if path else None for path in (args.a, args.b))
+    p, q = extension.extend_to_dual_pair(f, g, a, b, args.tolerance, prune_zero=args.prune)
+    return {"p": p, "q": q, "report": extension.verify_extension(f, g, p, q, args.tolerance)}
 
 
-def cmd_rdual_nseq(args):
-    f, omega = _vector_system(args.f), _vector_system(args.omega)
-    pair = _pair_from_args(args, f.ambient_dim)
-    ns = n_sequence(f, omega, pair, args.tolerance)
-    emit(args, "rdual nseq", {
-        "bounds_on_span": ns.tight_bound_estimate.to_dict(),
-        "report": ns.report.to_dict(),
-        "system": ns.vectors.to_json_dict(),
-    })
-    return _verdict_exit(ns.report)
+def _lattice_spec(args) -> gabor.GaborSpec:
+    window = _lattice_window(args.window, args.L, np.random.default_rng(args.seed))
+    return gabor.GaborSpec(args.L, args.a, args.b, window)
 
 
-def cmd_extend_run(args):
-    f, g = _vector_system(args.f), _vector_system(args.g)
-    a = _vector_system(args.a) if args.a else None
-    b = _vector_system(args.b) if args.b else None
-    p, q = extend_to_dual_pair(f, g, a, b, args.tolerance, prune_zero=args.prune)
-    report = verify_extension(f, g, p, q, args.tolerance)
-    emit(args, "extend run", {
-        "p": p.to_json_dict(), "q": q.to_json_dict(), "report": report.to_dict(),
-    })
-    return _verdict_exit(report)
-
-
-def _gabor_spec_from_args(args, window_attr="window"):
+def _gabor_wexler_raz(args):
     rng = np.random.default_rng(args.seed)
-    window = _lattice_window(getattr(args, window_attr), args.L, rng)
-    return GaborSpec(args.L, args.a, args.b, window)
-
-
-def cmd_gabor_bounds(args):
-    fb = gabor_frame_bounds(_gabor_spec_from_args(args))
-    emit(args, "gabor bounds", {"bounds": fb.to_dict()})
-    return 0
-
-
-def cmd_gabor_duality(args):
-    report = duality_principle_check(_gabor_spec_from_args(args), args.tolerance)
-    emit(args, "gabor duality", {"report": report.to_dict()})
-    return _verdict_exit(report)
-
-
-def cmd_gabor_wexler_raz(args):
-    rng = np.random.default_rng(args.seed)
-    wg = _lattice_window(args.window_g, args.L, rng)
+    spec_g = gabor.GaborSpec(args.L, args.a, args.b, _lattice_window(args.window_g, args.L, rng))
     if args.window_h == "canonical-dual":
-        from .gabor import canonical_dual_window
-
-        wh = canonical_dual_window(GaborSpec(args.L, args.a, args.b, wg))
+        wh = gabor.canonical_dual_window(spec_g)
     else:
         wh = _lattice_window(args.window_h, args.L, rng)
-    report = wexler_raz_check(
-        GaborSpec(args.L, args.a, args.b, wg), GaborSpec(args.L, args.a, args.b, wh),
-        args.tolerance,
-    )
-    emit(args, "gabor wexler-raz", {"report": report.to_dict()})
-    return _verdict_exit(report)
+    spec_h = gabor.GaborSpec(args.L, args.a, args.b, wh)
+    return {"report": gabor.wexler_raz_check(spec_g, spec_h, args.tolerance)}
 
 
-def cmd_gabor_commute(args):
-    report = frame_operator_commutation_check(_gabor_spec_from_args(args), args.tolerance)
-    emit(args, "gabor commute", {"report": report.to_dict()})
-    return _verdict_exit(report)
+def _gabor_extend(args):
+    g1, h1 = (_sampled_window(spec, args.step) for spec in (args.window_g, args.window_h))
+    g2, h2 = gabor.gabor_extension(g1, h1, args.a, args.b, L=args.L)
+    return {"g2": g2, "h2": h2}
 
 
-def cmd_gabor_ron_shen(args):
-    g = _sampled_window(args.window_g, args.step)
-    h = _sampled_window(args.window_h, args.step)
-    report = ron_shen_duality_check(g, h, args.a, args.b, args.tolerance)
-    emit(args, "gabor ron-shen", {"report": report.to_dict()})
-    return _verdict_exit(report)
-
-
-def cmd_gabor_extend(args):
-    g1 = _sampled_window(args.window_g, args.step)
-    h1 = _sampled_window(args.window_h, args.step)
-    g2, h2 = gabor_extension(g1, h1, args.a, args.b, L=args.L)
-    emit(args, "gabor extend", {"g2": g2.to_json_dict(), "h2": h2.to_json_dict()})
-    return 0
-
-
-def cmd_gabor_hrt(args):
-    g = _sampled_window(args.window, args.step)
-    report = hrt_independence(g, _tf_points(args.points), args.tolerance)
-    emit(args, "gabor hrt", {"report": report.to_dict()})
-    return _verdict_exit(report)
+def _map(fn, tasks, jobs, chunksize):
+    """[fn(t) for t in tasks], in order, on a pool of `jobs` processes if jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(t) for t in tasks]
 
 
 def _sweep_task(task):
     L, a, b, seed = task
     rng = np.random.default_rng(seed)
-    window = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    return gabor_sweep_row(L, a, b, window)
+    return gabor.gabor_sweep_row(L, a, b, rng.standard_normal(L) + 1j * rng.standard_normal(L))
 
 
-def cmd_gabor_sweep(args):
-    lengths = [int(v) for v in _floats(args.L_list)]
+def _gabor_sweep(args):
     tasks = []
-    for L in lengths:
+    for L in args.L_list:
         divisors = [d for d in range(1, L + 1) if L % d == 0]
         for a in divisors:
             for b in divisors:
-                for trial in range(args.windows):
+                for _ in range(args.windows):
                     tasks.append((L, a, b, args.seed + 1_000_003 * len(tasks)))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks, chunksize=16))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    worst = max(row["residual"] for row in rows) if rows else 0.0
-    fields = ["L", "a", "b", "lowerA", "upperB", "adjoint_lower", "adjoint_upper", "residual"]
-    emit(args, "gabor sweep", {"rows": rows, "worst_residual": worst}, rows=rows, fieldnames=fields)
-    return 0
-
-
-def cmd_wavelet_check_dual(args):
-    psi = _freq_function(args.psi)
-    psit = _freq_function(args.psit) if args.psit else psi
-    report = dil.wavelet_duality_check(psi, psit, b=args.b, tolerance=args.tolerance)
-    emit(args, "wavelet check-dual", {"report": report.to_dict()})
-    return _verdict_exit(report)
+    rows = _map(_sweep_task, tasks, args.jobs, chunksize=16)
+    return {"rows": rows, "worst_residual": max((row["residual"] for row in rows), default=0.0)}
 
 
 def _wp_grid(args):
-    return dil.WavePacketGrid(
-        a_values=_floats(args.a_values), b=args.b, c_values=_range_spec(args.c_values),
-        gamma_points=args.gamma_points,
-    )
+    return dil.WavePacketGrid(a_values=args.a_values, b=args.b, c_values=args.c_values,
+                              gamma_points=args.gamma_points)
 
 
-def cmd_wavepacket_bounds(args):
-    g = _freq_function(args.g)
-    grid = _wp_grid(args)
+def _wavepacket_bounds(args):
+    g, grid = _freq_function(args.g), _wp_grid(args)
     bounds, report = dil.wave_packet_frame_bounds(g, grid, ceiling=args.ceiling)
     bessel, _ = dil.wave_packet_bessel_bound(g, grid, ceiling=args.ceiling)
-    emit(args, "wavepacket bounds", {
-        "bounds": bounds.to_dict(),
-        "bessel_bound": bessel,
-        "report": report.to_dict(),
-    })
-    return _verdict_exit(report)
+    return {"bounds": bounds, "bessel_bound": bessel, "report": report}
 
 
-def cmd_wavepacket_check_dual(args):
-    psi = _freq_function(args.psi)
-    psit = _freq_function(args.psit) if args.psit else psi
-    report = dil.wave_packet_duality_check(
-        psi, psit, a=args.a, b=args.b, c_values=_range_spec(args.c_values),
-        tolerance=args.tolerance, full_check=not args.skip_full,
-    )
-    emit(args, "wavepacket check-dual", {"report": report.to_dict()})
-    return _verdict_exit(report)
+def _wavepacket_lic(args):
+    value, report = dil.lic_estimate(_freq_function(args.psi), _wp_grid(args), _freq_function(args.f))
+    return {"value": value, "report": report}
 
 
-def cmd_wavepacket_lic(args):
-    psi = _freq_function(args.psi)
-    f = _freq_function(args.f)
-    value, report = dil.lic_estimate(psi, _wp_grid(args), f)
-    emit(args, "wavepacket lic", {"value": value, "report": report.to_dict()})
-    return 0
-
-
-def cmd_wavepacket_bessel_probe(args):
+def _wavepacket_bessel_probe(args):
     g = dil.freq_indicator(0.0, 1.0, step=1 / 16, amplitude=args.amplitude)
     rows, report = dil.bessel_divergence_probe(
-        g, b=args.b, c_step=args.c_step, ceiling=args.ceiling, rule=args.rule,
-    )
-    table = [{"terms": terms, "partial_sum": value} for terms, value in rows]
-    emit(args, "wavepacket bessel-probe", {"rows": table, "report": report.to_dict()},
-         rows=table, fieldnames=["terms", "partial_sum"])
-    return _verdict_exit(report)
-
-
-def cmd_bspline_eval(args):
-    xs = _floats(args.x)
-    values = bsp.bspline_eval(args.N, xs)
-    emit(args, "bspline eval", {"x": xs, "values": [float(v) for v in values]})
-    return 0
-
-
-def cmd_bspline_fourier(args):
-    gs = _floats(args.gamma)
-    values = bsp.bspline_fourier(args.N, gs)
-    emit(args, "bspline fourier", {
-        "gamma": gs, "values": [[v.real, v.imag] for v in np.atleast_1d(values)],
-    })
-    return 0
-
-
-def cmd_bspline_props(args):
-    report = bsp.property_suite(args.N, args.tolerance)
-    emit(args, "bspline props", {"report": report.to_dict()})
-    return _verdict_exit(report)
+        g, b=args.b, c_step=args.c_step, ceiling=args.ceiling, rule=args.rule)
+    return {"rows": [{"terms": t, "partial_sum": v} for t, v in rows], "report": report}
 
 
 def _scan_task(task):
-    N, a, b, period_points, attach = task
-    cell = bsp.classify_cell(N, a, b, period_points, attach)
-    d = cell.to_dict()
+    d = bsp.classify_cell(*task).to_dict()
     return {"a": d["a"], "b": d["b"], "status": d["status"],
             "A": d["lower"], "B": d["upper"], "method": d["method"]}
 
 
-def cmd_bspline_scan(args):
-    a_values = _range_spec(args.a_grid)
-    b_values = _range_spec(args.b_grid)
-    tasks = [
-        (args.N, float(a), float(b), args.period_points, not args.no_estimates)
-        for a in a_values
-        for b in b_values
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_task, tasks, chunksize=4))
-    else:
-        rows = [_scan_task(t) for t in tasks]
-    fields = ["a", "b", "status", "A", "B", "method"]
-    emit(args, "bspline scan", {"rows": rows}, rows=rows, fieldnames=fields)
-    return 0
+def _bspline_scan(args):
+    tasks = [(args.N, a, b, args.period_points, not args.no_estimates)
+             for a in args.a_grid for b in args.b_grid]
+    return {"rows": _map(_scan_task, tasks, args.jobs, chunksize=4)}
 
 
-def cmd_bspline_dual_window(args):
-    window, report = bsp.dual_window_solve(
-        args.N, args.b, shift_range=args.K,
-        tolerance=args.tolerance if args.tolerance is not None else 1e-8,
-    )
-    emit(args, "bspline dual-window", {
-        "window": window.to_json_dict(), "report": report.to_dict(),
-    })
-    return _verdict_exit(report)
+def _bspline_dual_window(args):
+    tolerance = args.tolerance if args.tolerance is not None else 1e-8
+    window, report = bsp.dual_window_solve(args.N, args.b, shift_range=args.K, tolerance=tolerance)
+    return {"window": window, "report": report}
 
 
 def _lambda_set(args) -> expo.LambdaSet:
-    if getattr(args, "file", None):
+    if args.file:
         return expo.LambdaSet.from_json_dict(_load_json(args.file))
     if not args.lambdas:
         raise FrameLabError("supply --lambdas or --file")
-    return expo.LambdaSet(_floats(args.lambdas))
+    return expo.LambdaSet(args.lambdas)
 
 
-def cmd_exp_gram(args):
-    G = expo.exp_gram(_lambda_set(args))
-    emit(args, "exp gram", {"matrix": [[[z.real, z.imag] for z in row] for row in G]})
-    return 0
+# -- the command table -----------------------------------------------------------
 
 
-def cmd_exp_bound(args):
-    emit(args, "exp bound", {"lower_bound": expo.lower_bound(_lambda_set(args), dps=args.dps)})
-    return 0
+def _opt(*flags, **kwargs):
+    return flags, kwargs
 
 
-def cmd_exp_crude(args):
-    got = expo.crude_bound(args.N, args.delta)
-    emit(args, "exp crude", {"value": got.value, "log10": got.log10})
-    return 0
+def _required(*flags, **kwargs):
+    return _opt(*flags, required=True, **kwargs)
 
 
-def cmd_exp_decay(args):
-    rows = [row.to_dict() for row in expo.decay_study(args.family, args.n_max, dps=args.dps)]
-    fields = ["N", "lower", "crude", "ratio", "log10_lower", "log10_crude"]
-    emit(args, "exp decay", {"rows": rows}, rows=rows, fieldnames=fields)
-    return 0
+COMMON = (
+    _opt("--format", choices=("json", "csv", "pretty"), default="json"),
+    _opt("--output", default=None, help="write to a file instead of stdout"),
+)
+TOLERANCE = _opt("--tolerance", type=core.resolve_tolerance, default=None,
+                 help="override the pass tolerance (default: FRAMELAB_TOLERANCE or 1e-10)")
+SEED = _opt("--seed", type=int, default=0, help="seed for randomized inputs")
+JOBS = _opt("--jobs", type=_positive_int, default=1, help="worker processes")
+FILE = _required("--file")
+F_G = (_required("--f"), _required("--g"))
+MODE = _opt("--mode", choices=("full_space", "span"), default="full_space")
+PAIR = (_opt("--e-basis"), _opt("--h-basis"), _opt("--random-pair", action="store_true"), SEED)
+LATTICE = (_required("--L", type=int), _required("--a", type=int), _required("--b", type=int))
+WINDOW = (_opt("--window", default="random"), SEED)
+STEP = _opt("--step", type=_number, default=1 / 64)
+SAMPLED_PAIR = (_required("--window-g"), _required("--window-h"),
+                _required("--a", type=_number), _required("--b", type=_number), STEP)
+PSI_PAIR = (_opt("--psit", default=None), _opt("--b", type=_number, default=1.0), TOLERANCE)
+WAVE_PACKET_GRID = (
+    _opt("--a-values", type=_float_list, default="1"),
+    _opt("--b", type=_number, default=1.0),
+    _opt("--c-values", type=_range, default="-8:8:1"),
+    _opt("--gamma-points", type=int, default=4096),
+    _opt("--ceiling", type=float, default=1e15),
+)
+ORDER = _required("--N", type=int)
+LAMBDAS = (_opt("--lambdas", type=_float_list, default=None), _opt("--file", default=None))
+DPS = _opt("--dps", type=int, default=None,
+           help=f"extended-precision digits, at least {expo.MIN_DPS} (default: float64)")
 
 
-# -- parser --------------------------------------------------------------------
+class Command(NamedTuple):
+    op: str
+    help: str
+    options: tuple
+    #: parsed args -> result dict; a "report" with verdict "fail" or "passes" False exits 1
+    run: Callable[[argparse.Namespace], dict]
+    #: CSV columns of result["rows"]; empty for commands without tabular output
+    fields: tuple = ()
 
 
-def _common(parser):
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the pass tolerance (default: FRAMELAB_TOLERANCE or 1e-10)")
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    parser.add_argument("--output", default=None, help="write to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-
-
-def _add(sub, name, handler, help_text, configure=None):
-    parser = sub.add_parser(name, help=help_text, description=help_text)
-    _common(parser)
-    if configure:
-        configure(parser)
-    parser.set_defaults(handler=handler)
-    return parser
+COMMANDS = {
+    ("frame", "synthesis/analysis operators, bounds, duals"): (
+        Command("bounds", "optimal frame bounds (extreme eigenvalues of the frame operator)",
+                (FILE, MODE),
+                lambda a: {"bounds": core.frame_bounds(_vector_system(a.file), a.mode), "mode": a.mode}),
+        Command("riesz", "optimal Riesz-sequence bounds (extreme Gram eigenvalues)", (FILE,),
+                lambda a: {"bounds": core.riesz_bounds(_vector_system(a.file))}),
+        Command("dual", "canonical dual family via the inverse frame operator",
+                (FILE, MODE, TOLERANCE),
+                lambda a: {"system": core.canonical_dual(_vector_system(a.file), a.mode, a.tolerance)}),
+        Command("check-dual", "dual-pair reconstruction identity for two families",
+                F_G + (TOLERANCE,),
+                lambda a: {"report": core.duality_check(_vector_system(a.f), _vector_system(a.g),
+                                                        a.tolerance)}),
+        Command("gram", "cross Gram matrix <f_j, g_k> (biorthogonality when it is the identity)",
+                F_G, lambda a: {"matrix": core.cross_gram(_vector_system(a.f), _vector_system(a.g))}),
+    ),
+    ("rdual", "R-dual transform and its duality theorems"): (
+        Command("transform", "the R-dual family across two orthonormal bases",
+                (FILE,) + PAIR, _rdual_transform),
+        Command("verify",
+                "R-dual bound transfer: frame bounds become Riesz-sequence bounds, with involution",
+                (_opt("--file", default=None), _opt("--random-dim", type=int, default=8))
+                + PAIR + (TOLERANCE,), _rdual_verify),
+        Command("check-dual-pair", "dual frames if and only if the R-duals are biorthogonal",
+                F_G + PAIR + (TOLERANCE,), _rdual_check_dual_pair),
+        Command("nseq", "tight-frame-with-bound-1 criterion on the span of a Riesz sequence",
+                (_required("--f"), _required("--omega")) + PAIR + (TOLERANCE,), _rdual_nseq),
+    ),
+    ("extend", "complete Bessel family pairs to dual frames"): (
+        Command("run", "dual-frame extension: append the deficiency image of an auxiliary dual pair",
+                F_G + (_opt("--a", default=None), _opt("--b", default=None),
+                       _opt("--prune", action="store_true",
+                            help="drop zero extension vectors and their partners"), TOLERANCE),
+                _extend_run),
+    ),
+    ("gabor", "finite cyclic lattices and sampled-line checks"): (
+        Command("bounds", "optimal bounds of the lattice system", LATTICE + WINDOW,
+                lambda a: {"bounds": gabor.gabor_frame_bounds(_lattice_spec(a))}),
+        Command("duality",
+                "duality principle: lattice frame bounds equal adjoint-lattice Riesz bounds",
+                LATTICE + WINDOW + (TOLERANCE,),
+                lambda a: {"report": gabor.duality_principle_check(_lattice_spec(a), a.tolerance)}),
+        Command("wexler-raz",
+                "Wexler-Raz: dual frames iff the scaled adjoint systems are biorthogonal",
+                LATTICE + (_opt("--window-g", default="random"),
+                           _opt("--window-h", default="canonical-dual"), SEED, TOLERANCE),
+                _gabor_wexler_raz),
+        Command("commute", "frame operator commutes with every lattice time-frequency shift",
+                LATTICE + WINDOW + (TOLERANCE,),
+                lambda a: {"report": gabor.frame_operator_commutation_check(_lattice_spec(a),
+                                                                            a.tolerance)}),
+        Command("ron-shen",
+                "Ron-Shen / Janssen criterion: translation sums equal b at shift zero and vanish otherwise",
+                SAMPLED_PAIR + (TOLERANCE,),
+                lambda a: {"report": gabor.ron_shen_duality_check(
+                    _sampled_window(a.window_g, a.step), _sampled_window(a.window_h, a.step),
+                    a.a, a.b, a.tolerance)}),
+        Command("extend", "Gabor-structured dual-pair extension on a cyclic realization",
+                SAMPLED_PAIR + (_opt("--L", type=int, default=None),), _gabor_extend),
+        Command("hrt",
+                "Heil-Ramanathan-Topiwala probe: smallest singular value of finite time-frequency shifts",
+                (_required("--window"),
+                 _required("--points", type=_points,
+                           help="semicolon-separated lam,mu pairs, e.g. '0,0;1,0;0,1'"),
+                 STEP, TOLERANCE),
+                lambda a: {"report": gabor.hrt_independence(_sampled_window(a.window, a.step),
+                                                            a.points, a.tolerance)}),
+        Command("sweep", "duality-principle sweep over all divisor lattices with random windows",
+                (_opt("--L-list", type=_int_list, default="4,6,8,12"),
+                 _opt("--windows", type=_positive_int, default=5), SEED, JOBS),
+                _gabor_sweep,
+                ("L", "a", "b", "lowerA", "upperB", "adjoint_lower", "adjoint_upper", "residual")),
+    ),
+    ("wavelet", "dyadic dilation systems on the frequency side"): (
+        Command("check-dual",
+                "dual dyadic wavelet frames: scaling sums equal b, dyadic-ratio shifted sums vanish",
+                (_opt("--psi", default="shannon"),) + PSI_PAIR,
+                lambda a: {"report": dil.wavelet_duality_check(*_psi_pair(a), b=a.b,
+                                                               tolerance=a.tolerance)}),
+    ),
+    ("wavepacket", "combined dilation/translation/modulation systems"): (
+        Command("bounds", "translation-overlap sufficient bounds (Bessel bound and frame certificate)",
+                (_required("--g"),) + WAVE_PACKET_GRID, _wavepacket_bounds),
+        Command("check-dual",
+                "dual wave-packet frames: offset sums, shifted products, exact ratio classes",
+                (_required("--psi"), _opt("--a", type=_number, default=2.0),
+                 _opt("--c-values", type=_range, default="0"),
+                 _opt("--skip-full", action="store_true")) + PSI_PAIR,
+                lambda a: {"report": dil.wave_packet_duality_check(
+                    *_psi_pair(a), a=a.a, b=a.b, c_values=a.c_values, tolerance=a.tolerance,
+                    full_check=not a.skip_full)}),
+        Command("lic", "local integrability sum of a class-D test function",
+                (_required("--psi"), _required("--f")) + WAVE_PACKET_GRID, _wavepacket_lic),
+        Command("bessel-probe",
+                "divergence probe: covering offsets with bounded dilations defeat the Bessel bound",
+                (_opt("--b", type=_number, default=1.0), _opt("--c-step", type=_number, default=1.0),
+                 _opt("--amplitude", type=_number, default=4.0),
+                 _opt("--ceiling", type=float, default=1e6),
+                 _opt("--rule", choices=("inverse_linear", "dyadic"), default="inverse_linear")),
+                _wavepacket_bessel_probe, ("terms", "partial_sum")),
+    ),
+    ("bspline", "cardinal B-splines and their lattice phase diagram"): (
+        Command("eval", "piecewise-polynomial values via the order recurrence",
+                (ORDER, _required("--x", type=_float_list)),
+                lambda a: {"x": a.x, "values": bsp.bspline_eval(a.N, a.x)}),
+        Command("fourier", "closed-form transform values",
+                (ORDER, _required("--gamma", type=_float_list)),
+                lambda a: {"gamma": a.gamma, "values": np.atleast_1d(bsp.bspline_fourier(a.N, a.gamma))}),
+        Command("props", "support, positivity, unit integral, partition of unity", (ORDER, TOLERANCE),
+                lambda a: {"report": bsp.property_suite(a.N, a.tolerance)}),
+        Command("scan",
+                "phase diagram over (a, b): certified frame cells, certified failures, undecided",
+                (ORDER, _required("--a-grid", type=_range), _required("--b-grid", type=_range),
+                 _opt("--period-points", type=int, default=1024),
+                 _opt("--no-estimates", action="store_true"), JOBS),
+                _bspline_scan, ("a", "b", "status", "A", "B", "method")),
+        Command("dual-window", "dual window as a finite combination of integer shifts of the spline",
+                (ORDER, _required("--b", type=_number), _opt("--K", type=int, default=None), TOLERANCE),
+                _bspline_dual_window),
+    ),
+    ("exp", "finite exponential systems on (-pi, pi)"): (
+        Command("gram", "exact Gram matrix of the exponential system", LAMBDAS,
+                lambda a: {"matrix": expo.exp_gram(_lambda_set(a))}),
+        Command("bound", "optimal lower bound on the span (smallest Gram eigenvalue)",
+                LAMBDAS + (DPS,),
+                lambda a: {"lower_bound": expo.lower_bound(_lambda_set(a), dps=a.dps)}),
+        Command("crude", "factorial lower-bound estimate, evaluated in log space",
+                (ORDER, _required("--delta", type=_number)),
+                lambda a: expo.crude_bound(a.N, a.delta)._asdict()),
+        Command("decay", "lower-bound decay table for nested frequency families",
+                (_opt("--family", default="half_integer"), _opt("--n-max", type=int, default=20), DPS),
+                lambda a: {"rows": [row.to_dict() for row in expo.decay_study(a.family, a.n_max, a.dps)]},
+                ("N", "lower", "crude", "ratio", "log10_lower", "log10_crude")),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
-        prog="framelab",
-        description="Numerical laboratory for frame theory at desk scale.",
-    )
+        prog="framelab", description="Numerical laboratory for frame theory at desk scale.")
     groups = root.add_subparsers(dest="group", required=True)
-
-    frame = groups.add_parser("frame", help="synthesis/analysis operators, bounds, duals").add_subparsers(
-        dest="op", required=True)
-    _add(frame, "bounds", cmd_frame_bounds,
-         "optimal frame bounds (extreme eigenvalues of the frame operator)",
-         lambda p: (p.add_argument("--file", required=True),
-                    p.add_argument("--mode", choices=("full_space", "span"), default="full_space")))
-    _add(frame, "riesz", cmd_frame_riesz,
-         "optimal Riesz-sequence bounds (extreme Gram eigenvalues)",
-         lambda p: p.add_argument("--file", required=True))
-    _add(frame, "dual", cmd_frame_dual,
-         "canonical dual family via the inverse frame operator",
-         lambda p: (p.add_argument("--file", required=True),
-                    p.add_argument("--mode", choices=("full_space", "span"), default="full_space")))
-    _add(frame, "check-dual", cmd_frame_check_dual,
-         "dual-pair reconstruction identity for two families",
-         lambda p: (p.add_argument("--f", required=True), p.add_argument("--g", required=True)))
-    _add(frame, "gram", cmd_frame_gram,
-         "cross Gram matrix <f_j, g_k> (biorthogonality when it is the identity)",
-         lambda p: (p.add_argument("--f", required=True), p.add_argument("--g", required=True)))
-
-    rdual = groups.add_parser("rdual", help="R-dual transform and its duality theorems").add_subparsers(
-        dest="op", required=True)
-
-    def pair_opts(p):
-        p.add_argument("--e-basis", dest="e_basis", default=None)
-        p.add_argument("--h-basis", dest="h_basis", default=None)
-        p.add_argument("--random-pair", dest="random_pair", action="store_true")
-
-    _add(rdual, "transform", cmd_rdual_transform,
-         "the R-dual family across two orthonormal bases",
-         lambda p: (p.add_argument("--file", required=True), pair_opts(p)))
-    _add(rdual, "verify", cmd_rdual_verify,
-         "R-dual bound transfer: frame bounds become Riesz-sequence bounds, with involution",
-         lambda p: (p.add_argument("--file", default=None),
-                    p.add_argument("--random-dim", dest="random_dim", type=int, default=8),
-                    pair_opts(p)))
-    _add(rdual, "check-dual-pair", cmd_rdual_check_dual_pair,
-         "dual frames if and only if the R-duals are biorthogonal",
-         lambda p: (p.add_argument("--f", required=True), p.add_argument("--g", required=True),
-                    pair_opts(p)))
-    _add(rdual, "nseq", cmd_rdual_nseq,
-         "tight-frame-with-bound-1 criterion on the span of a Riesz sequence",
-         lambda p: (p.add_argument("--f", required=True), p.add_argument("--omega", required=True),
-                    pair_opts(p)))
-
-    extend = groups.add_parser("extend", help="complete Bessel family pairs to dual frames").add_subparsers(
-        dest="op", required=True)
-    _add(extend, "run", cmd_extend_run,
-         "dual-frame extension: append the deficiency image of an auxiliary dual pair",
-         lambda p: (p.add_argument("--f", required=True), p.add_argument("--g", required=True),
-                    p.add_argument("--a", default=None), p.add_argument("--b", default=None),
-                    p.add_argument("--prune", action="store_true",
-                                   help="drop zero extension vectors and their partners")))
-
-    gabor = groups.add_parser("gabor", help="finite cyclic lattices and sampled-line checks").add_subparsers(
-        dest="op", required=True)
-
-    def lattice_opts(p):
-        p.add_argument("--L", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-
-    _add(gabor, "bounds", cmd_gabor_bounds, "optimal bounds of the lattice system",
-         lambda p: (lattice_opts(p), p.add_argument("--window", default="random")))
-    _add(gabor, "duality", cmd_gabor_duality,
-         "duality principle: lattice frame bounds equal adjoint-lattice Riesz bounds",
-         lambda p: (lattice_opts(p), p.add_argument("--window", default="random")))
-    _add(gabor, "wexler-raz", cmd_gabor_wexler_raz,
-         "Wexler-Raz: dual frames iff the scaled adjoint systems are biorthogonal",
-         lambda p: (lattice_opts(p),
-                    p.add_argument("--window-g", dest="window_g", default="random"),
-                    p.add_argument("--window-h", dest="window_h", default="canonical-dual")))
-    _add(gabor, "commute", cmd_gabor_commute,
-         "frame operator commutes with every lattice time-frequency shift",
-         lambda p: (lattice_opts(p), p.add_argument("--window", default="random")))
-    _add(gabor, "ron-shen", cmd_gabor_ron_shen,
-         "Ron-Shen / Janssen criterion: translation sums equal b at shift zero and vanish otherwise",
-         lambda p: (p.add_argument("--window-g", dest="window_g", required=True),
-                    p.add_argument("--window-h", dest="window_h", required=True),
-                    p.add_argument("--a", type=float, required=True),
-                    p.add_argument("--b", type=float, required=True),
-                    p.add_argument("--step", type=float, default=1 / 64)))
-    _add(gabor, "extend", cmd_gabor_extend,
-         "Gabor-structured dual-pair extension on a cyclic realization",
-         lambda p: (p.add_argument("--window-g", dest="window_g", required=True),
-                    p.add_argument("--window-h", dest="window_h", required=True),
-                    p.add_argument("--a", type=float, required=True),
-                    p.add_argument("--b", type=float, required=True),
-                    p.add_argument("--L", type=int, default=None),
-                    p.add_argument("--step", type=float, default=1 / 64)))
-    _add(gabor, "hrt", cmd_gabor_hrt,
-         "Heil-Ramanathan-Topiwala probe: smallest singular value of finite time-frequency shifts",
-         lambda p: (p.add_argument("--window", required=True),
-                    p.add_argument("--points", required=True,
-                                   help="semicolon-separated lam,mu pairs, e.g. '0,0;1,0;0,1'"),
-                    p.add_argument("--step", type=float, default=1 / 64)))
-    _add(gabor, "sweep", cmd_gabor_sweep,
-         "duality-principle sweep over all divisor lattices with random windows",
-         lambda p: (p.add_argument("--L-list", dest="L_list", default="4,6,8,12"),
-                    p.add_argument("--windows", type=int, default=5)))
-
-    wavelet = groups.add_parser("wavelet", help="dyadic dilation systems on the frequency side").add_subparsers(
-        dest="op", required=True)
-    _add(wavelet, "check-dual", cmd_wavelet_check_dual,
-         "dual dyadic wavelet frames: scaling sums equal b, dyadic-ratio shifted sums vanish",
-         lambda p: (p.add_argument("--psi", default="shannon"),
-                    p.add_argument("--psit", default=None),
-                    p.add_argument("--b", type=float, default=1.0)))
-
-    wavepacket = groups.add_parser("wavepacket", help="combined dilation/translation/modulation systems").add_subparsers(
-        dest="op", required=True)
-
-    def wp_opts(p):
-        p.add_argument("--a-values", dest="a_values", default="1")
-        p.add_argument("--b", type=float, default=1.0)
-        p.add_argument("--c-values", dest="c_values", default="-8:8:1")
-        p.add_argument("--gamma-points", dest="gamma_points", type=int, default=4096)
-        p.add_argument("--ceiling", type=float, default=1e15)
-
-    _add(wavepacket, "bounds", cmd_wavepacket_bounds,
-         "translation-overlap sufficient bounds (Bessel bound and frame certificate)",
-         lambda p: (p.add_argument("--g", required=True), wp_opts(p)))
-    _add(wavepacket, "check-dual", cmd_wavepacket_check_dual,
-         "dual wave-packet frames: offset sums, shifted products, exact ratio classes",
-         lambda p: (p.add_argument("--psi", required=True), p.add_argument("--psit", default=None),
-                    p.add_argument("--a", type=float, default=2.0),
-                    p.add_argument("--b", type=float, default=1.0),
-                    p.add_argument("--c-values", dest="c_values", default="0"),
-                    p.add_argument("--skip-full", dest="skip_full", action="store_true")))
-    _add(wavepacket, "lic", cmd_wavepacket_lic,
-         "local integrability sum of a class-D test function",
-         lambda p: (p.add_argument("--psi", required=True), p.add_argument("--f", required=True),
-                    wp_opts(p)))
-    _add(wavepacket, "bessel-probe", cmd_wavepacket_bessel_probe,
-         "divergence probe: covering offsets with bounded dilations defeat the Bessel bound",
-         lambda p: (p.add_argument("--b", type=float, default=1.0),
-                    p.add_argument("--c-step", dest="c_step", type=float, default=1.0),
-                    p.add_argument("--amplitude", type=float, default=4.0),
-                    p.add_argument("--ceiling", type=float, default=1e6),
-                    p.add_argument("--rule", choices=("inverse_linear", "dyadic"),
-                                   default="inverse_linear")))
-
-    bspline = groups.add_parser("bspline", help="cardinal B-splines and their lattice phase diagram").add_subparsers(
-        dest="op", required=True)
-    _add(bspline, "eval", cmd_bspline_eval, "piecewise-polynomial values via the order recurrence",
-         lambda p: (p.add_argument("--N", type=int, required=True),
-                    p.add_argument("--x", required=True)))
-    _add(bspline, "fourier", cmd_bspline_fourier, "closed-form transform values",
-         lambda p: (p.add_argument("--N", type=int, required=True),
-                    p.add_argument("--gamma", required=True)))
-    _add(bspline, "props", cmd_bspline_props,
-         "support, positivity, unit integral, partition of unity",
-         lambda p: p.add_argument("--N", type=int, required=True))
-    _add(bspline, "scan", cmd_bspline_scan,
-         "phase diagram over (a, b): certified frame cells, certified failures, undecided",
-         lambda p: (p.add_argument("--N", type=int, required=True),
-                    p.add_argument("--a-grid", dest="a_grid", required=True),
-                    p.add_argument("--b-grid", dest="b_grid", required=True),
-                    p.add_argument("--period-points", dest="period_points", type=int, default=1024),
-                    p.add_argument("--no-estimates", dest="no_estimates", action="store_true")))
-    _add(bspline, "dual-window", cmd_bspline_dual_window,
-         "dual window as a finite combination of integer shifts of the spline",
-         lambda p: (p.add_argument("--N", type=int, required=True),
-                    p.add_argument("--b", type=float, required=True),
-                    p.add_argument("--K", type=int, default=None)))
-
-    exp = groups.add_parser("exp", help="finite exponential systems on (-pi, pi)").add_subparsers(
-        dest="op", required=True)
-    _add(exp, "gram", cmd_exp_gram, "exact Gram matrix of the exponential system",
-         lambda p: (p.add_argument("--lambdas", default=None),
-                    p.add_argument("--file", default=None)))
-    _add(exp, "bound", cmd_exp_bound, "optimal lower bound on the span (smallest Gram eigenvalue)",
-         lambda p: (p.add_argument("--lambdas", default=None),
-                    p.add_argument("--file", default=None),
-                    p.add_argument("--dps", type=int, default=None)))
-    _add(exp, "crude", cmd_exp_crude,
-         "factorial lower-bound estimate, evaluated in log space",
-         lambda p: (p.add_argument("--N", type=int, required=True),
-                    p.add_argument("--delta", type=float, required=True)))
-    _add(exp, "decay", cmd_exp_decay,
-         "lower-bound decay table for nested frequency families",
-         lambda p: (p.add_argument("--family", default="half_integer"),
-                    p.add_argument("--n-max", dest="n_max", type=int, default=20),
-                    p.add_argument("--dps", type=int, default=None)))
-
+    for (group, group_help), commands in COMMANDS.items():
+        ops = groups.add_parser(group, help=group_help).add_subparsers(dest="op", required=True)
+        for cmd in commands:
+            parser = ops.add_parser(cmd.op, help=cmd.help, description=cmd.help)
+            for flags, kwargs in COMMON + cmd.options:
+                parser.add_argument(*flags, **kwargs)
+            parser.set_defaults(command=cmd)
     return root
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except FrameLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        args = build_parser().parse_args(argv)
+        cmd = args.command
+        result = cmd.run(args)
+        emit(args, f"{args.group} {cmd.op}", result,
+             result["rows"] if cmd.fields else None, cmd.fields)
+    except (FrameLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return 2
+    failed = getattr(result.get("report"), "verdict", None) == "fail" or result.get("passes") is False
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

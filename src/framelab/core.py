@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -52,13 +53,61 @@ class TruncationUnsoundError(FrameLabError):
 
 
 def resolve_tolerance(tolerance=None) -> float:
-    """Per-call tolerance, falling back to FRAMELAB_TOLERANCE, then 1e-10."""
-    if tolerance is not None:
-        return float(tolerance)
-    env = os.environ.get("FRAMELAB_TOLERANCE")
-    if env is not None:
-        return float(env)
-    return DEFAULT_TOLERANCE
+    """Per-call tolerance, falling back to FRAMELAB_TOLERANCE, then 1e-10.
+
+    A value that is not a finite positive number raises DomainError.
+    """
+    source = "tolerance"
+    if tolerance is None:
+        tolerance = os.environ.get("FRAMELAB_TOLERANCE")
+        if tolerance is None:
+            return DEFAULT_TOLERANCE
+        source = "FRAMELAB_TOLERANCE"
+    try:
+        value = float(tolerance)
+    except (TypeError, ValueError):
+        raise DomainError(f"{source} must be a number, got {tolerance!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{source} must be finite and positive, got {tolerance!r}")
+    return value
+
+
+def _field(data, key):
+    """data[key] of a decoded JSON object; a missing field raises DomainError."""
+    try:
+        return data[key]
+    except (KeyError, TypeError, IndexError):
+        raise DomainError(f"input has no {key!r} field") from None
+
+
+def _all_finite(values) -> bool:
+    """No NaN or Inf in a complex array (its float64 view is the faster test)."""
+    return bool(np.isfinite(np.ascontiguousarray(values, dtype=complex).view(np.float64)).all())
+
+
+def _encode_pairs(values) -> list:
+    """Nested [re, im] float pairs of a complex array, shape (...) -> (..., 2)."""
+    arr = np.asarray(values, dtype=complex)
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+
+
+def _decode_pairs(pairs, what="values") -> np.ndarray:
+    """Complex array from nested [re, im] pairs, bit for bit.
+
+    The contiguous float64 (..., 2) array is viewed as complex128, so signed
+    zeros survive (re + 1j*im would not keep them).  An empty list gives an
+    empty array; anything that is not a list of pairs raises DomainError.
+    """
+    message = f"{what} must be a list of [re, im] pairs"
+    try:
+        arr = np.array(pairs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(message) from None
+    if arr.size == 0:
+        return np.zeros(0, dtype=complex)
+    if arr.ndim < 1 or arr.shape[-1] != 2:
+        raise DomainError(message)
+    return arr.view(np.complex128)[..., 0]
 
 
 def relative_gap(x: float, y: float, floor: float = 0.0) -> float:
@@ -191,6 +240,8 @@ class VectorSystem:
             )
         if arr.shape[1] < 1:
             raise DimensionMismatch("ambient_dim must be a positive integer")
+        if not _all_finite(arr):
+            raise DomainError("vector entries must be finite (no NaN or Inf)")
         arr = arr.copy()
         arr.flags.writeable = False
         self._vectors = arr
@@ -227,16 +278,18 @@ class VectorSystem:
     def to_json_dict(self):
         return {
             "ambient_dim": self.ambient_dim,
-            "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in self._vectors],
+            "vectors": _encode_pairs(self._vectors),
             "label": self._label,
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "VectorSystem":
-        dim = int(data["ambient_dim"])
-        rows = [[complex(re, im) for re, im in row] for row in data["vectors"]]
-        return cls(np.array(rows, dtype=complex).reshape(len(rows), dim), ambient_dim=dim,
-                   label=data.get("label", ""))
+        vectors = _decode_pairs(_field(data, "vectors"), "vectors")
+        try:
+            dim = int(_field(data, "ambient_dim"))
+        except (TypeError, ValueError):
+            raise DomainError(f"ambient_dim must be an integer, got {data['ambient_dim']!r}") from None
+        return cls(vectors, ambient_dim=dim, label=data.get("label", ""))
 
     def to_csv(self) -> str:
         """One row per vector, columns interleaved re,im,re,im,..."""
@@ -255,7 +308,10 @@ class VectorSystem:
         for record in csv.reader(io.StringIO(text)):
             if not record:
                 continue
-            vals = [float(v) for v in record]
+            try:
+                vals = [float(v) for v in record]
+            except ValueError:
+                raise DomainError(f"CSV entries must be numbers, got {record!r}") from None
             if len(vals) % 2:
                 raise DimensionMismatch("CSV rows must have an even number of columns (re,im pairs)")
             rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])

@@ -28,6 +28,10 @@ from .core import (
     FrameBounds,
     GridError,
     TruncationUnsoundError,
+    _all_finite,
+    _decode_pairs,
+    _encode_pairs,
+    _field,
     resolve_tolerance,
 )
 
@@ -45,6 +49,8 @@ class FreqFunction:
         if step <= 0:
             raise GridError("step must be positive")
         vals = np.asarray(values, dtype=complex).reshape(-1)
+        if not (math.isfinite(start) and math.isfinite(step) and _all_finite(vals)):
+            raise DomainError("start, step and values must be finite (no NaN or Inf)")
         lo, hi = float(band[0]), float(band[1])
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise DomainError("band must be a finite interval")
@@ -107,17 +113,17 @@ class FreqFunction:
     def to_json_dict(self):
         return {
             "grid": {"start": self.start, "step": self.step, "count": self.count},
-            "values": [[float(z.real), float(z.imag)] for z in self.values],
+            "values": _encode_pairs(self.values),
             "band": [self.band[0], self.band[1]],
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        grid = data["grid"]
-        values = [complex(re, im) for re, im in data["values"]]
-        if len(values) != int(grid["count"]):
+        grid = _field(data, "grid")
+        values = _decode_pairs(_field(data, "values"), "values")
+        if len(values) != int(_field(grid, "count")):
             raise DimensionMismatch("value list does not match the declared grid count")
-        return cls(grid["start"], grid["step"], values, tuple(data["band"]))
+        return cls(_field(grid, "start"), _field(grid, "step"), values, tuple(_field(data, "band")))
 
 
 DEFAULT_FREQ_STEP = 2.0 ** -10

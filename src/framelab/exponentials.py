@@ -17,20 +17,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, _field
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
 CRUDE_FACTORIAL_POWER = 8
+
+#: fewest decimal digits accepted for extended precision (mpmath's default);
+#: below it the eigenvalue is wrong, e.g. dps=1 gives 2.34 for 2 pi - 4
+MIN_DPS = 15
 
 
 class LambdaSet:
     """Strictly increasing finite frequencies; delta is the minimal gap."""
 
     def __init__(self, lambdas):
-        arr = np.asarray(lambdas, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(lambdas, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise DomainError(f"frequencies must be numbers, got {lambdas!r}") from None
         if arr.size == 0:
             raise DomainError("need at least one frequency")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("frequencies must be finite (no NaN or Inf)")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise DomainError("frequencies must be strictly increasing")
         arr = arr.copy()
@@ -56,7 +65,7 @@ class LambdaSet:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["lambdas"])
+        return cls(_field(data, "lambdas"))
 
 
 def exp_gram(lset: LambdaSet) -> np.ndarray:
@@ -69,15 +78,22 @@ def exp_gram(lset: LambdaSet) -> np.ndarray:
     return G.astype(complex)
 
 
+def _check_dps(dps):
+    if dps is not None and dps < MIN_DPS:
+        raise DomainError(f"dps must be at least {MIN_DPS} (got {dps})")
+
+
 def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     """Optimal lower bound on the span: smallest Gram eigenvalue.
 
     dps switches to extended-precision arithmetic (decimal digits), needed
-    when the eigenvalue sits below the float64 resolution of the 2 pi scale.
+    when the eigenvalue sits below the float64 resolution of the 2 pi scale;
+    fewer than MIN_DPS digits raise DomainError.
     """
     if dps is None:
         ev = np.linalg.eigvalsh(exp_gram(lset).real)
         return float(ev[0])
+    _check_dps(dps)
     from mpmath import mp, mpf, matrix, eigsy, sin, pi as mp_pi
 
     old = mp.dps
@@ -154,6 +170,7 @@ def decay_study(family, n_max: int, dps: int = None):
     The crude estimate is applied with delta clamped to its hypothesis
     (gaps at least delta and delta <= 1).
     """
+    _check_dps(dps)
     if isinstance(family, str):
         try:
             rule = FAMILIES[family]

@@ -38,6 +38,10 @@ from .core import (
     cross_gram,
     frame_bounds,
     frame_operator,
+    _all_finite,
+    _decode_pairs,
+    _encode_pairs,
+    _field,
     resolve_tolerance,
     riesz_bounds,
 )
@@ -65,7 +69,7 @@ class GaborSpec:
         w = np.asarray(window, dtype=complex).reshape(-1)
         if w.shape[0] != L:
             raise DimensionMismatch(f"window has length {w.shape[0]}, expected L={L}")
-        if not np.all(np.isfinite(w)):
+        if not _all_finite(w):
             raise DomainError("window entries must be finite (no NaN or Inf)")
         w = w.copy()
         w.flags.writeable = False
@@ -85,13 +89,13 @@ class GaborSpec:
     def to_json_dict(self):
         return {
             "L": self.L, "a": self.a, "b": self.b,
-            "window": [[float(z.real), float(z.imag)] for z in self.window],
+            "window": _encode_pairs(self.window),
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        w = [complex(re, im) for re, im in data["window"]]
-        return cls(data["L"], data["a"], data["b"], w)
+        window = _decode_pairs(_field(data, "window"), "window")
+        return cls(_field(data, "L"), _field(data, "a"), _field(data, "b"), window)
 
     def __repr__(self):
         return f"GaborSpec(L={self.L}, a={self.a}, b={self.b})"
@@ -142,10 +146,10 @@ def duality_principle_check(spec: GaborSpec, tolerance=None) -> AnalysisReport:
     """Frame bounds on the lattice equal Riesz bounds on the adjoint lattice.
 
     Both optimal bound pairs are computed spectrally and compared at the
-    given relative tolerance (default 1e-10) with an absolute floor at the
-    eigensolver resolution.
+    given relative tolerance (default FRAMELAB_TOLERANCE, then 1e-10) with an
+    absolute floor at the eigensolver resolution.
     """
-    tol = tolerance if tolerance is not None else 1e-10
+    tol = resolve_tolerance(tolerance)
     fb = gabor_frame_bounds(spec)
     rb = riesz_bounds(finite_gabor_system(spec.adjoint()))
     scale = max(fb.upper, rb.upper)
@@ -231,6 +235,8 @@ class SampledWindow:
         if step <= 0:
             raise GridError("step must be positive")
         arr = np.asarray(samples, dtype=complex).reshape(-1)
+        if not (math.isfinite(x0) and math.isfinite(step) and _all_finite(arr)):
+            raise DomainError("x0, step and samples must be finite (no NaN or Inf)")
         lo, hi = float(support_hint[0]), float(support_hint[1])
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise DomainError("support hint must be a finite interval")
@@ -268,14 +274,15 @@ class SampledWindow:
     def to_json_dict(self):
         return {
             "x0": self.x0, "step": self.step,
-            "samples": [[float(z.real), float(z.imag)] for z in self.samples],
+            "samples": _encode_pairs(self.samples),
             "support_hint": [self.support_hint[0], self.support_hint[1]],
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        samples = [complex(re, im) for re, im in data["samples"]]
-        return cls(data["x0"], data["step"], samples, tuple(data["support_hint"]))
+        samples = _decode_pairs(_field(data, "samples"), "samples")
+        return cls(_field(data, "x0"), _field(data, "step"), samples,
+                   tuple(_field(data, "support_hint")))
 
 
 def sampled_indicator(lo: float = 0.0, hi: float = 1.0, step: float = DEFAULT_STEP) -> SampledWindow:

@@ -1,12 +1,21 @@
+import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framelab.cli import main
+from framelab.cli import build_parser, main
 from framelab.core import VectorSystem, standard_basis
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+# stdout bytes and exit codes of fixed invocations, recorded once so that any
+# change to the CLI output shows; "{data}" in a command stands for tests/data/cli
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 def run_cli(args, capsys):
@@ -234,16 +243,173 @@ def test_unknown_subcommand_exits_2():
     assert proc.returncode == 2
 
 
-def test_gabor_nan_window_is_usage_error(tmp_path):
-    window = [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]
-    path = tmp_path / "window.json"
-    path.write_text(json.dumps({"window": window}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "framelab.cli", "gabor", "duality",
-         "--L", "4", "--a", "2", "--b", "2", "--window", str(path)],
-        capture_output=True, text=True,
-    )
+def assert_one_line_error(argv):
+    """In a fresh process: exit 2, empty stdout, a single `error:` line, no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "framelab.cli"] + argv,
+                          capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_gabor_nan_window_is_usage_error(tmp_path):
+    window = [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({"window": window}))
+    assert_one_line_error(["gabor", "duality", "--L", "4", "--a", "2", "--b", "2",
+                           "--window", str(path)])
+
+
+def replay(cmd, capsys):
+    argv = [arg.replace("{data}", str(DATA / "cli")) for arg in shlex.split(cmd)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["cmd"] for case in GOLDEN])
+def test_golden_output(case, capsys):
+    code, out = replay(case["cmd"], capsys)
+    assert code == case["exit"]
+    if "stdout" in case:
+        assert out == case["stdout"]
+    assert len(out.encode()) == case["stdout_bytes"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
+def readme_commands():
+    """The `framelab ...` examples of the README "Command line" section."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    cmds = [line[len("framelab "):] for line in section.splitlines() if line.startswith("framelab ")]
+    # the decay table is golden at a smaller size to keep the suite fast
+    return [cmd.replace("--n-max 40", "--n-max 12") if cmd.startswith("exp decay") else cmd
+            for cmd in cmds]
+
+
+def test_readme_examples_are_golden():
+    cmds = readme_commands()
+    assert len(cmds) == 8
+    golden = {case["cmd"] for case in GOLDEN}
+    assert [cmd for cmd in cmds if cmd not in golden] == []
+
+
+def test_benchmark_argvs_still_parse(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import cli_layer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    parser = build_parser()
+    argvs = [argv for _, argv, _ in cli_layer.commands(np.random.default_rng(0), str(tmp_path))]
+    assert {"--jobs", "--seed"} <= {arg for argv in argvs for arg in argv}
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bspline", "props", "--N", "3", "--seed", "1"],
+    ["exp", "crude", "--N", "2", "--delta", "0.5", "--tolerance", "1e-3"],
+    ["gabor", "duality", "--L", "6", "--a", "2", "--b", "3", "--jobs", "2"],
+    ["frame", "gram", "--f", "x.json", "--g", "y.json", "--seed", "0"],
+])
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def assert_usage_error(argv, capsys, bad):
+    """Exit 2, nothing on stdout, and an `error:` line that names the bad input."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and bad in errors[0], captured.err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["bspline", "scan", "--N", "2", "--a-grid", "x", "--b-grid", "0.25"], "'x'"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "1:0:0.5", "--b-grid", "0.25"], "1:0:0.5"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "0.5", "--b-grid", "0.25", "--jobs", "0"], "'0'"),
+    (["gabor", "hrt", "--window", "gaussian:6", "--points", "0,0;1"], "'1'"),
+    (["gabor", "hrt", "--window", "gaussian:x", "--points", "0,0"], "gaussian:x"),
+    (["wavepacket", "bounds", "--g", "indicator:0:1", "--c-values", "1:0:0"], "zero step"),
+    (["gabor", "sweep", "--L-list", "4,6.5"], "4,6.5"),
+    (["gabor", "sweep", "--L-list", "0"], "'0'"),
+    (["gabor", "sweep", "--windows", "-1"], "'-1'"),
+    (["exp", "bound", "--lambdas", "0,nan"], "nan"),
+    (["exp", "bound", "--lambdas", "0,0.5", "--dps", "1"], "dps"),
+    (["bspline", "props", "--N", "3", "--tolerance", "-1"], "tolerance"),
+    (["bspline", "props", "--N", "3", "--tolerance", "inf"], "tolerance"),
+])
+def test_malformed_option_values_exit_2(argv, bad, capsys):
+    assert_usage_error(argv, capsys, bad)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan"])
+def test_bad_env_tolerance_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", value)
+    assert_usage_error(["bspline", "props", "--N", "3"], capsys, "FRAMELAB_TOLERANCE")
+
+
+@pytest.mark.parametrize("argv, name, content, bad", [
+    (["frame", "bounds", "--file"], "f.json", {"vectors": [[[1.0, 0.0]]]}, "ambient_dim"),
+    (["frame", "bounds", "--file"], "f.json", {"ambient_dim": "x", "vectors": [[[1.0, 0.0]]]}, "'x'"),
+    (["frame", "bounds", "--file"], "f.json", {"ambient_dim": 2, "vectors": [[1.0, 0.0, 2.0]]}, "[re, im]"),
+    (["frame", "bounds", "--file"], "f.csv", "1,0,x,0\n", "'x'"),
+    (["exp", "bound", "--file"], "l.json", {"lambdas": ["a"]}, "'a'"),
+    (["exp", "bound", "--file"], "l.json", {"freqs": [0, 1]}, "'lambdas'"),
+    (["gabor", "bounds", "--L", "2", "--a", "1", "--b", "1", "--window"], "w.json", {"window": [1, 2, 3]},
+     "[re, im]"),
+])
+def test_malformed_input_files_exit_2(argv, name, content, bad, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert_usage_error(argv + [str(path)], capsys, bad)
+
+
+def test_env_tolerance_reaches_duality_and_rdual_verify(capsys, monkeypatch):
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", "1e-7")
+    code, out, _ = run_cli(["gabor", "duality", "--L", "6", "--a", "2", "--b", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["report"]["tolerance_used"] == 1e-7
+    # residuals of ~1e-16 pass the 1e-10 default but not a tolerance of 1e-300
+    argv = ["rdual", "verify", "--file", str(DATA / "cli" / "sq.json"), "--random-pair", "--seed", "2"]
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", "1e-300")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1 and json.loads(out)["result"]["passes"] is False
+
+
+def test_nan_vector_file_is_usage_error(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vectors": [[[1.0, 0.0], [float("nan"), 0.0]]]}))
+    assert_one_line_error(["frame", "bounds", "--file", str(path)])
+
+
+READERS = {
+    "--tolerance": {"frame dual", "frame check-dual", "rdual verify", "rdual check-dual-pair",
+                    "rdual nseq", "extend run", "gabor duality", "gabor wexler-raz",
+                    "gabor commute", "gabor ron-shen", "gabor hrt", "wavelet check-dual",
+                    "wavepacket check-dual", "bspline props", "bspline dual-window"},
+    "--seed": {"rdual transform", "rdual verify", "rdual check-dual-pair", "rdual nseq",
+               "gabor bounds", "gabor duality", "gabor wexler-raz", "gabor commute", "gabor sweep"},
+    "--jobs": {"gabor sweep", "bspline scan"},
+}
+
+
+def test_common_options_only_where_read():
+    from framelab.cli import COMMANDS
+
+    flags = {f"{group} {cmd.op}": {flag for names, _ in cmd.options for flag in names}
+             for (group, _), cmds in COMMANDS.items() for cmd in cmds}
+    assert len(flags) == 32
+    for option, readers in READERS.items():
+        assert {name for name, opts in flags.items() if option in opts} == readers

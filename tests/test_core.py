@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,8 @@ from framelab.core import (
     FrameBounds,
     SingularSystemError,
     VectorSystem,
+    _decode_pairs,
+    _encode_pairs,
     analysis,
     biorthogonality_residual,
     canonical_dual,
@@ -19,6 +24,7 @@ from framelab.core import (
     frame_operator,
     random_system,
     rayleigh_extremes,
+    resolve_tolerance,
     riesz_bounds,
     standard_basis,
     synthesis,
@@ -315,3 +321,92 @@ def test_bound_agreement_residual_semantics():
     off = bound_agreement_residual(x, x * (1 + 5e-10), scale, tol)
     assert off == pytest.approx(5e-10, rel=1e-3)
     assert SPECTRAL_ATOL == 1e-11
+
+
+# -- construction-time validation and the (re, im) codec ------------------------
+
+
+def _non_finite_constructions():
+    from framelab.dilation import FreqFunction
+    from framelab.exponentials import LambdaSet
+    from framelab.gabor import SampledWindow
+
+    nan, inf = float("nan"), float("inf")
+    return [
+        ("VectorSystem nan", lambda: VectorSystem([[1.0, 0.0], [nan, 1.0]])),
+        ("VectorSystem inf", lambda: VectorSystem([[1.0, complex(0, -inf)]])),
+        ("SampledWindow samples", lambda: SampledWindow(0.0, 0.5, [1.0, nan], (0.0, 0.5))),
+        ("SampledWindow x0", lambda: SampledWindow(nan, 0.5, [1.0, 1.0], (0.0, 0.5))),
+        ("SampledWindow step", lambda: SampledWindow(0.0, inf, [1.0], (0.0, 0.5))),
+        ("FreqFunction values", lambda: FreqFunction(0.0, 0.5, [1.0, inf], (0.0, 1.0))),
+        ("FreqFunction start", lambda: FreqFunction(nan, 0.5, [1.0], (0.0, 1.0))),
+        ("LambdaSet nan", lambda: LambdaSet([0.0, nan, 2.0])),
+        ("LambdaSet inf", lambda: LambdaSet([0.0, inf])),
+    ]
+
+
+@pytest.mark.parametrize("name, build", _non_finite_constructions(),
+                         ids=[name for name, _ in _non_finite_constructions()])
+def test_non_finite_input_rejected_at_construction(name, build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
+def test_pair_codec_is_bit_exact():
+    values = np.array([[0.1 - 0.0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), 1e-308 + 3j]])
+    pairs = _encode_pairs(values)
+    assert pairs[1][0] == [0.0, -0.0] and math.copysign(1, pairs[1][0][1]) == -1
+    decoded = _decode_pairs(json.loads(json.dumps(pairs)))
+    assert decoded.dtype == complex and decoded.shape == values.shape
+    assert decoded.tobytes() == values.tobytes()
+    assert _decode_pairs([]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0, 3.0]], [[1.0], [2.0, 3.0]], [["x", 0.0]], 5, [1.0, 2.0, 3.0]])
+def test_malformed_pair_list_raises_domain_error(bad):
+    with pytest.raises(DomainError, match=r"\[re, im\] pairs"):
+        _decode_pairs(bad)
+
+
+def test_json_round_trip_and_missing_fields():
+    from framelab.dilation import freq_indicator, FreqFunction
+    from framelab.exponentials import LambdaSet
+    from framelab.gabor import GaborSpec, sampled_indicator
+
+    rng = np.random.default_rng(0)
+    system = VectorSystem(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), label="x")
+    objects = [system, GaborSpec(4, 2, 2, system.vectors.reshape(-1)[:4]),
+               sampled_indicator(0.0, 1.0, 0.25), freq_indicator(1.0, 2.0, 0.25), LambdaSet([0, 1.5])]
+    for obj in objects:
+        data = json.loads(json.dumps(obj.to_json_dict()))
+        assert type(obj).from_json_dict(data).to_json_dict() == data
+        for key in set(data) - {"label"}:  # only the label is optional
+            with pytest.raises(DomainError, match=repr(key)):
+                type(obj).from_json_dict({k: v for k, v in data.items() if k != key})
+    empty = VectorSystem.from_json_dict({"ambient_dim": 3, "vectors": []})
+    assert (empty.count, empty.ambient_dim) == (0, 3)
+    with pytest.raises(DomainError, match="'start'"):
+        FreqFunction.from_json_dict({"grid": {"step": 1.0, "count": 0}, "values": [], "band": [0, 1]})
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-9", None])
+def test_resolve_tolerance_rejects_bad_values(value, monkeypatch):
+    if value is None:
+        monkeypatch.setenv("FRAMELAB_TOLERANCE", "-1")
+        with pytest.raises(DomainError, match="FRAMELAB_TOLERANCE"):
+            resolve_tolerance()
+        return
+    with pytest.raises(DomainError, match="tolerance"):
+        resolve_tolerance(value)
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", value)
+    with pytest.raises(DomainError, match="FRAMELAB_TOLERANCE"):
+        resolve_tolerance()
+
+
+def test_resolve_tolerance_sources(monkeypatch):
+    monkeypatch.delenv("FRAMELAB_TOLERANCE", raising=False)
+    assert resolve_tolerance() == 1e-10
+    assert resolve_tolerance("1e-6") == 1e-6
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", "1e-7")
+    assert resolve_tolerance() == 1e-7
+    assert resolve_tolerance(1e-3) == 1e-3

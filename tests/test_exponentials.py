@@ -137,3 +137,13 @@ def test_decay_extended_precision_reaches_strict_decrease():
 def test_decay_custom_family_callable():
     rows = decay_study(lambda N: 0.75 * np.arange(N), 6)
     assert [r.N for r in rows] == [2, 3, 4, 5, 6]
+
+
+def test_low_precision_dps_rejected():
+    # 2 pi - 4 at mpmath's default 15 digits; dps=1 used to return 2.34 and dps=0 3.0
+    assert lower_bound(LambdaSet([0.0, 0.5]), dps=15) == pytest.approx(2 * np.pi - 4, abs=1e-12)
+    for dps in (0, 1, 14):
+        with pytest.raises(DomainError, match="dps"):
+            lower_bound(LambdaSet([0.0, 0.5]), dps=dps)
+        with pytest.raises(DomainError, match="dps"):
+            decay_study("integer", 1, dps=dps)
