@@ -2,11 +2,14 @@
 
 B_1 is the half-open unit indicator and each further order is the moving
 average of the previous one, so B_N is the piecewise polynomial supported
-on [0, N] with the partition-of-unity property.  The scanner classifies
-lattice parameters (a, b) by sound certificates only: exact periodized
-bounds where the support fits one frequency period, a translation-overlap
-sufficient condition beyond it, and an honest "undecided" elsewhere; the
-only negative certificate is exact vanishing of the periodized diagonal.
+on [0, N] with the partition-of-unity property.  B_N is evaluated by the
+triangular scheme of that recurrence, O(N^2) operations per point of the
+support, with rounding identical to the order recursion.  The scanner
+classifies lattice parameters (a, b) by sound certificates only: exact
+periodized bounds where the support fits one frequency period, a
+translation-overlap sufficient condition beyond it, and an honest
+"undecided" elsewhere; the only negative certificate is exact vanishing of
+the periodized diagonal.
 """
 
 from __future__ import annotations
@@ -29,18 +32,32 @@ from .gabor import GaborSpec, SampledWindow, gabor_frame_bounds, ron_shen_dualit
 
 
 def bspline_eval(N: int, x) -> np.ndarray:
-    """B_N at x (vectorized), via the order-raising recurrence.
+    """B_N at x (vectorized), by triangular evaluation of the order-raising
+    recurrence (de Boor, A Practical Guide to Splines).
 
     B_1 = indicator of [0, 1); B_N(x) = (x B_{N-1}(x) + (N-x) B_{N-1}(x-1)) / (N-1).
+    Row j of the table holds B_k(x_j) with x_0 = x and x_j = x_{j-1} - 1, the
+    arguments the order recursion forms, so every value is computed once from
+    the same doubles: the rounding is identical to the recursion's 2^(N-1)
+    calls, at O(N^2) operations per point of the support.  Finite points
+    outside [0, N) are not evaluated and give +0.0, as the recursion does;
+    NaN and +-inf are evaluated (0.0 for N = 1, NaN beyond).
     """
     if N < 1:
         raise DomainError("order must be a positive integer")
     x = np.asarray(x, dtype=float)
-    if N == 1:
-        return np.where((x >= 0) & (x < 1), 1.0, 0.0)
-    lower = bspline_eval(N - 1, x)
-    shifted = bspline_eval(N - 1, x - 1)
-    return (x * lower + (N - x) * shifted) / (N - 1)
+    out = np.zeros(x.shape)
+    live = ~(np.isfinite(x) & ((x < 0) | (x >= N)))
+    xs = np.empty((N, np.count_nonzero(live)))
+    xs[0] = x[live]
+    for j in range(1, N):
+        xs[j] = xs[j - 1] - 1
+    b = np.where((xs >= 0) & (xs < 1), 1.0, 0.0)
+    for k in range(2, N + 1):
+        t = xs[:N - k + 1]
+        b = (t * b[:-1] + (k - t) * b[1:]) / (k - 1)
+    out[live] = b[0]
+    return out
 
 
 def bspline_fourier(N: int, gamma) -> np.ndarray:

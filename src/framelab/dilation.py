@@ -293,6 +293,13 @@ def _edge_margin(g_hat: FreqFunction, grid: WavePacketGrid) -> float:
     return max(grid.a_values) * diam
 
 
+def _check_ceiling(ceiling):
+    """A ceiling must be > 0 (inf allowed): NaN compares false with every
+    partial sum and a nonpositive one makes the overflow test meaningless."""
+    if not ceiling > 0:
+        raise DomainError(f"ceiling must be > 0 (got {ceiling!r})")
+
+
 def _triple_sums(g_hat: FreqFunction, grid: WavePacketGrid, gammas: np.ndarray,
                  ceiling: float):
     """diag(g) and offdiag(g) of the translation-overlap sums; None on overflow."""
@@ -324,6 +331,7 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
     exceed the ceiling the computation stops and reports the Bessel condition
     as violated (value +inf) instead of returning a number.
     """
+    _check_ceiling(ceiling)
     lo, hi = _coverage_box(g_hat, grid)
     if gamma_grid is not None:
         candidate_grids = [np.asarray(gamma_grid, dtype=float)]
@@ -366,6 +374,7 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     offset list short.  A <= 0 is reported as inconclusive, never as a
     disproof.
     """
+    _check_ceiling(ceiling)
     lo, hi = _coverage_box(g_hat, grid)
     margin = _edge_margin(g_hat, grid)
     t_lo, t_hi = lo + margin, hi - margin
@@ -620,6 +629,7 @@ def bessel_divergence_probe(g_hat: FreqFunction, b: float, c_step: float,
         raise DomainError("rule must be 'inverse_linear' or 'dyadic'")
     if c_step <= 0 or b <= 0:
         raise DomainError("b and c_step must be positive")
+    _check_ceiling(ceiling)
     lo_b, hi_b = g_hat.band
     offsets = np.arange(0, int(math.ceil((hi_b - lo_b) / c_step)) + 2)
     rows = []

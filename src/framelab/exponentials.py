@@ -84,15 +84,19 @@ def _check_dps(dps):
 
 
 def lower_bound(lset: LambdaSet, dps: int = None) -> float:
-    """Optimal lower bound on the span: smallest Gram eigenvalue.
+    """Optimal lower bound on the span: smallest Gram eigenvalue, at least 0.
 
-    dps switches to extended-precision arithmetic (decimal digits), needed
-    when the eigenvalue sits below the float64 resolution of the 2 pi scale;
-    fewer than MIN_DPS digits raise DomainError.
+    In float64, rounding in the eigensolver can make an eigenvalue below the
+    resolution of the 2 pi scale (~1e-15) come out negative; the Gram matrix
+    is positive semidefinite, so such values are clamped to 0.0.  Values below
+    float64 resolution need dps, which switches to extended-precision
+    arithmetic (decimal digits); fewer than MIN_DPS digits raise DomainError.
+    The extended-precision Gram is built on the upper triangle and mirrored,
+    with each entry 2 sin(pi d)/d computed once per distinct difference d.
     """
     if dps is None:
-        ev = np.linalg.eigvalsh(exp_gram(lset).real)
-        return float(ev[0])
+        lo = float(np.linalg.eigvalsh(exp_gram(lset).real)[0])
+        return lo if lo > 0 else 0.0
     _check_dps(dps)
     from mpmath import mp, mpf, matrix, eigsy, sin, pi as mp_pi
 
@@ -102,10 +106,16 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
         n = lset.count
         A = matrix(n, n)
         lams = [mpf(float(v)) for v in lset.lambdas]
+        # negation, sin, products and quotients round sign-symmetrically,
+        # so the entry at -d is the entry at d
+        entries = {}
         for j in range(n):
-            for k in range(n):
+            A[j, j] = 2 * mp_pi
+            for k in range(j + 1, n):
                 d = lams[j] - lams[k]
-                A[j, k] = 2 * mp_pi if d == 0 else 2 * sin(mp_pi * d) / d
+                if d not in entries:
+                    entries[d] = 2 * sin(mp_pi * d) / d
+                A[j, k] = A[k, j] = entries[d]
         ev = eigsy(A, eigvals_only=True)
         return float(ev[0])
     finally:

@@ -66,6 +66,47 @@ def test_recurrence_matches_convolution_oracle():
         assert np.abs(oracle - exact).max() <= 1e-10
 
 
+def recursive_bspline(N, x):
+    """The order recursion B_N(x) = (x B_{N-1}(x) + (N-x) B_{N-1}(x-1)) / (N-1),
+    2^(N-1) leaf calls: the bitwise oracle of the triangular evaluation."""
+    x = np.asarray(x, dtype=float)
+    if N == 1:
+        return np.where((x >= 0) & (x < 1), 1.0, 0.0)
+    lower = recursive_bspline(N - 1, x)
+    shifted = recursive_bspline(N - 1, x - 1)
+    return (x * lower + (N - x) * shifted) / (N - 1)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    # uint64 views make -0.0 differ from +0.0 and compare NaN payloads
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("N", range(1, 15))
+def test_eval_bitwise_equals_recursion(N):
+    rng = np.random.default_rng(100 + N)
+    inputs = [
+        rng.uniform(-1.5, N + 1.5, 400),
+        np.linspace(-1.0, N + 1.0, 8 * (N + 2) + 1),  # every knot hit exactly
+        np.array([-0.0, 0.0, N, N - 1e-16, np.nan, np.inf, -np.inf]),
+        N / 2 + 0.25,
+        rng.uniform(-1.0, N + 1.0, (6, 9)),
+    ]
+    for x in inputs:
+        assert_same_bits(bspline_eval(N, x), recursive_bspline(N, x))
+    special = bspline_eval(N, [np.nan, np.inf, -np.inf])
+    assert np.isnan(special).all() if N > 1 else not special.any()
+
+
+def test_high_orders_run():
+    # 2^23 and 2^39 calls for the recursion
+    assert property_suite(24).passed
+    assert property_suite(40).passed
+
+
 def test_fourier_at_zero_and_integers():
     for N in range(1, 7):
         assert bspline_fourier(N, 0.0) == pytest.approx(1.0, abs=1e-15)

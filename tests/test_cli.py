@@ -354,6 +354,22 @@ def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["wavepacket", "bounds", "--g", "indicator:0:1"],
+    ["wavepacket", "bessel-probe"],
+])
+@pytest.mark.parametrize("ceiling", ["nan", "0", "-1"])
+def test_nonpositive_ceiling_exits_2(argv, ceiling, capsys):
+    assert_usage_error(argv + ["--ceiling", ceiling], capsys, "ceiling")
+
+
+def test_infinite_ceiling_accepted(capsys):
+    code, out, _ = run_cli(["wavepacket", "bounds", "--g", "indicator:0:1",
+                            "--c-values=-8:8:1", "--ceiling", "inf"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["report"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan"])
 def test_bad_env_tolerance_exits_2(value, capsys, monkeypatch):
     monkeypatch.setenv("FRAMELAB_TOLERANCE", value)

@@ -279,3 +279,27 @@ def test_divergence_flag_in_bessel_bound():
     value, report = wave_packet_bessel_bound(g, grid, ceiling=500.0)
     assert value == math.inf
     assert "Bessel violated" in report.notes
+
+
+@pytest.mark.parametrize("ceiling", [math.nan, 0.0, -1.0, -math.inf])
+def test_ceiling_must_be_positive(ceiling):
+    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0])
+    with pytest.raises(DomainError, match="ceiling"):
+        wave_packet_frame_bounds(g, grid, ceiling=ceiling)
+    with pytest.raises(DomainError, match="ceiling"):
+        wave_packet_bessel_bound(g, grid, ceiling=ceiling)
+    with pytest.raises(DomainError, match="ceiling"):
+        bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=ceiling)
+
+
+def test_infinite_ceiling_allowed():
+    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=list(range(-8, 9)))
+    bounds, _ = wave_packet_frame_bounds(g, grid, ceiling=math.inf)
+    assert bounds.lower == pytest.approx(1.0, abs=1e-12)
+    value, _ = wave_packet_bessel_bound(g, grid, ceiling=math.inf)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    _, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=math.inf,
+                                        block=256, max_terms=512)
+    assert report.residuals["ceiling_not_exceeded"] == 1.0

@@ -9,6 +9,7 @@ from framelab.exponentials import (
     crude_bound,
     decay_study,
     exp_gram,
+    half_integer_lambdas,
     integer_lambdas,
     lower_bound,
 )
@@ -67,6 +68,68 @@ def test_lower_bound_examples():
     # colliding frequencies send the bound to zero
     vals = [lower_bound(LambdaSet([0.0, eps])) for eps in (0.1, 0.05, 0.01)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def test_float_lower_bound_never_negative():
+    # the eigensolver's rounding pushed N = 23, 24 and 28..40 below zero
+    for N in range(20, 41):
+        assert lower_bound(half_integer_lambdas(N)) >= 0.0
+    rows = decay_study("half_integer", 30)
+    assert all(r.lower >= 0.0 for r in rows)
+    assert all(r.ratio == math.inf and r.log10_lower == -math.inf
+               for r in rows if r.lower == 0.0)
+
+
+def full_mp_gram(lset):
+    """Every one of the N^2 Gram entries by its own mpmath sine, at mp.dps."""
+    from mpmath import mpf, matrix, sin, pi as mp_pi
+
+    n = lset.count
+    A = matrix(n, n)
+    lams = [mpf(float(v)) for v in lset.lambdas]
+    for j in range(n):
+        for k in range(n):
+            d = lams[j] - lams[k]
+            A[j, k] = 2 * mp_pi if d == 0 else 2 * sin(mp_pi * d) / d
+    return A
+
+
+def full_mp_lower_bound(lset, dps):
+    import mpmath
+
+    with mpmath.mp.workdps(dps):
+        return float(mpmath.eigsy(full_mp_gram(lset), eigvals_only=True)[0])
+
+
+def test_mp_lower_bound_equals_full_gram_oracle_random_sets():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        lams = np.sort(rng.uniform(-6.0, 6.0, int(rng.integers(2, 14))))
+        lset = LambdaSet(lams)
+        assert lower_bound(lset, dps=30) == full_mp_lower_bound(lset, 30)
+
+
+@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
+def test_mp_gram_equals_full_gram_oracle(family, monkeypatch):
+    # entrywise equality of the matrix handed to eigsy implies equal
+    # eigenvalues, at one eigsy per N instead of two
+    import mpmath
+
+    real_eigsy = mpmath.eigsy
+    solved = []
+
+    def recording_eigsy(A, **kwargs):
+        ev = real_eigsy(A.copy(), **kwargs)
+        solved.append((A.copy(), ev))
+        return ev
+
+    monkeypatch.setattr(mpmath, "eigsy", recording_eigsy)
+    for N in range(2, 41):
+        value = lower_bound(family(N), dps=60)
+        A, ev = solved.pop()
+        with mpmath.mp.workdps(60):
+            assert A.tolist() == full_mp_gram(family(N)).tolist()
+        assert value == float(ev[0])
 
 
 def test_lower_bound_shift_invariance():
