@@ -5,11 +5,12 @@ average of the previous one, so B_N is the piecewise polynomial supported
 on [0, N] with the partition-of-unity property.  B_N is evaluated by the
 triangular scheme of that recurrence, O(N^2) operations per point of the
 support, with rounding identical to the order recursion.  The scanner
-classifies lattice parameters (a, b) by sound certificates only: exact
-periodized bounds where the support fits one frequency period, a
-translation-overlap sufficient condition beyond it, and an honest
-"undecided" elsewhere; the only negative certificate is exact vanishing of
-the periodized diagonal.
+classifies lattice parameters (a, b) by sound certificates only, all from
+one set of periodized translation-overlap sums (the kernel the wave-packet
+bounds use too): exact bounds where the support fits one frequency period
+and the overlap sum is empty, a sufficient condition beyond it, and an
+honest "undecided" elsewhere; the only negative certificate is exact
+vanishing of the periodized diagonal.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     LatticeError,
     resolve_tolerance,
 )
+from .dilation import _overlap_sums
 from .gabor import GaborSpec, SampledWindow, gabor_frame_bounds, ron_shen_duality_check
 
 
@@ -134,60 +136,32 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
     return pts[(pts >= 0) & (pts < a)]
 
 
-def _overlap_count(N: int, a: float) -> int:
-    return int(math.floor(N / a)) + 1
-
-
-def painless_bounds(N: int, a: float, b: float, period_points: int = 1024):
-    """Exact periodized bounds when the support fits one frequency period.
-
-    Requires b * N <= 1.  Returns (inf, sup, slack) of the a-periodic
-    diagonal sum of squared translates on a knot-augmented grid; the true
-    inf/sup lie within slack of the grid values (Lipschitz bound; exact for
-    order 1, whose piecewise-constant diagonal is sampled in every piece).
-    """
-    if b * N > 1 + 1e-12:
-        raise DomainError(f"painless regime needs b*N <= 1 (got b*N = {b * N:g})")
-    xs = _scan_grid(a, period_points, (k for k in range(N + 1)))
-    n_lo = -int(math.ceil(N / a)) - 1
-    diag = np.zeros_like(xs)
-    for n in range(n_lo, 2):
-        diag += bspline_eval(N, xs - n * a) ** 2
-    if N == 1:
-        slack = 0.0
-    else:
-        lip = 2.0 * _overlap_count(N, a)
-        slack = lip * (a / period_points) / 2
-    return float(diag.min()), float(diag.max()), slack
-
-
 def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
-    """Sufficient-condition bounds from translation overlaps at offsets k/b.
+    """Periodized translation-overlap bounds on a knot-augmented grid over [0, a).
 
     Returns (inf of diag - off, sup of diag + off, slack), all before the
-    division by b.  A positive lower value certifies a frame with bounds
+    division by b: diag sums the squared translates B_N(x - n a), off their
+    overlaps at the frequency offsets k/b.  In the painless regime b*N <= 1
+    the offset sum is empty and the values are the exact periodized bounds.
+    The true inf/sup lie within slack of the grid values (Lipschitz bound;
+    exact for order 1, whose piecewise-constant sums are sampled in every
+    piece).  A positive lower value certifies a frame with bounds
     (inf/b, sup/b); a nonpositive one is inconclusive.
     """
-    k_max = int(math.ceil(b * N)) + 1
-    shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
+    if period_points < 1:
+        raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
+    shifts = []
+    if b * N > 1 + 1e-12:
+        k_max = int(math.ceil(b * N)) + 1
+        shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
     knots = [k + s for k in range(N + 1) for s in [0.0] + shifts]
     xs = _scan_grid(a, period_points, knots)
-    n_lo = -int(math.ceil(2 * N / a)) - 1
-    n_hi = int(math.ceil(2 * N / a)) + 1
-    diag = np.zeros_like(xs)
-    off = np.zeros_like(xs)
-    for n in range(n_lo, n_hi + 1):
-        g0 = bspline_eval(N, xs - n * a)
-        if not np.any(g0):
-            continue
-        diag += g0 ** 2
-        for s in shifts:
-            off += np.abs(g0 * bspline_eval(N, xs - n * a - s))
-    if N == 1:
-        slack = 0.0
-    else:
-        terms = _overlap_count(N, a) * (len(shifts) + 1)
-        slack = 2.0 * terms * (a / period_points) / 2
+    # points lie in [0, a): translates n*a outside this range miss [0, N)
+    offsets = [n * a for n in range(-int(math.ceil(N / a)) - 1, 2)]
+    diag, off = _overlap_sums(lambda x: bspline_eval(N, x), [1.0], offsets, shifts, xs)
+    # Lipschitz slack: translates meeting a point, times the terms per translate
+    terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
+    slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
     return float((diag - off).min()), float((diag + off).max()), slack
 
 
@@ -263,26 +237,21 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     """
     if a <= 0 or b <= 0:
         raise DomainError("lattice steps must be positive")
-    if b * N <= 1 + 1e-12:
-        inf_, sup_, slack = painless_bounds(N, a, b, period_points)
-        if inf_ == 0.0:
-            return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (sup_ + slack) / b),
-                                    "painless diagonal vanishes exactly")
-        if inf_ - slack > 0:
-            return PhaseDiagramCell(
-                a, b, STATUS_FRAME,
-                FrameBounds((inf_ - slack) / b, (sup_ + slack) / b),
-                "painless periodization",
-            )
-        return PhaseDiagramCell(a, b, STATUS_UNDECIDED, FrameBounds(0.0, (sup_ + slack) / b),
-                                "painless grid estimate below slack")
-    lo, hi, slack = translation_overlap_bounds(N, a, b, max(period_points, 2048))
+    painless = b * N <= 1 + 1e-12
+    lo, hi, slack = translation_overlap_bounds(
+        N, a, b, period_points if painless else max(period_points, 2048))
+    if painless and lo == 0.0:
+        return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
+                                "painless diagonal vanishes exactly")
     if lo - slack > 0:
         return PhaseDiagramCell(
             a, b, STATUS_FRAME,
             FrameBounds((lo - slack) / b, (hi + slack) / b),
-            "translation-overlap sufficient condition",
+            "painless periodization" if painless else "translation-overlap sufficient condition",
         )
+    if painless:
+        return PhaseDiagramCell(a, b, STATUS_UNDECIDED, FrameBounds(0.0, (hi + slack) / b),
+                                "painless grid estimate below slack")
     if attach_estimates:
         try:
             est = finite_section_bounds(N, a, b)

@@ -332,8 +332,7 @@ def _wp_grid(args):
 def _wavepacket_bounds(args):
     g, grid = _freq_function(args.g), _wp_grid(args)
     bounds, report = dil.wave_packet_frame_bounds(g, grid, ceiling=args.ceiling)
-    bessel, _ = dil.wave_packet_bessel_bound(g, grid, ceiling=args.ceiling)
-    return {"bounds": bounds, "bessel_bound": bessel, "report": report}
+    return {"bounds": bounds, "bessel_bound": bounds.upper, "report": report}
 
 
 def _wavepacket_lic(args):
@@ -540,7 +539,7 @@ COMMANDS = {
         Command("scan",
                 "phase diagram over (a, b): certified frame cells, certified failures, undecided",
                 (ORDER, _required("--a-grid", type=_range), _required("--b-grid", type=_range),
-                 _opt("--period-points", type=int, default=1024),
+                 _opt("--period-points", type=_positive_int, default=1024),
                  _opt("--no-estimates", action="store_true"), JOBS),
                 _bspline_scan, ("a", "b", "status", "A", "B", "method")),
         Command("dual-window", "dual window as a finite combination of integer shifts of the spline",

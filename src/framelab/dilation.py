@@ -164,13 +164,14 @@ def _dyadic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, gamma_abs_max: 
     return range(j_lo, j_hi + 1)
 
 
+def _midpoints(lo: float, hi: float, p: int):
+    """Midpoint grids over [lo, hi) at two resolutions, p and 2p cells."""
+    return [lo + (hi - lo) * (np.arange(n) + 0.5) / n for n in (p, 2 * p)]
+
+
 def _representative_grids(lo: float, hi: float, points: int):
     """Midpoint grids over [lo, hi) and its mirror, at two resolutions."""
-    grids = []
-    for p in (points, 2 * points):
-        pos = lo + (hi - lo) * (np.arange(p) + 0.5) / p
-        grids.append(np.concatenate([pos, -pos]))
-    return grids
+    return [np.concatenate([pos, -pos]) for pos in _midpoints(lo, hi, points)]
 
 
 def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
@@ -300,25 +301,58 @@ def _check_ceiling(ceiling):
         raise DomainError(f"ceiling must be > 0 (got {ceiling!r})")
 
 
-def _triple_sums(g_hat: FreqFunction, grid: WavePacketGrid, gammas: np.ndarray,
-                 ceiling: float):
-    """diag(g) and offdiag(g) of the translation-overlap sums; None on overflow."""
+class _CeilingExceeded(Exception):
+    """A partial translation-overlap sum passed the ceiling."""
+
+
+def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
+                  ceiling: float = math.inf):
+    """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
+
+    The sums run over every dilation a, offset c and shift s; terms whose
+    |g(u)| vanishes everywhere are skipped.  This is the one translation-
+    overlap loop: the wave-packet bounds use shifts k/b, the B-spline
+    scanner one dilation, offsets n*a and shifts k/b (none when painless).
+    Raises _CeilingExceeded once max(diag + off) passes the ceiling.
+    """
     diag = np.zeros(gammas.shape)
     off = np.zeros(gammas.shape)
-    ks = [k for k in _k_range(g_hat.band, grid.b, grid.k_truncation) if k != 0]
-    for a in grid.a_values:
+    for a in dilations:
         base = gammas / a
-        for c in grid.c_values:
+        for c in offsets:
             u = base - c
-            g0 = np.abs(g_hat.values_at(u))
+            g0 = np.abs(values_at(u))
             if not np.any(g0):
                 continue
             diag += g0 ** 2
-            for k in ks:
-                off += g0 * np.abs(g_hat.values_at(u - k / grid.b))
-            if float((diag + off).max()) > ceiling * grid.b:
-                return None, None
+            for s in shifts:
+                off += g0 * np.abs(values_at(u - s))
+            if ceiling < math.inf and float((diag + off).max()) > ceiling:
+                raise _CeilingExceeded
     return diag, off
+
+
+def _wave_packet_sums(g_hat: FreqFunction, grid: WavePacketGrid, grids, ceiling: float):
+    """(diag, off) on each grid, with the ceiling scaled to ceiling * b."""
+    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b, grid.k_truncation) if k != 0]
+    return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
+                          ceiling * grid.b) for gammas in grids]
+
+
+def _sup_estimates(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
+    """(sup (diag + off)/b per grid, the sums) on gamma_grid, else on the
+    midpoint grids over the covered region."""
+    if gamma_grid is not None:
+        grids = [np.asarray(gamma_grid, dtype=float)]
+    else:
+        grids = _midpoints(*_coverage_box(g_hat, grid), grid.gamma_points)
+    sums = _wave_packet_sums(g_hat, grid, grids, ceiling)
+    return [float((diag + off).max()) / grid.b for diag, off in sums], sums
+
+
+def _overflow_report(notes: str, ceiling: float) -> AnalysisReport:
+    return AnalysisReport.from_residuals({"partial_sum_overflow": 1.0}, resolve_tolerance(None),
+                                         notes=notes, details={"ceiling": ceiling})
 
 
 def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
@@ -329,30 +363,16 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
 
     Band limitation makes the k sum exact.  If the accumulating partial sums
     exceed the ceiling the computation stops and reports the Bessel condition
-    as violated (value +inf) instead of returning a number.
+    as violated (value +inf) instead of returning a number.  The value is
+    the upper bound of wave_packet_frame_bounds.
     """
     _check_ceiling(ceiling)
-    lo, hi = _coverage_box(g_hat, grid)
-    if gamma_grid is not None:
-        candidate_grids = [np.asarray(gamma_grid, dtype=float)]
-    else:
-        p = grid.gamma_points
-        candidate_grids = [
-            lo + (hi - lo) * (np.arange(n) + 0.5) / n for n in (p, 2 * p)
-        ]
-    best = 0.0
-    estimates = []
-    for gammas in candidate_grids:
-        diag, off = _triple_sums(g_hat, grid, gammas, ceiling)
-        if diag is None:
-            report = AnalysisReport.from_residuals(
-                {"partial_sum_overflow": 1.0}, resolve_tolerance(None),
-                notes=f"unbounded (Bessel violated): partial sums exceeded ceiling {ceiling:g}",
-                details={"ceiling": ceiling},
-            )
-            return math.inf, report
-        estimates.append(float((diag + off).max()) / grid.b)
-        best = max(best, estimates[-1])
+    try:
+        estimates, _ = _sup_estimates(g_hat, grid, ceiling, gamma_grid)
+    except _CeilingExceeded:
+        return math.inf, _overflow_report(
+            f"unbounded (Bessel violated): partial sums exceeded ceiling {ceiling:g}", ceiling)
+    best = max(0.0, *estimates)
     report = AnalysisReport.from_residuals(
         {}, resolve_tolerance(None),
         notes="k-sum exact by band limitation; finite dilation/offset lists have no tail",
@@ -371,39 +391,25 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     B is the sup of (diag + off)/b over the covered region; A is the inf of
     (diag - off)/b over the same region trimmed by one dilated band diameter
     at each edge, which removes the artificial dropoff caused by cutting the
-    offset list short.  A <= 0 is reported as inconclusive, never as a
-    disproof.
+    offset list short.  A given gamma_grid serves both passes.  A <= 0 is
+    reported as inconclusive, never as a disproof; a partial sum beyond the
+    ceiling on any grid reports (0, inf) with the Bessel condition violated.
     """
     _check_ceiling(ceiling)
     lo, hi = _coverage_box(g_hat, grid)
     margin = _edge_margin(g_hat, grid)
     t_lo, t_hi = lo + margin, hi - margin
-    if gamma_grid is not None:
-        sup_grids = [np.asarray(gamma_grid, dtype=float)]
-        inf_grids = [np.asarray(gamma_grid, dtype=float)]
-    else:
-        p = grid.gamma_points
-        sup_grids = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for n in (p, 2 * p)]
-        if t_hi > t_lo:
-            inf_grids = [t_lo + (t_hi - t_lo) * (np.arange(n) + 0.5) / n for n in (p, 2 * p)]
-        else:
-            inf_grids = []
-
-    upper = 0.0
-    for gammas in sup_grids:
-        diag, off = _triple_sums(g_hat, grid, gammas, ceiling)
-        if diag is None:
-            return FrameBounds(0.0, math.inf), AnalysisReport.from_residuals(
-                {"partial_sum_overflow": 1.0}, resolve_tolerance(None),
-                notes=f"unbounded (Bessel violated) beyond ceiling {ceiling:g}",
-                details={"ceiling": ceiling},
-            )
-        upper = max(upper, float((diag + off).max()) / grid.b)
-
-    lower_raw = -math.inf if not inf_grids else math.inf
-    for gammas in inf_grids:
-        diag, off = _triple_sums(g_hat, grid, gammas, ceiling)
-        lower_raw = min(lower_raw, float((diag - off).min()) / grid.b)
+    try:
+        estimates, inf_sums = _sup_estimates(g_hat, grid, ceiling, gamma_grid)
+        if gamma_grid is None:
+            inf_grids = _midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else []
+            inf_sums = _wave_packet_sums(g_hat, grid, inf_grids, ceiling)
+    except _CeilingExceeded:
+        return FrameBounds(0.0, math.inf), _overflow_report(
+            f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", ceiling)
+    upper = max(0.0, *estimates)
+    lower_raw = min((float((diag - off).min()) / grid.b for diag, off in inf_sums),
+                    default=-math.inf)
     conclusive = lower_raw > 0 and math.isfinite(lower_raw)
     bounds = FrameBounds(max(lower_raw, 0.0) if conclusive else 0.0, upper)
     notes = (

@@ -14,9 +14,9 @@ from framelab.bspline import (
     dual_window_solve,
     finite_section_bounds,
     gabor_scan,
-    painless_bounds,
     property_suite,
     sample_bspline,
+    translation_overlap_bounds,
 )
 
 
@@ -190,17 +190,27 @@ def test_translation_overlap_certifies_beyond_painless():
 def test_monotone_degeneration_toward_a_equals_two():
     values = []
     for eps in (0.4, 0.2, 0.1, 0.05):
-        inf_, _sup, _slack = painless_bounds(2, 2.0 - eps, 0.25)
+        inf_, _sup, _slack = translation_overlap_bounds(2, 2.0 - eps, 0.25, period_points=1024)
         values.append(inf_ / 0.25)
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     assert values[-1] < 0.02
+
+
+@pytest.mark.parametrize("points", [0, -1, -1000])
+def test_nonpositive_period_points_rejected(points):
+    # an empty base grid would certify from the knots alone: at a = 1.9,
+    # b = 0.25 that claimed A = 0.0352 above the optimal 0.02
+    with pytest.raises(DomainError, match="period_points"):
+        translation_overlap_bounds(2, 1.9, 0.25, period_points=points)
+    with pytest.raises(DomainError, match="period_points"):
+        classify_cell(2, 1.9, 0.25, period_points=points)
 
 
 def test_finite_section_matches_painless_on_aligned_grids():
     for (a, b) in ((0.5, 0.25), (1.0, 0.5), (0.5, 0.5)):
         est = finite_section_bounds(2, a, b, resolution=16)
         aligned_points = int(round(a * 16))
-        inf_, sup_, slack = painless_bounds(2, a, b, period_points=aligned_points)
+        inf_, sup_, slack = translation_overlap_bounds(2, a, b, period_points=aligned_points)
         assert inf_ / b <= est.lower + 1e-9
         assert sup_ / b >= est.upper - 1e-9
 

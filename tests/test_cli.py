@@ -10,6 +10,7 @@ import pytest
 
 from framelab.cli import build_parser, main
 from framelab.core import VectorSystem, standard_basis
+from framelab.dilation import FreqFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -349,6 +350,10 @@ def assert_usage_error(argv, capsys, bad):
     (["exp", "bound", "--lambdas", "0,0.5", "--dps", "1"], "dps"),
     (["bspline", "props", "--N", "3", "--tolerance", "-1"], "tolerance"),
     (["bspline", "props", "--N", "3", "--tolerance", "inf"], "tolerance"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "1.9", "--b-grid", "0.25", "--period-points=0"], "'0'"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "1.9", "--b-grid", "0.25", "--period-points=-1"], "'-1'"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "1.9", "--b-grid", "0.25", "--period-points=-1000"],
+     "'-1000'"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
@@ -368,6 +373,22 @@ def test_infinite_ceiling_accepted(capsys):
                             "--c-values=-8:8:1", "--ceiling", "inf"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["report"]["verdict"] == "pass"
+
+
+def test_wavepacket_bounds_overflow_on_inf_grid_fails(tmp_path, capsys):
+    # the trimmed inf grids pass the ceiling although the sup grids do not:
+    # verdict fail with (0, inf), not a traceback
+    values = np.ones(1024)
+    values[3] = 10.0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(FreqFunction(0.0, 1 / 1024, values, (0.0, 1.0)).to_json_dict()))
+    code, out, _ = run_cli(["wavepacket", "bounds", "--g", str(path), "--a-values", "1",
+                            "--b", "1.0", "--c-values", "0:5.6:0.7", "--gamma-points", "17",
+                            "--ceiling", "51.5"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 1 and result["report"]["verdict"] == "fail"
+    assert result["bounds"] == {"lower": 0.0, "upper": "inf"}
+    assert result["bessel_bound"] == "inf"
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan"])

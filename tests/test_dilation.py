@@ -190,7 +190,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     # lattice systems are single-dilation wave packets: feeding the spline
     # into the translation-overlap formula with offsets m*a reproduces the
     # painless periodization bounds on a common evaluation grid
-    from framelab.bspline import bspline_eval, painless_bounds
+    from framelab.bspline import bspline_eval, translation_overlap_bounds
 
     N, a, b = 2, 0.5, 0.25
     step = 1 / 64
@@ -209,7 +209,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     assert bounds.lower == pytest.approx(diag.min() / b, abs=1e-12)
     assert bounds.upper == pytest.approx(diag.max() / b, abs=1e-12)
 
-    inf_, sup_, _slack = painless_bounds(N, a, b, period_points=int(round(a / step)))
+    inf_, sup_, _slack = translation_overlap_bounds(N, a, b, period_points=int(round(a / step)))
     assert bounds.lower == pytest.approx(inf_ / b, abs=1e-8)
     assert bounds.upper == pytest.approx(sup_ / b, abs=1e-8)
 
@@ -279,6 +279,22 @@ def test_divergence_flag_in_bessel_bound():
     value, report = wave_packet_bessel_bound(g, grid, ceiling=500.0)
     assert value == math.inf
     assert "Bessel violated" in report.notes
+
+
+def test_overflow_on_inf_grid_only_reports_bessel_violated():
+    # the sup grids stay under the ceiling; the trimmed inf grids land on the
+    # tall cell and pass it, which reports the Bessel condition violated
+    values = np.ones(1024)
+    values[3] = 10.0
+    g = FreqFunction(0.0, 1 / 1024, values, (0.0, 1.0))
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.7 * k for k in range(9)],
+                          gamma_points=17)
+    value, _ = wave_packet_bessel_bound(g, grid, ceiling=51.5)
+    assert math.isfinite(value)
+    bounds, report = wave_packet_frame_bounds(g, grid, ceiling=51.5)
+    assert (bounds.lower, bounds.upper) == (0.0, math.inf)
+    assert "Bessel violated" in report.notes
+    assert report.verdict == "fail"
 
 
 @pytest.mark.parametrize("ceiling", [math.nan, 0.0, -1.0, -math.inf])
