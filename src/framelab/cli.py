@@ -54,6 +54,14 @@ def _number(token):
     return value
 
 
+def _positive_number(token):
+    """A finite float > 0."""
+    value = _number(token)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {token!r}")
+    return value
+
+
 def _float_list(text):
     """Comma-separated numbers, at least one."""
     values = [_number(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -396,9 +404,9 @@ FILE = _required("--file")
 F_G = (_required("--f"), _required("--g"))
 MODE = _opt("--mode", choices=("full_space", "span"), default="full_space")
 PAIR = (_opt("--e-basis"), _opt("--h-basis"), _opt("--random-pair", action="store_true"), SEED)
-LATTICE = (_required("--L", type=int), _required("--a", type=int), _required("--b", type=int))
+LATTICE = tuple(_required(flag, type=_positive_int) for flag in ("--L", "--a", "--b"))
 WINDOW = (_opt("--window", default="random"), SEED)
-STEP = _opt("--step", type=_number, default=1 / 64)
+STEP = _opt("--step", type=_positive_number, default=1 / 64)
 SAMPLED_PAIR = (_required("--window-g"), _required("--window-h"),
                 _required("--a", type=_number), _required("--b", type=_number), STEP)
 PSI_PAIR = (_opt("--psit", default=None), _opt("--b", type=_number, default=1.0), TOLERANCE)
@@ -447,7 +455,7 @@ COMMANDS = {
                 (FILE,) + PAIR, _rdual_transform),
         Command("verify",
                 "R-dual bound transfer: frame bounds become Riesz-sequence bounds, with involution",
-                (_opt("--file", default=None), _opt("--random-dim", type=int, default=8))
+                (_opt("--file", default=None), _opt("--random-dim", type=_positive_int, default=8))
                 + PAIR + (TOLERANCE,), _rdual_verify),
         Command("check-dual-pair", "dual frames if and only if the R-duals are biorthogonal",
                 F_G + PAIR + (TOLERANCE,), _rdual_check_dual_pair),
@@ -473,7 +481,9 @@ COMMANDS = {
                 LATTICE + (_opt("--window-g", default="random"),
                            _opt("--window-h", default="canonical-dual"), SEED, TOLERANCE),
                 _gabor_wexler_raz),
-        Command("commute", "frame operator commutes with every lattice time-frequency shift",
+        Command("commute",
+                "inverse frame operator commutes with the lattice generators T_a and M_b; "
+                "the residual bounds every lattice shift",
                 LATTICE + WINDOW + (TOLERANCE,),
                 lambda a: {"report": gabor.frame_operator_commutation_check(_lattice_spec(a),
                                                                             a.tolerance)}),
@@ -484,7 +494,7 @@ COMMANDS = {
                     _sampled_window(a.window_g, a.step), _sampled_window(a.window_h, a.step),
                     a.a, a.b, a.tolerance)}),
         Command("extend", "Gabor-structured dual-pair extension on a cyclic realization",
-                SAMPLED_PAIR + (_opt("--L", type=int, default=None),), _gabor_extend),
+                SAMPLED_PAIR + (_opt("--L", type=_positive_int, default=None),), _gabor_extend),
         Command("hrt",
                 "Heil-Ramanathan-Topiwala probe: smallest singular value of finite time-frequency shifts",
                 (_required("--window"),
@@ -584,7 +594,7 @@ def main(argv=None) -> int:
         result = cmd.run(args)
         emit(args, f"{args.group} {cmd.op}", result,
              result["rows"] if cmd.fields else None, cmd.fields)
-    except (FrameLabError, FileNotFoundError) as exc:
+    except (FrameLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

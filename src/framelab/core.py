@@ -487,47 +487,3 @@ def biorthogonality_residual(f_system: VectorSystem, g_system: VectorSystem) -> 
         raise DimensionMismatch("biorthogonality needs equally long families")
     M = cross_gram(f_system, g_system)
     return float(np.abs(M - np.eye(f_system.count)).max())
-
-
-def rayleigh_extremes(S: np.ndarray, rng, samples: int = 2048, iterations: int = 2000):
-    """Brute-force extreme Rayleigh quotients of a Hermitian PSD matrix.
-
-    Independent of the eigensolver path: dense random sampling of the unit
-    sphere plus power-iteration refinement (matvecs and Rayleigh quotients
-    only).  Used as the oracle for the spectral bound computations.
-    """
-    d = S.shape[0]
-    if d == 0 or not np.any(S):
-        return 0.0, 0.0
-
-    def rayleigh(x):
-        return float(np.real(np.vdot(x, S @ x) / np.vdot(x, x)))
-
-    X = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    quots = np.real(np.einsum("ij,ij->i", X.conj(), X @ S.T.conj())) / np.real(
-        np.einsum("ij,ij->i", X.conj(), X)
-    )
-    hi_start = X[int(np.argmax(quots))]
-    lo_start = X[int(np.argmin(quots))]
-
-    x = hi_start / np.linalg.norm(hi_start)
-    for _ in range(iterations):
-        y = S @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        x = y / ny
-    hi = rayleigh(x)
-
-    # shifted power iteration: maximize c - lambda with c >= lambda_max
-    c = hi * 1.5 + float(np.trace(np.abs(S)).real) + 1.0
-    M = c * np.eye(d) - S
-    x = lo_start / np.linalg.norm(lo_start)
-    for _ in range(iterations):
-        y = M @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        x = y / ny
-    lo = rayleigh(x)
-    return max(min(lo, hi), 0.0), max(hi, 0.0)

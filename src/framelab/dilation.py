@@ -339,15 +339,30 @@ def _wave_packet_sums(g_hat: FreqFunction, grid: WavePacketGrid, grids, ceiling:
                           ceiling * grid.b) for gammas in grids]
 
 
-def _sup_estimates(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
-    """(sup (diag + off)/b per grid, the sums) on gamma_grid, else on the
-    midpoint grids over the covered region."""
+def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
+    """(sup (diag + off)/b per sup grid, the (diag, off) sums of the inf pass,
+    the trimmed window (lo, hi, margin)).
+
+    The trimmed window is the covered region less one dilated band diameter
+    at each edge.  Without a gamma_grid the sup pass runs on the midpoint
+    grids over the covered region and the inf pass on those over the trimmed
+    window; a given gamma_grid serves both passes.  Raises _CeilingExceeded
+    when a partial sum on any grid passes the ceiling.
+    """
+    lo, hi = _coverage_box(g_hat, grid)
+    margin = _edge_margin(g_hat, grid)
+    t_lo, t_hi = lo + margin, hi - margin
     if gamma_grid is not None:
-        grids = [np.asarray(gamma_grid, dtype=float)]
+        gammas = np.asarray(gamma_grid, dtype=float)
+        if gammas.size == 0:
+            raise DomainError("gamma_grid must not be empty")
+        sup_sums = inf_sums = _wave_packet_sums(g_hat, grid, [gammas], ceiling)
     else:
-        grids = _midpoints(*_coverage_box(g_hat, grid), grid.gamma_points)
-    sums = _wave_packet_sums(g_hat, grid, grids, ceiling)
-    return [float((diag + off).max()) / grid.b for diag, off in sums], sums
+        sup_sums = _wave_packet_sums(g_hat, grid, _midpoints(lo, hi, grid.gamma_points), ceiling)
+        inf_grids = _midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else []
+        inf_sums = _wave_packet_sums(g_hat, grid, inf_grids, ceiling)
+    estimates = [float((diag + off).max()) / grid.b for diag, off in sup_sums]
+    return estimates, inf_sums, (t_lo, t_hi, margin)
 
 
 def _overflow_report(notes: str, ceiling: float) -> AnalysisReport:
@@ -362,13 +377,14 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
     B = (1/b) sup_gamma sum_{j,m,k} |g(a_j^-1 g - c_m) g(a_j^-1 g - c_m - k/b)|.
 
     Band limitation makes the k sum exact.  If the accumulating partial sums
-    exceed the ceiling the computation stops and reports the Bessel condition
-    as violated (value +inf) instead of returning a number.  The value is
-    the upper bound of wave_packet_frame_bounds.
+    exceed the ceiling on any grid that wave_packet_frame_bounds evaluates
+    (the trimmed inf grids included) the computation stops and reports the
+    Bessel condition as violated (value +inf) instead of returning a number,
+    so the value is always the upper bound of wave_packet_frame_bounds.
     """
     _check_ceiling(ceiling)
     try:
-        estimates, _ = _sup_estimates(g_hat, grid, ceiling, gamma_grid)
+        estimates, _, _ = _bound_sums(g_hat, grid, ceiling, gamma_grid)
     except _CeilingExceeded:
         return math.inf, _overflow_report(
             f"unbounded (Bessel violated): partial sums exceeded ceiling {ceiling:g}", ceiling)
@@ -396,14 +412,8 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     ceiling on any grid reports (0, inf) with the Bessel condition violated.
     """
     _check_ceiling(ceiling)
-    lo, hi = _coverage_box(g_hat, grid)
-    margin = _edge_margin(g_hat, grid)
-    t_lo, t_hi = lo + margin, hi - margin
     try:
-        estimates, inf_sums = _sup_estimates(g_hat, grid, ceiling, gamma_grid)
-        if gamma_grid is None:
-            inf_grids = _midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else []
-            inf_sums = _wave_packet_sums(g_hat, grid, inf_grids, ceiling)
+        estimates, inf_sums, (t_lo, t_hi, margin) = _bound_sums(g_hat, grid, ceiling, gamma_grid)
     except _CeilingExceeded:
         return FrameBounds(0.0, math.inf), _overflow_report(
             f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", ceiling)

@@ -16,7 +16,6 @@ from framelab.core import (
     frame_bounds,
     frame_operator,
     random_system,
-    rayleigh_extremes,
     standard_basis,
     synthesis,
     analysis,
@@ -58,6 +57,7 @@ from framelab.bspline import (
     gabor_scan,
 )
 from framelab.exponentials import LambdaSet, decay_study, lower_bound
+from oracles import rayleigh_extremes
 
 SWEEP_LENGTHS = (4, 6, 8, 12, 16, 24)
 WINDOWS_PER_LATTICE = 20

@@ -334,6 +334,9 @@ def assert_usage_error(argv, capsys, bad):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and bad in errors[0], captured.err
+    # argparse prefixes its line with the command, e.g. "framelab gabor bounds: error: ..."
+    assert errors[0].startswith(("error:", f"framelab {argv[0]} {argv[1]}: error:")), captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -356,6 +359,18 @@ def assert_usage_error(argv, capsys, bad):
      "'-1000'"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
+    assert_usage_error(argv, capsys, bad)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["gabor", "bounds", "--L", "-6", "--a", "2", "--b", "3"], "'-6'"),
+    (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
+      "--a", "1", "--b", "1", "--step", "0"], "'0'"),
+    (["rdual", "verify", "--random-dim", "-1"], "'-1'"),
+    (["frame", "bounds", "--file", "{dir}"], "Is a directory"),
+])
+def test_nonpositive_sizes_and_unreadable_files_exit_2(argv, bad, tmp_path, capsys):
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert_usage_error(argv, capsys, bad)
 
 

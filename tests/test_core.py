@@ -23,12 +23,12 @@ from framelab.core import (
     frame_bounds,
     frame_operator,
     random_system,
-    rayleigh_extremes,
     resolve_tolerance,
     riesz_bounds,
     standard_basis,
     synthesis,
 )
+from oracles import rayleigh_extremes
 
 MERCEDES = VectorSystem(
     [[0, 1], [-np.sqrt(3) / 2, -0.5], [np.sqrt(3) / 2, -0.5]], label="mercedes"

@@ -283,18 +283,28 @@ def test_divergence_flag_in_bessel_bound():
 
 def test_overflow_on_inf_grid_only_reports_bessel_violated():
     # the sup grids stay under the ceiling; the trimmed inf grids land on the
-    # tall cell and pass it, which reports the Bessel condition violated
+    # tall cell and pass it, which reports the Bessel condition violated by
+    # the Bessel bound and the frame bounds alike
     values = np.ones(1024)
     values[3] = 10.0
     g = FreqFunction(0.0, 1 / 1024, values, (0.0, 1.0))
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.7 * k for k in range(9)],
                           gamma_points=17)
-    value, _ = wave_packet_bessel_bound(g, grid, ceiling=51.5)
-    assert math.isfinite(value)
+    value, bessel_report = wave_packet_bessel_bound(g, grid, ceiling=51.5)
+    assert value == math.inf
+    assert "Bessel violated" in bessel_report.notes
     bounds, report = wave_packet_frame_bounds(g, grid, ceiling=51.5)
     assert (bounds.lower, bounds.upper) == (0.0, math.inf)
     assert "Bessel violated" in report.notes
     assert report.verdict == "fail"
+
+
+def test_empty_gamma_grid_is_domain_error():
+    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0])
+    for bound in (wave_packet_frame_bounds, wave_packet_bessel_bound):
+        with pytest.raises(DomainError, match="gamma_grid"):
+            bound(g, grid, gamma_grid=[])
 
 
 @pytest.mark.parametrize("ceiling", [math.nan, 0.0, -1.0, -math.inf])

@@ -6,6 +6,7 @@ from framelab.core import (
     DomainError,
     GridError,
     LatticeError,
+    biorthogonality_residual,
     concat_systems,
     duality_check,
     frame_bounds,
@@ -419,10 +420,14 @@ def _assert_dual_matches_dense(spec):
 
 
 def _assert_duality_residual_matches_dense(spec_g, spec_h):
-    got = wexler_raz_check(spec_g, spec_h).details["duality_residual"]
+    details = wexler_raz_check(spec_g, spec_h).details
     dense = duality_check(finite_gabor_system(spec_g), finite_gabor_system(spec_h))
     expected = dense.residuals["duality"]
-    assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    assert details["duality_residual"] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    # the row-blocked adjoint Gram against the whole one
+    bio = biorthogonality_residual(finite_gabor_system(spec_g.adjoint()),
+                                   finite_gabor_system(spec_h.adjoint()))
+    assert details["biorthogonality_residual"] == pytest.approx(bio, rel=1e-12)
 
 
 def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
@@ -475,6 +480,20 @@ def test_block_engine_matches_dense_at_L512():
     _assert_extension_matches_dense(spec, partner)
 
 
+def _assert_commutation_matches_dense(report, A, a, b, floor):
+    """Generator residuals equal the dense ones, the reported commutator bounds
+    the dense loop over every lattice point, and the verdicts at 1e-10 agree."""
+    L = A.shape[0]
+    for key, P in (("translation_generator", dense_translation(L, a)),
+                   ("modulation_generator", dense_modulation(L, b))):
+        dense = float(np.linalg.norm(A @ P - P @ A, 2))
+        assert report.details[key] == pytest.approx(dense, rel=1e-12, abs=floor)
+    exact = dense_commutator_norm(A, a, b)
+    assert report.residuals["commutator"] >= exact * (1 - 1e-12)
+    assert report.passed == (exact <= 1e-10)
+    return exact
+
+
 @pytest.mark.parametrize("L", [L for L in ACCEPTANCE_LENGTHS if L <= 12])
 def test_commutation_matches_dense_loop(L, monkeypatch):
     rng = np.random.default_rng(300 + L)
@@ -483,16 +502,16 @@ def test_commutation_matches_dense_loop(L, monkeypatch):
         if not _is_frame(spec):
             continue
         Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
-        got = frame_operator_commutation_check(spec).residuals["commutator"]
-        expected = dense_commutator_norm(Sinv, a, b)
-        assert got == pytest.approx(expected, abs=1e-13 * np.linalg.norm(Sinv, 2))
+        report = frame_operator_commutation_check(spec, tolerance=1e-10)
+        # S^-1 commutes up to rounding, which the dense products round differently
+        _assert_commutation_matches_dense(report, Sinv, a, b, floor=1e-13 * np.linalg.norm(Sinv, 2))
         # a positive definite operator that commutes with no lattice shift: the
-        # residual is far above rounding and must still equal the dense loop
+        # residuals are far above rounding and must match the dense ones
         X = rand_window(rng, L * L).reshape(L, L)
         A = X @ X.conj().T + L * np.eye(L)
         monkeypatch.setattr(gabor_module, "frame_operator", lambda system: A)
-        got = frame_operator_commutation_check(spec).residuals["commutator"]
+        report = frame_operator_commutation_check(spec, tolerance=1e-10)
         monkeypatch.undo()
-        expected = dense_commutator_norm(np.linalg.inv(A), a, b)
-        assert expected > 1e-4 or (a, b) == (L, L)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        exact = _assert_commutation_matches_dense(report, np.linalg.inv(A), a, b, floor=1e-15)
+        assert exact > 1e-4 or (a, b) == (L, L)
+        assert report.passed == ((a, b) == (L, L))
