@@ -273,9 +273,7 @@ def gabor_scan(N: int, a_values, b_values, period_points: int = 1024,
     ]
 
 
-def dual_window_solve(N: int, b: float, a: float = 1.0, shift_range: int = None,
-                      samples_per_unit: int = None, tolerance: float = 1e-8,
-                      output_step: float = None):
+def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance: float = 1e-8):
     """Dual window as a combination of integer shifts of the spline itself.
 
     In the regime b <= 1/(2N-1) (unit time step), the ansatz
@@ -285,8 +283,6 @@ def dual_window_solve(N: int, b: float, a: float = 1.0, shift_range: int = None,
     grid.  The classical solution c_k = b is reproduced up to the kernel of
     the (rank-deficient, symmetric-shift) design matrix.
     """
-    if a != 1.0:
-        raise DomainError("the shift-combination ansatz is for unit time step")
     if N < 1:
         raise DomainError("order must be a positive integer")
     if b <= 0 or b > 1.0 / (2 * N - 1) + 1e-12:
@@ -296,7 +292,7 @@ def dual_window_solve(N: int, b: float, a: float = 1.0, shift_range: int = None,
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")
-    samples = samples_per_unit if samples_per_unit is not None else 4 * K + 4
+    samples = 4 * K + 4
 
     xs = (np.arange(samples) + 0.5) / samples
     ks = np.arange(-K, K + 1)
@@ -316,11 +312,10 @@ def dual_window_solve(N: int, b: float, a: float = 1.0, shift_range: int = None,
     target = np.concatenate(rhs)
     coeff, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
 
-    if output_step is None:
-        bf = Fraction(b).limit_denominator(10 ** 6)
-        if abs(float(bf) - b) > 1e-12:
-            raise GridError("b must be rational to sample the verification grid")
-        output_step = 1.0 / (64 * bf.numerator)
+    bf = Fraction(b).limit_denominator(10 ** 6)
+    if abs(float(bf) - b) > 1e-12:
+        raise GridError("b must be rational to sample the verification grid")
+    output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     x = -K + output_step * np.arange(count)
     hvals = np.zeros(count)

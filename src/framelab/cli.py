@@ -511,7 +511,8 @@ COMMANDS = {
     ),
     ("wavelet", "dyadic dilation systems on the frequency side"): (
         Command("check-dual",
-                "dual dyadic wavelet frames: scaling sums equal b, dyadic-ratio shifted sums vanish",
+                "dual dyadic wavelet frames at translation step b (the wave-packet criterion at "
+                "a = 2, c = {0}): scaling sums equal b, shift classes 2^j (1/b)Z vanish",
                 (_opt("--psi", default="shannon"),) + PSI_PAIR,
                 lambda a: {"report": dil.wavelet_duality_check(*_psi_pair(a), b=a.b,
                                                                tolerance=a.tolerance)}),
@@ -566,7 +567,8 @@ COMMANDS = {
                 (ORDER, _required("--delta", type=_number)),
                 lambda a: expo.crude_bound(a.N, a.delta)._asdict()),
         Command("decay", "lower-bound decay table for nested frequency families",
-                (_opt("--family", default="half_integer"), _opt("--n-max", type=int, default=20), DPS),
+                (_opt("--family", default="half_integer"),
+                 _opt("--n-max", type=_positive_int, default=20), DPS),
                 lambda a: {"rows": [row.to_dict() for row in expo.decay_study(a.family, a.n_max, a.dps)]},
                 ("N", "lower", "crude", "ratio", "log10_lower", "log10_crude")),
     ),

@@ -270,9 +270,6 @@ class VectorSystem:
     def __repr__(self):
         return f"VectorSystem(count={self.count}, ambient_dim={self.ambient_dim}, label={self._label!r})"
 
-    def with_label(self, label: str) -> "VectorSystem":
-        return VectorSystem(self._vectors, label=label)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self):
@@ -361,11 +358,6 @@ def analysis(system: VectorSystem, vector) -> np.ndarray:
             f"vector has length {f.shape[0]}, ambient_dim is {system.ambient_dim}"
         )
     return system.vectors.conj() @ f
-
-
-def synthesis_matrix(system: VectorSystem) -> np.ndarray:
-    """(dim, count) matrix of the synthesis operator."""
-    return system.vectors.T.copy()
 
 
 def frame_operator(system: VectorSystem) -> np.ndarray:

@@ -10,6 +10,12 @@ make infinitely many dilations contribute.
 Scale invariance is exploited throughout: the dyadic (resp. a-adic)
 conditions are invariant under gamma -> 2 gamma (resp. a gamma), so
 checking a grid over +-[1, 2) (resp. +-[1, a)) covers almost every gamma.
+
+The dual wavelet criterion is the a = 2, c = {0} case of the dual
+wave-packet criterion, and both run on one loop (_class_deviations): b is
+the translation step, the offset/dilation sum must equal b, and the sums of
+every shift class alpha = a^j n / b != 0, i.e. over the lattices a^j (1/b)Z
+grouped by the exact rational alpha, must vanish.
 """
 
 from __future__ import annotations
@@ -88,25 +94,6 @@ class FreqFunction:
         starts = self.start + self.step * nz
         return starts, starts + self.step
 
-    def support_min_abs(self) -> float:
-        """Infimum of |gamma| over the nonzero cells (0 if support touches 0)."""
-        if self.is_zero():
-            return math.inf
-        starts, ends = self.nonzero_cells()
-        best = math.inf
-        for s, e in zip(starts, ends):
-            if s < 1e-300 and e > -1e-300:  # cell touches or straddles 0
-                if s <= 0.0 <= e:
-                    return 0.0
-            best = min(best, abs(s) if s > 0 else abs(e))
-        return best
-
-    def support_max_abs(self) -> float:
-        if self.is_zero():
-            return 0.0
-        starts, ends = self.nonzero_cells()
-        return float(max(np.abs(starts).max(), np.abs(ends).max()))
-
     def scaled(self, factor: complex) -> "FreqFunction":
         return FreqFunction(self.start, self.step, factor * self.values, self.band)
 
@@ -148,22 +135,6 @@ def shannon_wavelet(step: float = DEFAULT_FREQ_STEP) -> FreqFunction:
     return FreqFunction(-1.0, step, values, (-1.0, 1.0))
 
 
-def _dyadic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, gamma_abs_max: float = 2.0):
-    """Range of j with 2^j gamma inside either support for |gamma| in [1, 2)."""
-    m = min(psi.support_min_abs(), psi_tilde.support_min_abs())
-    M = max(psi.support_max_abs(), psi_tilde.support_max_abs())
-    if M == 0.0:
-        return range(0, 0)  # both zero
-    if m == 0.0:
-        raise TruncationUnsoundError(
-            "support reaches 0: infinitely many dilations contribute and the "
-            "dilation sum cannot be truncated soundly"
-        )
-    j_lo = int(math.floor(math.log2(m))) - 1
-    j_hi = int(math.ceil(math.log2(M))) + 1
-    return range(j_lo, j_hi + 1)
-
-
 def _midpoints(lo: float, hi: float, p: int):
     """Midpoint grids over [lo, hi) at two resolutions, p and 2p cells."""
     return [lo + (hi - lo) * (np.arange(n) + 0.5) / n for n in (p, 2 * p)]
@@ -171,89 +142,23 @@ def _midpoints(lo: float, hi: float, p: int):
 
 def _representative_grids(lo: float, hi: float, points: int):
     """Midpoint grids over [lo, hi) and its mirror, at two resolutions."""
+    if points < 1:
+        raise DomainError("gamma_points must be at least 1")
     return [np.concatenate([pos, -pos]) for pos in _midpoints(lo, hi, points)]
-
-
-def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
-                          b: float = 1.0, tolerance=None, gamma_points: int = 4096) -> AnalysisReport:
-    """Dual dyadic wavelet frames test for band-limited generators.
-
-    Condition one: sum_j conj(psi_hat(2^j g)) psit_hat(2^j g) = b for a.e. g.
-    Condition two: for every dyadic ratio alpha = m / 2^j != 0, the matching
-    shifted sum vanishes.  Both are dilation invariant, so they are sampled
-    on +-[1, 2) at two resolutions; shifted sums are grouped by the exact
-    rational alpha, with one representative per dyadic scale class.
-    """
-    tol = resolve_tolerance(tolerance)
-    if b <= 0:
-        raise DomainError("b must be positive")
-    js = _dyadic_j_window(psi_hat, psi_tilde_hat)
-
-    residual_i = 0.0
-    refinement = []
-    for gammas in _representative_grids(1.0, 2.0, gamma_points):
-        total = np.zeros(gammas.shape, dtype=complex)
-        for j in js:
-            pts = (2.0 ** j) * gammas
-            total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts)
-        dev = float(np.abs(total - b).max()) if gammas.size else b
-        refinement.append(dev)
-        residual_i = max(residual_i, dev)
-    if not list(js):  # zero generator: empty dilation sum
-        residual_i = b
-        refinement = [b, b]
-
-    # shifted sums, grouped by exact alpha = m / 2^j
-    lo1, hi1 = psi_hat.band
-    lo2, hi2 = psi_tilde_hat.band
-    m_lo = int(math.ceil(lo2 - hi1 - 1e-12))
-    m_hi = int(math.floor(hi2 - lo1 + 1e-12))
-    groups = {}
-    for j in js:
-        for m in range(m_lo, m_hi + 1):
-            if m == 0:
-                continue
-            alpha = Fraction(m, 2 ** j) if j >= 0 else Fraction(m * 2 ** (-j))
-            groups.setdefault(alpha, []).append((j, m))
-    residual_ii = 0.0
-    worst_alpha = None
-    for gammas in _representative_grids(1.0, 2.0, gamma_points):
-        for alpha, members in groups.items():
-            total = np.zeros(gammas.shape, dtype=complex)
-            for j, m in members:
-                pts = (2.0 ** j) * gammas
-                total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts + m)
-            dev = float(np.abs(total).max())
-            if dev > residual_ii:
-                residual_ii, worst_alpha = dev, alpha
-    return AnalysisReport.from_residuals(
-        {"scaling_sum": residual_i, "shifted_sums": residual_ii}, tol,
-        notes=(
-            f"dyadic dual-frame conditions at b={b}; {len(groups)} shift classes checked"
-            + (f"; worst class alpha={worst_alpha}" if worst_alpha is not None else "")
-        ),
-        details={
-            "scaling_sum_coarse": refinement[0],
-            "scaling_sum_fine": refinement[1],
-            "shift_classes": float(len(groups)),
-        },
-    )
 
 
 @dataclass(frozen=True)
 class WavePacketGrid:
     """Dilations a_j, translation step b, and modulation offsets c_m.
 
-    The lists are finite by construction; optional truncation fields record
-    how many entries of a conceptual infinite family they keep, and the
-    gamma resolution drives every sup/inf estimate.
+    The lists are finite by construction; k_truncation optionally caps the
+    translation-shift window |k| of the overlap sums, and the gamma
+    resolution drives every sup/inf estimate.
     """
 
     a_values: tuple
     b: float
     c_values: tuple
-    j_truncation: Optional[int] = None
-    m_truncation: Optional[int] = None
     k_truncation: Optional[int] = None
     gamma_points: int = 4096
 
@@ -266,10 +171,8 @@ class WavePacketGrid:
             raise DomainError("dilations must be positive")
         if self.b <= 0:
             raise DomainError("b must be positive")
-        for name in ("j_truncation", "m_truncation", "k_truncation"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise DomainError(f"{name} must be a positive integer")
+        if self.k_truncation is not None and self.k_truncation < 1:
+            raise DomainError("k_truncation must be a positive integer")
         if self.gamma_points < 2:
             raise DomainError("gamma_points must be at least 2")
 
@@ -443,11 +346,7 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     frac = Fraction(x).limit_denominator(10 ** 9)
     if abs(float(frac) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
@@ -489,6 +388,110 @@ def _adic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, a: float, c_value
     return range(j_lo, j_hi + 1)
 
 
+def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values):
+    """n window of the shift classes alpha = a^j n / b.
+
+    A class contributes only if n/b fits inside the difference of the two
+    offset-shifted bands, a window that does not depend on j.
+    """
+    lo1, hi1 = psi.band
+    lo2, hi2 = psi_tilde.band
+    c_span = (max(c_values) - min(c_values)) if c_values else 0.0
+    n_max = int(math.ceil(b * ((max(hi1, hi2) - min(lo1, lo2)) + c_span))) + 1
+    return range(-n_max, n_max + 1)
+
+
+def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: float,
+                      c_values, js, ns, grids):
+    """Per grid, {alpha: max over the grid of |T_alpha - b [alpha = 0]|}, where
+
+    T_alpha(g) = sum over the j of the class and c in c_values of
+    psi(a^-j g - c) conj(psit(a^-j (g + alpha) - c)),
+
+    for the classes alpha = a^j n / b (j in js, n in ns) grouped exactly as
+    rationals.  This is the one dilation/shift-class loop of the duality
+    criteria: n = 0 puts every j in the class alpha = 0, the offset/dilation
+    sum that must equal b, and every other class must vanish.  The psi side
+    does not depend on alpha, so it is evaluated once per (grid, j, c), and
+    the psit side only where the psi side is nonzero: the skipped terms are
+    exact zeros, so each sum is that of the dense loop, in the order of js.
+    """
+    classes = {Fraction(0): list(js)} if 0 in ns else {}
+    if any(ns):
+        a_frac, b_frac = _as_fraction(a, "a"), _as_fraction(b, "b")
+        for j in js:
+            for n in ns:
+                if n:
+                    classes.setdefault((a_frac ** j) * n / b_frac, []).append(j)
+    a_f = float(a)
+    per_grid = []
+    for gammas in grids:
+        psi_side = {}
+        for j in js:
+            pts = gammas / (a_f ** j)
+            psi_side[j] = []
+            for c in c_values:
+                vals = psi_hat.values_at(pts - c)
+                nz = np.flatnonzero(vals)
+                if nz.size:
+                    psi_side[j].append((c, nz, vals[nz]))
+        devs = {}
+        for alpha, members in classes.items():
+            shifted = gammas + float(alpha)
+            total = np.zeros(gammas.shape, dtype=complex)
+            for j in members:
+                for c, nz, vals in psi_side[j]:
+                    psit = psi_tilde_hat.values_at(shifted[nz] / (a_f ** j) - c)
+                    total[nz] += vals * np.conj(psit)
+            devs[alpha] = float(np.abs(total - b if alpha == 0 else total).max())
+        per_grid.append(devs)
+    return per_grid
+
+
+def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
+                          b: float = 1.0, tolerance=None, gamma_points: int = 4096) -> AnalysisReport:
+    """Dual dyadic wavelet frames test for band-limited generators.
+
+    b is the translation step, and the test is the a = 2, c = {0} case of
+    wave_packet_duality_check.  Scaling sum: sum_j psi_hat(2^-j g)
+    conj(psit_hat(2^-j g)) = b for a.e. g.  Shifted sums: for every shift
+    class alpha = 2^j n / b != 0, i.e. 2^j times a point of (1/b)Z, grouped
+    by the exact rational alpha, the sum over the j of the class of
+    psi_hat(2^-j g) conj(psit_hat(2^-j (g + alpha))) vanishes.  Both are
+    dilation invariant, so both are sampled on +-[1, 2) at gamma_points and
+    2 * gamma_points midpoints.
+    """
+    tol = resolve_tolerance(tolerance)
+    if b <= 0:
+        raise DomainError("b must be positive")
+    js = _adic_j_window(psi_hat, psi_tilde_hat, 2.0, (0.0,))
+    # decreasing j, i.e. increasing dilation 2^-j: where three or more scales
+    # meet on one gamma the order fixes the last bits, and the dyadic sums
+    # keep theirs
+    per_grid = _class_deviations(psi_hat, psi_tilde_hat, 2, b, (0.0,), js[::-1],
+                                 _reachable_n(psi_hat, psi_tilde_hat, b, (0.0,)),
+                                 _representative_grids(1.0, 2.0, gamma_points))
+    refinement = [devs.pop(0) for devs in per_grid]
+    residual_ii, worst_alpha = 0.0, None
+    for devs in per_grid:
+        for alpha, dev in devs.items():
+            if dev > residual_ii:
+                residual_ii, worst_alpha = dev, alpha
+    classes = len(per_grid[0])
+    return AnalysisReport.from_residuals(
+        {"scaling_sum": max(refinement), "shifted_sums": residual_ii}, tol,
+        notes=(
+            f"dyadic dual-frame conditions at b={b}; {classes} shift classes checked"
+            + (f"; worst class alpha={worst_alpha}" if worst_alpha is not None else "")
+        ),
+        details={
+            "scaling_sum_coarse": refinement[0],
+            "scaling_sum_fine": refinement[1],
+            "shift_classes": float(classes),
+        },
+    )
+
+
 def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
                               a, b: float, c_values, tolerance=None,
                               full_check: bool = True, gamma_points: int = 2048) -> AnalysisReport:
@@ -499,7 +502,8 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     Condition c2: psi(g) conj(psit(g + q)) vanishes for q in (1/b) Z, q != 0.
     With full_check, the complete ratio-grouped criterion is evaluated: for
     every reachable alpha = a^j n / b != 0 (grouped exactly via rational
-    arithmetic) the corresponding double sum must vanish.
+    arithmetic) the corresponding double sum must vanish.  c1 is sampled at
+    gamma_points and the ratio classes at half that resolution (at least 256).
     """
     tol = resolve_tolerance(tolerance)
     a_f = float(a)
@@ -510,73 +514,34 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     c_values = [float(c) for c in c_values]
     js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
 
-    residuals = {}
+    c1 = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, (0,),
+                           _representative_grids(1.0, a_f, gamma_points))
+    residuals = {"c1": max(devs[0] for devs in c1)}
     details = {}
 
-    # c1: offset/dilation sum against b on scale representatives
-    dev_c1 = 0.0
-    for gammas in _representative_grids(1.0, a_f, gamma_points):
-        total = np.zeros(gammas.shape, dtype=complex)
-        for j in js:
-            pts = gammas / (a_f ** j)
-            for c in c_values:
-                total += psi_hat.values_at(pts - c) * np.conj(psi_tilde_hat.values_at(pts - c))
-        dev = float(np.abs(total - b).max()) if gammas.size else b
-        dev_c1 = max(dev_c1, dev)
-    if not list(js):
-        dev_c1 = b
-    residuals["c1"] = dev_c1
-
-    # c2: products of 1/b-shifted supports
-    dev_c2 = 0.0
+    # c2: products of 1/b-shifted supports, sampled at the centers of the psi cells
     lo1, hi1 = psi_hat.band
     lo2, hi2 = psi_tilde_hat.band
+    starts, _ = psi_hat.nonzero_cells()
+    centers = starts + psi_hat.step / 2
+    psi_c = psi_hat.values_at(centers)
     k_lo = int(math.ceil((lo1 - hi2) * b - 1e-12))
     k_hi = int(math.floor((hi1 - lo2) * b + 1e-12))
-    overlaps = 0
-    starts, _ = psi_hat.nonzero_cells() if not psi_hat.is_zero() else (np.array([]), None)
-    centers = starts + psi_hat.step / 2 if starts.size else np.array([])
-    for k in range(k_lo, k_hi + 1):
-        if k == 0:
-            continue
-        q = k / b
-        if centers.size:
-            prod = np.abs(psi_hat.values_at(centers) * np.conj(psi_tilde_hat.values_at(centers + q)))
-            dev_c2 = max(dev_c2, float(prod.max()) if prod.size else 0.0)
-            overlaps += 1
+    ks = [k for k in range(k_lo, k_hi + 1) if k != 0] if centers.size else []
+    dev_c2 = 0.0
+    for k in ks:
+        prod = np.abs(psi_c * np.conj(psi_tilde_hat.values_at(centers + k / b)))
+        dev_c2 = max(dev_c2, float(prod.max()))
     residuals["c2"] = dev_c2
-    details["c2_shifts_checked"] = float(overlaps)
+    details["c2_shifts_checked"] = float(len(ks))
 
     if full_check:
-        a_frac = _as_fraction(a, "a")
-        b_frac = _as_fraction(b, "b")
-        # alpha = a^j n / b contributes only if n/b fits inside the difference
-        # of the two offset-shifted bands, a j-independent window for n
-        c_span = (max(c_values) - min(c_values)) if c_values else 0.0
-        reach = (max(hi1, hi2) - min(lo1, lo2)) + c_span
-        n_max = int(math.ceil(b * reach)) + 1
-        groups = {}
-        for j in js:
-            for n in range(-n_max, n_max + 1):
-                if n == 0:
-                    continue
-                alpha = (a_frac ** j) * n / b_frac
-                groups.setdefault(alpha, []).append((j, n))
-        dev_g1 = 0.0
-        for gammas in _representative_grids(1.0, a_f, max(gamma_points // 2, 256)):
-            for alpha, members in groups.items():
-                alpha_f = float(alpha)
-                total = np.zeros(gammas.shape, dtype=complex)
-                for j, _n in members:
-                    pts = gammas / (a_f ** j)
-                    pts_shift = (gammas + alpha_f) / (a_f ** j)
-                    for c in c_values:
-                        total += psi_hat.values_at(pts - c) * np.conj(
-                            psi_tilde_hat.values_at(pts_shift - c)
-                        )
-                dev_g1 = max(dev_g1, float(np.abs(total).max()))
-        residuals["g1_offdiagonal"] = dev_g1
-        details["g1_classes"] = float(len(groups))
+        shifts = [n for n in _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if n]
+        per_grid = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, shifts,
+                                     _representative_grids(1.0, a_f, max(gamma_points // 2, 256)))
+        residuals["g1_offdiagonal"] = max(
+            (dev for devs in per_grid for dev in devs.values()), default=0.0)
+        details["g1_classes"] = float(len(per_grid[0]))
 
     return AnalysisReport.from_residuals(
         residuals, tol,

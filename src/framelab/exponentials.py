@@ -57,9 +57,6 @@ class LambdaSet:
             return math.inf
         return float(np.diff(self.lambdas).min())
 
-    def shifted(self, c: float) -> "LambdaSet":
-        return LambdaSet(self.lambdas + c)
-
     def to_json_dict(self):
         return {"lambdas": [float(v) for v in self.lambdas]}
 
@@ -181,6 +178,8 @@ def decay_study(family, n_max: int, dps: int = None):
     (gaps at least delta and delta <= 1).
     """
     _check_dps(dps)
+    if n_max < 2:
+        raise DomainError(f"n_max must be at least 2 (got {n_max})")
     if isinstance(family, str):
         try:
             rule = FAMILIES[family]

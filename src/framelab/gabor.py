@@ -282,9 +282,6 @@ class SampledWindow:
         im = np.interp(x, g, self.samples.imag, left=0.0, right=0.0)
         return re + 1j * im
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.step)
-
     def to_json_dict(self):
         return {
             "x0": self.x0, "step": self.step,

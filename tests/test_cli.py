@@ -357,6 +357,9 @@ def assert_usage_error(argv, capsys, bad):
     (["bspline", "scan", "--N", "2", "--a-grid", "1.9", "--b-grid", "0.25", "--period-points=-1"], "'-1'"),
     (["bspline", "scan", "--N", "2", "--a-grid", "1.9", "--b-grid", "0.25", "--period-points=-1000"],
      "'-1000'"),
+    (["exp", "decay", "--n-max", "-1"], "'-1'"),
+    (["exp", "decay", "--n-max", "0"], "'0'"),
+    (["exp", "decay", "--n-max", "1"], "n_max must be at least 2"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
