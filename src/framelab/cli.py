@@ -420,7 +420,7 @@ WAVE_PACKET_GRID = (
 ORDER = _required("--N", type=int)
 LAMBDAS = (_opt("--lambdas", type=_float_list, default=None), _opt("--file", default=None))
 DPS = _opt("--dps", type=int, default=None,
-           help=f"extended-precision digits, at least {expo.MIN_DPS} (default: float64)")
+           help=f"extended-precision digits, {expo.MIN_DPS} to {expo.MAX_DPS} (default: float64)")
 
 
 class Command(NamedTuple):

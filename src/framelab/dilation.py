@@ -347,7 +347,10 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
 
 def _as_fraction(x, name: str) -> Fraction:
     if isinstance(x, (Fraction, int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{name} must be a rational number, got {x!r}") from None
     frac = Fraction(x).limit_denominator(10 ** 9)
     if abs(float(frac) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
         raise DomainError(f"{name} must be rational for exact ratio grouping")
@@ -506,6 +509,8 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     gamma_points and the ratio classes at half that resolution (at least 256).
     """
     tol = resolve_tolerance(tolerance)
+    if isinstance(a, str):
+        a = _as_fraction(a, "a")
     a_f = float(a)
     if a_f <= 1:
         raise DomainError("the dilation base must exceed 1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,11 @@ CRUDE_FACTORIAL_POWER = 8
 #: fewest decimal digits accepted for extended precision (mpmath's default);
 #: below it the eigenvalue is wrong, e.g. dps=1 gives 2.34 for 2 pi - 4
 MIN_DPS = 15
+#: most decimal digits accepted; the cost grows about as dps^1.7 (see README)
+MAX_DPS = 1000
+
+#: fraction bits beyond mp.prec in the fixed-point eigenvalue kernel
+_GUARD_BITS = 40
 
 
 class LambdaSet:
@@ -76,47 +82,114 @@ def exp_gram(lset: LambdaSet) -> np.ndarray:
 
 
 def _check_dps(dps):
-    if dps is not None and dps < MIN_DPS:
-        raise DomainError(f"dps must be at least {MIN_DPS} (got {dps})")
+    if dps is not None and not MIN_DPS <= dps <= MAX_DPS:
+        raise DomainError(f"dps must be between {MIN_DPS} and {MAX_DPS} (got {dps})")
 
 
 def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     """Optimal lower bound on the span: smallest Gram eigenvalue, at least 0.
 
-    In float64, rounding in the eigensolver can make an eigenvalue below the
-    resolution of the 2 pi scale (~1e-15) come out negative; the Gram matrix
-    is positive semidefinite, so such values are clamped to 0.0.  Values below
-    float64 resolution need dps, which switches to extended-precision
-    arithmetic (decimal digits); fewer than MIN_DPS digits raise DomainError.
-    The extended-precision Gram is built on the upper triangle and mirrored,
-    with each entry 2 sin(pi d)/d computed once per distinct difference d.
+    The Gram matrix is positive semidefinite, so an eigenvalue that rounding
+    pushes below zero is clamped to 0.0.  In float64 that happens below the
+    resolution of the 2 pi scale (~1e-15); smaller values need dps, the
+    decimal digits of extended precision (MIN_DPS to MAX_DPS, else
+    DomainError).  Then each entry 2 sin(pi d)/d is computed once per
+    distinct difference d by mpmath at dps digits (mp.prec bits), converted
+    to an integer with P = mp.prec + 40 fraction bits, and the smallest
+    eigenvalue of that integer matrix is found in fixed point by Householder
+    tridiagonalization and Sturm-sequence bisection (_smallest_eigenvalue).
+    The cost is O(N^3) products of P-bit integers for the reduction and at
+    most about P bisection steps of N divisions each; see README for timings.
     """
     if dps is None:
         lo = float(np.linalg.eigvalsh(exp_gram(lset).real)[0])
-        return lo if lo > 0 else 0.0
-    _check_dps(dps)
-    from mpmath import mp, mpf, matrix, eigsy, sin, pi as mp_pi
+    else:
+        _check_dps(dps)
+        from mpmath import mp
 
-    old = mp.dps
-    mp.dps = dps
-    try:
-        n = lset.count
-        A = matrix(n, n)
-        lams = [mpf(float(v)) for v in lset.lambdas]
-        # negation, sin, products and quotients round sign-symmetrically,
-        # so the entry at -d is the entry at d
-        entries = {}
-        for j in range(n):
-            A[j, j] = 2 * mp_pi
-            for k in range(j + 1, n):
-                d = lams[j] - lams[k]
-                if d not in entries:
-                    entries[d] = 2 * sin(mp_pi * d) / d
-                A[j, k] = A[k, j] = entries[d]
-        ev = eigsy(A, eigvals_only=True)
-        return float(ev[0])
-    finally:
-        mp.dps = old
+        with mp.workdps(dps):
+            frac_bits = mp.prec + _GUARD_BITS
+            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits), frac_bits)
+    return lo if lo > 0 else 0.0
+
+
+def _fixed_gram(lset: LambdaSet, frac_bits: int):
+    """Rows of integers floor(G[j, k] 2^frac_bits), G computed at mp.dps.
+
+    Negation, sin, products and quotients round sign-symmetrically, so the
+    entry at -d is the entry at d: each is computed once per distinct d.
+    """
+    from mpmath import mpf, sin, pi as mp_pi
+    from mpmath.libmp import to_fixed
+
+    n = lset.count
+    lams = [mpf(float(v)) for v in lset.lambdas]
+    diagonal = to_fixed((2 * mp_pi)._mpf_, frac_bits)
+    rows = [[diagonal] * n for _ in range(n)]
+    entries = {}
+    for j in range(n):
+        for k in range(j + 1, n):
+            d = lams[j] - lams[k]
+            if d not in entries:
+                entries[d] = to_fixed((2 * sin(mp_pi * d) / d)._mpf_, frac_bits)
+            rows[j][k] = rows[k][j] = entries[d]
+    return rows
+
+
+def _smallest_eigenvalue(rows, frac_bits: int) -> float:
+    """Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+
+    Householder reflections reduce the integer matrix to tridiagonal form in
+    fixed point: products are shifted back by frac_bits and quotients
+    floored.  Each reflection I - 2 v v^T / v^T v is formed from the exact
+    integers of v and v^T v, so it is orthogonal, and the floors perturb each
+    entry by about one unit of 2^-frac_bits per step.  The smallest
+    eigenvalue of the tridiagonal T is then bisected on the Sturm sequence of
+    T - x I (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), starting from
+    the Gershgorin lower end and the smallest diagonal entry, until both ends
+    of the bracket round to the same float64.
+    """
+    diag, off_sq = [], []
+    a = rows
+    while len(a) > 1:
+        diag.append(a[0][0])
+        x = [r[0] for r in a[1:]]
+        a = [r[1:] for r in a[1:]]
+        s = sum(xi * xi for xi in x)
+        off_sq.append(s)  # the squared subdiagonal entry, at scale 2^(2 frac_bits)
+        if s == 0:
+            continue
+        alpha = math.isqrt(s) if x[0] < 0 else -math.isqrt(s)
+        vtv = s - 2 * alpha * x[0] + alpha * alpha
+        v = [x[0] - alpha] + x[1:]
+        # A <- H A H = A - v w^T - w v^T with p = 2 A v / v^T v, w = p - (v^T p / v^T v) v
+        p = [(sum(map(mul, r, v)) << (frac_bits + 1)) // vtv for r in a]
+        k = (sum(map(mul, v, p)) << frac_bits) // vtv
+        w = [pj - ((k * vj) >> frac_bits) for pj, vj in zip(p, v)]
+        a = [[aij - ((vi * wj + wi * vj) >> frac_bits) for aij, wj, vj in zip(r, w, v)]
+             for r, vi, wi in zip(a, v, w)]
+    diag.append(a[0][0])
+
+    def at_or_below(x):
+        """Is a pivot of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?"""
+        q = diag[0] - x
+        for d, e2 in zip(diag[1:], off_sq):
+            if q <= 0:
+                return True
+            q = d - x - e2 // q
+        return q <= 0
+
+    radius = [math.isqrt(e2) + 1 for e2 in off_sq]
+    lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
+    hi = min(diag)
+    scale = 1 << frac_bits
+    while hi - lo > 1 and lo / scale != hi / scale:
+        mid = (lo + hi) >> 1
+        if at_or_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi / scale
 
 
 class CrudeBound(NamedTuple):

@@ -21,7 +21,6 @@ from .core import (
     duality_check,
     frame_bounds,
     resolve_tolerance,
-    standard_basis,
 )
 
 
@@ -37,30 +36,33 @@ def extend_to_dual_pair(f_system: VectorSystem, g_system: VectorSystem,
                         tolerance=None, prune_zero: bool = False):
     """Return (p, q) such that (f + p, g + q) is a dual pair.
 
-    The auxiliary pair (a, b) must itself pass the dual-pair check; it
-    defaults to two copies of the standard basis, which keeps the bounds of
-    the extension as small as possible.  p_j vectors that collapse to zero
+    The auxiliary pair (a, b) defaults to two copies of the standard basis,
+    which keeps the bounds of the extension as small as possible; a supplied
+    pair must pass the dual-pair check.  p_j vectors that collapse to zero
     (this happens exactly when (f, g) is already dual) are kept so that the
     output lengths match a; pass prune_zero=True to drop them and their
     partners.
     """
     tol = resolve_tolerance(tolerance)
     dim = f_system.ambient_dim
-    if a_system is None and b_system is None:
-        a_system = standard_basis(dim, label="a")
-        b_system = standard_basis(dim, label="b")
-    if a_system is None or b_system is None:
-        raise DomainError("supply both auxiliary families or neither")
-    if a_system.ambient_dim != dim or b_system.ambient_dim != dim:
-        raise DimensionMismatch("auxiliary pair lives in the wrong ambient dimension")
-    aux = duality_check(a_system, b_system, tol)
-    if not aux.passed:
-        raise DomainError(
-            f"auxiliary pair is not dual (residual {aux.residuals['duality']:.3e} > {tol:.1e})"
-        )
     Phi = np.eye(dim) - mixed_frame_matrix(f_system, g_system)
-    p_rows = (Phi.conj().T @ a_system.vectors.T).T
-    q_rows = b_system.vectors.copy()
+    if a_system is None and b_system is None:
+        # with a_j = e_j, p_j = Phi* e_j is row j of conj(Phi); adding 0.0
+        # turns the -0.0 that conj gives real entries into 0.0
+        p_rows = Phi.conj() + 0.0
+        q_rows = np.eye(dim, dtype=complex)
+    else:
+        if a_system is None or b_system is None:
+            raise DomainError("supply both auxiliary families or neither")
+        if a_system.ambient_dim != dim or b_system.ambient_dim != dim:
+            raise DimensionMismatch("auxiliary pair lives in the wrong ambient dimension")
+        aux = duality_check(a_system, b_system, tol)
+        if not aux.passed:
+            raise DomainError(
+                f"auxiliary pair is not dual (residual {aux.residuals['duality']:.3e} > {tol:.1e})"
+            )
+        p_rows = (Phi.conj().T @ a_system.vectors.T).T
+        q_rows = b_system.vectors.copy()
     if prune_zero:
         keep = np.linalg.norm(p_rows, axis=1) > tol
         p_rows = p_rows[keep]

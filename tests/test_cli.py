@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framelab import exponentials as expo
 from framelab.cli import build_parser, main
 from framelab.core import VectorSystem, standard_basis
 from framelab.dilation import FreqFunction
@@ -284,10 +285,7 @@ def test_golden_output(case, capsys):
 def readme_commands():
     """The `framelab ...` examples of the README "Command line" section."""
     section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
-    cmds = [line[len("framelab "):] for line in section.splitlines() if line.startswith("framelab ")]
-    # the decay table is golden at a smaller size to keep the suite fast
-    return [cmd.replace("--n-max 40", "--n-max 12") if cmd.startswith("exp decay") else cmd
-            for cmd in cmds]
+    return [line[len("framelab "):] for line in section.splitlines() if line.startswith("framelab ")]
 
 
 def test_readme_examples_are_golden():
@@ -363,6 +361,25 @@ def assert_usage_error(argv, capsys, bad):
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
+
+
+@pytest.mark.parametrize("argv", [["exp", "bound", "--lambdas", "0,1"], ["exp", "decay", "--n-max", "3"]])
+def test_dps_over_the_cap_exits_2_before_any_gram(argv, capsys, monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(expo, "_fixed_gram", no_gram)
+    assert_usage_error(argv + ["--dps", str(expo.MAX_DPS + 1)], capsys, f"(got {expo.MAX_DPS + 1})")
+
+
+def test_exp_decay_prints_no_negative_extended_precision_bound(capsys):
+    # at dps 15 the rounded Gram is indefinite from N = 25 on; those rows are clamped
+    code, out, _ = run_cli(["exp", "decay", "--n-max", "30", "--dps", "15", "--format", "csv"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert all(float(row[1]) >= 0.0 for row in rows)
+    assert [int(row[0]) for row in rows if row[1] == "0.0"] == list(range(25, 31))
+    assert all(row[3] == "inf" and row[4] == "-inf" for row in rows if row[1] == "0.0")
 
 
 @pytest.mark.parametrize("argv, bad", [

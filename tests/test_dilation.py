@@ -178,6 +178,17 @@ def test_wave_packet_duality_matches_wavelet_for_shannon():
     assert wp.residuals["g1_offdiagonal"] <= 1e-12
 
 
+def test_wave_packet_duality_rational_string_dilation():
+    # "5/2" is the rational 5/2 of the exact class grouping, the float 2.5 elsewhere
+    psi = freq_indicator(1.0, 2.5, step=1 / 64)
+    as_string = wave_packet_duality_check(psi, psi, a="5/2", b=1.0, c_values=[0.0])
+    as_float = wave_packet_duality_check(psi, psi, a=2.5, b=1.0, c_values=[0.0])
+    assert as_string == as_float
+    for bad in ("abc", "1/0"):
+        with pytest.raises(DomainError, match="a must be a rational number"):
+            wave_packet_duality_check(psi, psi, a=bad, b=1.0, c_values=[0.0])
+
+
 def test_corollary_consistency_c1_c2_imply_g1():
     # whenever (c1) and (c2) pass, the grouped full criterion passes too
     psi = shannon_wavelet()

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from framelab import exponentials
 from framelab.core import DomainError
 from framelab.exponentials import (
+    MAX_DPS,
     LambdaSet,
     crude_bound,
     decay_study,
@@ -111,25 +113,72 @@ def test_mp_lower_bound_equals_full_gram_oracle_random_sets():
 
 @pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
 def test_mp_gram_equals_full_gram_oracle(family, monkeypatch):
-    # entrywise equality of the matrix handed to eigsy implies equal
-    # eigenvalues, at one eigsy per N instead of two
+    # the kernel starts from the full Gram, floored to its fixed point, and
+    # returns the float of eigsy's smallest eigenvalue at the same dps
     import mpmath
+    from mpmath.libmp import to_fixed
 
-    real_eigsy = mpmath.eigsy
+    real_kernel = exponentials._smallest_eigenvalue
     solved = []
 
-    def recording_eigsy(A, **kwargs):
-        ev = real_eigsy(A.copy(), **kwargs)
-        solved.append((A.copy(), ev))
-        return ev
+    def recording_kernel(rows, frac_bits):
+        solved.append((rows, frac_bits))
+        return real_kernel(rows, frac_bits)
 
-    monkeypatch.setattr(mpmath, "eigsy", recording_eigsy)
+    monkeypatch.setattr(exponentials, "_smallest_eigenvalue", recording_kernel)
     for N in range(2, 41):
         value = lower_bound(family(N), dps=60)
-        A, ev = solved.pop()
+        rows, frac_bits = solved.pop()
         with mpmath.mp.workdps(60):
-            assert A.tolist() == full_mp_gram(family(N)).tolist()
-        assert value == float(ev[0])
+            assert frac_bits == mpmath.mp.prec + 40
+            full = full_mp_gram(family(N))
+            assert rows == [[to_fixed(full[j, k]._mpf_, frac_bits) for k in range(N)]
+                            for j in range(N)]
+            assert value == float(mpmath.eigsy(full, eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("dps", [15, 20, 30])
+def test_mp_lower_bound_within_resolution_where_eigsy_at_dps_cannot_resolve(dps):
+    # the reference is eigsy at dps + 40 digits on the same dps-digit entries;
+    # half-integer N = 26 (6.5e-18) sits below the resolution at dps 15
+    import mpmath
+
+    rng = np.random.default_rng(dps)
+    sets = [half_integer_lambdas(26)] + [
+        LambdaSet(np.sort(rng.uniform(0.0, 0.3 * n, n))) for n in rng.integers(2, 20, 6)]
+    for lset in sets:
+        with mpmath.mp.workdps(dps):
+            gram, prec = full_mp_gram(lset), mpmath.mp.prec
+        with mpmath.mp.workdps(dps + 40):
+            reference = float(mpmath.eigsy(gram, eigvals_only=True)[0])
+        value = lower_bound(lset, dps=dps)
+        assert abs(value - max(reference, 0.0)) <= lset.count * 2.0 ** (3 - prec)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_on_a_tridiagonal_matrix(n):
+    # the second difference matrix with +1 off the diagonal: its first column
+    # is already reduced, and its smallest eigenvalue is 4 sin^2(pi / (2n + 2))
+    import mpmath
+
+    frac_bits = 100
+    one = 1 << frac_bits
+    rows = [[2 * one if j == k else one if abs(j - k) == 1 else 0 for k in range(n)]
+            for j in range(n)]
+    with mpmath.mp.workdps(50):
+        exact = float(4 * mpmath.sin(mpmath.pi / (2 * n + 2)) ** 2)
+    assert exponentials._smallest_eigenvalue(rows, frac_bits) == exact
+
+
+def test_mp_lower_bound_never_negative():
+    # at dps 15 the rounded entries make the Gram indefinite from N = 25 on
+    rows = decay_study("half_integer", 30, dps=15)
+    assert all(r.lower >= 0.0 for r in rows)
+    zero = [r.N for r in rows if r.lower == 0.0]
+    assert zero == list(range(25, 31))
+    assert all(r.ratio == math.inf and r.log10_lower == -math.inf
+               for r in rows if r.lower == 0.0)
+    assert lower_bound(half_integer_lambdas(30), dps=15) == 0.0
 
 
 def test_lower_bound_shift_invariance():
@@ -200,6 +249,18 @@ def test_decay_extended_precision_reaches_strict_decrease():
 def test_decay_custom_family_callable():
     rows = decay_study(lambda N: 0.75 * np.arange(N), 6)
     assert [r.N for r in rows] == [2, 3, 4, 5, 6]
+
+
+def test_dps_over_the_cap_rejected_before_any_gram(monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was built")
+
+    assert lower_bound(LambdaSet([0.0, 0.5]), dps=MAX_DPS) == pytest.approx(2 * np.pi - 4, abs=1e-12)
+    monkeypatch.setattr(exponentials, "_fixed_gram", no_gram)
+    with pytest.raises(DomainError, match="dps"):
+        lower_bound(LambdaSet([0.0, 1.0]), dps=MAX_DPS + 1)
+    with pytest.raises(DomainError, match="dps"):
+        decay_study("integer", 3, dps=MAX_DPS + 1)
 
 
 def test_low_precision_dps_rejected():

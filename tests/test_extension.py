@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framelab import extension
 from framelab.core import (
     DomainError,
     VectorSystem,
@@ -42,6 +43,28 @@ def test_random_bessel_pair_with_canonical_dual_auxiliary():
     assert report.residuals["duality"] <= 1e-10
     assert report.details["f_union_lower"] > 0
     assert report.details["g_union_lower"] > 0
+
+
+def test_default_pair_equals_supplied_standard_basis_bitwise(monkeypatch):
+    # the default skips the dual-pair check and the product with the identity
+    rng = np.random.default_rng(5)
+    cases = []
+    for dim in (2, 3, 17, 64, 256):
+        f = random_system(rng, dim // 2, dim)
+        g = random_system(rng, dim // 2, dim)
+        real = VectorSystem(f.vectors.real, ambient_dim=dim), VectorSystem(g.vectors.real, ambient_dim=dim)
+        cases += [(f, g), real]
+    supplied = [extend_to_dual_pair(f, g, standard_basis(f.ambient_dim), standard_basis(f.ambient_dim))
+                for f, g in cases]
+
+    def no_check(*args):
+        raise AssertionError("the default pair was checked")
+
+    monkeypatch.setattr(extension, "duality_check", no_check)
+    for (f, g), (p_ref, q_ref) in zip(cases, supplied):
+        p, q = extend_to_dual_pair(f, g)
+        assert np.array_equal(p.vectors.view(np.uint64), p_ref.vectors.view(np.uint64))
+        assert np.array_equal(q.vectors.view(np.uint64), q_ref.vectors.view(np.uint64))
 
 
 def test_non_dual_auxiliary_rejected():
