@@ -11,11 +11,17 @@ bounds use too): exact bounds where the support fits one frequency period
 and the overlap sum is empty, a sufficient condition beyond it, and an
 honest "undecided" elsewhere; the only negative certificate is exact
 vanishing of the periodized diagonal.
+
+The kernel evaluates the spline in blocks of grid rows, several translates
+per call and all frequency shifts of one translate per call.  Evaluation is
+pointwise, so the sums are bit-identical to one call per term; cells too
+large to evaluate are rejected before any grid is built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,11 +59,18 @@ def bspline_eval(N: int, x) -> np.ndarray:
     xs = np.empty((N, np.count_nonzero(live)))
     xs[0] = x[live]
     for j in range(1, N):
-        xs[j] = xs[j - 1] - 1
-    b = np.where((xs >= 0) & (xs < 1), 1.0, 0.0)
+        np.subtract(xs[j - 1], 1, out=xs[j])
+    b = ((xs >= 0) & (xs < 1)).astype(float)
+    right = np.empty_like(b)
     for k in range(2, N + 1):
-        t = xs[:N - k + 1]
-        b = (t * b[:-1] + (k - t) * b[1:]) / (k - 1)
+        # rows [:m] become (t b[:-1] + (k - t) b[1:]) / (k - 1), in place
+        m = N - k + 1
+        t = xs[:m]
+        np.subtract(k, t, out=right[:m])
+        right[:m] *= b[1:m + 1]
+        b[:m] *= t
+        b[:m] += right[:m]
+        b[:m] /= k - 1
     out[live] = b[0]
     return out
 
@@ -136,6 +149,36 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
     return pts[(pts >= 0) & (pts < a)]
 
 
+#: largest cell the scanner evaluates, in offsets x (1 + shifts) x grid points;
+#: the acceptance grids and `bspline scan --N 4` over a = 0.1..3.9 stay below 10^6
+MAX_CELL_WORK = 10 ** 8
+
+
+def _check_cell(N, a, b, period_points):
+    """Reject a cell the scanner cannot or should not evaluate, before any
+    offset list, shift list or grid is built."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise DomainError(f"order must be a positive integer (got {N!r})")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"lattice steps must be finite (got a={a!r}, b={b!r})")
+    if a <= 0 or b <= 0:
+        raise DomainError("lattice steps must be positive")
+    if period_points < 1:
+        raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
+    # upper estimate of the counts translation_overlap_bounds forms, in floats:
+    # an offset or shift count beyond the float range is rejected as well
+    try:
+        shifts = 2 * (b * N + 2) if b * N > 1 + 1e-12 else 0
+        points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
+        work = (N / a + 4) * (1 + shifts) * points
+    except OverflowError:
+        work = math.inf
+    if not work <= MAX_CELL_WORK:
+        raise DomainError(
+            f"cell N={N}, a={a:g}, b={b:g} needs about {work:.3g} spline evaluations, "
+            f"more than the limit {MAX_CELL_WORK:.0e}")
+
+
 def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
     """Periodized translation-overlap bounds on a knot-augmented grid over [0, a).
 
@@ -146,10 +189,11 @@ def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 
     The true inf/sup lie within slack of the grid values (Lipschitz bound;
     exact for order 1, whose piecewise-constant sums are sampled in every
     piece).  A positive lower value certifies a frame with bounds
-    (inf/b, sup/b); a nonpositive one is inconclusive.
+    (inf/b, sup/b); a nonpositive one is inconclusive.  Raises DomainError
+    for a non-integral order, non-finite steps and a cell whose estimated
+    work is above MAX_CELL_WORK, before anything is built.
     """
-    if period_points < 1:
-        raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
+    _check_cell(N, a, b, period_points)
     shifts = []
     if b * N > 1 + 1e-12:
         k_max = int(math.ceil(b * N)) + 1
@@ -233,10 +277,10 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     Certificates: exact periodized bounds in the painless regime (including
     the exact-vanishing negative certificate), the translation-overlap
     sufficient condition outside it, and otherwise undecided with a cyclic
-    finite-section estimate attached when feasible.
+    finite-section estimate attached when feasible.  Rejects the input
+    translation_overlap_bounds rejects, with DomainError.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("lattice steps must be positive")
+    _check_cell(N, a, b, period_points)
     painless = b * N <= 1 + 1e-12
     lo, hi, slack = translation_overlap_bounds(
         N, a, b, period_points if painless else max(period_points, 2048))

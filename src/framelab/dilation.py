@@ -208,31 +208,56 @@ class _CeilingExceeded(Exception):
     """A partial translation-overlap sum passed the ceiling."""
 
 
+#: points per values_at call of _overlap_sums (one grid row if that is larger):
+#: one call per whole cell is barely faster and multiplies the peak memory
+_BLOCK_POINTS = 2 ** 14
+
+
 def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
                   ceiling: float = math.inf):
     """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
 
-    The sums run over every dilation a, offset c and shift s; terms whose
+    The sums run over every dilation a, offset c and shift s; offsets whose
     |g(u)| vanishes everywhere are skipped.  This is the one translation-
     overlap loop: the wave-packet bounds use shifts k/b, the B-spline
     scanner one dilation, offsets n*a and shifts k/b (none when painless).
-    Raises _CeilingExceeded once max(diag + off) passes the ceiling.
+    Raises _CeilingExceeded once max(diag + off) passes the ceiling, tested
+    after each offset.
+
+    values_at is called on blocks of at most _BLOCK_POINTS points: the rows
+    u of several offsets at once, and for each offset the shifted points
+    u - s of all shifts at once, taken only where g(u) != 0.  The result is
+    bit-identical to one call per (offset, shift) term: values_at is
+    elementwise, every point is the same float expression, the terms are
+    added in the same order, and a skipped column would add an exact +0.0
+    to a nonnegative sum.
     """
-    diag = np.zeros(gammas.shape)
-    off = np.zeros(gammas.shape)
+    pts = np.ravel(gammas)
+    diag = np.zeros(pts.shape)
+    off = np.zeros(pts.shape)
+    shifts = np.asarray(shifts, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    rows_per_call = max(1, _BLOCK_POINTS // max(pts.size, 1))
     for a in dilations:
-        base = gammas / a
-        for c in offsets:
-            u = base - c
-            g0 = np.abs(values_at(u))
-            if not np.any(g0):
-                continue
-            diag += g0 ** 2
-            for s in shifts:
-                off += g0 * np.abs(values_at(u - s))
-            if ceiling < math.inf and float((diag + off).max()) > ceiling:
-                raise _CeilingExceeded
-    return diag, off
+        base = pts / a
+        for first in range(0, offsets.size, rows_per_call):
+            u_block = base - offsets[first:first + rows_per_call, None]
+            for u, g0 in zip(u_block, np.abs(values_at(u_block))):
+                if not np.any(g0):
+                    continue
+                diag += g0 ** 2
+                if shifts.size:
+                    live = np.flatnonzero(g0)
+                    u_live, g_live, acc = u[live], g0[live], off[live]
+                    shifts_per_call = max(1, _BLOCK_POINTS // live.size)
+                    for first_s in range(0, shifts.size, shifts_per_call):
+                        block = u_live - shifts[first_s:first_s + shifts_per_call, None]
+                        for row in np.abs(values_at(block)):
+                            acc += g_live * row
+                    off[live] = acc
+                if ceiling < math.inf and float((diag + off).max()) > ceiling:
+                    raise _CeilingExceeded
+    return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 
 def _wave_packet_sums(g_hat: FreqFunction, grid: WavePacketGrid, grids, ceiling: float):
@@ -465,6 +490,8 @@ def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
     2 * gamma_points midpoints.
     """
     tol = resolve_tolerance(tolerance)
+    if isinstance(b, str):
+        b = float(_as_fraction(b, "b"))
     if b <= 0:
         raise DomainError("b must be positive")
     js = _adic_j_window(psi_hat, psi_tilde_hat, 2.0, (0.0,))
@@ -514,6 +541,8 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     a_f = float(a)
     if a_f <= 1:
         raise DomainError("the dilation base must exceed 1")
+    if isinstance(b, str):
+        b = float(_as_fraction(b, "b"))
     if b <= 0:
         raise DomainError("b must be positive")
     c_values = [float(c) for c in c_values]

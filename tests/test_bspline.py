@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from framelab import bspline
 from framelab.core import DomainError, FrameBounds
 from framelab.bspline import (
     PhaseDiagramCell,
@@ -204,6 +207,32 @@ def test_nonpositive_period_points_rejected(points):
         translation_overlap_bounds(2, 1.9, 0.25, period_points=points)
     with pytest.raises(DomainError, match="period_points"):
         classify_cell(2, 1.9, 0.25, period_points=points)
+
+
+def no_evaluation(*args):
+    raise AssertionError("the cell was evaluated")
+
+
+@pytest.mark.parametrize("N, a, b, match", [
+    (2, math.nan, 0.3, "finite"),
+    (2, math.inf, 0.3, "finite"),
+    (2, 0.5, math.nan, "finite"),
+    (2, 0.5, -math.inf, "finite"),
+    (2.5, 0.5, 0.3, "order"),
+    (2.0, 0.5, 0.3, "order"),
+    (10 ** 400, 0.5, 0.3, "spline evaluations"),
+    # a = 1e-5 (2e5 offsets) and b = 1e4 (4e4 shifts), no smaller a and no
+    # larger b: without the guard these lists are still small
+    (2, 1e-5, 0.3, "more than the limit"),
+    (2, 0.5, 1e4, "more than the limit"),
+])
+def test_hostile_cells_rejected_before_any_grid(N, a, b, match, monkeypatch):
+    monkeypatch.setattr(bspline, "_overlap_sums", no_evaluation)
+    monkeypatch.setattr(bspline, "_scan_grid", no_evaluation)
+    with pytest.raises(DomainError, match=match):
+        classify_cell(N, a, b)
+    with pytest.raises(DomainError, match=match):
+        translation_overlap_bounds(N, a, b, period_points=1024)
 
 
 def test_finite_section_matches_painless_on_aligned_grids():

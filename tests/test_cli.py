@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framelab import bspline as bsp
 from framelab import exponentials as expo
 from framelab.cli import build_parser, main
 from framelab.core import VectorSystem, standard_basis
@@ -370,6 +371,15 @@ def test_dps_over_the_cap_exits_2_before_any_gram(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(expo, "_fixed_gram", no_gram)
     assert_usage_error(argv + ["--dps", str(expo.MAX_DPS + 1)], capsys, f"(got {expo.MAX_DPS + 1})")
+
+
+def test_oversized_scan_cell_exits_2_before_any_grid(capsys, monkeypatch):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the cell was evaluated")
+
+    monkeypatch.setattr(bsp, "_overlap_sums", no_sums)
+    assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "1e-5", "--b-grid", "0.3"],
+                       capsys, "a=1e-05")
 
 
 def test_exp_decay_prints_no_negative_extended_precision_bound(capsys):

@@ -189,6 +189,21 @@ def test_wave_packet_duality_rational_string_dilation():
             wave_packet_duality_check(psi, psi, a=bad, b=1.0, c_values=[0.0])
 
 
+def test_duality_checks_rational_string_translation_step():
+    # "1/2" is the float 0.5 before the positivity test and the rational 1/2
+    # of the exact class grouping, as b=0.5 is
+    psi = shannon_wavelet()
+    assert wavelet_duality_check(psi, psi.scaled(0.5), b="1/2") == \
+        wavelet_duality_check(psi, psi.scaled(0.5), b=0.5)
+    assert wave_packet_duality_check(psi, psi, a=2, b="1/2", c_values=[0.0]) == \
+        wave_packet_duality_check(psi, psi, a=2, b=0.5, c_values=[0.0])
+    for bad in ("x", "1/0"):
+        with pytest.raises(DomainError, match="b must be a rational number"):
+            wavelet_duality_check(psi, psi, b=bad)
+        with pytest.raises(DomainError, match="b must be a rational number"):
+            wave_packet_duality_check(psi, psi, a=2, b=bad, c_values=[0.0])
+
+
 def test_corollary_consistency_c1_c2_imply_g1():
     # whenever (c1) and (c2) pass, the grouped full criterion passes too
     psi = shannon_wavelet()

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from framelab import bspline, dilation
 from framelab.bspline import (
     STATUS_FRAME,
     STATUS_UNDECIDED,
@@ -95,6 +96,19 @@ def test_classify_cell_matches_oracle_bitwise(N):
             status, lower, upper, method = classify_oracle(N, a, b, period_points=256)
             assert (cell.status, cell.method) == (status, method)
             assert bits(cell.bounds_estimate.lower, cell.bounds_estimate.upper) == bits(lower, upper)
+
+
+def test_classify_cell_matches_oracle_bitwise_on_the_benchmark_grid():
+    # the scan_decay cells: N = 2..5, a = 0.25..1.75, b = 0.10..0.45 and 1.0,
+    # default period_points
+    for N in (2, 3, 4, 5):
+        for a in (0.25 * k for k in range(1, 8)):
+            for b in [round(0.10 + 0.05 * k, 2) for k in range(8)] + [1.0]:
+                cell = classify_cell(N, a, b, attach_estimates=False)
+                status, lower, upper, method = classify_oracle(N, a, b)
+                assert (cell.status, cell.method) == (status, method)
+                assert bits(cell.bounds_estimate.lower, cell.bounds_estimate.upper) == \
+                    bits(lower, upper)
 
 
 def test_overlap_bounds_match_oracles_bitwise():
@@ -234,3 +248,31 @@ def test_wave_packet_bounds_match_oracles_bitwise(ceiling):
     assert seen["finite"] > 0
     if ceiling == 3.0:
         assert seen["overflow"] > 0
+
+
+def test_kernel_calls_stay_within_the_block(monkeypatch):
+    # no values_at call of the kernel gets more than 2^14 points unless one
+    # grid row alone is larger
+    kernel = dilation._overlap_sums
+    calls = []
+
+    def recording(values_at, dilations, offsets, shifts, gammas, *args):
+        def wrapped(u):
+            calls.append((np.size(u), np.size(gammas)))
+            return values_at(u)
+        return kernel(wrapped, dilations, offsets, shifts, gammas, *args)
+
+    monkeypatch.setattr(bspline, "_overlap_sums", recording)
+    monkeypatch.setattr(dilation, "_overlap_sums", recording)
+    for N, a, b in ((2, 0.25, 0.45), (5, 0.25, 1.0), (3, 1.75, 0.1)):
+        classify_cell(N, a, b, attach_estimates=False)
+    rng = np.random.default_rng(5)
+    g, grid, _ = random_instance(rng)
+    lo, hi = _coverage_box(g, grid)
+    wave_packet_frame_bounds(g, grid, gamma_grid=np.linspace(lo, hi, 20000))
+    wave_packet_frame_bounds(g, grid)
+    assert calls
+    assert all(points <= max(2 ** 14, row) for points, row in calls)
+    # rows are batched, and a row above the block size is evaluated alone
+    assert any(points > row for points, row in calls)
+    assert any(points == row > 2 ** 14 for points, row in calls)
