@@ -33,6 +33,7 @@ from .core import (
     FrameBounds,
     GridError,
     LatticeError,
+    _sample_count,
     resolve_tolerance,
 )
 from .dilation import _overlap_sums
@@ -132,7 +133,7 @@ def property_suite(N: int, tolerance=None, grid_points: int = 2048) -> AnalysisR
 
 def sample_bspline(N: int, step: float = 1.0 / 64) -> SampledWindow:
     """B_N sampled on [0, N] with the given step."""
-    count = int(round(N / step)) + 1
+    count = _sample_count(N, step) + 1
     x = step * np.arange(count)
     return SampledWindow(0.0, step, bspline_eval(N, x), (0.0, float(N)))
 
@@ -149,8 +150,10 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
     return pts[(pts >= 0) & (pts < a)]
 
 
-#: largest cell the scanner evaluates, in offsets x (1 + shifts) x grid points;
-#: the acceptance grids and `bspline scan --N 4` over a = 0.1..3.9 stay below 10^6
+#: largest cell the scanner evaluates, in entries of the triangular tables
+#: bspline_eval fills: N (N + 1) / 2 per spline evaluation, offsets x (1 + shifts)
+#: x grid points evaluations; the acceptance grids, the benchmark cells and
+#: `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 stay below 1.3 * 10^7
 MAX_CELL_WORK = 10 ** 8
 
 
@@ -170,13 +173,13 @@ def _check_cell(N, a, b, period_points):
     try:
         shifts = 2 * (b * N + 2) if b * N > 1 + 1e-12 else 0
         points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
-        work = (N / a + 4) * (1 + shifts) * points
+        work = (N / a + 4) * (1 + shifts) * points * (N * (N + 1) // 2)
     except OverflowError:
         work = math.inf
     if not work <= MAX_CELL_WORK:
         raise DomainError(
-            f"cell N={N}, a={a:g}, b={b:g} needs about {work:.3g} spline evaluations, "
-            f"more than the limit {MAX_CELL_WORK:.0e}")
+            f"cell N={N}, a={a:g}, b={b:g} needs about {work:.3g} table entries in its "
+            f"spline evaluations, more than the limit {MAX_CELL_WORK:.0e}")
 
 
 def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
@@ -357,8 +360,9 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance: floa
     coeff, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
 
     bf = Fraction(b).limit_denominator(10 ** 6)
-    if abs(float(bf) - b) > 1e-12:
-        raise GridError("b must be rational to sample the verification grid")
+    if bf == 0 or abs(float(bf) - b) > 1e-12:
+        raise GridError("b must be a rational of denominator at most 10^6 to sample the "
+                        "verification grid")
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     x = -K + output_step * np.arange(count)

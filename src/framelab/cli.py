@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,10 +72,15 @@ def _float_list(text):
 
 
 def _int_list(text):
-    values = _float_list(text)
-    if any(v != int(v) or v < 1 for v in values):
+    """Comma-separated positive integers in digits (1e9 is not one), at least one."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+    if not tokens or not all(tok.isdigit() and int(tok) >= 1 for tok in tokens):
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
-    return [int(v) for v in values]
+    return [int(tok) for tok in tokens]
+
+
+#: most values a start:stop:step range may expand to
+MAX_RANGE_VALUES = 2 ** 16
 
 
 def _range(text):
@@ -87,6 +93,8 @@ def _range(text):
     start, stop, step = (_number(tok) for tok in parts)
     if step == 0:
         raise argparse.ArgumentTypeError(f"zero step in {text!r}")
+    if not (stop - start) / step <= MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(f"more than {MAX_RANGE_VALUES} values in {text!r}")
     values = [float(v) for v in np.arange(start, stop + step / 2, step)]
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
@@ -104,10 +112,14 @@ def _points(text):
     return points
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _natural(text, least=0):
+    """An integer >= least; seeds take 0 and up, as numpy's generators do."""
+    if not text.isdigit() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return int(text)
+
+
+_positive_int = partial(_natural, least=1)
 
 
 # -- input files and window specs ------------------------------------------------
@@ -215,8 +227,6 @@ def _json_ready(obj):
 def emit(args, command: str, result: dict, rows=None, fieldnames=None) -> None:
     fmt = args.format
     if fmt == "csv":
-        if rows is None:
-            raise FrameLabError(f"{command} has no tabular output; use --format json")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -398,7 +408,7 @@ COMMON = (
 )
 TOLERANCE = _opt("--tolerance", type=core.resolve_tolerance, default=None,
                  help="override the pass tolerance (default: FRAMELAB_TOLERANCE or 1e-10)")
-SEED = _opt("--seed", type=int, default=0, help="seed for randomized inputs")
+SEED = _opt("--seed", type=_natural, default=0, help="seed for randomized inputs")
 JOBS = _opt("--jobs", type=_positive_int, default=1, help="worker processes")
 FILE = _required("--file")
 F_G = (_required("--f"), _required("--g"))
@@ -593,10 +603,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cmd = args.command
+        if args.format == "csv" and not cmd.fields:
+            raise FrameLabError(f"{args.group} {cmd.op} has no tabular output; use --format json")
         result = cmd.run(args)
         emit(args, f"{args.group} {cmd.op}", result,
              result["rows"] if cmd.fields else None, cmd.fields)
-    except (FrameLabError, OSError) as exc:
+    except (FrameLabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -72,6 +72,33 @@ def resolve_tolerance(tolerance=None) -> float:
     return value
 
 
+#: most samples a sampled window or band-limited function is built with (64 MB complex)
+MAX_SAMPLES = 2 ** 22
+
+
+def _sample_count(width: float, step: float) -> int:
+    """round(width / step), the samples of a grid over width; DomainError
+    before anything is built for a negative width or more than MAX_SAMPLES."""
+    if not 0 <= width / step <= MAX_SAMPLES:
+        raise DomainError(f"a width of {width:g} at step {step:g} needs between 0 and "
+                          f"{MAX_SAMPLES} samples")
+    return int(round(width / step))
+
+
+#: largest span b * width of the shifts k/b that meet within a width: each
+#: check loops over about twice as many shifts or shift classes
+MAX_SHIFTS = 10 ** 4
+
+
+def _shift_window(span: float) -> int:
+    """ceil(span) + 1, the |k| window of the shifts k/b that meet within a
+    width, span = b * width; DomainError when span passes MAX_SHIFTS."""
+    if not span <= MAX_SHIFTS:
+        raise DomainError(f"about {span:.3g} translation shifts meet within one band, "
+                          f"more than the limit {MAX_SHIFTS}")
+    return int(math.ceil(span)) + 1
+
+
 def _field(data, key):
     """data[key] of a decoded JSON object; a missing field raises DomainError."""
     try:
@@ -110,18 +137,6 @@ def _decode_pairs(pairs, what="values") -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
-def relative_gap(x: float, y: float, floor: float = 0.0) -> float:
-    """|x - y| scaled by max(|x|, |y|, floor).
-
-    The floor keeps rounding-level quantities (e.g. two numerically zero
-    eigenvalues) from producing spurious O(1) relative errors.
-    """
-    denom = max(abs(x), abs(y), floor)
-    if denom == 0.0:
-        return 0.0
-    return abs(x - y) / denom
-
-
 #: absolute resolution of dense Hermitian eigensolvers, as a fraction of the
 #: spectral scale; quantities closer than this cannot be distinguished
 SPECTRAL_ATOL = 1e-11
@@ -133,11 +148,23 @@ def bound_agreement_residual(x: float, y: float, scale: float, tolerance: float)
     residual <= tolerance is equivalent to
     |x - y| <= max(tolerance * max(|x|, |y|), SPECTRAL_ATOL * scale),
     i.e. per-value relative agreement with an absolute floor at the
-    eigensolver's resolution.
+    eigensolver's resolution, which keeps two numerically zero eigenvalues
+    from producing a spurious O(1) relative gap.
     """
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
-    return relative_gap(x, y, floor=SPECTRAL_ATOL * scale / tolerance)
+    denom = max(abs(x), abs(y), SPECTRAL_ATOL * scale / tolerance)
+    return abs(x - y) / denom if denom else 0.0
+
+
+def _bound_gaps(fb: FrameBounds, rb: FrameBounds, tol: float) -> dict:
+    """lower_gap and upper_gap of frame bounds fb against the Riesz bounds rb
+    that a duality theorem equates them with."""
+    scale = max(fb.upper, rb.upper)
+    return {
+        "lower_gap": bound_agreement_residual(fb.lower, rb.lower, scale, tol),
+        "upper_gap": bound_agreement_residual(fb.upper, rb.upper, scale, tol),
+    }
 
 
 @dataclass(frozen=True)
@@ -448,6 +475,13 @@ def canonical_dual(system: VectorSystem, mode: str = "full_space", tolerance=Non
     return VectorSystem(duals, label=f"canonical dual of {system.label}" if system.label else "canonical dual")
 
 
+def mixed_frame_matrix(f_system: VectorSystem, g_system: VectorSystem) -> np.ndarray:
+    """Matrix of U T*: x -> sum_i <x, f_i> g_i."""
+    if f_system.ambient_dim != g_system.ambient_dim or f_system.count != g_system.count:
+        raise DimensionMismatch("families must have equal counts and ambient dimensions")
+    return g_system.vectors.T @ f_system.vectors.conj()
+
+
 def duality_check(f_system: VectorSystem, g_system: VectorSystem, tolerance=None) -> AnalysisReport:
     """Do the two families satisfy f = sum_k <f, f_k> g_k for all f?
 
@@ -455,11 +489,8 @@ def duality_check(f_system: VectorSystem, g_system: VectorSystem, tolerance=None
     operators of f_system and g_system.
     """
     tol = resolve_tolerance(tolerance)
-    if f_system.ambient_dim != g_system.ambient_dim or f_system.count != g_system.count:
-        raise DimensionMismatch("dual-pair check needs equal counts and ambient dimensions")
-    d = f_system.ambient_dim
-    UTs = g_system.vectors.T @ f_system.vectors.conj()
-    residual = float(np.linalg.norm(np.eye(d) - UTs, 2))
+    UTs = mixed_frame_matrix(f_system, g_system)
+    residual = float(np.linalg.norm(np.eye(f_system.ambient_dim) - UTs, 2))
     return AnalysisReport.from_residuals(
         {"duality": residual}, tol,
         notes="operator-norm distance of the mixed frame operator from the identity",
@@ -477,5 +508,27 @@ def biorthogonality_residual(f_system: VectorSystem, g_system: VectorSystem) -> 
     """max entrywise |<f_j, g_k> - delta_jk| (counts must match)."""
     if f_system.count != g_system.count:
         raise DimensionMismatch("biorthogonality needs equally long families")
-    M = cross_gram(f_system, g_system)
-    return float(np.abs(M - np.eye(f_system.count)).max())
+    if f_system.ambient_dim != g_system.ambient_dim:
+        raise DimensionMismatch("cross Gram needs equal ambient dimensions")
+    F, H = f_system.vectors, g_system.vectors.conj().T
+    worst = 0.0
+    # 64 rows of the cross Gram at a time: the whole Gram of the adjoint
+    # lattice systems at L = a = b = 24 is 576 x 576 complex, 5.3 MB
+    for i in range(0, F.shape[0], 64):
+        M = F[i:i + 64] @ H
+        M[np.arange(M.shape[0]), i + np.arange(M.shape[0])] -= 1.0
+        worst = max(worst, float(np.abs(M).max()))
+    return worst
+
+
+def _equivalence_report(duality: float, bio: float, tol: float,
+                        theorem: str, first: str, second: str) -> AnalysisReport:
+    """Verdict on "dual pair iff biorthogonal" (theorem, with sides first and
+    second): pass when both residuals are within tol or both are above it."""
+    dual_pass, bio_pass = duality <= tol, bio <= tol
+    return AnalysisReport.from_residuals(
+        {"verdict_disagreement": 0.0 if dual_pass == bio_pass else 1.0}, tol,
+        notes=(f"{theorem}; {first} {'passed' if dual_pass else 'failed'}, "
+               f"{second} {'passed' if bio_pass else 'failed'}"),
+        details={"duality_residual": duality, "biorthogonality_residual": bio},
+    )

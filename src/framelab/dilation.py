@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -38,6 +37,8 @@ from .core import (
     _decode_pairs,
     _encode_pairs,
     _field,
+    _sample_count,
+    _shift_window,
     resolve_tolerance,
 )
 
@@ -119,7 +120,7 @@ DEFAULT_FREQ_STEP = 2.0 ** -10
 def freq_indicator(lo: float, hi: float, step: float = DEFAULT_FREQ_STEP,
                    amplitude: complex = 1.0) -> FreqFunction:
     """Indicator of [lo, hi), exactly representable when the edges are on-grid."""
-    count = int(round((hi - lo) / step))
+    count = _sample_count(hi - lo, step)
     if abs(count * step - (hi - lo)) > 1e-12:
         raise GridError("interval length must be a multiple of the step")
     return FreqFunction(lo, step, amplitude * np.ones(count), (lo, hi))
@@ -151,15 +152,13 @@ def _representative_grids(lo: float, hi: float, points: int):
 class WavePacketGrid:
     """Dilations a_j, translation step b, and modulation offsets c_m.
 
-    The lists are finite by construction; k_truncation optionally caps the
-    translation-shift window |k| of the overlap sums, and the gamma
-    resolution drives every sup/inf estimate.
+    The lists are finite by construction, and the gamma resolution drives
+    every sup/inf estimate.
     """
 
     a_values: tuple
     b: float
     c_values: tuple
-    k_truncation: Optional[int] = None
     gamma_points: int = 4096
 
     def __post_init__(self):
@@ -171,17 +170,12 @@ class WavePacketGrid:
             raise DomainError("dilations must be positive")
         if self.b <= 0:
             raise DomainError("b must be positive")
-        if self.k_truncation is not None and self.k_truncation < 1:
-            raise DomainError("k_truncation must be a positive integer")
         if self.gamma_points < 2:
             raise DomainError("gamma_points must be at least 2")
 
 
-def _k_range(g_band, b: float, cap: Optional[int]):
-    diam = g_band[1] - g_band[0]
-    k_max = int(math.ceil(b * diam)) + 1
-    if cap is not None:
-        k_max = min(k_max, cap)
+def _k_range(g_band, b: float):
+    k_max = _shift_window(b * (g_band[1] - g_band[0]))
     return range(-k_max, k_max + 1)
 
 
@@ -262,7 +256,7 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
 
 def _wave_packet_sums(g_hat: FreqFunction, grid: WavePacketGrid, grids, ceiling: float):
     """(diag, off) on each grid, with the ceiling scaled to ceiling * b."""
-    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b, grid.k_truncation) if k != 0]
+    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
     return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
                           ceiling * grid.b) for gammas in grids]
 
@@ -377,7 +371,7 @@ def _as_fraction(x, name: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"{name} must be a rational number, got {x!r}") from None
     frac = Fraction(x).limit_denominator(10 ** 9)
-    if abs(float(frac) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
+    if abs(float(frac) - float(x)) > 1e-12 * max(1.0, abs(float(x))) or (frac == 0) != (x == 0):
         raise DomainError(f"{name} must be rational for exact ratio grouping")
     return frac
 
@@ -425,7 +419,7 @@ def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values)
     lo1, hi1 = psi.band
     lo2, hi2 = psi_tilde.band
     c_span = (max(c_values) - min(c_values)) if c_values else 0.0
-    n_max = int(math.ceil(b * ((max(hi1, hi2) - min(lo1, lo2)) + c_span))) + 1
+    n_max = _shift_window(b * ((max(hi1, hi2) - min(lo1, lo2)) + c_span))
     return range(-n_max, n_max + 1)
 
 
@@ -559,6 +553,7 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     starts, _ = psi_hat.nonzero_cells()
     centers = starts + psi_hat.step / 2
     psi_c = psi_hat.values_at(centers)
+    _shift_window(b * ((hi1 - lo2) - (lo1 - hi2)))  # bounds the shifts k/b listed below
     k_lo = int(math.ceil((lo1 - hi2) * b - 1e-12))
     k_hi = int(math.floor((hi1 - lo2) * b + 1e-12))
     ks = [k for k in range(k_lo, k_hi + 1) if k != 0] if centers.size else []
@@ -604,7 +599,7 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
     trace = []
     for a in grid.a_values:
         contrib = 0.0
-        n_max = int(math.ceil(grid.b * fdiam / a)) + 1
+        n_max = _shift_window(grid.b * fdiam / a)
         for n in range(-n_max, n_max + 1):
             shift = a * n / grid.b
             fshift2 = np.abs(f_hat.values_at(centers + shift)) ** 2
@@ -646,7 +641,7 @@ def bessel_divergence_probe(g_hat: FreqFunction, b: float, c_step: float,
         raise DomainError("b and c_step must be positive")
     _check_ceiling(ceiling)
     lo_b, hi_b = g_hat.band
-    offsets = np.arange(0, int(math.ceil((hi_b - lo_b) / c_step)) + 2)
+    offsets = np.arange(0, _shift_window((hi_b - lo_b) / c_step) + 1)
     rows = []
     total = 0.0
     exceeded_at = None

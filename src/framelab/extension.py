@@ -20,15 +20,9 @@ from .core import (
     concat_systems,
     duality_check,
     frame_bounds,
+    mixed_frame_matrix,
     resolve_tolerance,
 )
-
-
-def mixed_frame_matrix(f_system: VectorSystem, g_system: VectorSystem) -> np.ndarray:
-    """Matrix of U T*: x -> sum_i <x, f_i> g_i."""
-    if f_system.ambient_dim != g_system.ambient_dim or f_system.count != g_system.count:
-        raise DimensionMismatch("families must have equal counts and ambient dimensions")
-    return g_system.vectors.T @ f_system.vectors.conj()
 
 
 def extend_to_dual_pair(f_system: VectorSystem, g_system: VectorSystem,

@@ -36,13 +36,16 @@ from .core import (
     LatticeError,
     SingularSystemError,
     VectorSystem,
-    bound_agreement_residual,
-    frame_bounds,
+    biorthogonality_residual,
     frame_operator,
     _all_finite,
+    _bound_gaps,
     _decode_pairs,
     _encode_pairs,
+    _equivalence_report,
     _field,
+    _sample_count,
+    _shift_window,
     resolve_tolerance,
     riesz_bounds,
 )
@@ -153,13 +156,8 @@ def duality_principle_check(spec: GaborSpec, tolerance=None) -> AnalysisReport:
     tol = resolve_tolerance(tolerance)
     fb = gabor_frame_bounds(spec)
     rb = riesz_bounds(finite_gabor_system(spec.adjoint()))
-    scale = max(fb.upper, rb.upper)
-    residuals = {
-        "lower_gap": bound_agreement_residual(fb.lower, rb.lower, scale, tol),
-        "upper_gap": bound_agreement_residual(fb.upper, rb.upper, scale, tol),
-    }
     return AnalysisReport.from_residuals(
-        residuals, tol,
+        _bound_gaps(fb, rb, tol), tol,
         notes="lattice frame bounds vs adjoint-lattice Riesz bounds (duality principle)",
         details={
             "frame_lower": fb.lower, "frame_upper": fb.upper,
@@ -180,27 +178,10 @@ def wexler_raz_check(spec_g: GaborSpec, spec_h: GaborSpec, tolerance=None) -> An
         raise LatticeError("both windows must share the same (L, a, b) lattice")
     K = _walnut_blocks(spec_g.window, spec_h.window, spec_g.a, spec_g.b)
     duality = float(np.linalg.norm(np.eye(spec_g.b) - K, 2, axis=(1, 2)).max())
-    dual_pass = duality <= tol
-    G = finite_gabor_system(spec_g.adjoint()).vectors
-    H = finite_gabor_system(spec_h.adjoint()).vectors.conj().T
-    bio = 0.0
-    # max |<g_j, h_k> - delta_jk| over blocks of 64 rows, so that the working
-    # set is not the whole Gram (576 x 576 complex, 5.3 MB, at L = a = b = 24)
-    for i in range(0, G.shape[0], 64):
-        M = G[i:i + 64] @ H
-        M[np.arange(M.shape[0]), i + np.arange(M.shape[0])] -= 1.0
-        bio = max(bio, float(np.abs(M).max()))
-    bio_pass = bio <= tol
-    disagreement = 0.0 if dual_pass == bio_pass else 1.0
-    return AnalysisReport.from_residuals(
-        {"verdict_disagreement": disagreement}, tol,
-        notes=(
-            "Wexler-Raz equivalence; "
-            f"dual-pair check {'passed' if dual_pass else 'failed'}, "
-            f"adjoint biorthogonality {'passed' if bio_pass else 'failed'}"
-        ),
-        details={"duality_residual": duality, "biorthogonality_residual": bio},
-    )
+    bio = biorthogonality_residual(finite_gabor_system(spec_g.adjoint()),
+                                   finite_gabor_system(spec_h.adjoint()))
+    return _equivalence_report(duality, bio, tol, "Wexler-Raz equivalence",
+                               "dual-pair check", "adjoint biorthogonality")
 
 
 def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> AnalysisReport:
@@ -216,10 +197,9 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
     That bound is the residual "commutator".
     """
     tol = resolve_tolerance(tolerance)
-    system = finite_gabor_system(spec)
-    if not frame_bounds(system).is_frame(1e-10):
+    if not gabor_frame_bounds(spec).is_frame(1e-10):
         raise SingularSystemError("commutation check needs a frame (invertible S)")
-    Sinv = np.linalg.inv(frame_operator(system))
+    Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
     L, a, b = spec.L, spec.a, spec.b
     t = np.arange(L)
     # M_b S^-1 M_b* scales entry (s, t) by exp(2 pi i b (s - t) / L): exactly 1 where b (s - t) = 0 mod L
@@ -298,14 +278,14 @@ class SampledWindow:
 
 def sampled_indicator(lo: float = 0.0, hi: float = 1.0, step: float = DEFAULT_STEP) -> SampledWindow:
     """Half-open indicator of [lo, hi) sampled on its own grid."""
-    n = int(round((hi - lo) / step))
+    n = _sample_count(hi - lo, step)
     samples = np.ones(n, dtype=complex)
     return SampledWindow(lo, step, samples, (lo, hi))
 
 
 def sampled_gaussian(half_width: float = 8.0, step: float = DEFAULT_STEP) -> SampledWindow:
     """exp(-pi x^2) on [-half_width, half_width]."""
-    n = int(round(2 * half_width / step)) + 1
+    n = _sample_count(2 * half_width, step) + 1
     x = -half_width + step * np.arange(n)
     return SampledWindow(-half_width, step, np.exp(-np.pi * x ** 2), (-half_width, half_width))
 
@@ -343,13 +323,16 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
     tol = tolerance if tolerance is not None else RON_SHEN_TOL_PER_STEP * step
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
+    _sample_count(a + 1.0 / b, step)  # the grid over [0, a) and the shift 1/b, in samples
     a_steps = _steps_of(a, step, "a")
+    if a_steps < 1:
+        raise DomainError(f"a = {a:g} is less than one grid step ({step:g})")
     shift_steps = _steps_of(1.0 / b, step, "1/b")
 
     gs, ge = g.support_hint
     hs, he = h.support_hint
     diam = max(ge, he) - min(gs, hs)
-    n_max = int(math.ceil(b * (diam + a))) + 1
+    n_max = _shift_window(b * (diam + a))
     k_lo = int(math.floor((-he) / a)) - 1
     k_hi = int(math.ceil((a - hs) / a)) + 1
 
@@ -415,8 +398,25 @@ def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
     return out
 
 
-def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float,
-                    L: int = None, max_cycle: int = 1 << 20):
+#: longest cycle gabor_extension chooses by itself; a longer one is passed as L
+MAX_AUTO_CYCLE = 1 << 20
+
+
+def _cycle_length(a_int: int, b: float, step: float, span: int) -> int:
+    """Smallest multiple L of a_int, at least span, on which b_int = b step L
+    is an integer dividing L: q = L / b_int = 1 / (b step) must be an integer,
+    and L is the first multiple of lcm(a_int, q) from a_int ceil(span / a_int)."""
+    q = 1 / (b * step) if b * step > 0 else math.inf
+    if q < MAX_AUTO_CYCLE + 1 and round(q) >= 1:
+        cell = math.lcm(a_int, round(q))
+        L = cell * -(-a_int * math.ceil(span / a_int) // cell)
+        b_int = round(b * step * L)
+        if L <= MAX_AUTO_CYCLE and abs(b * step * L - b_int) < 1e-9 and L % b_int == 0:
+            return L
+    raise LatticeError("no feasible cycle length found; pass L explicitly")
+
+
+def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float, L: int = None):
     """Complete two sampled windows to a dual pair on a cyclic realization.
 
     The real-line parameters are mapped onto integers: a becomes a/step
@@ -433,6 +433,8 @@ def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float,
         raise GridError("both windows must share the same sampling step")
     step = g1.step
     a_int = _steps_of(a, step, "a")
+    if a_int < 1 or not b > 0:
+        raise DomainError(f"a must be at least one grid step and b positive (got a={a:g}, b={b:g})")
     direct = (
         L is not None and step == 1.0
         and abs(a - round(a)) < 1e-12 and abs(b - round(b)) < 1e-12
@@ -444,15 +446,7 @@ def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float,
         span = max(g1.count + max(_steps_of(g1.x0, step, "g1 origin"), 0),
                    h1.count + max(_steps_of(h1.x0, step, "h1 origin"), 0), a_int)
         if L is None:
-            L = a_int * max(1, math.ceil(span / a_int))
-            while L <= max_cycle:
-                b_float = b * step * L
-                b_int = round(b_float)
-                if abs(b_float - b_int) < 1e-9 and b_int >= 1 and L % b_int == 0:
-                    break
-                L += a_int
-            else:
-                raise LatticeError("no feasible cycle length found; pass L explicitly")
+            L = _cycle_length(a_int, b, step, span)
         b_float = b * step * L
         b_int = round(b_float)
         if abs(b_float - b_int) > 1e-9 or b_int < 1:
@@ -512,7 +506,7 @@ def hrt_independence(g: SampledWindow, points, tolerance=None) -> AnalysisReport
     mus = [p.mu for p in points]
     x_lo = lo + min(min(mus), 0.0) - g.step
     x_hi = hi + max(max(mus), 0.0) + g.step
-    count = int(round((x_hi - x_lo) / g.step)) + 1
+    count = _sample_count(x_hi - x_lo, g.step) + 1
     x = x_lo + g.step * np.arange(count)
 
     rows = np.empty((len(points), count), dtype=complex)

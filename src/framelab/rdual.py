@@ -16,7 +16,6 @@ data, and the tight-frame-for-W criterion is evaluated on W itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,8 +26,9 @@ from .core import (
     FrameBounds,
     SingularSystemError,
     VectorSystem,
+    _bound_gaps,
+    _equivalence_report,
     biorthogonality_residual,
-    bound_agreement_residual,
     duality_check,
     frame_bounds,
     gram_matrix,
@@ -81,18 +81,14 @@ class OrthonormalPair:
 class RDualReport:
     """Bound transfer and involution data for one family and one basis pair.
 
-    The Bessel entries carry only the meaningful upper bounds (lower fixed
-    at 0); bound_gap is the largest relative deviation between the frame
-    bounds of f and the Riesz bounds of its R-dual.
+    bound_gap is the largest relative deviation between the frame bounds of
+    f and the Riesz bounds of its R-dual.
     """
 
-    bessel_f: FrameBounds
-    bessel_omega: FrameBounds
     frame_f: FrameBounds
     riesz_omega: FrameBounds
     involution_residual: float
     bound_gap: float
-    biorthogonality_residual: Optional[float] = None
 
     def passes(self, tolerance: float) -> bool:
         return self.bound_gap <= tolerance and self.involution_residual <= tolerance
@@ -154,18 +150,11 @@ def verify_rdual_theorem(f_system: VectorSystem, pair: OrthonormalPair) -> RDual
     rb = riesz_bounds(omega)
     back = r_dual(omega, pair.swapped())
     involution = float(np.abs(back.vectors - f_system.vectors).max())
-    scale = max(fb.upper, rb.upper)
-    gap = max(
-        bound_agreement_residual(fb.lower, rb.lower, scale, 1e-10),
-        bound_agreement_residual(fb.upper, rb.upper, scale, 1e-10),
-    )
     return RDualReport(
-        bessel_f=FrameBounds(0.0, fb.upper),
-        bessel_omega=FrameBounds(0.0, rb.upper),
         frame_f=fb,
         riesz_omega=rb,
         involution_residual=involution,
-        bound_gap=gap,
+        bound_gap=max(_bound_gaps(fb, rb, 1e-10).values()),
     )
 
 
@@ -179,23 +168,11 @@ def verify_dual_pair_biorthogonality(f_system: VectorSystem, g_system: VectorSys
     """
     tol = resolve_tolerance(tolerance)
     direct = duality_check(f_system, g_system, tol)
-    omega = r_dual(f_system, pair)
-    gamma = r_dual(g_system, pair)
-    bio = biorthogonality_residual(omega, gamma)
-    bio_pass = bio <= tol
-    disagreement = 0.0 if (direct.passed == bio_pass) else 1.0
-    return AnalysisReport.from_residuals(
-        {"verdict_disagreement": disagreement}, tol,
-        notes=(
-            "equivalence of the dual-pair identity and R-dual biorthogonality; "
-            f"direct check {'passed' if direct.passed else 'failed'}, "
-            f"biorthogonality {'passed' if bio_pass else 'failed'}"
-        ),
-        details={
-            "duality_residual": direct.residuals["duality"],
-            "biorthogonality_residual": bio,
-        },
-    )
+    bio = biorthogonality_residual(r_dual(f_system, pair), r_dual(g_system, pair))
+    return _equivalence_report(
+        direct.residuals["duality"], bio, tol,
+        "equivalence of the dual-pair identity and R-dual biorthogonality",
+        "direct check", "biorthogonality")
 
 
 def n_sequence(f_system: VectorSystem, omega_system: VectorSystem,

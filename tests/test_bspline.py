@@ -225,6 +225,8 @@ def no_evaluation(*args):
     # larger b: without the guard these lists are still small
     (2, 1e-5, 0.3, "more than the limit"),
     (2, 0.5, 1e4, "more than the limit"),
+    # few evaluations, but each fills an order-2000 triangular table
+    (2000, 2000.0, 1e-3, "more than the limit"),
 ])
 def test_hostile_cells_rejected_before_any_grid(N, a, b, match, monkeypatch):
     monkeypatch.setattr(bspline, "_overlap_sums", no_evaluation)

@@ -359,6 +359,23 @@ def assert_usage_error(argv, capsys, bad):
     (["exp", "decay", "--n-max", "-1"], "'-1'"),
     (["exp", "decay", "--n-max", "0"], "'0'"),
     (["exp", "decay", "--n-max", "1"], "n_max must be at least 2"),
+    (["wavepacket", "check-dual", "--psi", "indicator:2:1"], "width of -1"),
+    (["gabor", "ron-shen", "--window-g", "indicator:1:0", "--window-h", "indicator:0:1",
+      "--a", "1", "--b", "1"], "width of -1"),
+    (["gabor", "hrt", "--window", "indicator:0:1", "--points", "0,1e300"], "1e+300"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "0:1e8:1", "--b-grid", "0.25"], "more than 65536"),
+    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "and 4194304 samples"),
+    (["wavelet", "check-dual", "--b", "1e300"], "more than the limit 10000"),
+    (["wavelet", "check-dual", "--b", "1e-300"], "must be rational"),
+    (["gabor", "sweep", "--L-list", "1e300"], "1e300"),
+    (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
+      "--a", "1e-300", "--b", "1"], "less than one grid step"),
+    (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
+      "--a", "1.5", "--b", "1e300"], "more than the limit 10000"),
+    (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
+      "--a", "1", "--b", "1e-300"], "4194304 samples"),
+    (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "denominator at most 10^6"),
+    (["gabor", "bounds", "--L", "4", "--a", "2", "--b", "2", "--seed", "-1"], "'-1'"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
@@ -380,6 +397,15 @@ def test_oversized_scan_cell_exits_2_before_any_grid(capsys, monkeypatch):
     monkeypatch.setattr(bsp, "_overlap_sums", no_sums)
     assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "1e-5", "--b-grid", "0.3"],
                        capsys, "a=1e-05")
+
+
+def test_csv_for_a_command_without_rows_exits_2_before_running(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(bsp, "dual_window_solve", no_solve)
+    assert_usage_error(["bspline", "dual-window", "--N", "2", "--b", "0.25", "--format", "csv"],
+                       capsys, "no tabular output")
 
 
 def test_exp_decay_prints_no_negative_extended_precision_bound(capsys):

@@ -7,10 +7,11 @@ from framelab.core import (
     VectorSystem,
     canonical_dual,
     frame_bounds,
+    mixed_frame_matrix,
     random_system,
     standard_basis,
 )
-from framelab.extension import extend_to_dual_pair, mixed_frame_matrix, verify_extension
+from framelab.extension import extend_to_dual_pair, verify_extension
 
 
 def test_empty_input_returns_auxiliary_pair():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,45 @@ def test_gabor_extension_infeasible_continuous():
     g1 = sampled_indicator(0.0, 1.0, step=0.25)
     with pytest.raises(LatticeError):
         gabor_extension(g1, g1, a=2.0, b=1.0, L=16)
+
+
+def cycle_length_search(a_int, b, step, span, limit):
+    """The linear search for the cycle length that the closed form replaced."""
+    L = a_int * max(1, math.ceil(span / a_int))
+    while L <= limit:
+        b_float = b * step * L
+        b_int = round(b_float)
+        if abs(b_float - b_int) < 1e-9 and b_int >= 1 and L % b_int == 0:
+            return L
+        L += a_int
+    return None
+
+
+def test_cycle_length_closed_form_matches_linear_search(monkeypatch):
+    limit = 2048  # keeps each infeasible search short; both sides use it
+    monkeypatch.setattr(gabor_module, "MAX_AUTO_CYCLE", limit)
+    found = {True: 0, False: 0}
+    for step in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 64, 0.1, 0.3):
+        for b in (0.125, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.7, 1.0, 2.0, 4.0):
+            for a_int in (1, 2, 3, 4, 5, 6, 8, 12):
+                for span in (max(s, a_int) for s in (1, 3, 7, 16, 33, 100, 257)):
+                    expected = cycle_length_search(a_int, b, step, span, limit)
+                    found[expected is not None] += 1
+                    if expected is None:
+                        with pytest.raises(LatticeError, match="no feasible cycle length"):
+                            gabor_module._cycle_length(a_int, b, step, span)
+                    else:
+                        assert gabor_module._cycle_length(a_int, b, step, span) == expected
+    assert min(found.values()) > 1000
+
+
+def test_gabor_extension_rejects_infeasible_cycles_and_nonpositive_steps():
+    g1 = sampled_indicator(0.0, 1.0, step=1.0)
+    with pytest.raises(LatticeError, match="no feasible cycle length"):
+        gabor_extension(g1, g1, a=1.0, b=0.3)
+    for a, b in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)):
+        with pytest.raises(DomainError, match="must be at least one grid step"):
+            gabor_extension(g1, g1, a=a, b=b)
 
 
 def test_hrt_single_point():

@@ -124,7 +124,7 @@ def test_overlap_bounds_match_oracles_bitwise():
 def triple_sums_oracle(g_hat, grid, gammas, ceiling):
     diag = np.zeros(gammas.shape)
     off = np.zeros(gammas.shape)
-    ks = [k for k in _k_range(g_hat.band, grid.b, grid.k_truncation) if k != 0]
+    ks = [k for k in _k_range(g_hat.band, grid.b) if k != 0]
     for a in grid.a_values:
         base = gammas / a
         for c in grid.c_values:
@@ -206,7 +206,6 @@ def random_instance(rng):
         a_values=rng.uniform(0.3, 3.0, int(rng.integers(1, 4))),
         b=float(rng.uniform(0.2, 2.0)),
         c_values=rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))),
-        k_truncation=[None, 1, 2][int(rng.integers(0, 3))],
         gamma_points=int(rng.integers(2, 48)),
     )
     lo, hi = _coverage_box(g, grid)
