@@ -33,6 +33,7 @@ from .core import (
     FrameBounds,
     GridError,
     LatticeError,
+    _check_work,
     _sample_count,
     resolve_tolerance,
 )
@@ -55,8 +56,9 @@ def bspline_eval(N: int, x) -> np.ndarray:
     if N < 1:
         raise DomainError("order must be a positive integer")
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
     live = ~(np.isfinite(x) & ((x < 0) | (x >= N)))
+    _check_work(np.count_nonzero(live) * (N * (N + 1) // 2), f"B_{N} at {x.size} points")
+    out = np.zeros(x.shape)
     xs = np.empty((N, np.count_nonzero(live)))
     xs[0] = x[live]
     for j in range(1, N):
@@ -101,6 +103,8 @@ def bspline_integral(N: int) -> float:
 def property_suite(N: int, tolerance=None, grid_points: int = 2048) -> AnalysisReport:
     """Support, interior positivity, unit integral, partition of unity."""
     tol = resolve_tolerance(tolerance)
+    # points in the support: interior, partition sums (N + 1 per point), Gauss nodes
+    _check_work((grid_points * (N + 2) + N * max(8, N)) * (N * (N + 1) // 2), f"B_{N}'s property suite")
     outside = np.concatenate([
         np.linspace(-2.0, -1e-9, 200),
         np.linspace(N + 1e-9, N + 2.0, 200),
@@ -150,13 +154,6 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
     return pts[(pts >= 0) & (pts < a)]
 
 
-#: largest cell the scanner evaluates, in entries of the triangular tables
-#: bspline_eval fills: N (N + 1) / 2 per spline evaluation, offsets x (1 + shifts)
-#: x grid points evaluations; the acceptance grids, the benchmark cells and
-#: `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 stay below 1.3 * 10^7
-MAX_CELL_WORK = 10 ** 8
-
-
 def _check_cell(N, a, b, period_points):
     """Reject a cell the scanner cannot or should not evaluate, before any
     offset list, shift list or grid is built."""
@@ -168,18 +165,15 @@ def _check_cell(N, a, b, period_points):
         raise DomainError("lattice steps must be positive")
     if period_points < 1:
         raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
-    # upper estimate of the counts translation_overlap_bounds forms, in floats:
-    # an offset or shift count beyond the float range is rejected as well
+    # spline evaluations of translation_overlap_bounds, in floats; the acceptance grids, the
+    # benchmark cells and `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 need < 1.3e7
     try:
         shifts = 2 * (b * N + 2) if b * N > 1 + 1e-12 else 0
         points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
         work = (N / a + 4) * (1 + shifts) * points * (N * (N + 1) // 2)
     except OverflowError:
         work = math.inf
-    if not work <= MAX_CELL_WORK:
-        raise DomainError(
-            f"cell N={N}, a={a:g}, b={b:g} needs about {work:.3g} table entries in its "
-            f"spline evaluations, more than the limit {MAX_CELL_WORK:.0e}")
+    _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
 
 
 def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
@@ -194,7 +188,7 @@ def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 
     piece).  A positive lower value certifies a frame with bounds
     (inf/b, sup/b); a nonpositive one is inconclusive.  Raises DomainError
     for a non-integral order, non-finite steps and a cell whose estimated
-    work is above MAX_CELL_WORK, before anything is built.
+    work is over the work budget, before anything is built.
     """
     _check_cell(N, a, b, period_points)
     shifts = []
@@ -339,32 +333,31 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance: floa
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")
-    samples = 4 * K + 4
-
-    xs = (np.arange(samples) + 0.5) / samples
-    ks = np.arange(-K, K + 1)
-    n_max = int(math.floor(b * (N + K) + 1e-9))
-    jrange = range(-(N + K + 2), N + K + 3)
-    blocks, rhs = [], []
-    for n in range(-n_max, n_max + 1):
-        M = np.zeros((samples, len(ks)))
-        for col, k in enumerate(ks):
-            acc = np.zeros(samples)
-            for j in jrange:
-                acc += bspline_eval(N, xs - n / b - j) * bspline_eval(N, xs - j + k)
-            M[:, col] = acc
-        blocks.append(M)
-        rhs.append(np.full(samples, b if n == 0 else 0.0))
-    design = np.vstack(blocks)
-    target = np.concatenate(rhs)
-    coeff, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-
     bf = Fraction(b).limit_denominator(10 ** 6)
     if bf == 0 or abs(float(bf) - b) > 1e-12:
         raise GridError("b must be a rational of denominator at most 10^6 to sample the "
                         "verification grid")
+    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), N * (N + 1) // 2
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
+    n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1
+    # the (n, j) and (j, k) factor tables, the design, the window's shifted splines
+    _check_work(((n_count + k_count) * j_count * samples + k_count * count) * table
+                + n_count * k_count * samples, f"the order-{N} dual window over {k_count} shifts")
+    xs = (np.arange(samples) + 0.5) / samples
+    ns, ks, js = (np.arange(-m, m + 1) for m in (n_max, K, N + K + 2))
+    # design[n, k] = sum over j, in order, of B_N(xs - n/b - j) B_N(xs - j + k); a
+    # product with a zero factor is +0.0, so each j adds only its live (n, k) block
+    left = bspline_eval(N, xs - ns[:, None, None] / b - js[:, None])  # (n, j, sample)
+    right = bspline_eval(N, xs - js[:, None, None] + ks[:, None])  # (j, k, sample)
+    design = np.zeros((n_count, k_count, samples))
+    for j in range(j_count):
+        n_live, k_live = left[:, j].any(axis=1), right[j].any(axis=1)
+        design[np.ix_(n_live, k_live)] += left[n_live, j, None] * right[None, j, k_live]
+    target = np.repeat(np.where(ns == 0, b, 0.0), samples)
+    coeff, _, rank, _ = np.linalg.lstsq(design.transpose(0, 2, 1).reshape(-1, k_count), target,
+                                        rcond=None)
+
     x = -K + output_step * np.arange(count)
     hvals = np.zeros(count)
     for ck, k in zip(coeff, ks):

@@ -4,7 +4,9 @@ One binary with a subcommand tree mirroring the library modules, built from
 one command table; every analysis prints a deterministic JSON envelope
 (schema 1, sorted keys) or CSV rows, so fixed-seed sweeps are byte-identical
 across runs.  Exit code 0 means success or verdict pass, 1 a verdict fail
-(or a failed `rdual verify`), 2 a usage or input error.
+(or a failed `rdual verify`), 2 a usage or input error, such as a request
+over the work budget core.MAX_WORK (float64 entries filled, checked before
+anything large is built; MAX_DPS and MAX_AUTO_CYCLE remain domain limits).
 
 Every command takes --format and --output; the others exist only where they
 are read:
@@ -79,10 +81,6 @@ def _int_list(text):
     return [int(tok) for tok in tokens]
 
 
-#: most values a start:stop:step range may expand to
-MAX_RANGE_VALUES = 2 ** 16
-
-
 def _range(text):
     """Comma list of values, or start:stop:step (stop inclusive)."""
     if ":" not in text:
@@ -93,8 +91,7 @@ def _range(text):
     start, stop, step = (_number(tok) for tok in parts)
     if step == 0:
         raise argparse.ArgumentTypeError(f"zero step in {text!r}")
-    if not (stop - start) / step <= MAX_RANGE_VALUES:
-        raise argparse.ArgumentTypeError(f"more than {MAX_RANGE_VALUES} values in {text!r}")
+    core._check_work(core._PASS_WORK * ((stop - start) / step + 1), f"the range {text!r}")
     values = [float(v) for v in np.arange(start, stop + step / 2, step)]
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
@@ -153,6 +150,7 @@ def _spec_params(spec, defaults):
 
 
 def _lattice_window(spec: str, L: int, rng) -> np.ndarray:
+    core._check_work(4 * L, f"a window of length {L}")
     if spec == "random":
         return rng.standard_normal(L) + 1j * rng.standard_normal(L)
     if spec == "delta":
@@ -331,6 +329,8 @@ def _sweep_task(task):
 
 
 def _gabor_sweep(args):
+    core._check_work(4 * core._PASS_WORK * args.windows * sum(args.L_list),
+                     "the sweep's lattices (at most 4L per length L), each a pass per window")
     tasks = []
     for L in args.L_list:
         divisors = [d for d in range(1, L + 1) if L % d == 0]
@@ -372,6 +372,7 @@ def _scan_task(task):
 
 
 def _bspline_scan(args):
+    core._check_work(core._PASS_WORK * len(args.a_grid) * len(args.b_grid), "the cells of the scan")
     tasks = [(args.N, a, b, args.period_points, not args.no_estimates)
              for a in args.a_grid for b in args.b_grid]
     return {"rows": _map(_scan_task, tasks, args.jobs, chunksize=4)}
@@ -608,7 +609,7 @@ def main(argv=None) -> int:
         result = cmd.run(args)
         emit(args, f"{args.group} {cmd.op}", result,
              result["rows"] if cmd.fields else None, cmd.fields)
-    except (FrameLabError, OSError, MemoryError) as exc:
+    except (FrameLabError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -72,30 +72,33 @@ def resolve_tolerance(tolerance=None) -> float:
     return value
 
 
-#: most samples a sampled window or band-limited function is built with (64 MB complex)
-MAX_SAMPLES = 2 ** 22
+#: the work budget of one request, in float64 array entries filled (10^8 are 800 MB or
+#: about a second of arithmetic): a complex entry counts 2, a spline value its N (N + 1) / 2
+#: table entries, a dps-digit integer dps / 15, a Python loop pass (a shift, a range value,
+#: a sweep task) _PASS_WORK, about what its numpy calls cost
+MAX_WORK = 10 ** 8
+_PASS_WORK = 10 ** 4
+
+
+def _check_work(estimate, what: str) -> None:
+    """DomainError, before anything is built, when `what` needs more than MAX_WORK."""
+    if not estimate <= MAX_WORK:
+        size = f"about {estimate:.3g}" if not estimate >= 1e300 else "over 1e+300"
+        raise DomainError(f"{what}: {size} work units, more than the limit {MAX_WORK:.0e} "
+                          "of the work budget (core.MAX_WORK)")
 
 
 def _sample_count(width: float, step: float) -> int:
-    """round(width / step), the samples of a grid over width; DomainError
-    before anything is built for a negative width or more than MAX_SAMPLES."""
-    if not 0 <= width / step <= MAX_SAMPLES:
-        raise DomainError(f"a width of {width:g} at step {step:g} needs between 0 and "
-                          f"{MAX_SAMPLES} samples")
+    """round(width / step), the samples over width; DomainError if negative or over budget."""
+    if width / step < 0:
+        raise DomainError(f"a width of {width:g} at step {step:g} is negative")
+    _check_work(2 * width / step, f"a grid over a width of {width:g} at step {step:g}")
     return int(round(width / step))
 
 
-#: largest span b * width of the shifts k/b that meet within a width: each
-#: check loops over about twice as many shifts or shift classes
-MAX_SHIFTS = 10 ** 4
-
-
 def _shift_window(span: float) -> int:
-    """ceil(span) + 1, the |k| window of the shifts k/b that meet within a
-    width, span = b * width; DomainError when span passes MAX_SHIFTS."""
-    if not span <= MAX_SHIFTS:
-        raise DomainError(f"about {span:.3g} translation shifts meet within one band, "
-                          f"more than the limit {MAX_SHIFTS}")
+    """ceil(span) + 1, the |k| window of the shifts k/b within span = b * width: 2 span + 3 passes."""
+    _check_work(_PASS_WORK * (2 * span + 3), f"the translation shifts of a span {span:.3g}")
     return int(math.ceil(span)) + 1
 
 
@@ -356,6 +359,7 @@ def concat_systems(first: VectorSystem, second: VectorSystem, label="") -> Vecto
 
 def random_system(rng, count: int, dim: int, scale: float = 1.0, label="random") -> VectorSystem:
     """Complex Gaussian family; entries scale/sqrt(2) * (N(0,1) + i N(0,1))."""
+    _check_work(4 * count * dim, f"a random family of {count} vectors in dimension {dim}")
     arr = (rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))
     return VectorSystem(arr * (scale / np.sqrt(2)), ambient_dim=dim, label=label)
 

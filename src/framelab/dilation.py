@@ -34,6 +34,7 @@ from .core import (
     GridError,
     TruncationUnsoundError,
     _all_finite,
+    _check_work,
     _decode_pairs,
     _encode_pairs,
     _field,
@@ -254,13 +255,6 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 
-def _wave_packet_sums(g_hat: FreqFunction, grid: WavePacketGrid, grids, ceiling: float):
-    """(diag, off) on each grid, with the ceiling scaled to ceiling * b."""
-    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
-    return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
-                          ceiling * grid.b) for gammas in grids]
-
-
 def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
     """(sup (diag + off)/b per sup grid, the (diag, off) sums of the inf pass,
     the trimmed window (lo, hi, margin)).
@@ -271,18 +265,26 @@ def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma
     window; a given gamma_grid serves both passes.  Raises _CeilingExceeded
     when a partial sum on any grid passes the ceiling.
     """
+    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
+    # complex values per point, dilation, offset and shift; sup and inf pass at p and 2p
+    points = np.size(gamma_grid) if gamma_grid is not None else 6 * grid.gamma_points
+    _check_work(2 * points * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
+                f"translation-overlap sums on {points} frequency points")
+
+    def sums(grids):  # (diag, off) on each grid, the ceiling scaled to ceiling * b
+        return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
+                              ceiling * grid.b) for gammas in grids]
+
     lo, hi = _coverage_box(g_hat, grid)
     margin = _edge_margin(g_hat, grid)
     t_lo, t_hi = lo + margin, hi - margin
     if gamma_grid is not None:
-        gammas = np.asarray(gamma_grid, dtype=float)
-        if gammas.size == 0:
+        if points == 0:
             raise DomainError("gamma_grid must not be empty")
-        sup_sums = inf_sums = _wave_packet_sums(g_hat, grid, [gammas], ceiling)
+        sup_sums = inf_sums = sums([np.asarray(gamma_grid, dtype=float)])
     else:
-        sup_sums = _wave_packet_sums(g_hat, grid, _midpoints(lo, hi, grid.gamma_points), ceiling)
-        inf_grids = _midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else []
-        inf_sums = _wave_packet_sums(g_hat, grid, inf_grids, ceiling)
+        sup_sums = sums(_midpoints(lo, hi, grid.gamma_points))
+        inf_sums = sums(_midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else [])
     estimates = [float((diag + off).max()) / grid.b for diag, off in sup_sums]
     return estimates, inf_sums, (t_lo, t_hi, margin)
 
@@ -657,7 +659,7 @@ def bessel_divergence_probe(g_hat: FreqFunction, b: float, c_step: float,
         u = np.where(finite, u, 0.0)
         base = np.floor((u - hi_b) / c_step)
         contrib = np.zeros(u.shape)
-        for off in offsets:
+        for off in offsets if finite.any() else []:  # terms past the float range are zeroed
             c = (base + off) * c_step
             contrib += np.abs(g_hat.values_at(u - c)) ** 2
         contrib[~finite] = 0.0

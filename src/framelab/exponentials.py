@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, _field
+from .core import DomainError, _check_work, _field
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
@@ -81,9 +81,10 @@ def exp_gram(lset: LambdaSet) -> np.ndarray:
     return G.astype(complex)
 
 
-def _check_dps(dps):
+def _check_dps(dps, cubes, what):
     if dps is not None and not MIN_DPS <= dps <= MAX_DPS:
         raise DomainError(f"dps must be between {MIN_DPS} and {MAX_DPS} (got {dps})")
+    _check_work(cubes * (dps or 15) // 15, what)
 
 
 def lower_bound(lset: LambdaSet, dps: int = None) -> float:
@@ -101,10 +102,10 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     The cost is O(N^3) products of P-bit integers for the reduction and at
     most about P bisection steps of N divisions each; see README for timings.
     """
+    _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
     if dps is None:
         lo = float(np.linalg.eigvalsh(exp_gram(lset).real)[0])
     else:
-        _check_dps(dps)
         from mpmath import mp
 
         with mp.workdps(dps):
@@ -250,7 +251,7 @@ def decay_study(family, n_max: int, dps: int = None):
     The crude estimate is applied with delta clamped to its hypothesis
     (gaps at least delta and delta <= 1).
     """
-    _check_dps(dps)
+    _check_dps(dps, (n_max * (n_max + 1) // 2) ** 2 - 1, f"a decay table to N = {n_max}")
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2 (got {n_max})")
     if isinstance(family, str):

@@ -40,6 +40,7 @@ from .core import (
     frame_operator,
     _all_finite,
     _bound_gaps,
+    _check_work,
     _decode_pairs,
     _encode_pairs,
     _equivalence_report,
@@ -108,6 +109,8 @@ class GaborSpec:
 def finite_gabor_system(spec: GaborSpec) -> VectorSystem:
     """All lattice time-frequency shifts of the window, (n, m)-lexicographic."""
     L, a, b = spec.L, spec.a, spec.b
+    count = (L // a) * (L // b)  # rows, then the smaller of S and the Gram that checks form
+    _check_work(2 * (count * L + min(count, L) ** 2), f"the {count} generated vectors of {spec!r}")
     t = np.arange(L)
     phases = np.exp(2j * np.pi * b * np.outer(np.arange(L // b), t) / L)  # (m, t)
     shifts = spec.window[(t[None, :] - a * np.arange(L // a)[:, None]) % L]  # (n, t)
@@ -122,6 +125,7 @@ def _walnut_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
     K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a)).
     """
     L = g.shape[0]
+    _check_work(7 * L * (L // a), f"the Walnut blocks of L={L}, a={a}, b={b}")  # index, 3 complex
     q = L // b
     idx = (np.arange(q)[:, None, None] + q * np.arange(b)[None, :, None]
            - a * np.arange(L // a)[None, None, :]) % L  # (r, k, n)
@@ -335,6 +339,7 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
     n_max = _shift_window(b * (diam + a))
     k_lo = int(math.floor((-he) / a)) - 1
     k_hi = int(math.ceil((a - hs) / a)) + 1
+    _check_work(2 * (2 * n_max + 1) * (k_hi - k_lo + 1) * a_steps, f"translation sums at a={a:g}, b={b:g}")
 
     x_pos = np.arange(a_steps)  # grid of [0, a) in units of step
     worst = 0.0
@@ -391,6 +396,7 @@ def extend_gabor_windows(spec_g: GaborSpec, spec_h: GaborSpec, r1_window=None):
 
 def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
     t0 = _steps_of(window.x0, window.step, "window origin")
+    _check_work(2 * L, f"a cycle of length {L}")
     out = np.zeros(L, dtype=complex)
     if window.count > L:
         raise LatticeError(f"window ({window.count} samples) does not fit in a cycle of {L}")

@@ -110,6 +110,19 @@ def test_high_orders_run():
     assert property_suite(40).passed
 
 
+def test_orders_whose_interior_underflows_are_rejected_not_failed(monkeypatch):
+    # B_N = x^(N-1) / (N-1)! at the first interior grid point x = N / 2048
+    # rounds to 0.0 from N = 114 on (below half the smallest subnormal), and
+    # an evaluated suite would report interior_nonpositive (property_suite(115) did)
+    monkeypatch.setattr(bspline, "bspline_eval", no_evaluation)
+    underflowing = [N for N in range(2, 400)
+                    if (N - 1) * math.log(N / 2048) - math.lgamma(N) < math.log(5e-324) - math.log(2)]
+    assert underflowing[0] == 114 and 115 in underflowing
+    for N in underflowing:
+        with pytest.raises(DomainError, match="work budget"):
+            property_suite(N)
+
+
 def test_fourier_at_zero_and_integers():
     for N in range(1, 7):
         assert bspline_fourier(N, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -279,6 +292,39 @@ def test_dual_window_order_two():
         window, report = dual_window_solve(2, b)
         assert report.passed
         assert report.residuals["ron_shen"] <= 1e-8
+
+
+def loop_design(N, b, K):
+    """The dual-window design matrix as one spline call per (n, k, j) term,
+    the order the batched design must reproduce bit for bit."""
+    samples = 4 * K + 4
+    xs = (np.arange(samples) + 0.5) / samples
+    n_max = int(math.floor(b * (N + K) + 1e-9))
+    blocks = []
+    for n in range(-n_max, n_max + 1):
+        M = np.zeros((samples, 2 * K + 1))
+        for col, k in enumerate(range(-K, K + 1)):
+            for j in range(-(N + K + 2), N + K + 3):
+                M[:, col] += bspline_eval(N, xs - n / b - j) * bspline_eval(N, xs - j + k)
+        blocks.append(M)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("N, b, K", [(2, 1 / 4, 1), (2, 1 / 3, 1), (3, 1 / 5, 2), (2, 1 / 4, 8),
+                                     (3, 1 / 5, 6), (2, 1 / 4, 16)])
+def test_batched_dual_window_design_is_bit_identical_to_the_loop(N, b, K, monkeypatch):
+    designs = []
+    lstsq = np.linalg.lstsq
+
+    def capture(design, target, rcond):
+        designs.append(design)
+        return lstsq(design, target, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", capture)
+    dual_window_solve(N, b, shift_range=K)
+    expected = loop_design(N, b, K)
+    assert designs[0].shape == expected.shape
+    assert np.array_equal(designs[0].view(np.uint64), expected.view(np.uint64))
 
 
 def test_dual_window_range_check():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from framelab import bspline as bsp
+from framelab import cli, gabor, rdual
+from framelab import dilation as dil
 from framelab import exponentials as expo
 from framelab.cli import build_parser, main
 from framelab.core import VectorSystem, standard_basis
@@ -363,19 +365,20 @@ def assert_usage_error(argv, capsys, bad):
     (["gabor", "ron-shen", "--window-g", "indicator:1:0", "--window-h", "indicator:0:1",
       "--a", "1", "--b", "1"], "width of -1"),
     (["gabor", "hrt", "--window", "indicator:0:1", "--points", "0,1e300"], "1e+300"),
-    (["bspline", "scan", "--N", "2", "--a-grid", "0:1e8:1", "--b-grid", "0.25"], "more than 65536"),
-    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "and 4194304 samples"),
-    (["wavelet", "check-dual", "--b", "1e300"], "more than the limit 10000"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "0:1e8:1", "--b-grid", "0.25"], "work budget"),
+    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "work budget"),
+    (["wavelet", "check-dual", "--b", "1e300"], "work budget"),
     (["wavelet", "check-dual", "--b", "1e-300"], "must be rational"),
     (["gabor", "sweep", "--L-list", "1e300"], "1e300"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
       "--a", "1e-300", "--b", "1"], "less than one grid step"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
-      "--a", "1.5", "--b", "1e300"], "more than the limit 10000"),
+      "--a", "1.5", "--b", "1e300"], "work budget"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
-      "--a", "1", "--b", "1e-300"], "4194304 samples"),
+      "--a", "1", "--b", "1e-300"], "work budget"),
     (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "denominator at most 10^6"),
     (["gabor", "bounds", "--L", "4", "--a", "2", "--b", "2", "--seed", "-1"], "'-1'"),
+    (["bspline", "eval", "--N", "9" * 400, "--x", "0.5"], "too large"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)
@@ -397,6 +400,65 @@ def test_oversized_scan_cell_exits_2_before_any_grid(capsys, monkeypatch):
     monkeypatch.setattr(bsp, "_overlap_sums", no_sums)
     assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "1e-5", "--b-grid", "0.3"],
                        capsys, "a=1e-05")
+
+
+EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
+          "--a", "1", "--b", "0.5", "--step", "0.25"]
+
+
+# each request is far over core.MAX_WORK; the evaluator that would do its work
+# is replaced, so a request that reaches it fails the test
+@pytest.mark.parametrize("argv, module, evaluator", [
+    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "100000"], bsp, "bspline_eval"),
+    (EXTEND + ["--L", "100000"], gabor, "_apply_blocks"),
+    (["gabor", "commute", "--L", "1024", "--a", "4", "--b", "4"], gabor, "frame_operator"),
+    (["gabor", "duality", "--L", "512", "--a", "512", "--b", "512"], gabor, "riesz_bounds"),
+    (["bspline", "props", "--N", "2000"], bsp, "bspline_eval"),
+    (["bspline", "eval", "--N", "1000000", "--x", "0.5"], np, "empty"),
+    (["exp", "decay", "--n-max", "100000"], expo, "lower_bound"),
+    (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
+    (["wavepacket", "bounds", "--g", "shannon", "--gamma-points", "1000000000"], dil, "_overlap_sums"),
+    (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
+])
+def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, evaluator, capsys,
+                                                                 monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError(f"{evaluator} was reached")
+
+    monkeypatch.setattr(module, evaluator, evaluated)
+    assert_usage_error(argv, capsys, "work budget")
+
+
+class Reached(Exception):
+    """The evaluator behind a budget check was called."""
+
+
+# goldens and README examples run in full above; these are the larger runs the
+# budget must admit (ROADMAP baselines and the README timings)
+@pytest.mark.parametrize("argv, module, evaluator", [
+    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "64"], bsp, "bspline_eval"),
+    (["bspline", "props", "--N", "24"], bsp, "bspline_eval"),
+    (["bspline", "props", "--N", "40"], bsp, "bspline_eval"),
+    (["exp", "decay", "--n-max", "40", "--dps", "60"], expo, "lower_bound"),
+    (["exp", "decay", "--n-max", "40", "--dps", "1000"], expo, "lower_bound"),
+    (["gabor", "sweep", "--L-list", "48,64", "--windows", "2"], cli, "_sweep_task"),
+    (["bspline", "scan", "--N", "4", "--a-grid", "0.1:3.9:0.1", "--b-grid", "0.05:0.5:0.025"],
+     bsp, "_overlap_sums"),
+])
+def test_requests_within_the_work_budget_reach_their_evaluator(argv, module, evaluator, monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(module, evaluator, reached)
+    with pytest.raises(Reached):
+        main(argv)
+
+
+def test_every_cell_of_the_baseline_scan_is_within_the_work_budget():
+    # the scanner evaluates cells outside the painless regime on at least 2048 points
+    for a in cli._range("0.1:3.9:0.1"):
+        for b in cli._range("0.05:0.5:0.025"):
+            bsp._check_cell(4, a, b, 2048)
 
 
 def test_csv_for_a_command_without_rows_exits_2_before_running(capsys, monkeypatch):

@@ -5,8 +5,9 @@ its own option specs: plausible values, hostile numbers (0, negatives, NaN,
 infinities, 1e300), reversed ranges, empty lists, missing files and specs
 of the wrong kind.  Whatever the input, the exit code is 0, 1 or 2, nothing
 escapes as an exception, and exit 1 means a JSON verdict "fail" or
-"passes": false.  Integer values stay at most 64 and `--jobs` at most 2, so
-each example stays small.
+"passes": false.  Integer values reach 10^6, so every size option meets
+values far over the work budget (`core.MAX_WORK`), which must exit 2 before
+anything large is built; `--jobs` stays at most 2.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ def data(*names):
 
 HOSTILE = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e300", "1e-300", ""]
 NUMBERS = ["0.25", "0.5", "1", "1.5", "2", "3"]
-INTEGERS = ["1", "2", "3", "4", "6", "8", "12", "16", "64"]
+INTEGERS = ["1", "2", "3", "4", "6", "8", "12", "16", "64", "4096", "65536", "1000000"]
 VECTORS = data("f.json", "f.csv", "g.json", "f_dual.json", "sq.json", "sq_dual.json", "omega.json",
                "ext_f.json", "ext_g.json", "e_basis.json", "h_basis.json")
 FREQ = ["shannon", "zero", "indicator:1:2", "indicator:0.5:1:2", "indicator:0:1"] + data("freq.json")
