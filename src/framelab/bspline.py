@@ -33,6 +33,7 @@ from .core import (
     FrameBounds,
     GridError,
     LatticeError,
+    _as_float,
     _check_work,
     _sample_count,
     resolve_tolerance,
@@ -56,9 +57,11 @@ def bspline_eval(N: int, x) -> np.ndarray:
     if N < 1:
         raise DomainError("order must be a positive integer")
     x = np.asarray(x, dtype=float)
-    live = ~(np.isfinite(x) & ((x < 0) | (x >= N)))
-    _check_work(np.count_nonzero(live) * (N * (N + 1) // 2), f"B_{N} at {x.size} points")
+    live = ~(np.isfinite(x) & ((x < 0) | (x >= _as_float(N, "the order N"))))
+    _check_work(int(np.count_nonzero(live)) * (N * (N + 1) // 2), f"B_{N} at {x.size} points")
     out = np.zeros(x.shape)
+    if not live.any():  # no (N, 0) table: N may be past any array dimension
+        return out
     xs = np.empty((N, np.count_nonzero(live)))
     xs[0] = x[live]
     for j in range(1, N):
@@ -199,7 +202,8 @@ def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 
     xs = _scan_grid(a, period_points, knots)
     # points lie in [0, a): translates n*a outside this range miss [0, N)
     offsets = [n * a for n in range(-int(math.ceil(N / a)) - 1, 2)]
-    diag, off = _overlap_sums(lambda x: bspline_eval(N, x), [1.0], offsets, shifts, xs)
+    diag, off = _overlap_sums(lambda x: bspline_eval(N, x), [1.0], offsets, shifts, xs,
+                              support=(0, N))
     # Lipschitz slack: translates meeting a point, times the terms per translate
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
@@ -326,10 +330,9 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance: floa
     """
     if N < 1:
         raise DomainError("order must be a positive integer")
-    if b <= 0 or b > 1.0 / (2 * N - 1) + 1e-12:
-        raise DomainError(
-            f"dual-window regime needs 0 < b <= 1/(2N-1) = {1.0 / (2 * N - 1):g} (got {b:g})"
-        )
+    limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
+    if b <= 0 or b > limit + 1e-12:
+        raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")

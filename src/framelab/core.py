@@ -88,6 +88,14 @@ def _check_work(estimate, what: str) -> None:
                           "of the work budget (core.MAX_WORK)")
 
 
+def _as_float(value, what: str) -> float:
+    """float(value); DomainError for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is too large: past the float range") from None
+
+
 def _sample_count(width: float, step: float) -> int:
     """round(width / step), the samples over width; DomainError if negative or over budget."""
     if width / step < 0:
@@ -516,8 +524,8 @@ def biorthogonality_residual(f_system: VectorSystem, g_system: VectorSystem) -> 
         raise DimensionMismatch("cross Gram needs equal ambient dimensions")
     F, H = f_system.vectors, g_system.vectors.conj().T
     worst = 0.0
-    # 64 rows of the cross Gram at a time: the whole Gram of the adjoint
-    # lattice systems at L = a = b = 24 is 576 x 576 complex, 5.3 MB
+    # 64 rows of the cross Gram at a time: 256 KB for a dim-256 basis
+    # instead of its whole 1 MB Gram
     for i in range(0, F.shape[0], 64):
         M = F[i:i + 64] @ H
         M[np.arange(M.shape[0]), i + np.arange(M.shape[0])] -= 1.0

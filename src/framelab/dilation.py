@@ -209,7 +209,7 @@ _BLOCK_POINTS = 2 ** 14
 
 
 def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
-                  ceiling: float = math.inf):
+                  ceiling: float = math.inf, support=None):
     """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
 
     The sums run over every dilation a, offset c and shift s; offsets whose
@@ -225,7 +225,10 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
     bit-identical to one call per (offset, shift) term: values_at is
     elementwise, every point is the same float expression, the terms are
     added in the same order, and a skipped column would add an exact +0.0
-    to a nonnegative sum.
+    to a nonnegative sum.  With support=(lo, hi), values_at must be exactly 0
+    at finite points outside [lo, hi); each offset's row then drops the
+    shifts s with fl(max u - s) < lo or fl(min u - s) >= hi over its live u,
+    whose points all lie outside, since float subtraction is monotone.
     """
     pts = np.ravel(gammas)
     diag = np.zeros(pts.shape)
@@ -244,9 +247,13 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
                 if shifts.size:
                     live = np.flatnonzero(g0)
                     u_live, g_live, acc = u[live], g0[live], off[live]
+                    row_shifts = shifts
+                    if support is not None:
+                        row_shifts = shifts[(u_live.max() - shifts >= support[0])
+                                            & (u_live.min() - shifts < support[1])]
                     shifts_per_call = max(1, _BLOCK_POINTS // live.size)
-                    for first_s in range(0, shifts.size, shifts_per_call):
-                        block = u_live - shifts[first_s:first_s + shifts_per_call, None]
+                    for first_s in range(0, row_shifts.size, shifts_per_call):
+                        block = u_live - row_shifts[first_s:first_s + shifts_per_call, None]
                         for row in np.abs(values_at(block)):
                             acc += g_live * row
                     off[live] = acc

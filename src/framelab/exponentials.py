@@ -208,11 +208,14 @@ def crude_bound(N: int, delta: float) -> CrudeBound:
         raise DomainError("N must be a positive integer")
     if not (0 < delta <= 1):
         raise DomainError(f"the estimate requires 0 < delta <= 1 (got {delta:g})")
-    log_value = (
-        math.log(CRUDE_PREFACTOR)
-        + (2 * N + 1) * math.log(delta / 2)
-        - CRUDE_FACTORIAL_POWER * math.lgamma(N + 2)
-    )
+    try:
+        log_value = (
+            math.log(CRUDE_PREFACTOR)
+            + (2 * N + 1) * math.log(delta / 2)
+            - CRUDE_FACTORIAL_POWER * math.lgamma(N + 2)
+        )
+    except OverflowError:
+        raise DomainError("N is too large: its log-factorial is past the float range") from None
     value = math.exp(log_value) if log_value > -700 else 0.0
     return CrudeBound(value, log_value / math.log(10))
 

@@ -60,7 +60,10 @@ class OrthonormalPair:
         return self.e_basis.ambient_dim
 
     def swapped(self) -> "OrthonormalPair":
-        return OrthonormalPair(self.h_basis, self.e_basis)
+        """The pair with the bases exchanged; both were validated at construction."""
+        pair = object.__new__(OrthonormalPair)
+        pair.e_basis, pair.h_basis = self.h_basis, self.e_basis
+        return pair
 
     @classmethod
     def standard(cls, dim: int) -> "OrthonormalPair":

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from framelab.gabor import finite_gabor_system
+
 
 def rayleigh_extremes(S: np.ndarray, rng, samples: int = 2048, iterations: int = 2000):
     """Brute-force extreme Rayleigh quotients of a Hermitian PSD matrix.
@@ -45,3 +47,20 @@ def rayleigh_extremes(S: np.ndarray, rng, samples: int = 2048, iterations: int =
         x = y / ny
     lo = rayleigh(x)
     return max(min(lo, hi), 0.0), max(hi, 0.0)
+
+
+def dense_adjoint_biorthogonality(spec_g, spec_h, rows: int = 256) -> float:
+    """Wexler-Raz oracle: max |<g'_j, h'_k> - delta_jk| over the whole dense
+    (a b) x (a b) cross Gram of the two scaled adjoint lattice systems.
+
+    Generates both adjoint systems vector by vector and forms every Gram
+    entry, `rows` rows at a time, O((a b)^2 L).
+    """
+    F = finite_gabor_system(spec_g.adjoint()).vectors
+    H = finite_gabor_system(spec_h.adjoint()).vectors.conj().T
+    worst = 0.0
+    for i in range(0, F.shape[0], rows):
+        block = F[i:i + rows] @ H
+        block[np.arange(block.shape[0]), i + np.arange(block.shape[0])] -= 1.0
+        worst = max(worst, float(np.abs(block).max()))
+    return worst

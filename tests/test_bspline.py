@@ -338,3 +338,19 @@ def test_sample_bspline_window():
     w = sample_bspline(2)
     assert w.count == 129
     assert w.values_interpolated(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# an order past the float range is a DomainError, not an OverflowError
+def test_eval_order_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="too large"):
+        bspline_eval(10 ** 400, np.array([-1.0, 0.5]))
+    # within the float range but past any array dimension: over the budget at
+    # a point of [0, N), zeros without an (N, 0) table elsewhere
+    with pytest.raises(DomainError, match="work budget"):
+        bspline_eval(10 ** 306, np.array([0.5]))
+    assert bspline_eval(10 ** 306, np.array([-1.0])).tolist() == [0.0]
+
+
+def test_dual_window_order_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="too large"):
+        dual_window_solve(10 ** 400, 1e-3)

@@ -419,6 +419,8 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
     (["wavepacket", "bounds", "--g", "shannon", "--gamma-points", "1000000000"], dil, "_overlap_sums"),
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
+    (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
+     np, "exp"),
 ])
 def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, evaluator, capsys,
                                                                  monkeypatch):

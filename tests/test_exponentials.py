@@ -271,3 +271,9 @@ def test_low_precision_dps_rejected():
             lower_bound(LambdaSet([0.0, 0.5]), dps=dps)
         with pytest.raises(DomainError, match="dps"):
             decay_study("integer", 1, dps=dps)
+
+
+@pytest.mark.parametrize("N", [10 ** 400, 10 ** 306], ids=["1e400", "1e306"])
+def test_crude_bound_past_the_float_range_is_a_domain_error(N):
+    with pytest.raises(DomainError, match="too large"):
+        crude_bound(N, 0.5)

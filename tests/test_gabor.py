@@ -8,7 +8,6 @@ from framelab.core import (
     DomainError,
     GridError,
     LatticeError,
-    biorthogonality_residual,
     concat_systems,
     duality_check,
     frame_bounds,
@@ -32,6 +31,7 @@ from framelab.gabor import (
     sampled_indicator,
     wexler_raz_check,
 )
+from oracles import dense_adjoint_biorthogonality
 
 ACCEPTANCE_LENGTHS = (4, 6, 8, 12, 16, 24)
 
@@ -465,10 +465,11 @@ def _assert_duality_residual_matches_dense(spec_g, spec_h):
     dense = duality_check(finite_gabor_system(spec_g), finite_gabor_system(spec_h))
     expected = dense.residuals["duality"]
     assert details["duality_residual"] == pytest.approx(expected, rel=1e-10, abs=1e-12)
-    # the row-blocked adjoint Gram against the whole one
-    bio = biorthogonality_residual(finite_gabor_system(spec_g.adjoint()),
-                                   finite_gabor_system(spec_h.adjoint()))
-    assert details["biorthogonality_residual"] == pytest.approx(bio, rel=1e-12)
+    # the a b adjoint inner products against the whole dense adjoint Gram; for
+    # a b > L the a b adjoint vectors in C^L are dependent, never biorthogonal
+    bio = dense_adjoint_biorthogonality(spec_g, spec_h)
+    assert abs(details["biorthogonality_residual"] - bio) <= 1e-13 * max(1.0, bio)
+    assert bio > 1e-3 or spec_g.a * spec_g.b <= spec_g.L
 
 
 def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
@@ -486,7 +487,7 @@ def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
     assert np.abs(h2 - r2).max() <= 1e-10 * np.abs(r2).max()
 
 
-@pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS)
+@pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS + (48, 64))
 def test_block_bounds_and_dual_match_dense(L):
     rng = np.random.default_rng(100 + L)
     for a, b in divisor_pairs(L):
@@ -556,3 +557,9 @@ def test_commutation_matches_dense_loop(L, monkeypatch):
         exact = _assert_commutation_matches_dense(report, np.linalg.inv(A), a, b, floor=1e-15)
         assert exact > 1e-4 or (a, b) == (L, L)
         assert report.passed == ((a, b) == (L, L))
+
+
+def test_extension_cycle_past_the_float_range_is_a_domain_error():
+    g = sampled_indicator(0.0, 1.0, 0.25)
+    with pytest.raises(DomainError, match="too large"):
+        gabor_extension(g, g, 1.0, 0.5, L=10 ** 400)

@@ -249,17 +249,40 @@ def test_wave_packet_bounds_match_oracles_bitwise(ceiling):
         assert seen["overflow"] > 0
 
 
+@pytest.mark.parametrize("N, a, b", [(2, 0.5, 0.6), (3, 1.25, 0.6), (4, 0.9, 0.4), (5, 0.25, 1.0)])
+def test_support_skips_dead_shifts_bitwise(N, a, b):
+    # a shift whose translates miss [0, N) on a whole row adds only +0.0:
+    # skipping it keeps every bit and evaluates fewer spline points
+    k_max = int(math.ceil(b * N)) + 1
+    shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
+    xs = _scan_grid(a, 256, [k + s for k in range(N + 1) for s in [0.0] + shifts])
+    offsets = [n * a for n in range(-int(math.ceil(N / a)) - 3, 4)]
+    sums, evaluated = [], []
+    for support in (None, (0, N)):
+        points = [0]
+
+        def values_at(x):
+            points[0] += np.size(x)
+            return bspline_eval(N, x)
+
+        sums.append(np.concatenate(dilation._overlap_sums(values_at, [1.0], offsets, shifts, xs,
+                                                          support=support)))
+        evaluated.append(points[0])
+    assert sums[0].view(np.uint64).tolist() == sums[1].view(np.uint64).tolist()
+    assert evaluated[1] < evaluated[0]
+
+
 def test_kernel_calls_stay_within_the_block(monkeypatch):
     # no values_at call of the kernel gets more than 2^14 points unless one
     # grid row alone is larger
     kernel = dilation._overlap_sums
     calls = []
 
-    def recording(values_at, dilations, offsets, shifts, gammas, *args):
+    def recording(values_at, dilations, offsets, shifts, gammas, *args, **kwargs):
         def wrapped(u):
             calls.append((np.size(u), np.size(gammas)))
             return values_at(u)
-        return kernel(wrapped, dilations, offsets, shifts, gammas, *args)
+        return kernel(wrapped, dilations, offsets, shifts, gammas, *args, **kwargs)
 
     monkeypatch.setattr(bspline, "_overlap_sums", recording)
     monkeypatch.setattr(dilation, "_overlap_sums", recording)

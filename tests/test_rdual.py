@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import framelab.rdual as rdual_module
+
 from framelab.core import (
     DomainError,
     SingularSystemError,
@@ -144,6 +146,19 @@ def test_n_sequence_trivial_and_scaled():
     assert ns.tight_bound_estimate.lower == pytest.approx(0.25, abs=1e-12)
     assert ns.tight_bound_estimate.upper == pytest.approx(0.25, abs=1e-12)
     assert not ns.report.passed  # tight, but bound differs from 1
+
+
+def test_swapped_exchanges_the_bases_without_revalidating(monkeypatch):
+    pair = OrthonormalPair.random(np.random.default_rng(7), 5)
+
+    def revalidated(*args):
+        raise AssertionError("an orthonormality check ran again")
+
+    monkeypatch.setattr(rdual_module, "biorthogonality_residual", revalidated)
+    swapped = pair.swapped()
+    assert isinstance(swapped, OrthonormalPair)
+    assert (swapped.e_basis, swapped.h_basis) == (pair.h_basis, pair.e_basis)
+    assert (swapped.swapped().e_basis, swapped.swapped().h_basis) == (pair.e_basis, pair.h_basis)
 
 
 def test_n_sequence_degenerate_omega_raises():
