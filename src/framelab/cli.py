@@ -128,10 +128,12 @@ def _load_json(path):
 
 
 def _vector_system(path) -> core.VectorSystem:
-    if path.endswith(".csv"):
-        with open(path) as fh:
-            return core.VectorSystem.from_csv(fh.read())
-    return core.VectorSystem.from_json_dict(_load_json(path))
+    with open(path) as fh:
+        f = (core.VectorSystem.from_csv(fh.read()) if path.endswith(".csv")
+             else core.VectorSystem.from_json_dict(json.load(fh)))
+    # the largest dense matrix a frame, rdual or extend command forms: max(count, dim)^2 complex
+    core._check_work(2 * max(f.count, f.ambient_dim) ** 2, f"{f.count} vectors in dimension {f.ambient_dim}")
+    return f
 
 
 def _spec_params(spec, defaults):

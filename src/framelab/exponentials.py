@@ -76,6 +76,7 @@ def exp_gram(lset: LambdaSet) -> np.ndarray:
 
     Entries 2 sin(pi d) / d = 2 pi sinc(d) at d = l_j - l_k; diagonal 2 pi.
     """
+    _check_work(4 * lset.count ** 2, f"the Gram matrix of {lset.count} frequencies")  # d, G, complex G
     d = np.subtract.outer(lset.lambdas, lset.lambdas)
     G = 2 * np.pi * np.sinc(d)
     return G.astype(complex)

@@ -7,12 +7,12 @@ frame-operator commutation, dual-pair extension) hold exactly and are
 verified to rounding, not to a truncation error.
 
 Lattice frame operators use Walnut's representation, L/b blocks of size
-b x b: O(L^2 b / a) to build and O(L b^2) to diagonalize, against O(L^3)
-for the dense operator.  The other side of each theorem check is computed
-from the windows by another route (the dense adjoint Riesz bounds, the a*b
-adjoint inner products that hold the whole adjoint cross Gram, the
-commutation check's dense S^-1), so no check verifies the blocks against
-themselves.
+b x b: O(L b) to build from one table of class sums (_class_sums, which also
+gives the Ron-Shen sums) and O(L b^2) to diagonalize, against O(L^3) for the
+dense operator.  The other side of each theorem check is computed from the
+windows by another route (the dense adjoint Riesz bounds, the a*b adjoint
+inner products that hold the whole adjoint cross Gram, the commutation
+check's dense S^-1), so no check verifies the blocks against themselves.
 Commutation is checked on the two lattice generators T_a and M_b; their
 residuals propagate to a bound for every lattice time-frequency shift.
 
@@ -120,18 +120,26 @@ def finite_gabor_system(spec: GaborSpec) -> VectorSystem:
     return VectorSystem(rows, label=f"gabor(L={L},a={a},b={b})")
 
 
+def _class_sums(h: np.ndarray, G: np.ndarray, a: int) -> np.ndarray:
+    """C[u, j] = sum over p = u (mod a) of conj(G[p, j]) h[p], the blocks of a rows added in order
+    (numpy sums pairwise only a one-entry table); the Walnut blocks and the Ron-Shen sums."""
+    return (G.conj() * h[:, None]).reshape(-1, a, G.shape[1]).sum(axis=0)
+
+
 def _walnut_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
     """(L/b, b, b) Walnut blocks of the mixed operator x -> sum <x, g_nm> h_nm.
 
     Block r acts on the samples x[r + k L/b], k < b:
-    K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a)).
+    K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a))
+               = (L/b) C[(r + k L/b) mod a, (l - k) mod b], C the class sums of h, g(p + j L/b).
     """
     L = g.shape[0]
-    _check_work(7 * L * (L // a), f"the Walnut blocks of L={L}, a={a}, b={b}")  # index, 3 complex
+    # index, then shifted window, its conjugate, products and blocks (complex)
+    _check_work(9 * L * b, f"the Walnut blocks of L={L}, a={a}, b={b}")
     q = L // b
-    idx = (np.arange(q)[:, None, None] + q * np.arange(b)[None, :, None]
-           - a * np.arange(L // a)[None, None, :]) % L  # (r, k, n)
-    return q * (h[idx] @ g[idx].conj().transpose(0, 2, 1))  # sum over n, batched over r
+    p, k = np.arange(L), np.arange(b)
+    C = q * _class_sums(h, g[p[:, None] + np.arange(-L, 0, q)], a)  # negative indices wrap
+    return C[(p % a).reshape(b, q).T[:, :, None], k - k[:, None]]  # l - k wraps too
 
 
 def _apply_blocks(K: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,7 +148,8 @@ def _apply_blocks(K: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def gabor_frame_bounds(spec: GaborSpec) -> FrameBounds:
     ev = np.linalg.eigvalsh(_walnut_blocks(spec.window, spec.window, spec.a, spec.b))
-    return FrameBounds(max(float(ev.min()), 0.0), max(float(ev.max()), 0.0))
+    lower = 0.0 if spec.a * spec.b > spec.L else float(ev.min())  # a b > L: rank <= L/a < b
+    return FrameBounds(max(lower, 0.0), max(float(ev.max()), 0.0))
 
 
 def canonical_dual_window(spec: GaborSpec, tolerance=None) -> np.ndarray:
@@ -206,7 +215,6 @@ def wexler_raz_check(spec_g: GaborSpec, spec_h: GaborSpec, tolerance=None) -> An
     if (spec_g.L, spec_g.a, spec_g.b) != (spec_h.L, spec_h.a, spec_h.b):
         raise LatticeError("both windows must share the same (L, a, b) lattice")
     a, b = spec_g.a, spec_g.b
-    # first: the table's budget also covers the L b entries of the Walnut blocks
     V = _adjoint_inner_products(spec_g.window, spec_h.window, a, b)
     V[0, 0] -= 1.0
     bio = float(np.abs(V).max())
@@ -332,8 +340,7 @@ def _steps_of(value: float, step: float, what: str) -> int:
 
 def _lookup(window: SampledWindow, positions: np.ndarray) -> np.ndarray:
     """Values at integer grid positions (in units of step, relative to 0)."""
-    t0 = _steps_of(window.x0, window.step, "window origin")
-    idx = positions - t0
+    idx = positions - _steps_of(window.x0, window.step, "window origin")
     valid = (idx >= 0) & (idx < window.count)
     out = np.zeros(positions.shape, dtype=complex)
     out[valid] = window.samples[idx[valid]]
@@ -361,29 +368,20 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
         raise DomainError(f"a = {a:g} is less than one grid step ({step:g})")
     shift_steps = _steps_of(1.0 / b, step, "1/b")
 
-    gs, ge = g.support_hint
-    hs, he = h.support_hint
-    diam = max(ge, he) - min(gs, hs)
-    n_max = _shift_window(b * (diam + a))
+    (gs, ge), (hs, he) = g.support_hint, h.support_hint
+    n_max = _shift_window(b * (max(ge, he) - min(gs, hs) + a))
     k_lo = int(math.floor((-he) / a)) - 1
     k_hi = int(math.ceil((a - hs) / a)) + 1
-    _check_work(2 * (2 * n_max + 1) * (k_hi - k_lo + 1) * a_steps, f"translation sums at a={a:g}, b={b:g}")
-
-    x_pos = np.arange(a_steps)  # grid of [0, a) in units of step
-    worst = 0.0
-    worst_n = 0
-    for n in range(-n_max, n_max + 1):
-        r = np.zeros(a_steps, dtype=complex)
-        for k in range(k_lo, k_hi + 1):
-            hv = _lookup(h, x_pos - k * a_steps)
-            if not np.any(hv):
-                continue
-            gv = _lookup(g, x_pos - n * shift_steps - k * a_steps)
-            r += np.conj(gv) * hv
-        target = b if n == 0 else 0.0
-        dev = float(np.abs(r - target).max())
-        if dev > worst:
-            worst, worst_n = dev, n
+    # per (line, n) entry: positions, indices, then shifted window, its conjugate, products (complex)
+    _check_work(8 * (2 * n_max + 1) * (k_hi - k_lo + 1) * a_steps, f"translation sums at a={a:g}, b={b:g}")
+    # the line x - k a, x on the grid of [0, a), in blocks of increasing k
+    line = (np.arange(a_steps) - a_steps * np.arange(k_lo, k_hi + 1)[:, None]).reshape(-1)
+    n = np.arange(-n_max, n_max + 1)
+    r = _class_sums(_lookup(h, line), _lookup(g, line[:, None] - shift_steps * n), a_steps)  # (x, n)
+    r[:, n_max] -= b
+    dev = np.abs(r).max(axis=0)
+    first = int(np.argmax(dev))  # the first n of the largest deviation, n = 0 if none
+    worst, worst_n = float(dev[first]), (first - n_max if dev[first] > 0 else 0)
     return AnalysisReport.from_residuals(
         {"ron_shen": worst}, tol,
         notes=f"worst deviation at n={worst_n}; grid step {step}",
@@ -407,9 +405,7 @@ def extend_gabor_windows(spec_g: GaborSpec, spec_h: GaborSpec, r1_window=None):
         raise LatticeError("both windows must share the same (L, a, b) lattice")
     L, a, b = spec_g.L, spec_g.a, spec_g.b
     if a * b > L:
-        raise LatticeError(
-            f"a*b = {a * b} > L = {L}: the lattice is too sparse, no dual pair exists"
-        )
+        raise LatticeError(f"a*b = {a * b} > L = {L}: the lattice is too sparse, no dual pair exists")
     if r1_window is None:
         r1 = np.zeros(L, dtype=complex)
         r1[:a] = 1.0
@@ -541,6 +537,7 @@ def hrt_independence(g: SampledWindow, points, tolerance=None) -> AnalysisReport
     x_lo = lo + min(min(mus), 0.0) - g.step
     x_hi = hi + max(max(mus), 0.0) + g.step
     count = _sample_count(x_hi - x_lo, g.step) + 1
+    _check_work(4 * len(points) * count, f"{len(points)} shifts on {count} samples")  # rows, SVD copy
     x = x_lo + g.step * np.arange(count)
 
     rows = np.empty((len(points), count), dtype=complex)

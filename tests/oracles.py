@@ -1,8 +1,11 @@
 """Independent oracles shared by several test modules."""
 
+import math
+
 import numpy as np
 
-from framelab.gabor import finite_gabor_system
+from framelab.core import AnalysisReport, _shift_window
+from framelab.gabor import RON_SHEN_TOL_PER_STEP, _lookup, _steps_of, finite_gabor_system
 
 
 def rayleigh_extremes(S: np.ndarray, rng, samples: int = 2048, iterations: int = 2000):
@@ -64,3 +67,48 @@ def dense_adjoint_biorthogonality(spec_g, spec_h, rows: int = 256) -> float:
         block[np.arange(block.shape[0]), i + np.arange(block.shape[0])] -= 1.0
         worst = max(worst, float(np.abs(block).max()))
     return worst
+
+
+def gathered_walnut_blocks(g, h, a: int, b: int) -> np.ndarray:
+    """Walnut-block oracle: K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a)).
+
+    Gathers every term into (L/b, b, L/a) arrays and sums over n by a batched
+    matrix product, O(L^2 b / a).
+    """
+    L = g.shape[0]
+    q = L // b
+    idx = (np.arange(q)[:, None, None] + q * np.arange(b)[None, :, None]
+           - a * np.arange(L // a)[None, None, :]) % L  # (r, k, n)
+    return q * (h[idx] @ g[idx].conj().transpose(0, 2, 1))
+
+
+def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
+    """Ron-Shen oracle: r_n(x) = sum_k conj(g(x - n/b - k a)) h(x - k a) on the
+    grid of [0, a), one n and one k at a time, k increasing; the report of
+    gabor.ron_shen_duality_check, which must equal it repr for repr."""
+    step = g.step
+    tol = tolerance if tolerance is not None else RON_SHEN_TOL_PER_STEP * step
+    a_steps = _steps_of(a, step, "a")
+    shift_steps = _steps_of(1.0 / b, step, "1/b")
+    gs, ge = g.support_hint
+    hs, he = h.support_hint
+    n_max = _shift_window(b * (max(ge, he) - min(gs, hs) + a))
+    k_lo = int(math.floor((-he) / a)) - 1
+    k_hi = int(math.ceil((a - hs) / a)) + 1
+    x_pos = np.arange(a_steps)
+    worst, worst_n = 0.0, 0
+    for n in range(-n_max, n_max + 1):
+        r = np.zeros(a_steps, dtype=complex)
+        for k in range(k_lo, k_hi + 1):
+            hv = _lookup(h, x_pos - k * a_steps)
+            if not np.any(hv):
+                continue
+            r += np.conj(_lookup(g, x_pos - n * shift_steps - k * a_steps)) * hv
+        dev = float(np.abs(r - (b if n == 0 else 0.0)).max())
+        if dev > worst:
+            worst, worst_n = dev, n
+    return AnalysisReport.from_residuals(
+        {"ron_shen": worst}, tol,
+        notes=f"worst deviation at n={worst_n}; grid step {step}",
+        details={"a": a, "b": b, "n_range": float(n_max)},
+    )

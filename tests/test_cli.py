@@ -421,6 +421,10 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
      np, "exp"),
+    (["gabor", "bounds", "--L", "8192", "--a", "8192", "--b", "8192"], np.linalg, "eigvalsh"),
+    (["exp", "gram", "--lambdas", ",".join(map(str, range(5001)))], np, "sinc"),
+    (["gabor", "hrt", "--window", "indicator:0:1", "--step", "0.001", "--points", "0,0;0,20000"],
+     gabor.SampledWindow, "values_interpolated"),
 ])
 def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, evaluator, capsys,
                                                                  monkeypatch):
@@ -429,6 +433,19 @@ def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, ev
 
     monkeypatch.setattr(module, evaluator, evaluated)
     assert_usage_error(argv, capsys, "work budget")
+
+
+@pytest.mark.parametrize("count, dim", [(1, 7072), (7072, 1)])
+def test_wide_or_long_input_families_exit_2_before_any_dense_matrix(count, dim, tmp_path, capsys,
+                                                                    monkeypatch):
+    # 2 max(count, dim)^2 work units for the dense matrices of frame, rdual and extend commands
+    def evaluated(*args):
+        raise AssertionError("frame_bounds was reached")
+
+    path = tmp_path / "family.csv"
+    path.write_text("\n".join([",".join(["1,0"] * dim)] * count) + "\n")
+    monkeypatch.setattr(cli.core, "frame_bounds", evaluated)
+    assert_usage_error(["frame", "bounds", "--file", str(path)], capsys, f"{count} vectors in dimension {dim}")
 
 
 class Reached(Exception):
@@ -446,6 +463,7 @@ class Reached(Exception):
     (["gabor", "sweep", "--L-list", "48,64", "--windows", "2"], cli, "_sweep_task"),
     (["bspline", "scan", "--N", "4", "--a-grid", "0.1:3.9:0.1", "--b-grid", "0.05:0.5:0.025"],
      bsp, "_overlap_sums"),
+    (["gabor", "bounds", "--L", "65536", "--a", "64", "--b", "64"], np.linalg, "eigvalsh"),
 ])
 def test_requests_within_the_work_budget_reach_their_evaluator(argv, module, evaluator, monkeypatch):
     def reached(*args, **kwargs):

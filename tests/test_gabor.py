@@ -31,7 +31,7 @@ from framelab.gabor import (
     sampled_indicator,
     wexler_raz_check,
 )
-from oracles import dense_adjoint_biorthogonality
+from oracles import dense_adjoint_biorthogonality, gathered_walnut_blocks, looped_ron_shen
 
 ACCEPTANCE_LENGTHS = (4, 6, 8, 12, 16, 24)
 
@@ -236,6 +236,45 @@ def test_ron_shen_grid_mismatch():
     g = sampled_indicator(0.0, 1.0, step=1 / 64)
     with pytest.raises(GridError):
         ron_shen_duality_check(g, g, 1.0, 0.3)  # 1/b = 10/3 off-grid
+
+
+def _ron_shen_cases():
+    """(g, h, a, b) sampled-line cases: Gaussians, indicators, splines, the
+    dual_window_solve windows, random windows, and a = one grid step."""
+    from framelab.bspline import dual_window_solve, sample_bspline
+
+    chi = sampled_indicator(0.0, 1.0, 1 / 16)
+    gauss = sampled_gaussian(4.0, 1 / 16)
+    cases = [(chi, chi, 1.0, 1.0), (chi, chi, 0.5, 1.0), (chi, chi, 1.0, 0.5),
+             (chi, sampled_indicator(0.0, 0.5, 1 / 16), 0.5, 2.0),
+             (sampled_indicator(-0.5, 1.25, 1 / 16), chi, 0.25, 0.5),
+             (gauss, gauss, 1.0, 1.0), (gauss, gauss, 0.5, 0.5), (gauss, chi, 0.25, 2.0),
+             (chi, chi, 1 / 16, 1.0), (gauss, gauss, 1 / 16, 0.25)]
+    chi_32 = sampled_indicator(0.0, 1.0, 1 / 32)
+    for N in (1, 2, 3, 4):
+        spline = sample_bspline(N, 1 / 32)
+        cases += [(spline, spline, 1.0, 1 / (2 * N)), (spline, chi_32, 0.5, 1.0)]
+    for N, b in ((2, 0.25), (2, 0.2), (3, 0.2), (2, 1 / 3)):
+        window, _ = dual_window_solve(N, b)
+        cases.append((sample_bspline(N, window.step), window, 1.0, b))
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        step = 1 / int(rng.choice([4, 8, 16]))
+        windows = []
+        for _ in range(2):
+            x0 = step * int(rng.integers(-20, 20))
+            count = int(rng.integers(1, 40))
+            samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            windows.append(SampledWindow(x0, step, samples, (x0, x0 + step * (count - 1))))
+        a = step * int(rng.integers(1, 12))
+        b = 1 / (step * int(rng.integers(1, 24)))
+        cases.append((*windows, a, b))
+    return cases
+
+
+def test_ron_shen_matches_the_loop_over_n_and_k_repr_for_repr():
+    for g, h, a, b in _ron_shen_cases():
+        assert repr(ron_shen_duality_check(g, h, a, b)) == repr(looped_ron_shen(g, h, a, b))
 
 
 def test_extension_already_dual_gives_zero_window():
@@ -485,6 +524,31 @@ def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
     expected = phi.conj().T @ r1
     assert np.abs(g2 - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1.0)
     assert np.abs(h2 - r2).max() <= 1e-10 * np.abs(r2).max()
+
+
+@pytest.mark.parametrize("L", tuple(range(4, 25)) + (48, 64))
+def test_walnut_blocks_match_the_gather_over_n(L):
+    rng = np.random.default_rng(700 + L)
+    for a, b in divisor_pairs(L):
+        g, h = rand_window(rng, L), rand_window(rng, L)
+        expected = gathered_walnut_blocks(g, h, a, b)
+        got = gabor_module._walnut_blocks(g, h, a, b)
+        assert got.shape == expected.shape == (L // b, b, b)
+        scale = np.abs(expected).max(axis=(1, 2))  # block by block
+        assert np.all(np.abs(got - expected).max(axis=(1, 2)) <= 1e-13 * scale)
+
+
+def test_undersampled_lattice_lower_bound_is_zero_by_counting(monkeypatch):
+    # a b > L: each block has rank at most L/a < b, so the lower bound is 0.0
+    # whatever the eigensolver returns; here it is made to return a positive floor
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: eigvalsh(K) + 1.0)
+    rng = np.random.default_rng(402)
+    for L in ACCEPTANCE_LENGTHS:
+        for a, b in divisor_pairs(L):
+            fb = gabor_frame_bounds(GaborSpec(L, a, b, rand_window(rng, L)))
+            assert (fb.lower == 0.0) == (a * b > L)
+            assert fb.upper >= 1.0
 
 
 @pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS + (48, 64))
