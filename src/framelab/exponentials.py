@@ -46,6 +46,9 @@ class LambdaSet:
             raise DomainError("need at least one frequency")
         if not np.all(np.isfinite(arr)):
             raise DomainError("frequencies must be finite (no NaN or Inf)")
+        if not math.isfinite(math.pi * (float(arr.max()) - float(arr.min()))):
+            # the float64 Gram entries need pi (l_j - l_k)
+            raise DomainError("frequencies must span a finite range: pi (max - min) overflows")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise DomainError("frequencies must be strictly increasing")
         arr = arr.copy()
@@ -96,12 +99,16 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     resolution of the 2 pi scale (~1e-15); smaller values need dps, the
     decimal digits of extended precision (MIN_DPS to MAX_DPS, else
     DomainError).  Then each entry 2 sin(pi d)/d is computed once per
-    distinct difference d by mpmath at dps digits (mp.prec bits), converted
-    to an integer with P = mp.prec + 40 fraction bits, and the smallest
-    eigenvalue of that integer matrix is found in fixed point by Householder
-    tridiagonalization and Sturm-sequence bisection (_smallest_eigenvalue).
-    The cost is O(N^3) products of P-bit integers for the reduction and at
-    most about P bisection steps of N divisions each; see README for timings.
+    distinct exact difference d by mpmath at dps digits (mp.prec bits),
+    converted to an integer with P = mp.prec + 40 fraction bits, and the
+    smallest eigenvalue of that integer matrix is found in fixed point by
+    Householder tridiagonalization and Sturm-sequence bisection
+    (_smallest_eigenvalue).  A frequency set symmetric about its midpoint,
+    such as both decay families, has a persymmetric Gram; it is split exactly
+    into two half-size blocks first, a quarter of the reduction's work.  The
+    cost is O(N^3) products of P-bit integers for the reduction and, for a
+    positive definite matrix, about log2(P) + 55 bisection steps of N
+    divisions each (at most about P otherwise); see README for timings.
     """
     _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
     if dps is None:
@@ -119,46 +126,52 @@ def _fixed_gram(lset: LambdaSet, frac_bits: int):
     """Rows of integers floor(G[j, k] 2^frac_bits), G computed at mp.dps.
 
     Negation, sin, products and quotients round sign-symmetrically, so the
-    entry at -d is the entry at d: each is computed once per distinct d.
+    entry at -d is the entry at d.  Each entry is computed once per distinct
+    exact difference l_j - l_k, keyed by its TwoSum float pair (s, err) with
+    s = fl(l_j - l_k) and err = l_j - l_k - s exactly.  Equal exact
+    differences round to the same d at mp.prec, so every entry equals its
+    own mpmath evaluation.
     """
     from mpmath import mpf, sin, pi as mp_pi
     from mpmath.libmp import to_fixed
 
     n = lset.count
-    lams = [mpf(float(v)) for v in lset.lambdas]
+    lams = lset.lambdas.tolist()
+    mp_lams = [mpf(x) for x in lams]
     diagonal = to_fixed((2 * mp_pi)._mpf_, frac_bits)
     rows = [[diagonal] * n for _ in range(n)]
     entries = {}
-    for j in range(n):
+    for j, x in enumerate(lams):
         for k in range(j + 1, n):
-            d = lams[j] - lams[k]
-            if d not in entries:
-                entries[d] = to_fixed((2 * sin(mp_pi * d) / d)._mpf_, frac_bits)
-            rows[j][k] = rows[k][j] = entries[d]
+            y = lams[k]
+            s = x - y
+            t = s - x
+            key = (s, (x - (s - t)) - (y + t))
+            entry = entries.get(key)
+            if entry is None:
+                d = mp_lams[j] - mp_lams[k]
+                entry = entries[key] = to_fixed((2 * sin(mp_pi * d) / d)._mpf_, frac_bits)
+            rows[j][k] = rows[k][j] = entry
     return rows
 
 
-def _smallest_eigenvalue(rows, frac_bits: int) -> float:
-    """Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+def _tridiagonalize(a, frac_bits: int):
+    """Householder reduction of the symmetric integer matrix a in fixed point.
 
-    Householder reflections reduce the integer matrix to tridiagonal form in
-    fixed point: products are shifted back by frac_bits and quotients
-    floored.  Each reflection I - 2 v v^T / v^T v is formed from the exact
-    integers of v and v^T v, so it is orthogonal, and the floors perturb each
-    entry by about one unit of 2^-frac_bits per step.  The smallest
-    eigenvalue of the tridiagonal T is then bisected on the Sturm sequence of
-    T - x I (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), starting from
-    the Gershgorin lower end and the smallest diagonal entry, until both ends
-    of the bracket round to the same float64.
+    Returns (diag, off_sq): the diagonal of the tridiagonal T and its squared
+    subdiagonal entries, at scales 2^frac_bits and 2^(2 frac_bits).  Products
+    are shifted back by frac_bits and quotients floored.  Each reflection
+    I - 2 v v^T / v^T v is formed from the exact integers of v and v^T v, so
+    it is orthogonal, and the floors perturb each entry by about one unit of
+    2^-frac_bits per step.
     """
     diag, off_sq = [], []
-    a = rows
     while len(a) > 1:
         diag.append(a[0][0])
         x = [r[0] for r in a[1:]]
         a = [r[1:] for r in a[1:]]
         s = sum(xi * xi for xi in x)
-        off_sq.append(s)  # the squared subdiagonal entry, at scale 2^(2 frac_bits)
+        off_sq.append(s)
         if s == 0:
             continue
         alpha = math.isqrt(s) if x[0] < 0 else -math.isqrt(s)
@@ -171,6 +184,50 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
         a = [[aij - ((vi * wj + wi * vj) >> frac_bits) for aij, wj, vj in zip(r, w, v)]
              for r, vi, wi in zip(a, v, w)]
     diag.append(a[0][0])
+    return diag, off_sq
+
+
+def _floor_sqrt2_times(c: int) -> int:
+    """floor(sqrt(2) c); 2 c^2 is no perfect square unless c = 0."""
+    root = math.isqrt(2 * c * c)
+    return root if c >= 0 else -root - 1
+
+
+def _smallest_eigenvalue(rows, frac_bits: int) -> float:
+    """Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+
+    A persymmetric input (rows[i][j] == rows[n-1-i][n-1-j], so centrosymmetric,
+    as is every symmetric Toeplitz matrix) is folded first (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976): with m = n // 2, B the leading m x m block
+    and C J the top-right one read right to left, the spectrum is that of
+    B + C J and B - C J, whose entries are exact integer sums.  For odd n the
+    middle row joins the + block as the column sqrt(2) c, floored, which adds
+    one unit of 2^-frac_bits.  Each block, or else the whole matrix, is
+    reduced to tridiagonal form by _tridiagonalize; the two tridiagonals are
+    joined by a zero off-diagonal entry.  The smallest eigenvalue of the
+    tridiagonal T is then bisected on the Sturm sequence of T - x I (Barth,
+    Martin & Wilkinson, Numer. Math. 9, 1967) until both ends of the bracket
+    round to the same float64.  The bracket's upper end is the smallest
+    diagonal entry; its lower end is 0 if T is positive definite, with
+    geometric midpoints isqrt(lo hi) while hi > 4 lo, and else the Gershgorin
+    lower end.  The pivots fall monotonically in x, so every bracket ends on
+    the float64 of the same integer threshold.
+    """
+    n = len(rows)
+    m = n // 2
+    if n > 1 and all(r == s[::-1] for r, s in zip(rows, reversed(rows))):
+        top = rows[:m]
+        plus = [[b + c for b, c in zip(r, r[:-m - 1:-1])] for r in top]
+        minus = [[b - c for b, c in zip(r, r[:-m - 1:-1])] for r in top]
+        if n % 2:
+            col = [_floor_sqrt2_times(r[m]) for r in top]
+            plus = [r + [c] for r, c in zip(plus, col)] + [col + [rows[m][m]]]
+        diag, off_sq = _tridiagonalize(plus, frac_bits)
+        minus_diag, minus_off_sq = _tridiagonalize(minus, frac_bits)
+        diag += minus_diag
+        off_sq += [0] + minus_off_sq
+    else:
+        diag, off_sq = _tridiagonalize(rows, frac_bits)
 
     def at_or_below(x):
         """Is a pivot of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?"""
@@ -181,12 +238,15 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
             q = d - x - e2 // q
         return q <= 0
 
-    radius = [math.isqrt(e2) + 1 for e2 in off_sq]
-    lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
     hi = min(diag)
+    if at_or_below(0):
+        radius = [math.isqrt(e2) + 1 for e2 in off_sq]
+        lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
+    else:
+        lo = 0
     scale = 1 << frac_bits
     while hi - lo > 1 and lo / scale != hi / scale:
-        mid = (lo + hi) >> 1
+        mid = math.isqrt(max(lo, 1) * hi) if 0 <= 4 * lo < hi else (lo + hi) >> 1
         if at_or_below(mid):
             hi = mid
         else:

@@ -1,6 +1,7 @@
 """Independent oracles shared by several test modules."""
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -112,3 +113,62 @@ def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
         notes=f"worst deviation at n={worst_n}; grid step {step}",
         details={"a": a, "b": b, "n_range": float(n_max)},
     )
+
+
+def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
+    """Fixed-point eigenvalue oracle: the whole matrix reduced, no fold, and
+    linear bisection from the Gershgorin lower end.
+
+    Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+
+    Householder reflections reduce the integer matrix to tridiagonal form in
+    fixed point: products are shifted back by frac_bits and quotients
+    floored.  Each reflection I - 2 v v^T / v^T v is formed from the exact
+    integers of v and v^T v, so it is orthogonal, and the floors perturb each
+    entry by about one unit of 2^-frac_bits per step.  The smallest
+    eigenvalue of the tridiagonal T is then bisected on the Sturm sequence of
+    T - x I (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), starting from
+    the Gershgorin lower end and the smallest diagonal entry, until both ends
+    of the bracket round to the same float64.
+    """
+    diag, off_sq = [], []
+    a = rows
+    while len(a) > 1:
+        diag.append(a[0][0])
+        x = [r[0] for r in a[1:]]
+        a = [r[1:] for r in a[1:]]
+        s = sum(xi * xi for xi in x)
+        off_sq.append(s)  # the squared subdiagonal entry, at scale 2^(2 frac_bits)
+        if s == 0:
+            continue
+        alpha = math.isqrt(s) if x[0] < 0 else -math.isqrt(s)
+        vtv = s - 2 * alpha * x[0] + alpha * alpha
+        v = [x[0] - alpha] + x[1:]
+        # A <- H A H = A - v w^T - w v^T with p = 2 A v / v^T v, w = p - (v^T p / v^T v) v
+        p = [(sum(map(mul, r, v)) << (frac_bits + 1)) // vtv for r in a]
+        k = (sum(map(mul, v, p)) << frac_bits) // vtv
+        w = [pj - ((k * vj) >> frac_bits) for pj, vj in zip(p, v)]
+        a = [[aij - ((vi * wj + wi * vj) >> frac_bits) for aij, wj, vj in zip(r, w, v)]
+             for r, vi, wi in zip(a, v, w)]
+    diag.append(a[0][0])
+
+    def at_or_below(x):
+        """Is a pivot of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?"""
+        q = diag[0] - x
+        for d, e2 in zip(diag[1:], off_sq):
+            if q <= 0:
+                return True
+            q = d - x - e2 // q
+        return q <= 0
+
+    radius = [math.isqrt(e2) + 1 for e2 in off_sq]
+    lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
+    hi = min(diag)
+    scale = 1 << frac_bits
+    while hi - lo > 1 and lo / scale != hi / scale:
+        mid = (lo + hi) >> 1
+        if at_or_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi / scale

@@ -379,6 +379,9 @@ def assert_usage_error(argv, capsys, bad):
     (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "denominator at most 10^6"),
     (["gabor", "bounds", "--L", "4", "--a", "2", "--b", "2", "--seed", "-1"], "'-1'"),
     (["bspline", "eval", "--N", "9" * 400, "--x", "0.5"], "too large"),
+    # the differences overflowed to inf and the float Gram to NaN, printing 0.0
+    (["exp", "bound", "--lambdas=-1e308,1e308"], "finite range"),
+    (["exp", "bound", "--lambdas=-1e308,1e308", "--dps", "30"], "finite range"),
 ])
 def test_malformed_option_values_exit_2(argv, bad, capsys):
     assert_usage_error(argv, capsys, bad)

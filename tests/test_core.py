@@ -342,6 +342,7 @@ def _non_finite_constructions():
         ("FreqFunction start", lambda: FreqFunction(nan, 0.5, [1.0], (0.0, 1.0))),
         ("LambdaSet nan", lambda: LambdaSet([0.0, nan, 2.0])),
         ("LambdaSet inf", lambda: LambdaSet([0.0, inf])),
+        ("LambdaSet span", lambda: LambdaSet([-1e308, 1e308])),
     ]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from framelab.exponentials import (
     integer_lambdas,
     lower_bound,
 )
+from oracles import unsplit_smallest_eigenvalue
 
 
 def quad_gram_entry(lj, lk, panels=4096):
@@ -111,12 +113,34 @@ def test_mp_lower_bound_equals_full_gram_oracle_random_sets():
         assert lower_bound(lset, dps=30) == full_mp_lower_bound(lset, 30)
 
 
-@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
+def floored_full_gram(lset, frac_bits):
+    from mpmath.libmp import to_fixed
+
+    full = full_mp_gram(lset)
+    return [[to_fixed(full[j, k]._mpf_, frac_bits) for k in range(lset.count)]
+            for j in range(lset.count)]
+
+
+def unequal_exponent_sets(rng):
+    """Negative and positive values of magnitude 1e-20 .. 1e5, and sets with
+    repeated differences; their exact float differences need up to ~140 bits."""
+    sets = []
+    for n in (3, 6, 9, 12):
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20, 5, n)
+        sets.append(LambdaSet(np.unique(values)))
+    for c, h in ((-370.3, 0.3), (1e5 / 3, 1e-7), (-2.0 / 3, 1.1)):
+        sets.append(LambdaSet(c + h * np.array([0.0, 1, 2, 4, 5, 7, 8, 9])))
+    sets.append(LambdaSet(np.unique(np.concatenate([sets[0].lambdas, sets[4].lambdas]))))
+    # 1e5 - l for the two middle values differ exactly, but not in 103 bits
+    sets.append(LambdaSet([-1e5, -1e-20, np.nextafter(-1e-20, 0.0), 1e-20, 1e5]))
+    return sets
+
+
+@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas, "random"])
 def test_mp_gram_equals_full_gram_oracle(family, monkeypatch):
     # the kernel starts from the full Gram, floored to its fixed point, and
     # returns the float of eigsy's smallest eigenvalue at the same dps
     import mpmath
-    from mpmath.libmp import to_fixed
 
     real_kernel = exponentials._smallest_eigenvalue
     solved = []
@@ -126,15 +150,126 @@ def test_mp_gram_equals_full_gram_oracle(family, monkeypatch):
         return real_kernel(rows, frac_bits)
 
     monkeypatch.setattr(exponentials, "_smallest_eigenvalue", recording_kernel)
+    if family == "random":
+        # at dps 30 distinct exact differences can round to one d
+        for lset in unequal_exponent_sets(np.random.default_rng(5)):
+            for dps in (30, 60):
+                lower_bound(lset, dps=dps)
+                rows, frac_bits = solved.pop()
+                with mpmath.mp.workdps(dps):
+                    assert rows == floored_full_gram(lset, frac_bits)
+        return
     for N in range(2, 41):
         value = lower_bound(family(N), dps=60)
         rows, frac_bits = solved.pop()
         with mpmath.mp.workdps(60):
             assert frac_bits == mpmath.mp.prec + 40
-            full = full_mp_gram(family(N))
-            assert rows == [[to_fixed(full[j, k]._mpf_, frac_bits) for k in range(N)]
-                            for j in range(N)]
-            assert value == float(mpmath.eigsy(full, eigvals_only=True)[0])
+            assert rows == floored_full_gram(family(N), frac_bits)
+            assert value == float(mpmath.eigsy(full_mp_gram(family(N)), eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("dps", [60, 100])
+@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
+def test_kernel_equals_unsplit_oracle_on_both_families(family, dps):
+    # the folded reduction and the geometric bisection start give the float
+    # of the whole matrix reduced and bisected linearly
+    import mpmath
+
+    with mpmath.mp.workdps(dps):
+        frac_bits = mpmath.mp.prec + 40
+        for N in range(1, 41):
+            rows = exponentials._fixed_gram(family(N), frac_bits)
+            assert exponentials._smallest_eigenvalue(rows, frac_bits) == \
+                unsplit_smallest_eigenvalue(rows, frac_bits), N
+
+
+def test_kernel_equals_unsplit_oracle_on_random_sets():
+    import mpmath
+
+    rng = np.random.default_rng(17)
+    with mpmath.mp.workdps(30):
+        frac_bits = mpmath.mp.prec + 40
+        for _ in range(20):
+            lset = LambdaSet(np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(2, 16)))))
+            rows = exponentials._fixed_gram(lset, frac_bits)
+            assert exponentials._smallest_eigenvalue(rows, frac_bits) == \
+                unsplit_smallest_eigenvalue(rows, frac_bits)
+
+
+def test_kernel_equals_unsplit_oracle_on_small_integer_matrices():
+    # indefinite, singular and positive definite matrices a few units wide:
+    # every bracket ends on the same threshold, also when hi - lo reaches 1
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        frac_bits = int(rng.integers(0, 12))
+        a = rng.integers(-40, 41, (n, n))
+        a = a + a.T + np.diag(rng.integers(0, 400, n))
+        if n >= 5 and rng.integers(2):
+            # persymmetric but for one inner pair: still reduced whole
+            a = a + a[::-1, ::-1]
+            a[1, 2] += 1
+            a[2, 1] += 1
+        rows = a.tolist()
+        if n > 1 and all(r == s[::-1] for r, s in zip(rows, reversed(rows))):
+            continue
+        assert exponentials._smallest_eigenvalue(rows, frac_bits) == \
+            unsplit_smallest_eigenvalue(rows, frac_bits)
+
+
+def mirrored_sets(rng, count):
+    """Sets symmetric about a dyadic center, so each l_i + l_(n-1-i) is exact."""
+    sets = []
+    for n in rng.integers(2, 20, count):
+        half = np.round(np.sort(rng.uniform(0.05, 0.2 * n, n // 2)) * 2 ** 20) / 2 ** 20
+        middle = [0.0] if n % 2 else []
+        center = float(rng.choice([0.0, 1.25, -3.5]))
+        sets.append(LambdaSet(center + np.concatenate([-half[::-1], middle, half])))
+    return sets
+
+
+def recorded_reductions(monkeypatch):
+    sizes = []
+    real = exponentials._tridiagonalize
+
+    def recording(a, frac_bits):
+        sizes.append(len(a))
+        return real(a, frac_bits)
+
+    monkeypatch.setattr(exponentials, "_tridiagonalize", recording)
+    return sizes
+
+
+def test_mirrored_sets_are_folded_within_resolution(monkeypatch):
+    # eigsy at dps + 40 on the same dps-digit entries; the fold adds at most
+    # one unit of 2^-frac_bits (the sqrt(2) c column of odd n)
+    import mpmath
+
+    dps = 30
+    sizes = recorded_reductions(monkeypatch)
+    sets = mirrored_sets(np.random.default_rng(29), 12)
+    assert {lset.count % 2 for lset in sets} == {0, 1}
+    for lset in sets:
+        n = lset.count
+        with mpmath.mp.workdps(dps):
+            gram, prec = full_mp_gram(lset), mpmath.mp.prec
+        with mpmath.mp.workdps(dps + 40):
+            reference = float(mpmath.eigsy(gram, eigvals_only=True)[0])
+        value = lower_bound(lset, dps=dps)
+        assert abs(value - max(reference, 0.0)) <= n * 2.0 ** (3 - prec)
+        assert sizes == [n - n // 2, n // 2]
+        sizes.clear()
+
+
+def test_non_persymmetric_matrix_is_reduced_whole(monkeypatch):
+    sizes = recorded_reductions(monkeypatch)
+    lset = LambdaSet([0.0, 0.5, 1.25, 1.5, 2.75])
+    lower_bound(lset, dps=30)
+    assert sizes == [5]
+    sizes.clear()
+    # a set symmetric about its midpoint folds into blocks of 3 and 2
+    lower_bound(LambdaSet([0.0, 1.25, 1.5, 1.75, 3.0]), dps=30)
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("dps", [15, 20, 30])
@@ -187,6 +322,17 @@ def test_lower_bound_shift_invariance():
     ls = LambdaSet(lams)
     for c in (-3.0, 1.7, 10.0):
         assert lower_bound(LambdaSet(lams + c)) == pytest.approx(lower_bound(ls), abs=1e-12)
+
+
+def test_overflowing_span_rejected_without_warnings():
+    # the differences overflowed to inf, so the float Gram was NaN and the
+    # bound a silent 0.0 (2 pi at dps 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lams in ([-1e308, 1e308], [0.0, 1e308], [-8e307, 0.0, 8e307]):
+            with pytest.raises(DomainError, match="finite range"):
+                LambdaSet(lams)
+        assert lower_bound(LambdaSet([-5e306, 5e306]), dps=30) == pytest.approx(2 * np.pi)
 
 
 def test_strict_increase_enforced():
