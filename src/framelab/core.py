@@ -123,6 +123,30 @@ def _all_finite(values) -> bool:
     return bool(np.isfinite(np.ascontiguousarray(values, dtype=complex).view(np.float64)).all())
 
 
+def _grid_samples(origin, step, values, interval, cell: bool, names):
+    """(origin, step, read-only complex copy of values, (lo, hi)) of samples values[i] at
+    origin + i step.  The step must be positive (GridError); origin, step and values
+    finite, and the interval finite and holding every nonzero sample, or with cell every
+    nonzero cell [x, x + step) (DomainError).  names = (origin, values, interval, items)
+    name the parts in the messages."""
+    origin_name, values_name, interval_name, items = names
+    if step <= 0:
+        raise GridError("step must be positive")
+    arr = np.asarray(values, dtype=complex).reshape(-1)
+    if not (math.isfinite(origin) and math.isfinite(step) and _all_finite(arr)):
+        raise DomainError(f"{origin_name}, step and {values_name} must be finite (no NaN or Inf)")
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        raise DomainError(f"{interval_name} must be a finite interval")
+    nonzero = (origin + step * np.arange(arr.shape[0]))[np.abs(arr) > 0]
+    if nonzero.size and (nonzero.min() < lo - 1e-12
+                         or nonzero.max() + (step if cell else 0.0) > hi + 1e-12):
+        raise DomainError(f"{interval_name} does not contain all nonzero {items}")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return float(origin), float(step), arr, (lo, hi)
+
+
 def _encode_pairs(values) -> list:
     """Nested [re, im] float pairs of a complex array, shape (...) -> (..., 2)."""
     arr = np.asarray(values, dtype=complex)
@@ -413,11 +437,15 @@ def gram_matrix(system: VectorSystem) -> np.ndarray:
     return (G + G.conj().T) / 2
 
 
-def _hermitian_extremes(M: np.ndarray):
-    if M.shape[0] == 0:
-        return 0.0, 0.0
+def _spectral_bounds(M: np.ndarray, rank_deficient: bool = False) -> FrameBounds:
+    """Optimal bounds, the extreme eigenvalues of a Hermitian PSD matrix or a stack of
+    them (Walnut blocks) clamped at 0; the lower bound is exactly 0.0 when counting
+    proves the rank deficient, and an empty matrix has (0, 0)."""
+    if M.size == 0:
+        return FrameBounds(0.0, 0.0)
     ev = np.linalg.eigvalsh(M)
-    return float(ev[0]), float(ev[-1])
+    lower = 0.0 if rank_deficient else max(float(ev.min()), 0.0)
+    return FrameBounds(lower, max(float(ev.max()), 0.0))
 
 
 def frame_bounds(system: VectorSystem, mode: str = "full_space") -> FrameBounds:
@@ -429,18 +457,16 @@ def frame_bounds(system: VectorSystem, mode: str = "full_space") -> FrameBounds:
     """
     if mode not in ("full_space", "span"):
         raise DomainError(f"unknown mode {mode!r}")
-    if mode == "span" and system.count == 0:
-        raise DomainError("span bounds of an empty system are undefined")
+    if mode == "full_space":
+        if system.count < system.ambient_dim:
+            # rank <= count < dim, and S = T T* shares its nonzero spectrum
+            # with the smaller Gram matrix T* T (empty for an empty system)
+            return _spectral_bounds(gram_matrix(system), rank_deficient=True)
+        return _spectral_bounds(frame_operator(system))
     if system.count == 0:
-        return FrameBounds(0.0, 0.0)
-    if mode == "full_space" and system.count < system.ambient_dim:
-        # rank <= count < dim, and S = T T* shares its nonzero spectrum with
-        # the smaller Gram matrix T* T
-        return FrameBounds(0.0, max(_hermitian_extremes(gram_matrix(system))[1], 0.0))
+        raise DomainError("span bounds of an empty system are undefined")
     ev = np.linalg.eigvalsh(frame_operator(system))
     upper = max(float(ev[-1]), 0.0)
-    if mode == "full_space":
-        return FrameBounds(max(float(ev[0]), 0.0), upper)
     cutoff = system.ambient_dim * np.finfo(float).eps * upper
     nonzero = ev[ev > cutoff]
     lower = float(nonzero[0]) if nonzero.size else 0.0
@@ -457,9 +483,8 @@ def riesz_bounds(system: VectorSystem) -> FrameBounds:
     if system.count > system.ambient_dim:
         # more vectors than dimensions: dependent, and the Gram matrix T* T
         # shares its nonzero spectrum with the smaller frame operator T T*
-        return FrameBounds(0.0, max(_hermitian_extremes(frame_operator(system))[1], 0.0))
-    lo, hi = _hermitian_extremes(gram_matrix(system))
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+        return _spectral_bounds(frame_operator(system), rank_deficient=True)
+    return _spectral_bounds(gram_matrix(system))
 
 
 def canonical_dual(system: VectorSystem, mode: str = "full_space", tolerance=None) -> VectorSystem:

@@ -33,11 +33,11 @@ from .core import (
     FrameBounds,
     GridError,
     TruncationUnsoundError,
-    _all_finite,
     _check_work,
     _decode_pairs,
     _encode_pairs,
     _field,
+    _grid_samples,
     _sample_count,
     _shift_window,
     resolve_tolerance,
@@ -54,25 +54,8 @@ class FreqFunction:
     """
 
     def __init__(self, start: float, step: float, values, band):
-        if step <= 0:
-            raise GridError("step must be positive")
-        vals = np.asarray(values, dtype=complex).reshape(-1)
-        if not (math.isfinite(start) and math.isfinite(step) and _all_finite(vals)):
-            raise DomainError("start, step and values must be finite (no NaN or Inf)")
-        lo, hi = float(band[0]), float(band[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise DomainError("band must be a finite interval")
-        starts = start + step * np.arange(vals.shape[0])
-        nz = np.abs(vals) > 0
-        if np.any(nz):
-            if starts[nz].min() < lo - 1e-12 or (starts[nz].max() + step) > hi + 1e-12:
-                raise DomainError("band does not contain all nonzero cells")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        self.start = float(start)
-        self.step = float(step)
-        self.values = vals
-        self.band = (lo, hi)
+        self.start, self.step, self.values, self.band = _grid_samples(
+            start, step, values, band, True, ("start", "values", "band", "cells"))
 
     @property
     def count(self) -> int:
@@ -199,25 +182,18 @@ def _check_ceiling(ceiling):
         raise DomainError(f"ceiling must be > 0 (got {ceiling!r})")
 
 
-class _CeilingExceeded(Exception):
-    """A partial translation-overlap sum passed the ceiling."""
-
-
 #: points per values_at call of _overlap_sums (one grid row if that is larger):
 #: one call per whole cell is barely faster and multiplies the peak memory
 _BLOCK_POINTS = 2 ** 14
 
 
-def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
-                  ceiling: float = math.inf, support=None):
+def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support=None):
     """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
 
     The sums run over every dilation a, offset c and shift s; offsets whose
     |g(u)| vanishes everywhere are skipped.  This is the one translation-
     overlap loop: the wave-packet bounds use shifts k/b, the B-spline
     scanner one dilation, offsets n*a and shifts k/b (none when painless).
-    Raises _CeilingExceeded once max(diag + off) passes the ceiling, tested
-    after each offset.
 
     values_at is called on blocks of at most _BLOCK_POINTS points: the rows
     u of several offsets at once, and for each offset the shifted points
@@ -257,20 +233,20 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray,
                         for row in np.abs(values_at(block)):
                             acc += g_live * row
                     off[live] = acc
-                if ceiling < math.inf and float((diag + off).max()) > ceiling:
-                    raise _CeilingExceeded
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 
 def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
     """(sup (diag + off)/b per sup grid, the (diag, off) sums of the inf pass,
-    the trimmed window (lo, hi, margin)).
+    the trimmed window (lo, hi, margin)), or None when max(diag + off) on any
+    grid passes ceiling * b.
 
     The trimmed window is the covered region less one dilated band diameter
     at each edge.  Without a gamma_grid the sup pass runs on the midpoint
     grids over the covered region and the inf pass on those over the trimmed
-    window; a given gamma_grid serves both passes.  Raises _CeilingExceeded
-    when a partial sum on any grid passes the ceiling.
+    window; a given gamma_grid serves both passes.  Every term is
+    nonnegative, so no partial sum passes the ceiling unless the final one
+    does.
     """
     shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
     # complex values per point, dilation, offset and shift; sup and inf pass at p and 2p
@@ -278,9 +254,9 @@ def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma
     _check_work(2 * points * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
                 f"translation-overlap sums on {points} frequency points")
 
-    def sums(grids):  # (diag, off) on each grid, the ceiling scaled to ceiling * b
-        return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
-                              ceiling * grid.b) for gammas in grids]
+    def sums(grids):  # (diag, off) on each grid
+        return [_overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas)
+                for gammas in grids]
 
     lo, hi = _coverage_box(g_hat, grid)
     margin = _edge_margin(g_hat, grid)
@@ -292,8 +268,10 @@ def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma
     else:
         sup_sums = sums(_midpoints(lo, hi, grid.gamma_points))
         inf_sums = sums(_midpoints(t_lo, t_hi, grid.gamma_points) if t_hi > t_lo else [])
-    estimates = [float((diag + off).max()) / grid.b for diag, off in sup_sums]
-    return estimates, inf_sums, (t_lo, t_hi, margin)
+    peaks = [float((diag + off).max()) for diag, off in sup_sums + inf_sums]
+    if max(peaks) > ceiling * grid.b:
+        return None
+    return [p / grid.b for p in peaks[:len(sup_sums)]], inf_sums, (t_lo, t_hi, margin)
 
 
 def _overflow_report(notes: str, ceiling: float) -> AnalysisReport:
@@ -307,18 +285,18 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
 
     B = (1/b) sup_gamma sum_{j,m,k} |g(a_j^-1 g - c_m) g(a_j^-1 g - c_m - k/b)|.
 
-    Band limitation makes the k sum exact.  If the accumulating partial sums
-    exceed the ceiling on any grid that wave_packet_frame_bounds evaluates
-    (the trimmed inf grids included) the computation stops and reports the
-    Bessel condition as violated (value +inf) instead of returning a number,
-    so the value is always the upper bound of wave_packet_frame_bounds.
+    Band limitation makes the k sum exact.  If the sums exceed the ceiling
+    on any grid that wave_packet_frame_bounds evaluates (the trimmed inf
+    grids included) it reports the Bessel condition as violated (value +inf)
+    instead of returning a number, so the value is always the upper bound of
+    wave_packet_frame_bounds.
     """
     _check_ceiling(ceiling)
-    try:
-        estimates, _, _ = _bound_sums(g_hat, grid, ceiling, gamma_grid)
-    except _CeilingExceeded:
+    sums = _bound_sums(g_hat, grid, ceiling, gamma_grid)
+    if sums is None:
         return math.inf, _overflow_report(
             f"unbounded (Bessel violated): partial sums exceeded ceiling {ceiling:g}", ceiling)
+    estimates = sums[0]
     best = max(0.0, *estimates)
     report = AnalysisReport.from_residuals(
         {}, resolve_tolerance(None),
@@ -343,11 +321,11 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     ceiling on any grid reports (0, inf) with the Bessel condition violated.
     """
     _check_ceiling(ceiling)
-    try:
-        estimates, inf_sums, (t_lo, t_hi, margin) = _bound_sums(g_hat, grid, ceiling, gamma_grid)
-    except _CeilingExceeded:
+    sums = _bound_sums(g_hat, grid, ceiling, gamma_grid)
+    if sums is None:
         return FrameBounds(0.0, math.inf), _overflow_report(
             f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", ceiling)
+    estimates, inf_sums, (t_lo, t_hi, margin) = sums
     upper = max(0.0, *estimates)
     lower_raw = min((float((diag - off).min()) / grid.b for diag, off in inf_sums),
                     default=-math.inf)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, _check_work, _field
+from .core import DomainError, _check_work, _field, _spectral_bounds
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
@@ -112,7 +112,7 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     """
     _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
     if dps is None:
-        lo = float(np.linalg.eigvalsh(exp_gram(lset).real)[0])
+        lo = _spectral_bounds(exp_gram(lset).real).lower
     else:
         from mpmath import mp
 

@@ -47,8 +47,10 @@ from .core import (
     _encode_pairs,
     _equivalence_report,
     _field,
+    _grid_samples,
     _sample_count,
     _shift_window,
+    _spectral_bounds,
     resolve_tolerance,
     riesz_bounds,
 )
@@ -147,9 +149,9 @@ def _apply_blocks(K: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def gabor_frame_bounds(spec: GaborSpec) -> FrameBounds:
-    ev = np.linalg.eigvalsh(_walnut_blocks(spec.window, spec.window, spec.a, spec.b))
-    lower = 0.0 if spec.a * spec.b > spec.L else float(ev.min())  # a b > L: rank <= L/a < b
-    return FrameBounds(max(lower, 0.0), max(float(ev.max()), 0.0))
+    # a b > L: each block has rank <= L/a < b
+    return _spectral_bounds(_walnut_blocks(spec.window, spec.window, spec.a, spec.b),
+                            rank_deficient=spec.a * spec.b > spec.L)
 
 
 def canonical_dual_window(spec: GaborSpec, tolerance=None) -> np.ndarray:
@@ -234,10 +236,12 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
     Y_PQ = Y_P + P Y_Q P*, so the lattice shift M_b^m T_a^n (|n| <= L/2a,
     |m| <= L/2b by cyclicity) has a commutator of norm at most
     floor(L/2a) r_T + floor(L/2b) r_M, r_T = ||Y_T_a||, r_M = ||Y_M_b||.
-    That bound is the residual "commutator".
+    The residual "commutator" is that bound times the lower frame bound A,
+    i.e. relative to ||S^-1|| = 1/A, so scaling the window leaves it unchanged.
     """
     tol = resolve_tolerance(tolerance)
-    if not gabor_frame_bounds(spec).is_frame(1e-10):
+    bounds = gabor_frame_bounds(spec)
+    if not bounds.is_frame(1e-10):
         raise SingularSystemError("commutation check needs a frame (invertible S)")
     Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
     L, a, b = spec.L, spec.a, spec.b
@@ -247,9 +251,10 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
     r_T = float(np.linalg.norm(Sinv - np.roll(Sinv, (a, a), axis=(0, 1)), 2))
     r_M = float(np.linalg.norm(Sinv - phase * Sinv, 2))
     return AnalysisReport.from_residuals(
-        {"commutator": (L // (2 * a)) * r_T + (L // (2 * b)) * r_M}, tol,
-        notes=("floor(L/2a) ||S^-1 T_a - T_a S^-1|| + floor(L/2b) ||S^-1 M_b - M_b S^-1|| "
-               "bounds the commutator of every lattice shift; canonical dual window is S^-1 w"),
+        {"commutator": bounds.lower * ((L // (2 * a)) * r_T + (L // (2 * b)) * r_M)}, tol,
+        notes=("A (floor(L/2a) ||S^-1 T_a - T_a S^-1|| + floor(L/2b) ||S^-1 M_b - M_b S^-1||) "
+               "bounds the commutator of every lattice shift relative to ||S^-1|| = 1/A, "
+               "A the lower frame bound; canonical dual window is S^-1 w"),
         details={"translation_generator": r_T, "modulation_generator": r_M},
     )
 
@@ -266,26 +271,8 @@ class SampledWindow:
     """
 
     def __init__(self, x0: float, step: float, samples, support_hint):
-        if step <= 0:
-            raise GridError("step must be positive")
-        arr = np.asarray(samples, dtype=complex).reshape(-1)
-        if not (math.isfinite(x0) and math.isfinite(step) and _all_finite(arr)):
-            raise DomainError("x0, step and samples must be finite (no NaN or Inf)")
-        lo, hi = float(support_hint[0]), float(support_hint[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise DomainError("support hint must be a finite interval")
-        positions = x0 + step * np.arange(arr.shape[0])
-        nz = np.abs(arr) > 0
-        if np.any(nz):
-            bad = positions[nz]
-            if bad.min() < lo - 1e-12 or bad.max() > hi + 1e-12:
-                raise DomainError("support hint does not contain all nonzero samples")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.x0 = float(x0)
-        self.step = float(step)
-        self.samples = arr
-        self.support_hint = (lo, hi)
+        self.x0, self.step, self.samples, self.support_hint = _grid_samples(
+            x0, step, samples, support_hint, False, ("x0", "samples", "support hint", "samples"))
 
     @property
     def count(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from framelab.core import (
     DimensionMismatch,
     DomainError,
     FrameBounds,
+    GridError,
     SingularSystemError,
     VectorSystem,
     _decode_pairs,
     _encode_pairs,
+    _spectral_bounds,
     analysis,
     biorthogonality_residual,
     canonical_dual,
@@ -351,6 +354,113 @@ def _non_finite_constructions():
 def test_non_finite_input_rejected_at_construction(name, build):
     with pytest.raises(DomainError, match="finite"):
         build()
+
+
+def test_spectral_bounds_of_one_matrix_or_a_stack_of_blocks():
+    M = np.diag([0.5, 2.0, 3.0]).astype(complex)
+    assert _spectral_bounds(M) == FrameBounds(0.5, 3.0)
+    lower = _spectral_bounds(M, rank_deficient=True).lower
+    assert lower == 0.0 and math.copysign(1.0, lower) == 1.0
+    blocks = np.stack([np.diag([1.0, 4.0]), np.diag([0.5, 2.0])])
+    assert _spectral_bounds(blocks) == FrameBounds(0.5, 4.0)
+    # rounding below zero is clamped at both ends, and an empty matrix has (0, 0)
+    assert _spectral_bounds(np.diag([-1e-17, 1.0])) == FrameBounds(0.0, 1.0)
+    assert _spectral_bounds(-np.eye(2)) == FrameBounds(0.0, 0.0)
+    assert _spectral_bounds(np.zeros((0, 0))) == FrameBounds(0.0, 0.0)
+
+
+def _grid_classes():
+    """(class, its values attribute, message names, cell) of both sampled-function types."""
+    from framelab.dilation import FreqFunction
+    from framelab.gabor import SampledWindow
+
+    return [
+        pytest.param(SampledWindow, "samples", ("x0", "samples", "support hint", "samples"), False,
+                     id="SampledWindow"),
+        pytest.param(FreqFunction, "values", ("start", "values", "band", "cells"), True,
+                     id="FreqFunction"),
+    ]
+
+
+GRID_CLASSES = pytest.mark.parametrize("cls, attr, names, cell", _grid_classes())
+NAN, INF = float("nan"), float("inf")
+
+
+def _raises_exactly(exc, message):
+    return pytest.raises(exc, match="^" + re.escape(message) + "$")
+
+
+@GRID_CLASSES
+@pytest.mark.parametrize("origin, step, values", [
+    (NAN, 0.25, [1.0]), (INF, 0.25, [1.0]), (-INF, 0.25, [1.0]),
+    (0.0, NAN, [1.0]), (0.0, INF, [1.0]),
+    (0.0, 0.25, [1.0, NAN]), (0.0, 0.25, [complex(0.0, INF)]), (0.0, 0.25, [-INF, 0.0]),
+], ids=["origin nan", "origin inf", "origin -inf", "step nan", "step inf",
+        "values nan", "values imag inf", "values -inf"])
+def test_sampled_function_rejects_non_finite_input(cls, attr, names, cell, origin, step, values):
+    with _raises_exactly(DomainError, f"{names[0]}, step and {names[1]} must be finite (no NaN or Inf)"):
+        cls(origin, step, values, (0.0, 1.0))
+
+
+@GRID_CLASSES
+@pytest.mark.parametrize("step", [0.0, -0.25, -INF])
+def test_sampled_function_rejects_a_nonpositive_step(cls, attr, names, cell, step):
+    with _raises_exactly(GridError, "step must be positive"):
+        cls(0.0, step, [1.0], (0.0, 1.0))
+
+
+@GRID_CLASSES
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (0.0, INF), (-INF, 1.0), (NAN, 1.0), (0.0, NAN)],
+                         ids=["reversed", "hi inf", "lo -inf", "lo nan", "hi nan"])
+def test_sampled_function_rejects_a_bad_interval(cls, attr, names, cell, interval):
+    with _raises_exactly(DomainError, f"{names[2]} must be a finite interval"):
+        cls(0.0, 0.25, [1.0], interval)
+
+
+@GRID_CLASSES
+@pytest.mark.parametrize("origin, values", [
+    (-0.25, [1.0, 1.0, 1.0]),  # the first sample one step below lo
+    (0.0, [1.0, 1.0, 1.0, 1.0, 0.0, 2.0]),  # a sample at 1.25, past hi
+], ids=["below", "above"])
+def test_sampled_function_rejects_a_nonzero_value_outside(cls, attr, names, cell, origin, values):
+    with _raises_exactly(DomainError, f"{names[2]} does not contain all nonzero {names[3]}"):
+        cls(origin, 0.25, values, (0.0, 1.0))
+
+
+@GRID_CLASSES
+def test_sampled_function_interval_tolerance_is_1e_12(cls, attr, names, cell):
+    # the last sample, or the end of the last cell, is at 1.0
+    values = [1.0] * (4 if cell else 5)
+    assert cls(0.0, 0.25, values, (0.0, 1.0 - 1e-13)).count == len(values)
+    with _raises_exactly(DomainError, f"{names[2]} does not contain all nonzero {names[3]}"):
+        cls(0.0, 0.25, values, (0.0, 1.0 - 1e-9))
+
+
+@GRID_CLASSES
+def test_sampled_function_interval_holds_samples_or_cells(cls, attr, names, cell):
+    # four values at 0, 0.25, 0.5, 0.75: the samples end at 0.75, the cells at 1.0
+    if cell:
+        with _raises_exactly(DomainError, "band does not contain all nonzero cells"):
+            cls(0.0, 0.25, [1.0] * 4, (0.0, 0.75))
+    else:
+        assert cls(0.0, 0.25, [1.0] * 4, (0.0, 0.75)).count == 4
+    # zeros may lie outside the interval
+    assert cls(-0.25, 0.25, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.0, 0.25)).count == 6
+
+
+@GRID_CLASSES
+def test_sampled_function_values_are_a_read_only_copy(cls, attr, names, cell):
+    source = np.array([1.0, 2.0, 3.0])
+    fn = cls(0, 0.25, source, (0, 1))
+    values = getattr(fn, attr)
+    assert values.dtype == complex and not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 5.0
+    source[0] = 7.0
+    assert values.tolist() == [1.0, 2.0, 3.0]
+    origin, interval = (fn.x0, fn.support_hint) if attr == "samples" else (fn.start, fn.band)
+    assert type(origin) is float and type(fn.step) is float
+    assert interval == (0.0, 1.0) and all(type(v) is float for v in interval)
 
 
 def test_pair_codec_is_bit_exact():

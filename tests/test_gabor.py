@@ -197,6 +197,32 @@ def test_commutation_random_frame():
     assert frame_operator_commutation_check(spec).passed
 
 
+def test_commutation_verdict_does_not_depend_on_window_scale():
+    # S^-1 scales by 1 / scale^2; the residual is relative to ||S^-1|| = 1/A,
+    # so the verdict and the residual stay put (the absolute commutator at
+    # scale 1e-4 is about 1e-7)
+    rng = np.random.default_rng(0)
+    w = rand_window(rng, 24)
+    reports = [frame_operator_commutation_check(GaborSpec(24, 4, 3, scale * w))
+               for scale in (1e-4, 1.0, 1e4)]
+    assert all(report.passed for report in reports)
+    residuals = [report.residuals["commutator"] for report in reports]
+    assert max(residuals) < 1e-12
+    assert max(residuals) < 2 * min(residuals)
+
+
+def test_commutation_passes_an_ill_conditioned_frame():
+    rng = np.random.default_rng(4)
+    w = rand_window(rng, 24)
+    w[::4] *= 1e-3
+    spec = GaborSpec(24, 4, 3, w)
+    assert 1e-7 < gabor_frame_bounds(spec).ratio < 3e-7
+    report = frame_operator_commutation_check(spec)
+    assert report.passed
+    # the absolute generator commutators are above 1e-10, ||S^-1|| = 1/A about 4e4
+    assert report.details["translation_generator"] > 1e-10
+
+
 def test_commutation_breaks_off_lattice():
     # operators from a different lattice do not commute with S^-1
     rng = np.random.default_rng(7)
@@ -586,15 +612,16 @@ def test_block_engine_matches_dense_at_L512():
     _assert_extension_matches_dense(spec, partner)
 
 
-def _assert_commutation_matches_dense(report, A, a, b, floor):
+def _assert_commutation_matches_dense(report, A, a, b, floor, lower):
     """Generator residuals equal the dense ones, the reported commutator bounds
-    the dense loop over every lattice point, and the verdicts at 1e-10 agree."""
+    the dense loop over every lattice point times the lower frame bound, and
+    the verdicts at 1e-10 agree."""
     L = A.shape[0]
     for key, P in (("translation_generator", dense_translation(L, a)),
                    ("modulation_generator", dense_modulation(L, b))):
         dense = float(np.linalg.norm(A @ P - P @ A, 2))
         assert report.details[key] == pytest.approx(dense, rel=1e-12, abs=floor)
-    exact = dense_commutator_norm(A, a, b)
+    exact = lower * dense_commutator_norm(A, a, b)
     assert report.residuals["commutator"] >= exact * (1 - 1e-12)
     assert report.passed == (exact <= 1e-10)
     return exact
@@ -607,10 +634,12 @@ def test_commutation_matches_dense_loop(L, monkeypatch):
         spec = GaborSpec(L, a, b, rand_window(rng, L))
         if not _is_frame(spec):
             continue
+        lower = gabor_frame_bounds(spec).lower
         Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
         report = frame_operator_commutation_check(spec, tolerance=1e-10)
         # S^-1 commutes up to rounding, which the dense products round differently
-        _assert_commutation_matches_dense(report, Sinv, a, b, floor=1e-13 * np.linalg.norm(Sinv, 2))
+        _assert_commutation_matches_dense(report, Sinv, a, b,
+                                          floor=1e-13 * np.linalg.norm(Sinv, 2), lower=lower)
         # a positive definite operator that commutes with no lattice shift: the
         # residuals are far above rounding and must match the dense ones
         X = rand_window(rng, L * L).reshape(L, L)
@@ -618,7 +647,8 @@ def test_commutation_matches_dense_loop(L, monkeypatch):
         monkeypatch.setattr(gabor_module, "frame_operator", lambda system: A)
         report = frame_operator_commutation_check(spec, tolerance=1e-10)
         monkeypatch.undo()
-        exact = _assert_commutation_matches_dense(report, np.linalg.inv(A), a, b, floor=1e-15)
+        exact = _assert_commutation_matches_dense(report, np.linalg.inv(A), a, b, floor=1e-15,
+                                                  lower=lower)
         assert exact > 1e-4 or (a, b) == (L, L)
         assert report.passed == ((a, b) == (L, L))
 
