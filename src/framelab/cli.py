@@ -344,19 +344,15 @@ def _gabor_sweep(args):
     return {"rows": rows, "worst_residual": max((row["residual"] for row in rows), default=0.0)}
 
 
-def _wp_grid(args):
-    return dil.WavePacketGrid(a_values=args.a_values, b=args.b, c_values=args.c_values,
-                              gamma_points=args.gamma_points)
-
-
 def _wavepacket_bounds(args):
-    g, grid = _freq_function(args.g), _wp_grid(args)
+    g, grid = _freq_function(args.g), dil.WavePacketGrid(args.a_values, args.b, args.c_values)
     bounds, report = dil.wave_packet_frame_bounds(g, grid, ceiling=args.ceiling)
     return {"bounds": bounds, "bessel_bound": bounds.upper, "report": report}
 
 
 def _wavepacket_lic(args):
-    value, report = dil.lic_estimate(_freq_function(args.psi), _wp_grid(args), _freq_function(args.f))
+    grid = dil.WavePacketGrid(args.a_values, args.b, args.c_values)
+    value, report = dil.lic_estimate(_freq_function(args.psi), grid, _freq_function(args.f))
     return {"value": value, "report": report}
 
 
@@ -427,8 +423,6 @@ WAVE_PACKET_GRID = (
     _opt("--a-values", type=_float_list, default="1"),
     _opt("--b", type=_number, default=1.0),
     _opt("--c-values", type=_range, default="-8:8:1"),
-    _opt("--gamma-points", type=int, default=4096),
-    _opt("--ceiling", type=float, default=1e15),
 )
 ORDER = _required("--N", type=int)
 LAMBDAS = (_opt("--lambdas", type=_float_list, default=None), _opt("--file", default=None))
@@ -532,7 +526,8 @@ COMMANDS = {
     ),
     ("wavepacket", "combined dilation/translation/modulation systems"): (
         Command("bounds", "translation-overlap sufficient bounds (Bessel bound and frame certificate)",
-                (_required("--g"),) + WAVE_PACKET_GRID, _wavepacket_bounds),
+                (_required("--g"),) + WAVE_PACKET_GRID + (_opt("--ceiling", type=float, default=1e15),),
+                _wavepacket_bounds),
         Command("check-dual",
                 "dual wave-packet frames: offset sums, shifted products, exact ratio classes",
                 (_required("--psi"), _opt("--a", type=_number, default=2.0),

@@ -420,7 +420,7 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["bspline", "eval", "--N", "1000000", "--x", "0.5"], np, "empty"),
     (["exp", "decay", "--n-max", "100000"], expo, "lower_bound"),
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
-    (["wavepacket", "bounds", "--g", "shannon", "--gamma-points", "1000000000"], dil, "_overlap_sums"),
+    (["wavepacket", "bounds", "--g", "shannon", "--c-values=-2000:2000:1"], dil, "_overlap_sums"),
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
      np, "exp"),
@@ -532,15 +532,14 @@ def test_infinite_ceiling_accepted(capsys):
 
 
 def test_wavepacket_bounds_overflow_on_inf_grid_fails(tmp_path, capsys):
-    # the trimmed inf grids pass the ceiling although the sup grids do not:
-    # verdict fail with (0, inf), not a traceback
+    # a tall cell inside the trimmed inf window passes the ceiling: verdict
+    # fail with (0, inf), not a traceback
     values = np.ones(1024)
     values[3] = 10.0
     path = tmp_path / "g.json"
     path.write_text(json.dumps(FreqFunction(0.0, 1 / 1024, values, (0.0, 1.0)).to_json_dict()))
     code, out, _ = run_cli(["wavepacket", "bounds", "--g", str(path), "--a-values", "1",
-                            "--b", "1.0", "--c-values", "0:5.6:0.7", "--gamma-points", "17",
-                            "--ceiling", "51.5"], capsys)
+                            "--b", "1.0", "--c-values", "0:5.6:0.7", "--ceiling", "51.5"], capsys)
     result = json.loads(out)["result"]
     assert code == 1 and result["report"]["verdict"] == "fail"
     assert result["bounds"] == {"lower": 0.0, "upper": "inf"}

@@ -102,7 +102,7 @@ def test_wave_packet_c2_violation_detected():
 def test_wave_packet_single_dilation_tight():
     g = freq_indicator(0.0, 1.0, step=1 / 256)
     offsets = list(range(-8, 9))
-    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=offsets, gamma_points=1024)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=offsets)
     B, rep_b = wave_packet_bessel_bound(g, grid)
     assert B == pytest.approx(1.0, abs=1e-12)
     bounds, rep = wave_packet_frame_bounds(g, grid)
@@ -120,7 +120,7 @@ def test_wave_packet_zero_window():
 
 def test_wave_packet_spectral_gap_inconclusive():
     g = freq_indicator(0.0, 1.0, step=1 / 64)
-    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, 2.0], gamma_points=512)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, 2.0])
     bounds, rep = wave_packet_frame_bounds(g, grid)
     assert bounds.lower == 0.0
     assert rep.verdict == "undecided"
@@ -294,13 +294,13 @@ def test_divergence_probe_monotone_growth():
 
 
 def test_divergence_flag_in_bessel_bound():
-    # dyadic dilations with wide covering offsets blow past a small ceiling
+    # dyadic dilations with wide covering offsets blow past a small ceiling:
+    # all ten dilations cover gamma < 200/512, where the diagonal sum is 1000
     g = freq_indicator(0.0, 1.0, step=1 / 16, amplitude=10.0)
     grid = WavePacketGrid(
         a_values=[2.0 ** -j for j in range(10)],
         b=1.0,
-        c_values=list(range(0, 800)),
-        gamma_points=128,
+        c_values=list(range(0, 200)),
     )
     value, report = wave_packet_bessel_bound(g, grid, ceiling=500.0)
     assert value == math.inf
@@ -308,14 +308,14 @@ def test_divergence_flag_in_bessel_bound():
 
 
 def test_overflow_on_inf_grid_only_reports_bessel_violated():
-    # the sup grids stay under the ceiling; the trimmed inf grids land on the
-    # tall cell and pass it, which reports the Bessel condition violated by
-    # the Bessel bound and the frame bounds alike
+    # one tall cell 2^-10 wide, inside the trimmed inf window, passes the
+    # ceiling: the piece it makes is read like every other, which reports
+    # the Bessel condition violated by the Bessel bound and the frame bounds
+    # alike
     values = np.ones(1024)
     values[3] = 10.0
     g = FreqFunction(0.0, 1 / 1024, values, (0.0, 1.0))
-    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.7 * k for k in range(9)],
-                          gamma_points=17)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.7 * k for k in range(9)])
     value, bessel_report = wave_packet_bessel_bound(g, grid, ceiling=51.5)
     assert value == math.inf
     assert "Bessel violated" in bessel_report.notes
@@ -355,3 +355,69 @@ def test_infinite_ceiling_allowed():
     _, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=math.inf,
                                         block=256, max_terms=512)
     assert report.residuals["ceiling_not_exceeded"] == 1.0
+
+
+# -- pieces narrower than any sampling grid ------------------------------------
+
+
+def test_overlap_sums_read_pieces_narrower_than_a_grid():
+    # the offset -1.00005 leaves the diagonal sum 0 on [-5e-5, 0), inside the
+    # inf window, and 2 on [-1.00005, -1): the system is no frame certificate
+    # and its Bessel bound is 2
+    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[-3, -2, -1.00005, 0, 1, 2])
+    bounds, report = wave_packet_frame_bounds(g, grid)
+    assert (bounds.lower, bounds.upper) == (0.0, 2.0)
+    assert report.details["lower_raw"] == 0.0
+    assert report.verdict == "undecided" and "inconclusive" in report.notes
+    # the sum is 2 on [0, 5e-5)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0, -0.99995])
+    assert wave_packet_bessel_bound(g, grid)[0] == 2.0
+
+
+def narrow_cell_wavelet_pair():
+    """psi = 1 on +-[16, 32) and its partner b psi at b = 1/32, but b/2 on
+    the one cell [16, 16 + 2^-10): the scaling sum misses b by b/2 on
+    [1, 1 + 2^-14) only."""
+    step, b = 2.0 ** -10, 1 / 32
+    starts = -32.0 + step * np.arange(64 * 1024)
+    values = np.where(np.abs(starts + step / 2) >= 16, 1.0, 0.0)
+    partner = b * values
+    partner[48 * 1024] = b / 2
+    return (FreqFunction(-32.0, step, values, (-32.0, 32.0)),
+            FreqFunction(-32.0, step, partner, (-32.0, 32.0)), b)
+
+
+def test_duality_checks_read_a_narrow_dilated_cell():
+    psi, partner, b = narrow_cell_wavelet_pair()
+    report = wavelet_duality_check(psi, partner, b=b)
+    assert not report.passed
+    assert report.residuals == {"scaling_sum": 1 / 64, "shifted_sums": 0.0}
+    report = wave_packet_duality_check(psi, partner, a=2, b=b, c_values=[0.0])
+    assert not report.passed
+    assert report.residuals["c1"] == 1 / 64
+
+
+def test_c2_reads_a_narrow_partner_cell():
+    # psit is 1 only on [2 + 3 * 2^-10, 2 + 4 * 2^-10), so psi(g) psit(g + 1)
+    # is 1 on a piece narrower than every cell of psi
+    psi = freq_indicator(1.0, 2.0, step=1 / 16)
+    values = np.zeros(8)
+    values[3] = 1.0
+    partner = FreqFunction(2.0, 2.0 ** -10, values, (2.0, 2.0 + 8 * 2.0 ** -10))
+    report = wave_packet_duality_check(psi, partner, a=2, b=1.0, c_values=[0.0])
+    assert report.residuals["c2"] == 1.0
+    assert not report.passed
+
+
+def test_bounds_on_a_given_grid_are_samples():
+    # a minimum over the caller's points proves nothing: same numbers, verdict
+    # undecided
+    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=list(range(-8, 9)))
+    bounds, report = wave_packet_frame_bounds(g, grid, gamma_grid=[0.25, 0.5])
+    assert (bounds.lower, bounds.upper) == (1.0, 1.0)
+    assert report.verdict == "undecided"
+    assert report.notes == "sampled at the given points; not a certificate"
+    value, report = wave_packet_bessel_bound(g, grid, gamma_grid=[0.25, 0.5])
+    assert value == 1.0 and report.verdict == "undecided"

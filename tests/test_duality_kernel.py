@@ -4,9 +4,11 @@ wavelet_duality_check and wave_packet_duality_check both run on
 dilation._class_deviations.  The oracles below are the separate loops it
 replaced, kept verbatim in substance: the dyadic check with its own j window
 and its integer shifts m grouped by m / 2^j, and the wave-packet check with
-its c1 and g1 loops.  At b = 1 the integer shifts are the shift classes of
-the translation lattice (1/b)Z, so there every residual must agree to the
-last bit; the wave-packet check must agree everywhere.
+its c1 and g1 loops.  Each oracle sum is read at the library's piece points
+of its class (_class_points), so the comparison checks the loops, not the
+points.  At b = 1 the integer shifts are the shift classes of the
+translation lattice (1/b)Z, so there every residual must agree to the last
+bit; the wave-packet check must agree everywhere.
 """
 
 import math
@@ -15,12 +17,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framelab.core import DomainError, FrameLabError
+from framelab.core import FrameLabError
 from framelab.dilation import (
     FreqFunction,
     _adic_j_window,
     _as_fraction,
-    _representative_grids,
+    _class_points,
+    _edges,
+    _piece_points,
     freq_indicator,
     shannon_wavelet,
     wave_packet_duality_check,
@@ -44,8 +48,8 @@ def _support_abs(fn):
     return float(lo), float(max(np.abs(starts).max(), np.abs(ends).max()))
 
 
-def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0, gamma_points=4096):
-    """(residuals, details) of the dyadic check with integer shifts m / 2^j."""
+def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0):
+    """Residuals of the dyadic check with integer shifts m / 2^j."""
     supports = [_support_abs(fn) for fn in (psi_hat, psi_tilde_hat) if not fn.is_zero()]
     if not supports:
         js = range(0, 0)
@@ -55,16 +59,14 @@ def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0, gamma_points=4096):
         M = max(hi for _, hi in supports)
         js = range(int(math.floor(math.log2(m))) - 1, int(math.ceil(math.log2(M))) + 2)
 
-    residual_i = 0.0
-    refinement = []
-    for gammas in _representative_grids(1.0, 2.0, gamma_points):
-        total = np.zeros(gammas.shape, dtype=complex)
-        for j in js:
-            pts = (2.0 ** j) * gammas
-            total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts)
-        dev = float(np.abs(total - b).max())
-        refinement.append(dev)
-        residual_i = max(residual_i, dev)
+    # the oracle's 2^j gamma is the library's a^-j gamma: its j are negated
+    edges = _edges(psi_hat), _edges(psi_tilde_hat)
+    gammas = _class_points(*edges, 2, [0.0], 0, [-j for j in js])
+    total = np.zeros(gammas.shape, dtype=complex)
+    for j in js:
+        pts = (2.0 ** j) * gammas
+        total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts)
+    residual_i = float(np.abs(total - b).max())
 
     lo1, hi1 = psi_hat.band
     lo2, hi2 = psi_tilde_hat.band
@@ -75,47 +77,43 @@ def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0, gamma_points=4096):
                 groups.setdefault(Fraction(m, 2 ** j) if j >= 0 else Fraction(m * 2 ** (-j)),
                                   []).append((j, m))
     residual_ii = 0.0
-    for gammas in _representative_grids(1.0, 2.0, gamma_points):
-        for members in groups.values():
-            total = np.zeros(gammas.shape, dtype=complex)
-            for j, m in members:
-                pts = (2.0 ** j) * gammas
-                total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts + m)
-            residual_ii = max(residual_ii, float(np.abs(total).max()))
-    return ({"scaling_sum": residual_i, "shifted_sums": residual_ii},
-            {"scaling_sum_coarse": refinement[0], "scaling_sum_fine": refinement[1]})
+    for alpha, members in groups.items():
+        gammas = _class_points(*edges, 2, [0.0], alpha, [-j for j, _ in members])
+        total = np.zeros(gammas.shape, dtype=complex)
+        for j, m in members:
+            pts = (2.0 ** j) * gammas
+            total += np.conj(psi_hat.values_at(pts)) * psi_tilde_hat.values_at(pts + m)
+        residual_ii = max(residual_ii, float(np.abs(total).max()))
+    return {"scaling_sum": residual_i, "shifted_sums": residual_ii}
 
 
-def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True,
-                       gamma_points=2048):
+def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     """(residuals, details) of the wave-packet check with separate c1 and g1 loops."""
     a_f = float(a)
     c_values = [float(c) for c in c_values]
     js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
     residuals, details = {}, {}
 
-    dev_c1 = 0.0
-    for gammas in _representative_grids(1.0, a_f, gamma_points):
-        total = np.zeros(gammas.shape, dtype=complex)
-        for j in js:
-            pts = gammas / (a_f ** j)
-            for c in c_values:
-                total += psi_hat.values_at(pts - c) * np.conj(psi_tilde_hat.values_at(pts - c))
-        dev_c1 = max(dev_c1, float(np.abs(total - b).max()))
-    residuals["c1"] = dev_c1
+    edges = _edges(psi_hat), _edges(psi_tilde_hat)
+    gammas = _class_points(*edges, a, c_values, 0, js)
+    total = np.zeros(gammas.shape, dtype=complex)
+    for j in js:
+        pts = gammas / (a_f ** j)
+        for c in c_values:
+            total += psi_hat.values_at(pts - c) * np.conj(psi_tilde_hat.values_at(pts - c))
+    residuals["c1"] = float(np.abs(total - b).max())
 
     dev_c2 = 0.0
     lo1, hi1 = psi_hat.band
     lo2, hi2 = psi_tilde_hat.band
     overlaps = 0
-    starts, _ = psi_hat.nonzero_cells()
-    centers = starts + psi_hat.step / 2
-    k_lo = int(math.ceil((lo1 - hi2) * b - 1e-12))
-    k_hi = int(math.floor((hi1 - lo2) * b + 1e-12))
+    # psi(g) psit(g + k/b) can be nonzero only for k/b in (lo2 - hi1, hi2 - lo1)
+    k_lo = int(math.ceil((lo2 - hi1) * b - 1e-12))
+    k_hi = int(math.floor((hi2 - lo1) * b + 1e-12))
     for k in range(k_lo, k_hi + 1):
-        if k != 0 and centers.size:
-            prod = np.abs(psi_hat.values_at(centers)
-                          * np.conj(psi_tilde_hat.values_at(centers + k / b)))
+        if k != 0 and not psi_hat.is_zero():
+            pts = _piece_points(np.concatenate((edges[0], edges[1] - k / b)), [(lo1, hi1)])
+            prod = np.abs(psi_hat.values_at(pts) * np.conj(psi_tilde_hat.values_at(pts + k / b)))
             dev_c2 = max(dev_c2, float(prod.max()))
             overlaps += 1
     residuals["c2"] = dev_c2
@@ -131,16 +129,16 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True,
                 if n != 0:
                     groups.setdefault((a_frac ** j) * n / b_frac, []).append(j)
         dev_g1 = 0.0
-        for gammas in _representative_grids(1.0, a_f, max(gamma_points // 2, 256)):
-            for alpha, members in groups.items():
-                total = np.zeros(gammas.shape, dtype=complex)
-                for j in members:
-                    pts = gammas / (a_f ** j)
-                    pts_shift = (gammas + float(alpha)) / (a_f ** j)
-                    for c in c_values:
-                        total += psi_hat.values_at(pts - c) * np.conj(
-                            psi_tilde_hat.values_at(pts_shift - c))
-                dev_g1 = max(dev_g1, float(np.abs(total).max()))
+        for alpha, members in groups.items():
+            gammas = _class_points(*edges, a, c_values, alpha, members)
+            total = np.zeros(gammas.shape, dtype=complex)
+            for j in members:
+                pts = gammas / (a_f ** j)
+                pts_shift = (gammas + float(alpha)) / (a_f ** j)
+                for c in c_values:
+                    total += psi_hat.values_at(pts - c) * np.conj(
+                        psi_tilde_hat.values_at(pts_shift - c))
+            dev_g1 = max(dev_g1, float(np.abs(total).max()))
         residuals["g1_offdiagonal"] = dev_g1
         details["g1_classes"] = float(len(groups))
     return residuals, details
@@ -203,30 +201,24 @@ def random_pairs(seed, count):
 # -- wavelet check against its oracle at b = 1 ------------------------------------
 
 
-def wavelet_bits(report):
-    return bits(report.residuals["scaling_sum"], report.residuals["shifted_sums"],
-                report.details["scaling_sum_coarse"], report.details["scaling_sum_fine"])
-
-
-def oracle_bits(residuals, details):
-    return bits(residuals["scaling_sum"], residuals["shifted_sums"],
-                details["scaling_sum_coarse"], details["scaling_sum_fine"])
+def wavelet_bits(residuals):
+    return bits(residuals["scaling_sum"], residuals["shifted_sums"])
 
 
 @pytest.mark.parametrize("name", sorted(named_wavelet_pairs()))
 def test_wavelet_matches_oracle_bitwise_at_b1(name):
     psi, psit = named_wavelet_pairs()[name]
-    assert wavelet_bits(wavelet_duality_check(psi, psit, b=1.0)) == oracle_bits(
-        *wavelet_oracle(psi, psit, b=1.0))
+    assert wavelet_bits(wavelet_duality_check(psi, psit, b=1.0).residuals) == wavelet_bits(
+        wavelet_oracle(psi, psit, b=1.0))
 
 
 def test_wavelet_matches_oracle_bitwise_on_random_pairs():
     pairs = random_pairs(7, 48)
     nonzero_shifted = 0
     for psi, psit in pairs:
-        new = wavelet_duality_check(psi, psit, b=1.0, gamma_points=1024)
-        residuals, details = wavelet_oracle(psi, psit, b=1.0, gamma_points=1024)
-        assert wavelet_bits(new) == oracle_bits(residuals, details)
+        new = wavelet_duality_check(psi, psit, b=1.0)
+        residuals = wavelet_oracle(psi, psit, b=1.0)
+        assert wavelet_bits(new.residuals) == wavelet_bits(residuals)
         nonzero_shifted += residuals["shifted_sums"] > 0
     assert nonzero_shifted >= 10  # the shift classes are exercised, not all vacuous
 
@@ -236,10 +228,8 @@ def test_wavelet_scaling_sum_matches_oracle_at_any_b():
     psi = shannon_wavelet()
     for psit, b in ((psi, 0.5), (psi.scaled(3.0), 3.0), (zero_like(psi), 0.25)):
         new = wavelet_duality_check(psi, psit, b=b)
-        residuals, details = wavelet_oracle(psi, psit, b=b)
-        assert bits(new.residuals["scaling_sum"], new.details["scaling_sum_coarse"],
-                    new.details["scaling_sum_fine"]) == bits(
-            residuals["scaling_sum"], details["scaling_sum_coarse"], details["scaling_sum_fine"])
+        assert bits(new.residuals["scaling_sum"]) == bits(
+            wavelet_oracle(psi, psit, b=b)["scaling_sum"])
 
 
 # -- the shift lattice is (1/b)Z ----------------------------------------------------
@@ -296,24 +286,16 @@ def wave_packet_cases():
 def test_wave_packet_matches_oracle_bitwise(full_check):
     for psi, psit, a, b, c_values in wave_packet_cases():
         try:
-            residuals, details = wave_packet_oracle(psi, psit, a, b, c_values, full_check,
-                                                    gamma_points=512)
+            residuals, details = wave_packet_oracle(psi, psit, a, b, c_values, full_check)
         except FrameLabError as exc:  # the check must raise the same error
             with pytest.raises(type(exc)):
                 wave_packet_duality_check(psi, psit, a=a, b=b, c_values=c_values,
-                                          full_check=full_check, gamma_points=512)
+                                          full_check=full_check)
             continue
         report = wave_packet_duality_check(psi, psit, a=a, b=b, c_values=c_values,
-                                           full_check=full_check, gamma_points=512)
+                                           full_check=full_check)
         assert sorted(report.residuals) == sorted(residuals)
         assert bits(*(report.residuals[k] for k in sorted(residuals))) == bits(
             *(residuals[k] for k in sorted(residuals)))
         assert report.details == details
 
-
-def test_empty_gamma_grid_is_domain_error():
-    psi = shannon_wavelet()
-    with pytest.raises(DomainError, match="gamma_points"):
-        wavelet_duality_check(psi, psi, gamma_points=0)
-    with pytest.raises(DomainError, match="gamma_points"):
-        wave_packet_duality_check(psi, psi, a=2, b=1.0, c_values=[0.0], gamma_points=0)
