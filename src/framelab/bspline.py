@@ -2,15 +2,17 @@
 
 B_1 is the half-open unit indicator and each further order is the moving
 average of the previous one, so B_N is the piecewise polynomial supported
-on [0, N] with the partition-of-unity property.  B_N is evaluated by the
-triangular scheme of that recurrence, O(N^2) operations per point of the
-support, with rounding identical to the order recursion.  The scanner
-classifies lattice parameters (a, b) by sound certificates only, all from
-one set of periodized translation-overlap sums (the kernel the wave-packet
-bounds use too): exact bounds where the support fits one frequency period
-and the overlap sum is empty, a sufficient condition beyond it, and an
-honest "undecided" elsewhere; the only negative certificate is exact
-vanishing of the periodized diagonal.
+on [0, N] with the partition-of-unity property.  B_N is evaluated by
+Horner's rule on its piece polynomials, whose Taylor coefficients are
+computed exactly once per order and rounded once each; every point is read
+on a left-half piece through the symmetry B_N(x) = B_N(N - x), O(N)
+operations per point of the support.  The scanner classifies lattice
+parameters (a, b) by sound certificates only, all from one set of
+periodized translation-overlap sums (the kernel the wave-packet bounds use
+too): exact bounds where the support fits one frequency period and the
+overlap sum is empty, a sufficient condition beyond it, and an honest
+"undecided" elsewhere; the only negative certificate is exact vanishing of
+the periodized diagonal.
 
 The kernel evaluates the spline in blocks of grid rows, several translates
 per call and all frequency shifts of one translate per call.  Evaluation is
@@ -20,10 +22,12 @@ large to evaluate are rejected before any grid is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,42 +46,86 @@ from .dilation import _overlap_sums
 from .gabor import GaborSpec, SampledWindow, gabor_frame_bounds, ron_shen_duality_check
 
 
-def bspline_eval(N: int, x) -> np.ndarray:
-    """B_N at x (vectorized), by triangular evaluation of the order-raising
-    recurrence (de Boor, A Practical Guide to Splines).
+#: work units per big-integer addition of a piece table: one took about 100 ns up to
+#: N = 450 on a 2-CPU x86-64 VM, where a work unit is about 10 ns, so the largest admitted
+#: table, N = 342, builds in about a second
+_TABLE_ADD_WORK = 10
 
-    B_1 = indicator of [0, 1); B_N(x) = (x B_{N-1}(x) + (N-x) B_{N-1}(x-1)) / (N-1).
-    Row j of the table holds B_k(x_j) with x_0 = x and x_j = x_{j-1} - 1, the
-    arguments the order recursion forms, so every value is computed once from
-    the same doubles: the rounding is identical to the recursion's 2^(N-1)
-    calls, at O(N^2) operations per point of the support.  Finite points
-    outside [0, N) are not evaluated and give +0.0, as the recursion does;
-    NaN and +-inf are evaluated (0.0 for N = 1, NaN beyond).
+
+def _table_work(N: int) -> int:
+    """Work of _piece_table(N): N (N - 1) / 2 additions per Taylor shift, one shift per
+    piece after the first."""
+    return _TABLE_ADD_WORK * (N // 2) * (N * (N - 1) // 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _piece_table(N: int) -> np.ndarray:
+    """Taylor coefficients of B_N on its left-half pieces, rounded once each.
+
+    table[k, j] is the coefficient of t^k of B_N(j + t) on [j, j + 1), for
+    j = 0..N // 2.  On that piece B_N(x) = sum_{i <= j} (-1)^i C(N, i)
+    (x - i)^(N-1) / (N - 1)! (de Boor, A Practical Guide to Splines, ch. IX),
+    so the scaled piece (N - 1)! B_N(j + t) has integer coefficients: piece 0
+    is t^(N-1), and piece j is piece j - 1 shifted by t -> t + 1 plus the new
+    term (-1)^j C(N, j) t^(N-1).  The shift runs as N - 1 passes of suffix
+    sums over the integer coefficients, additions only (Horner's synthetic
+    division at -1); each coefficient is then rounded by one correctly
+    rounded int / int division.
+    """
+    fact = math.factorial(N - 1)
+    scaled = [0] * N  # highest power first: scaled[i] multiplies t^(N-1-i)
+    scaled[0] = 1
+    table = np.empty((N, N // 2 + 1))
+    for j in range(N // 2 + 1):
+        if j:
+            for n in range(N, 1, -1):
+                scaled[:n] = accumulate(scaled[:n])
+            scaled[0] += (-1) ** j * math.comb(N, j)
+        table[::-1, j] = [c / fact for c in scaled]
+    table.flags.writeable = False
+    return table
+
+
+def bspline_eval(N: int, x) -> np.ndarray:
+    """B_N at x (vectorized), by Horner's rule on the exact piece polynomials.
+
+    B_N is a polynomial of degree N - 1 on each [j, j + 1) (_piece_table) and
+    symmetric, B_N(x) = B_N(N - x), so each point is read at y = min(x, N - x)
+    on a left-half piece: N - x is exact for x >= N / 2 (Sterbenz), and so is
+    t = y - floor(y).  The N - 1 multiply-adds of Horner's rule in t then cost
+    O(N) per point; the mirror keeps the last pieces, whose Taylor sums cancel
+    near x = N, out of use.  Finite points outside [0, N) are not evaluated
+    and give +0.0; NaN and +-inf give NaN (0.0 for N = 1).
+
+    Each point of [0, N) and each non-finite point is still charged the
+    N (N + 1) / 2 entries of the triangular table of the order recurrence, an
+    upper bound kept so that every refusal stays where it was; the table of
+    the order is charged once more, before it is built.
     """
     if N < 1:
         raise DomainError("order must be a positive integer")
     x = np.asarray(x, dtype=float)
-    live = ~(np.isfinite(x) & ((x < 0) | (x >= _as_float(N, "the order N"))))
+    n_float = _as_float(N, "the order N")
+    live = ~(np.isfinite(x) & ((x < 0) | (x >= n_float)))
     _check_work(int(np.count_nonzero(live)) * (N * (N + 1) // 2), f"B_{N} at {x.size} points")
     out = np.zeros(x.shape)
-    if not live.any():  # no (N, 0) table: N may be past any array dimension
+    if not live.any():  # no table: N may be past any array dimension
         return out
-    xs = np.empty((N, np.count_nonzero(live)))
-    xs[0] = x[live]
-    for j in range(1, N):
-        np.subtract(xs[j - 1], 1, out=xs[j])
-    b = ((xs >= 0) & (xs < 1)).astype(float)
-    right = np.empty_like(b)
-    for k in range(2, N + 1):
-        # rows [:m] become (t b[:-1] + (k - t) b[1:]) / (k - 1), in place
-        m = N - k + 1
-        t = xs[:m]
-        np.subtract(k, t, out=right[:m])
-        right[:m] *= b[1:m + 1]
-        b[:m] *= t
-        b[:m] += right[:m]
-        b[:m] /= k - 1
-    out[live] = b[0]
+    _check_work(_table_work(N), f"the piece table of B_{N}")
+    table = _piece_table(N)
+    xl = x[live]
+    y = np.minimum(xl, n_float - xl)
+    special = ~np.isfinite(y)
+    y[special] = 0.0
+    j = y.astype(np.intp)  # in 0..N // 2: "clip" only skips the bounds check
+    t = y - j
+    value = table[N - 1].take(j, mode="clip")
+    column = np.empty_like(value)
+    for k in range(N - 2, -1, -1):
+        value *= t
+        value += table[k].take(j, out=column, mode="clip")
+    value[special] = np.nan if N > 1 else 0.0
+    out[live] = value
     return out
 
 

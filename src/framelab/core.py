@@ -73,9 +73,10 @@ def resolve_tolerance(tolerance=None) -> float:
 
 
 #: the work budget of one request, in float64 array entries filled (10^8 are 800 MB or
-#: about a second of arithmetic): a complex entry counts 2, a spline value its N (N + 1) / 2
-#: table entries, a dps-digit integer dps / 15, a Python loop pass (a shift, a range value,
-#: a sweep task) _PASS_WORK, about what its numpy calls cost
+#: about a second of arithmetic): a complex entry counts 2, a spline value N (N + 1) / 2 (an
+#: upper bound of its N - 1 multiply-adds, kept so that no refusal moves), a dps-digit integer
+#: dps / 15, a Python loop pass (a shift, a range value, a sweep task) _PASS_WORK, about what
+#: its numpy calls cost
 MAX_WORK = 10 ** 8
 _PASS_WORK = 10 ** 4
 

@@ -13,7 +13,7 @@ checking +-[1, 2) (resp. +-[1, a)) covers almost every gamma.
 
 Every sum is piecewise constant in gamma, with breakpoints at the dilated
 and shifted edges of the generators, so it is read exactly, at one point per
-piece (_piece_points): its sup, inf and max |.| are true values, not samples.
+piece (_pieces): its sup, inf and max |.| are true values, not samples.
 
 The dual wavelet criterion is the a = 2, c = {0} case of the dual
 wave-packet criterion, and both run on one loop (_class_deviations): b is
@@ -137,19 +137,22 @@ def _breakpoints(edges, scales, offsets) -> np.ndarray:
     return (scales[:, None, None] * (edges + offsets[:, None])).ravel()
 
 
-def _piece_points(edges, windows) -> np.ndarray:
-    """One midpoint per piece of each window [lo, hi) cut at the edges inside it.
+def _pieces(edges, windows):
+    """(midpoints, widths) of the pieces of each window [lo, hi) cut at the edges inside it.
 
     A sum whose terms are constant between the edges has its sup, inf and
-    max |.| over the windows at these points.  A piece narrower than a few
-    ulps of its position is outside what float64 resolves: the edges and the
-    evaluated arguments carry that much rounding.
+    max |.| over the windows at the midpoints, and its integral is the sum of
+    value times width.  A piece narrower than a few ulps of its position is
+    outside what float64 resolves: the edges and the evaluated arguments
+    carry that much rounding.
     """
-    points = []
+    lefts, rights = [], []
     for lo, hi in windows:
         cuts = np.unique(np.concatenate(([lo, hi], edges[(edges > lo) & (edges < hi)])))
-        points.append((cuts[:-1] + cuts[1:]) / 2)
-    return np.concatenate(points)
+        lefts.append(cuts[:-1])
+        rights.append(cuts[1:])
+    left, right = np.concatenate(lefts), np.concatenate(rights)
+    return (left + right) / 2, right - left
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def _bound_points(g_hat: FreqFunction, grid: WavePacketGrid, shifts, gamma_grid)
         return gammas, np.ones(gammas.shape, dtype=bool), (t_lo, t_hi, margin)
     offsets = np.add.outer(grid.c_values, [0.0, *shifts]).ravel()
     edges = np.append(_breakpoints(_edges(g_hat), grid.a_values, offsets), (t_lo, t_hi))
-    gammas = _piece_points(edges, [(lo, hi)])
+    gammas, _ = _pieces(edges, [(lo, hi)])
     return gammas, (gammas > t_lo) & (gammas < t_hi), (t_lo, t_hi, margin)
 
 
@@ -427,7 +430,7 @@ def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members) -> np
     scales = [a_f ** j for j in members]
     edges = np.concatenate((_breakpoints(psi_edges, scales, c_values),
                             _breakpoints(psi_tilde_edges, scales, c_values) - float(alpha)))
-    return _piece_points(edges, [(1.0, a_f), (-a_f, -1.0)])
+    return _pieces(edges, [(1.0, a_f), (-a_f, -1.0)])[0]
 
 
 def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: float,
@@ -552,7 +555,7 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     psi_edges, psi_tilde_edges = _edges(psi_hat), _edges(psi_tilde_hat)
     dev_c2 = 0.0
     for k in ks:
-        pts = _piece_points(np.concatenate((psi_edges, psi_tilde_edges - k / b)), [(lo1, hi1)])
+        pts, _ = _pieces(np.concatenate((psi_edges, psi_tilde_edges - k / b)), [(lo1, hi1)])
         prod = np.abs(psi_hat.values_at(pts) * np.conj(psi_tilde_hat.values_at(pts + k / b)))
         dev_c2 = max(dev_c2, float(prod.max()))
     residuals["c2"] = dev_c2
@@ -575,34 +578,39 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
     """Truncated local-integrability sum for a test function in class D.
 
     L(f) = sum_{j,m,n} integral over supp f_hat of
-    |f_hat(g + a_j n / b)|^2 |psi_hat(a_j^-1 g - c_m)|^2 dg,
-    computed cellwise on the f_hat grid.  The report carries a monotone
-    partial-sum trace over the dilation list for a finiteness judgment.
+    |f_hat(g + a_j n / b)|^2 |psi_hat(a_j^-1 g - c_m)|^2 dg.
+    For each dilation the sum over (n, m) is the product of the sums over n
+    and over m (_overlap_sums), which is constant between the edges of f_hat
+    moved by -a_j n / b and the edges a_j (x + c_m) of psi_hat, so it is
+    integrated exactly: value times width on every piece of supp f_hat
+    (_pieces).  The report carries a monotone partial-sum trace over the
+    dilation list for a finiteness judgment.
     """
     if f_hat.is_zero():
         return 0.0, AnalysisReport.from_residuals(
             {}, resolve_tolerance(None), notes="zero test function", details={"value": 0.0}
         )
-    starts, _ends = f_hat.nonzero_cells()
-    centers = starts + f_hat.step / 2
+    starts, ends = f_hat.nonzero_cells()
+    window = [(starts.min(), ends.max())]
+    f_edges, psi_edges = _edges(f_hat), _edges(psi_hat)
     flo, fhi = f_hat.band
     fdiam = fhi - flo
     total = 0.0
     trace = []
     for a in grid.a_values:
-        contrib = 0.0
         n_max = _shift_window(grid.b * fdiam / a)
-        for n in range(-n_max, n_max + 1):
-            shift = a * n / grid.b
-            fshift2 = np.abs(f_hat.values_at(centers + shift)) ** 2
-            if not np.any(fshift2):
-                continue
-            for c in grid.c_values:
-                psi2 = np.abs(psi_hat.values_at(centers / a - c)) ** 2
-                if not np.any(psi2):
-                    continue
-                contrib += float(np.sum(fshift2 * psi2) * f_hat.step)
-        total += contrib
+        shifts = [-a * n / grid.b for n in range(-n_max, n_max + 1)]
+        # n = 0 puts f_hat's own edges, the edges of its support, among the cuts
+        edges = np.concatenate([_breakpoints(f_edges, [1.0], shifts),
+                                _breakpoints(psi_edges, [a], grid.c_values)])
+        mids, widths = _pieces(edges, window)
+        # complex values per piece, shift and offset
+        _check_work(2 * mids.size * (len(shifts) + len(grid.c_values) + 1),
+                    f"the local-integrability sum on {mids.size} frequency pieces")
+        f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids)
+        psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids)
+        inside = np.abs(f_hat.values_at(mids)) > 0
+        total += float(np.sum((widths * f_sum * psi_sum)[inside]))
         trace.append(total)
     last_increment = trace[-1] - trace[-2] if len(trace) > 1 else trace[-1] if trace else 0.0
     notes = "partial sums over the dilation list: " + ", ".join(f"{t:.6g}" for t in trace)

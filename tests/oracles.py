@@ -172,3 +172,46 @@ def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
         else:
             lo = mid
     return hi / scale
+
+
+def recursive_bspline(N, x):
+    """The order recursion B_N(x) = (x B_{N-1}(x) + (N-x) B_{N-1}(x-1)) / (N-1),
+    2^(N-1) leaf calls: the bitwise oracle of triangular_bspline."""
+    x = np.asarray(x, dtype=float)
+    if N == 1:
+        return np.where((x >= 0) & (x < 1), 1.0, 0.0)
+    lower = recursive_bspline(N - 1, x)
+    shifted = recursive_bspline(N - 1, x - 1)
+    return (x * lower + (N - x) * shifted) / (N - 1)
+
+
+def triangular_bspline(N, x):
+    """B_N at x by the triangular scheme of the order recursion (de Boor),
+    O(N^2) operations per point of [0, N).
+
+    Row j of the table holds B_k(x_j) with x_0 = x and x_j = x_{j-1} - 1, the
+    arguments the recursion forms, so the rounding is the recursion's.  Finite
+    points outside [0, N) give +0.0; NaN and +-inf give NaN (0.0 for N = 1).
+    """
+    x = np.asarray(x, dtype=float)
+    live = ~(np.isfinite(x) & ((x < 0) | (x >= N)))
+    out = np.zeros(x.shape)
+    if not live.any():
+        return out
+    xs = np.empty((N, np.count_nonzero(live)))
+    xs[0] = x[live]
+    for j in range(1, N):
+        np.subtract(xs[j - 1], 1, out=xs[j])
+    b = ((xs >= 0) & (xs < 1)).astype(float)
+    right = np.empty_like(b)
+    for k in range(2, N + 1):
+        # rows [:m] become (t b[:-1] + (k - t) b[1:]) / (k - 1), in place
+        m = N - k + 1
+        t = xs[:m]
+        np.subtract(k, t, out=right[:m])
+        right[:m] *= b[1:m + 1]
+        b[:m] *= t
+        b[:m] += right[:m]
+        b[:m] /= k - 1
+    out[live] = b[0]
+    return out

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from framelab import bspline
-from framelab.core import DomainError, FrameBounds
+from framelab.core import MAX_WORK, DomainError, FrameBounds
 from framelab.bspline import (
     PhaseDiagramCell,
     STATUS_FRAME,
@@ -21,6 +22,7 @@ from framelab.bspline import (
     sample_bspline,
     translation_overlap_bounds,
 )
+from oracles import recursive_bspline, triangular_bspline
 
 
 def convolution_oracle(n_max, inv_step):
@@ -69,15 +71,31 @@ def test_recurrence_matches_convolution_oracle():
         assert np.abs(oracle - exact).max() <= 1e-10
 
 
-def recursive_bspline(N, x):
-    """The order recursion B_N(x) = (x B_{N-1}(x) + (N-x) B_{N-1}(x-1)) / (N-1),
-    2^(N-1) leaf calls: the bitwise oracle of the triangular evaluation."""
-    x = np.asarray(x, dtype=float)
-    if N == 1:
-        return np.where((x >= 0) & (x < 1), 1.0, 0.0)
-    lower = recursive_bspline(N - 1, x)
-    shifted = recursive_bspline(N - 1, x - 1)
-    return (x * lower + (N - x) * shifted) / (N - 1)
+def exact_bspline(N, x):
+    """B_N(x) as a Fraction, from the truncated-power formula
+    sum_{i <= x} (-1)^i C(N, i) (x - i)^(N-1) / (N - 1)! at the exact double x."""
+    if not 0 <= x < N:
+        return Fraction(0)
+    p, q = x.as_integer_ratio()
+    total = sum((-1) ** i * math.comb(N, i) * (p - i * q) ** (N - 1)
+                for i in range(math.floor(x) + 1))
+    return Fraction(total, q ** (N - 1) * math.factorial(N - 1))
+
+
+@pytest.mark.parametrize("N", range(1, 45))
+def test_eval_accuracy_against_exact_values(N):
+    # random, knot-adjacent and end-adjacent points whose exact value is a normal
+    # float; the triangle, which reads them without the mirror, meets the bound too
+    bound = 2 * N * np.finfo(float).eps
+    knots = np.arange(1, N)
+    rng = np.random.default_rng(100 + N)
+    points = np.concatenate([rng.uniform(0, N, 64), knots - 1e-9, knots + 1e-9, [1e-3, N - 1e-3]])
+    xs = [x for x in points.tolist() if exact_bspline(N, x) >= np.finfo(float).tiny]
+    exact = [exact_bspline(N, x) for x in xs]
+    for kernel in (bspline_eval, triangular_bspline):
+        values = kernel(N, np.array(xs))
+        worst = max(abs(Fraction(v) - e) / e for v, e in zip(values.tolist(), exact))
+        assert worst <= bound, (kernel.__name__, float(worst))
 
 
 def assert_same_bits(got, want):
@@ -87,21 +105,42 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("N", range(1, 15))
-def test_eval_bitwise_equals_recursion(N):
-    rng = np.random.default_rng(100 + N)
-    inputs = [
-        rng.uniform(-1.5, N + 1.5, 400),
-        np.linspace(-1.0, N + 1.0, 8 * (N + 2) + 1),  # every knot hit exactly
-        np.array([-0.0, 0.0, N, N - 1e-16, np.nan, np.inf, -np.inf]),
-        N / 2 + 0.25,
-        rng.uniform(-1.0, N + 1.0, (6, 9)),
-    ]
-    for x in inputs:
-        assert_same_bits(bspline_eval(N, x), recursive_bspline(N, x))
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 16, 44])
+def test_eval_special_values_shapes_and_symmetry(N):
+    outside = [-1.5, -1e-300, N, N + 0.5, 1e300, -1e300]
+    assert_same_bits(bspline_eval(N, outside), np.zeros(len(outside)))
+    at_zero = 1.0 if N == 1 else 0.0
+    assert_same_bits(bspline_eval(N, [-0.0, 0.0]), [at_zero, at_zero])
     special = bspline_eval(N, [np.nan, np.inf, -np.inf])
     assert np.isnan(special).all() if N > 1 else not special.any()
+    assert bspline_eval(N, N / 2 + 0.25).shape == ()
+    rng = np.random.default_rng(N)
+    grid = rng.uniform(-1.0, N + 1.0, (6, 9))
+    assert_same_bits(bspline_eval(N, grid), bspline_eval(N, grid.ravel()).reshape(6, 9))
+    # N - x is exact for x in [N/2, N], so both points are read on the same piece
+    knots = np.arange(N // 2 + 1, N)
+    right = np.concatenate([rng.uniform(N / 2, N, 200), knots - 1e-9, knots, knots + 1e-9, [N / 2]])
+    assert_same_bits(bspline_eval(N, right), bspline_eval(N, N - right))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_triangular_oracle_is_the_order_recursion_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for N in range(1, 13):
+        x = np.concatenate([rng.uniform(-1.5, N + 1.5, 200), np.linspace(-1.0, N + 1.0, 8 * N + 17),
+                            [-0.0, 0.0, N, N - 1e-16, np.nan, np.inf, -np.inf]])
+        assert_same_bits(triangular_bspline(N, x), recursive_bspline(N, x))
+
+
+def test_piece_table_over_the_budget_is_refused_before_it_is_built(monkeypatch):
+    # the build is about N^3 / 4 big-integer additions; N = 342 takes about a second
+    assert bspline._table_work(342) <= MAX_WORK < bspline._table_work(343)
+    monkeypatch.setattr(bspline, "_piece_table", no_evaluation)
+    for N in (343, 4096, 10 ** 6, 10 ** 306):
+        with pytest.raises(DomainError, match="work budget"):
+            bspline_eval(N, np.array([0.5]))
+    # no live point, no table
+    assert bspline_eval(4096, np.array([-1.0, 4096.0])).tolist() == [0.0, 0.0]
 
 
 def test_high_orders_run():
@@ -238,7 +277,7 @@ def no_evaluation(*args):
     # larger b: without the guard these lists are still small
     (2, 1e-5, 0.3, "more than the limit"),
     (2, 0.5, 1e4, "more than the limit"),
-    # few evaluations, but each fills an order-2000 triangular table
+    # few evaluations, but each is charged an order-2000 triangular table
     (2000, 2000.0, 1e-3, "more than the limit"),
 ])
 def test_hostile_cells_rejected_before_any_grid(N, a, b, match, monkeypatch):
@@ -248,6 +287,30 @@ def test_hostile_cells_rejected_before_any_grid(N, a, b, match, monkeypatch):
         classify_cell(N, a, b)
     with pytest.raises(DomainError, match=match):
         translation_overlap_bounds(N, a, b, period_points=1024)
+
+
+#: the acceptance grid of criterion 7 (order 2, with the a = 2 column and the b = 2
+#: row) and the phase-diagram cells of the scan_decay benchmark (orders 2..5)
+ACCEPTANCE_CELLS = (
+    [(2, a, b, False) for a in np.arange(0.25, 1.76, 0.25) for b in np.arange(0.10, 0.46, 0.05)]
+    + [(2, 2.0, b, True) for b in np.arange(0.10, 0.46, 0.05)]
+    + [(2, a, 2.0, False) for a in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 1.9)])
+BENCHMARK_CELLS = [(N, 0.25 * k, b, True) for N in (2, 3, 4, 5) for k in range(1, 8)
+                   for b in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 1.0)]
+
+
+def test_scanner_verdicts_match_the_triangular_oracle(monkeypatch):
+    def scan():
+        return [classify_cell(N, a, b, attach_estimates=estimates)
+                for N, a, b, estimates in ACCEPTANCE_CELLS + BENCHMARK_CELLS]
+
+    cells = scan()
+    monkeypatch.setattr(bspline, "bspline_eval", triangular_bspline)
+    for cell, want in zip(cells, scan()):
+        assert (cell.status, cell.method) == (want.status, want.method), (cell, want)
+        scale = 1e-14 * want.bounds_estimate.upper
+        assert abs(cell.bounds_estimate.lower - want.bounds_estimate.lower) <= scale, (cell, want)
+        assert abs(cell.bounds_estimate.upper - want.bounds_estimate.upper) <= scale, (cell, want)
 
 
 def test_finite_section_matches_painless_on_aligned_grids():

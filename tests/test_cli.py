@@ -428,6 +428,7 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["exp", "gram", "--lambdas", ",".join(map(str, range(5001)))], np, "sinc"),
     (["gabor", "hrt", "--window", "indicator:0:1", "--step", "0.001", "--points", "0,0;0,20000"],
      gabor.SampledWindow, "values_interpolated"),
+    (["bspline", "eval", "--N", "343", "--x", "0.5"], bsp, "_piece_table"),
 ])
 def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, evaluator, capsys,
                                                                  monkeypatch):
@@ -467,6 +468,7 @@ class Reached(Exception):
     (["bspline", "scan", "--N", "4", "--a-grid", "0.1:3.9:0.1", "--b-grid", "0.05:0.5:0.025"],
      bsp, "_overlap_sums"),
     (["gabor", "bounds", "--L", "65536", "--a", "64", "--b", "64"], np.linalg, "eigvalsh"),
+    (["bspline", "eval", "--N", "342", "--x", "0.5"], bsp, "_piece_table"),
 ])
 def test_requests_within_the_work_budget_reach_their_evaluator(argv, module, evaluator, monkeypatch):
     def reached(*args, **kwargs):

@@ -275,6 +275,18 @@ def test_lic_single_dilation_matches_direct_quadrature():
     assert report.details["value"] == pytest.approx(value)
 
 
+@pytest.mark.parametrize("b, expected", [(1.0, 1 / 32), (2.0, 1 / 16)])
+def test_lic_integrates_exactly_below_the_test_function_cells(b, expected):
+    # psi_hat lives inside the first 1/16 cell of f_hat, off every cell centre:
+    # the midpoint rule on f_hat's cells read 0.0.  At b = 2 the shift n = 1
+    # adds |f_hat(g + 1/2)|^2 = 1 on [0, 1/2) as well
+    f = freq_indicator(0.0, 1.0, step=1 / 16)
+    psi = freq_indicator(0.0, 1 / 32, step=1 / 1024)
+    value, report = lic_estimate(psi, WavePacketGrid(a_values=[1.0], b=b, c_values=[0.0]), f)
+    assert value == expected
+    assert report.details["value"] == expected
+
+
 def test_divergence_probe_exceeds_ceiling():
     g = freq_indicator(0.0, 1.0, step=1 / 16, amplitude=4.0)
     rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e6)

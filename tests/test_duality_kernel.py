@@ -24,7 +24,7 @@ from framelab.dilation import (
     _as_fraction,
     _class_points,
     _edges,
-    _piece_points,
+    _pieces,
     freq_indicator,
     shannon_wavelet,
     wave_packet_duality_check,
@@ -112,7 +112,7 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     k_hi = int(math.floor((hi2 - lo1) * b + 1e-12))
     for k in range(k_lo, k_hi + 1):
         if k != 0 and not psi_hat.is_zero():
-            pts = _piece_points(np.concatenate((edges[0], edges[1] - k / b)), [(lo1, hi1)])
+            pts, _ = _pieces(np.concatenate((edges[0], edges[1] - k / b)), [(lo1, hi1)])
             prod = np.abs(psi_hat.values_at(pts) * np.conj(psi_tilde_hat.values_at(pts + k / b)))
             dev_c2 = max(dev_c2, float(prod.max()))
             overlaps += 1
