@@ -43,7 +43,7 @@ from .core import (
     resolve_tolerance,
 )
 from .dilation import _overlap_sums
-from .gabor import GaborSpec, SampledWindow, gabor_frame_bounds, ron_shen_duality_check
+from .gabor import GaborSpec, SampledWindow, _cycle_length, gabor_frame_bounds, ron_shen_duality_check
 
 
 #: work units per big-integer addition of a piece table: one took about 100 ns up to
@@ -263,9 +263,11 @@ def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
     """Spectral bounds of an exact cyclic section of the lattice system.
 
     Rational (a, b) are realized on a cyclic grid: sampling density M with
-    a M and M/b integral, period P with P/a and b P integral.  The returned
-    bounds are the extreme eigenvalues of the cyclic frame operator times
-    the step 1/M, i.e. continuous normalization.
+    a M and M/b integral, and the cycle of gabor._cycle_length, the shortest
+    on which b is an integral frequency step, that holds the support [0, N]
+    and one sample more.  The returned bounds are the extreme eigenvalues of
+    the cyclic frame operator times the step 1/M, i.e. continuous
+    normalization.
     """
     af = Fraction(a).limit_denominator(4096)
     bf = Fraction(b).limit_denominator(4096)
@@ -273,22 +275,11 @@ def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
         raise GridError("finite sections need rational lattice parameters")
     M0 = math.lcm(af.denominator, bf.numerator)
     M = M0 * max(1, math.ceil(resolution / M0))
-    n_unit = (af * bf).denominator
-    period = af * n_unit
-    while period < N + 1:
-        period += af * n_unit
-    L = M * period
-    if L.denominator != 1:
-        raise LatticeError("internal: cycle length did not come out integral")
-    L = int(L)
+    a_int = int(af * M)
+    L = _cycle_length(a_int, b, 1 / M, M * (N + 1))
     if L > max_length:
         raise LatticeError(f"cyclic section too large (L = {L} > {max_length})")
-    a_int = int(af * M)
-    b_int = int(bf * period)
-    x = np.arange(L) / M
-    window = bspline_eval(N, x)
-    spec = GaborSpec(L, a_int, b_int, window)
-    fb = gabor_frame_bounds(spec)
+    fb = gabor_frame_bounds(GaborSpec(L, a_int, round(b * L / M), bspline_eval(N, np.arange(L) / M)))
     return FrameBounds(fb.lower / M, fb.upper / M)
 
 
@@ -310,13 +301,6 @@ class PhaseDiagramCell:
     def __post_init__(self):
         if self.status == STATUS_FRAME and not self.bounds_estimate.lower > 0:
             raise ValueError("a frame certificate requires a positive lower bound")
-
-    def to_dict(self):
-        return {
-            "a": self.a, "b": self.b, "status": self.status,
-            "lower": self.bounds_estimate.lower, "upper": self.bounds_estimate.upper,
-            "method": self.method,
-        }
 
 
 def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
@@ -366,21 +350,23 @@ def gabor_scan(N: int, a_values, b_values, period_points: int = 1024,
     ]
 
 
-def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance: float = 1e-8):
+def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None):
     """Dual window as a combination of integer shifts of the spline itself.
 
     In the regime b <= 1/(2N-1) (unit time step), the ansatz
     h = sum_{|k| <= K} c_k B_N(. + k) with K >= N-1 turns the dual-pair
     conditions into a finite linear system on [0, 1), solved here in least
     squares; the returned report re-verifies the dual pair on a sampled
-    grid.  The classical solution c_k = b is reproduced up to the kernel of
-    the (rank-deficient, symmetric-shift) design matrix.
+    grid at the tolerance, 1e-8 when None.  The classical solution c_k = b
+    is reproduced up to the kernel of the (rank-deficient, symmetric-shift)
+    design matrix.
     """
     if N < 1:
         raise DomainError("order must be a positive integer")
     limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
     if b <= 0 or b > limit + 1e-12:
         raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
+    tolerance = 1e-8 if tolerance is None else tolerance
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")

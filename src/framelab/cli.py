@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -202,7 +203,9 @@ def _psi_pair(args):
 
 
 def _json_ready(obj):
-    """JSON-ready copy: reports, bounds and systems via their to_dict/to_json_dict."""
+    """JSON-ready copy: non-finite floats as their repr text, complex values as [re, im]
+    pairs, systems via their to_json_dict, results (reports, bounds, rows) by their
+    dataclass fields."""
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -218,9 +221,10 @@ def _json_ready(obj):
         return _json_ready(_encode_pairs(obj))
     if isinstance(obj, np.ndarray):
         return _json_ready(obj.tolist())
-    for method in ("to_json_dict", "to_dict"):
-        if hasattr(obj, method):
-            return _json_ready(getattr(obj, method)())
+    if hasattr(obj, "to_json_dict"):
+        return _json_ready(obj.to_json_dict())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -230,7 +234,7 @@ def emit(args, command: str, result: dict, rows=None, fieldnames=None) -> None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
+        for row in map(_json_ready, rows):
             writer.writerow({k: row[k] for k in fieldnames})
         text = buf.getvalue()
     elif fmt == "pretty":
@@ -325,9 +329,15 @@ def _map(fn, tasks, jobs, chunksize):
 
 
 def _sweep_task(task):
+    """One duality-principle sweep row on a random window."""
     L, a, b, seed = task
     rng = np.random.default_rng(seed)
-    return gabor.gabor_sweep_row(L, a, b, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    spec = gabor.GaborSpec(L, a, b, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    report = gabor.duality_principle_check(spec)
+    det = report.details
+    return {"L": L, "a": a, "b": b, "lowerA": det["frame_lower"], "upperB": det["frame_upper"],
+            "adjoint_lower": det["adjoint_riesz_lower"], "adjoint_upper": det["adjoint_riesz_upper"],
+            "residual": max(report.residuals.values())}
 
 
 def _gabor_sweep(args):
@@ -364,9 +374,9 @@ def _wavepacket_bessel_probe(args):
 
 
 def _scan_task(task):
-    d = bsp.classify_cell(*task).to_dict()
-    return {"a": d["a"], "b": d["b"], "status": d["status"],
-            "A": d["lower"], "B": d["upper"], "method": d["method"]}
+    cell = bsp.classify_cell(*task)
+    return {"a": cell.a, "b": cell.b, "status": cell.status, "A": cell.bounds_estimate.lower,
+            "B": cell.bounds_estimate.upper, "method": cell.method}
 
 
 def _bspline_scan(args):
@@ -377,8 +387,7 @@ def _bspline_scan(args):
 
 
 def _bspline_dual_window(args):
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
-    window, report = bsp.dual_window_solve(args.N, args.b, shift_range=args.K, tolerance=tolerance)
+    window, report = bsp.dual_window_solve(args.N, args.b, shift_range=args.K, tolerance=args.tolerance)
     return {"window": window, "report": report}
 
 
@@ -547,7 +556,7 @@ COMMANDS = {
                 _wavepacket_bessel_probe, ("terms", "partial_sum")),
     ),
     ("bspline", "cardinal B-splines and their lattice phase diagram"): (
-        Command("eval", "piecewise-polynomial values via the order recurrence",
+        Command("eval", "values by Horner's rule on the exact piece polynomials",
                 (ORDER, _required("--x", type=_float_list)),
                 lambda a: {"x": a.x, "values": bsp.bspline_eval(a.N, a.x)}),
         Command("fourier", "closed-form transform values",
@@ -577,7 +586,7 @@ COMMANDS = {
         Command("decay", "lower-bound decay table for nested frequency families",
                 (_opt("--family", default="half_integer"),
                  _opt("--n-max", type=_positive_int, default=20), DPS),
-                lambda a: {"rows": [row.to_dict() for row in expo.decay_study(a.family, a.n_max, a.dps)]},
+                lambda a: {"rows": expo.decay_study(a.family, a.n_max, a.dps)},
                 ("N", "lower", "crude", "ratio", "log10_lower", "log10_crude")),
     ),
 }

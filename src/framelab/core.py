@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -127,16 +128,21 @@ def _all_finite(values) -> bool:
 def _grid_samples(origin, step, values, interval, cell: bool, names):
     """(origin, step, read-only complex copy of values, (lo, hi)) of samples values[i] at
     origin + i step.  The step must be positive (GridError); origin, step and values
-    finite, and the interval finite and holding every nonzero sample, or with cell every
-    nonzero cell [x, x + step) (DomainError).  names = (origin, values, interval, items)
-    name the parts in the messages."""
+    finite, and the interval two finite numbers holding every nonzero sample, or with cell
+    every nonzero cell [x, x + step) (DomainError).  names = (origin, values, interval,
+    items) name the parts in the messages."""
     origin_name, values_name, interval_name, items = names
+    pair = tuple(interval) if isinstance(interval, (list, tuple, np.ndarray)) else ()
+    if not all(isinstance(v, numbers.Real) for v in (origin, step)):
+        raise DomainError(f"{origin_name} and step must be numbers, got {origin!r} and {step!r}")
+    if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
+        raise DomainError(f"{interval_name} must be two numbers, got {interval!r}")
     if step <= 0:
         raise GridError("step must be positive")
     arr = np.asarray(values, dtype=complex).reshape(-1)
     if not (math.isfinite(origin) and math.isfinite(step) and _all_finite(arr)):
         raise DomainError(f"{origin_name}, step and {values_name} must be finite (no NaN or Inf)")
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = float(pair[0]), float(pair[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise DomainError(f"{interval_name} must be a finite interval")
     nonzero = (origin + step * np.arange(arr.shape[0]))[np.abs(arr) > 0]
@@ -226,9 +232,6 @@ class FrameBounds:
     def is_frame(self, ratio_floor: float = FRAME_RATIO_FLOOR) -> bool:
         return self.upper > 0 and self.ratio >= ratio_floor
 
-    def to_dict(self):
-        return {"lower": self.lower, "upper": self.upper}
-
 
 _VERDICTS = ("pass", "fail", "undecided")
 
@@ -271,15 +274,6 @@ class AnalysisReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "residuals": dict(self.residuals),
-            "tolerance_used": self.tolerance_used,
-            "notes": self.notes,
-            "details": dict(self.details),
-        }
 
 
 class VectorSystem:
@@ -377,6 +371,8 @@ class VectorSystem:
             rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
         if not rows:
             raise DomainError("cannot infer ambient_dim from an empty CSV")
+        if len({len(row) for row in rows}) > 1:
+            raise DimensionMismatch("CSV rows must all have the same number of columns")
         return cls(np.array(rows, dtype=complex), label=label)
 
 

@@ -96,10 +96,10 @@ class FreqFunction:
     @classmethod
     def from_json_dict(cls, data):
         grid = _field(data, "grid")
-        values = _decode_pairs(_field(data, "values"), "values")
-        if len(values) != int(_field(grid, "count")):
-            raise DimensionMismatch("value list does not match the declared grid count")
-        return cls(_field(grid, "start"), _field(grid, "step"), values, tuple(_field(data, "band")))
+        values, count = _decode_pairs(_field(data, "values"), "values"), _field(grid, "count")
+        if len(values) != count:
+            raise DimensionMismatch(f"{len(values)} values do not match the declared grid count {count!r}")
+        return cls(_field(grid, "start"), _field(grid, "step"), values, _field(data, "band"))
 
 
 DEFAULT_FREQ_STEP = 2.0 ** -10
@@ -170,8 +170,10 @@ class WavePacketGrid:
     def __post_init__(self):
         object.__setattr__(self, "a_values", tuple(float(a) for a in self.a_values))
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
-        if not self.a_values:
-            raise DomainError("need at least one dilation")
+        if not (self.a_values and self.c_values):
+            raise DomainError("need at least one dilation and one offset")
+        if not all(map(math.isfinite, (*self.a_values, self.b, *self.c_values))):
+            raise DomainError("dilations, b and offsets must be finite (no NaN or Inf)")
         if any(a <= 0 for a in self.a_values):
             raise DomainError("dilations must be positive")
         if self.b <= 0:
@@ -268,62 +270,13 @@ def _bound_points(g_hat: FreqFunction, grid: WavePacketGrid, shifts, gamma_grid)
     t_lo, t_hi = lo + margin, hi - margin
     if gamma_grid is not None:
         gammas = np.asarray(gamma_grid, dtype=float)
-        if gammas.size == 0:
-            raise DomainError("gamma_grid must not be empty")
+        if gammas.size == 0 or not np.isfinite(gammas).all():
+            raise DomainError("gamma_grid must be nonempty and finite (no NaN or Inf)")
         return gammas, np.ones(gammas.shape, dtype=bool), (t_lo, t_hi, margin)
     offsets = np.add.outer(grid.c_values, [0.0, *shifts]).ravel()
     edges = np.append(_breakpoints(_edges(g_hat), grid.a_values, offsets), (t_lo, t_hi))
     gammas, _ = _pieces(edges, [(lo, hi)])
     return gammas, (gammas > t_lo) & (gammas < t_hi), (t_lo, t_hi, margin)
-
-
-def _bound_sums(g_hat: FreqFunction, grid: WavePacketGrid, ceiling: float, gamma_grid):
-    """(max (diag + off)/b, at least 0, min over inner of (diag - off)/b, or
-    -inf, (t_lo, t_hi, margin)) at the _bound_points, or None when
-    max(diag + off) passes ceiling * b.  Every term is nonnegative, so no
-    partial sum passes the ceiling unless the final one does."""
-    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
-    gammas, inner, window = _bound_points(g_hat, grid, shifts, gamma_grid)
-    # complex values per point, dilation, offset and shift
-    _check_work(2 * gammas.size * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
-                f"translation-overlap sums on {gammas.size} frequency points")
-    diag, off = _overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas)
-    peak = float((diag + off).max())
-    if peak > ceiling * grid.b:
-        return None
-    lower = float((diag - off)[inner].min()) / grid.b if inner.any() else -math.inf
-    return max(0.0, peak / grid.b), lower, window
-
-
-def _overflow_report(notes: str, ceiling: float) -> AnalysisReport:
-    return AnalysisReport.from_residuals({"partial_sum_overflow": 1.0}, resolve_tolerance(None),
-                                         notes=notes, details={"ceiling": ceiling})
-
-
-def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
-                             ceiling: float = 1e15, gamma_grid=None):
-    """Sufficient translation-overlap bound: the system is Bessel with bound
-
-    B = (1/b) sup_gamma sum_{j,m,k} |g(a_j^-1 g - c_m) g(a_j^-1 g - c_m - k/b)|.
-
-    Band limitation makes the k sum exact, and the sup is read on every piece
-    of the sums.  Sums beyond the ceiling report the Bessel condition as
-    violated (value +inf), so the value is always the upper bound of
-    wave_packet_frame_bounds.  On a given gamma_grid it is a sample, undecided.
-    """
-    _check_ceiling(ceiling)
-    sums = _bound_sums(g_hat, grid, ceiling, gamma_grid)
-    if sums is None:
-        return math.inf, _overflow_report(
-            f"unbounded (Bessel violated): partial sums exceeded ceiling {ceiling:g}", ceiling)
-    report = AnalysisReport.from_residuals(
-        {}, resolve_tolerance(None),
-        notes=("sampled at the given points; not a certificate" if gamma_grid is not None
-               else "k-sum exact by band limitation; finite dilation/offset lists have no tail"),
-        details={"bessel_bound": sums[0]},
-        undecided=gamma_grid is not None,
-    )
-    return sums[0], report
 
 
 def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
@@ -334,16 +287,26 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     (diag - off)/b over the same region trimmed by one dilated band diameter
     at each edge, which removes the artificial dropoff caused by cutting the
     offset list short.  Both are read on every piece of the sums.  A <= 0 is
-    reported as inconclusive, never as a disproof; a partial sum beyond the
-    ceiling reports (0, inf) with the Bessel condition violated.  Bounds on a
-    given gamma_grid are samples, reported undecided.
+    reported as inconclusive, never as a disproof.  Every term is
+    nonnegative, so no partial sum passes the ceiling unless the final one
+    does: a final sum beyond ceiling * b reports (0, inf) with the Bessel
+    condition violated.  Bounds on a given gamma_grid are samples, reported
+    undecided.
     """
     _check_ceiling(ceiling)
-    sums = _bound_sums(g_hat, grid, ceiling, gamma_grid)
-    if sums is None:
-        return FrameBounds(0.0, math.inf), _overflow_report(
-            f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", ceiling)
-    upper, lower_raw, (t_lo, t_hi, margin) = sums
+    shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
+    gammas, inner, (t_lo, t_hi, margin) = _bound_points(g_hat, grid, shifts, gamma_grid)
+    # complex values per point, dilation, offset and shift
+    _check_work(2 * gammas.size * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
+                f"translation-overlap sums on {gammas.size} frequency points")
+    diag, off = _overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas)
+    peak = float((diag + off).max())
+    if peak > ceiling * grid.b:
+        return FrameBounds(0.0, math.inf), AnalysisReport.from_residuals(
+            {"partial_sum_overflow": 1.0}, resolve_tolerance(None),
+            notes=f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", details={"ceiling": ceiling})
+    upper = max(0.0, peak / grid.b)
+    lower_raw = float((diag - off)[inner].min()) / grid.b if inner.any() else -math.inf
     conclusive = lower_raw > 0 and math.isfinite(lower_raw)
     bounds = FrameBounds(max(lower_raw, 0.0) if conclusive else 0.0, upper)
     report = AnalysisReport.from_residuals(
@@ -362,6 +325,30 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
         undecided=gamma_grid is not None or not conclusive,
     )
     return bounds, report
+
+
+def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
+                             ceiling: float = 1e15, gamma_grid=None):
+    """Sufficient translation-overlap bound: the system is Bessel with bound
+
+    B = (1/b) sup_gamma sum_{j,m,k} |g(a_j^-1 g - c_m) g(a_j^-1 g - c_m - k/b)|,
+
+    the upper bound of wave_packet_frame_bounds, read in its one pass.  Band
+    limitation makes the k sum exact, and the sup is read on every piece of
+    the sums.  Sums beyond the ceiling report the Bessel condition as
+    violated (value +inf, with the frame bounds' report).  On a given
+    gamma_grid it is a sample, undecided.
+    """
+    bounds, report = wave_packet_frame_bounds(g_hat, grid, ceiling, gamma_grid)
+    if report.verdict == "fail":
+        return bounds.upper, report
+    return bounds.upper, AnalysisReport.from_residuals(
+        {}, resolve_tolerance(None),
+        notes=("sampled at the given points; not a certificate" if gamma_grid is not None
+               else "k-sum exact by band limitation; finite dilation/offset lists have no tail"),
+        details={"bessel_bound": bounds.upper},
+        undecided=gamma_grid is not None,
+    )
 
 
 def _as_fraction(x, name: str) -> Fraction:
@@ -493,8 +480,8 @@ def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
     tol = resolve_tolerance(tolerance)
     if isinstance(b, str):
         b = float(_as_fraction(b, "b"))
-    if b <= 0:
-        raise DomainError("b must be positive")
+    if not 0 < b < math.inf:
+        raise DomainError("b must be positive and finite")
     js = _adic_j_window(psi_hat, psi_tilde_hat, 2.0, (0.0,))
     # decreasing j, i.e. increasing dilation 2^-j: where three or more scales
     # meet on one gamma the order fixes the last bits, and the dyadic sums
@@ -532,13 +519,15 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     if isinstance(a, str):
         a = _as_fraction(a, "a")
     a_f = float(a)
-    if a_f <= 1:
-        raise DomainError("the dilation base must exceed 1")
+    if not 1 < a_f < math.inf:
+        raise DomainError("the dilation base must exceed 1 and be finite")
     if isinstance(b, str):
         b = float(_as_fraction(b, "b"))
-    if b <= 0:
-        raise DomainError("b must be positive")
+    if not 0 < b < math.inf:
+        raise DomainError("b must be positive and finite")
     c_values = [float(c) for c in c_values]
+    if not all(map(math.isfinite, c_values)):
+        raise DomainError("offsets must be finite (no NaN or Inf)")
     js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
 
     residuals = {"c1": _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, (0,))[0]}

@@ -301,12 +301,6 @@ class DecayRow:
     log10_lower: float
     log10_crude: float
 
-    def to_dict(self):
-        return {
-            "N": self.N, "lower": self.lower, "crude": self.crude, "ratio": self.ratio,
-            "log10_lower": self.log10_lower, "log10_crude": self.log10_crude,
-        }
-
 
 def decay_study(family, n_max: int, dps: int = None):
     """Table of (N, optimal lower bound, crude estimate, ratio) for N = 2..n_max.

@@ -299,8 +299,7 @@ class SampledWindow:
     @classmethod
     def from_json_dict(cls, data):
         samples = _decode_pairs(_field(data, "samples"), "samples")
-        return cls(_field(data, "x0"), _field(data, "step"), samples,
-                   tuple(_field(data, "support_hint")))
+        return cls(_field(data, "x0"), _field(data, "step"), samples, _field(data, "support_hint"))
 
 
 def sampled_indicator(lo: float = 0.0, hi: float = 1.0, step: float = DEFAULT_STEP) -> SampledWindow:
@@ -543,16 +542,3 @@ def hrt_independence(g: SampledWindow, points, tolerance=None) -> AnalysisReport
         notes=("numerically independent; " if independent else "small sigma_min; ") + HRT_CAVEAT,
         details={"sigma_min": sigma_min, "sigma_tolerance": tol, "count": float(len(points))},
     )
-
-
-def gabor_sweep_row(L: int, a: int, b: int, window) -> dict:
-    """One duality-principle sweep record (used by the CLI CSV output)."""
-    spec = GaborSpec(L, a, b, window)
-    report = duality_principle_check(spec)
-    det = report.details
-    return {
-        "L": L, "a": a, "b": b,
-        "lowerA": det["frame_lower"], "upperB": det["frame_upper"],
-        "adjoint_lower": det["adjoint_riesz_lower"], "adjoint_upper": det["adjoint_riesz_upper"],
-        "residual": max(report.residuals.values()),
-    }

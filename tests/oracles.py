@@ -1,11 +1,12 @@
 """Independent oracles shared by several test modules."""
 
 import math
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
-from framelab.core import AnalysisReport, _shift_window
+from framelab.core import AnalysisReport, GridError, LatticeError, _shift_window
 from framelab.gabor import RON_SHEN_TOL_PER_STEP, _lookup, _steps_of, finite_gabor_system
 
 
@@ -215,3 +216,26 @@ def triangular_bspline(N, x):
         b[:m] /= k - 1
     out[live] = b[0]
     return out
+
+
+def rational_cycle(N, a, b, resolution=16, max_length=8192):
+    """(M, L, a M, b P) of the cyclic section of the B_N lattice (a, b), by a rational
+    period search, the reference for the closed-form gabor._cycle_length that
+    bspline.finite_section_bounds calls: sampling density M with a M and M/b
+    integral, the period P, the first multiple of a den(a b) at least N + 1, and
+    L = M P.  GridError for irrational steps, LatticeError for L > max_length."""
+    af = Fraction(a).limit_denominator(4096)
+    bf = Fraction(b).limit_denominator(4096)
+    if abs(float(af) - a) > 1e-9 or abs(float(bf) - b) > 1e-9:
+        raise GridError("finite sections need rational lattice parameters")
+    M0 = math.lcm(af.denominator, bf.numerator)
+    M = M0 * max(1, math.ceil(resolution / M0))
+    n_unit = (af * bf).denominator
+    period = af * n_unit
+    while period < N + 1:
+        period += af * n_unit
+    L = M * period
+    assert L.denominator == 1
+    if L > max_length:
+        raise LatticeError(f"cyclic section too large (L = {L} > {max_length})")
+    return M, int(L), int(af * M), int(bf * period)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from framelab import bspline
-from framelab.core import MAX_WORK, DomainError, FrameBounds
+from framelab.core import MAX_WORK, DomainError, FrameBounds, LatticeError
 from framelab.bspline import (
     PhaseDiagramCell,
     STATUS_FRAME,
@@ -22,7 +22,8 @@ from framelab.bspline import (
     sample_bspline,
     translation_overlap_bounds,
 )
-from oracles import recursive_bspline, triangular_bspline
+from framelab.gabor import GaborSpec, _cycle_length, gabor_frame_bounds
+from oracles import rational_cycle, recursive_bspline, triangular_bspline
 
 
 def convolution_oracle(n_max, inv_step):
@@ -320,6 +321,38 @@ def test_finite_section_matches_painless_on_aligned_grids():
         inf_, sup_, slack = translation_overlap_bounds(2, a, b, period_points=aligned_points)
         assert inf_ / b <= est.lower + 1e-9
         assert sup_ / b >= est.upper - 1e-9
+
+
+def test_cycle_length_realizes_the_rational_period_search():
+    # N = 1..6, a = 0.05..4.25 and b = 0.05..2.3 in steps of 1/20: the cycle
+    # on which finite_section_bounds realizes a cell is the period search's,
+    # and a cell is refused (a cycle past max_length = 8192) exactly where
+    # the search refuses it
+    seen = {True: 0, False: 0}
+    for N in range(1, 7):
+        for a in (k / 20 for k in range(1, 86)):
+            for b in (k / 20 for k in range(1, 47)):
+                M, L, a_int, b_int = rational_cycle(N, a, b, max_length=math.inf)
+                try:
+                    got = _cycle_length(a_int, b, 1 / M, M * (N + 1))
+                except LatticeError:
+                    got = None
+                seen[L <= 8192] += 1
+                if L <= 8192:
+                    assert (got, round(b * got / M)) == (L, b_int), (N, a, b)
+                else:
+                    assert got is None or got == L, (N, a, b)
+    assert min(seen.values()) > 10000
+
+
+def test_finite_section_is_the_rational_cycle_bit_for_bit():
+    # the 28 benchmark cells N = 2..5, a = 0.25..1.75, b = 1.0
+    for N in range(2, 6):
+        for a in (k / 4 for k in range(1, 8)):
+            M, L, a_int, b_int = rational_cycle(N, a, 1.0)
+            fb = gabor_frame_bounds(GaborSpec(L, a_int, b_int, bspline_eval(N, np.arange(L) / M)))
+            est = finite_section_bounds(N, a, 1.0)
+            assert (est.lower, est.upper) == (fb.lower / M, fb.upper / M), (N, a)
 
 
 def test_scanner_soundness_certificates_sandwich_finite_section():

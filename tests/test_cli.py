@@ -563,6 +563,21 @@ def test_bad_env_tolerance_exits_2(value, capsys, monkeypatch):
     (["exp", "bound", "--file"], "l.json", {"freqs": [0, 1]}, "'lambdas'"),
     (["gabor", "bounds", "--L", "2", "--a", "1", "--b", "1", "--window"], "w.json", {"window": [1, 2, 3]},
      "[re, im]"),
+    (["frame", "bounds", "--file"], "f.csv", "1,0,2,0\n3,0\n", "same number of columns"),
+    (["wavepacket", "bounds", "--g"], "g.json",
+     {"grid": {"start": 0.0, "step": 0.5, "count": 2}, "values": [[1, 0], [1, 0]], "band": 5},
+     "band must be two numbers"),
+    (["wavepacket", "bounds", "--g"], "g.json",
+     {"grid": {"start": 0.0, "step": 0.5, "count": 2}, "values": [[1, 0], [1, 0]], "band": [0, 1, 2]},
+     "band must be two numbers"),
+    (["wavepacket", "bounds", "--g"], "g.json",
+     {"grid": {"start": 0.0, "step": 0.5, "count": "x"}, "values": [[1, 0], [1, 0]], "band": [0, 1]},
+     "grid count 'x'"),
+    (["gabor", "hrt", "--points", "0,0;1,0", "--window"], "w.json",
+     {"x0": "a", "step": 0.5, "samples": [[1, 0], [1, 0]], "support_hint": [0, 1]}, "'a'"),
+    (["gabor", "hrt", "--points", "0,0;1,0", "--window"], "w.json",
+     {"x0": 0.0, "step": 0.5, "samples": [[1, 0], [1, 0]], "support_hint": [0, 1, 2]},
+     "support hint must be two numbers"),
 ])
 def test_malformed_input_files_exit_2(argv, name, content, bad, tmp_path, capsys):
     path = tmp_path / name

@@ -433,3 +433,32 @@ def test_bounds_on_a_given_grid_are_samples():
     assert report.notes == "sampled at the given points; not a certificate"
     value, report = wave_packet_bessel_bound(g, grid, gamma_grid=[0.25, 0.5])
     assert value == 1.0 and report.verdict == "undecided"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: WavePacketGrid(a_values=[1.0, math.inf], b=1.0, c_values=[0.0, 1.0]),
+    lambda: WavePacketGrid(a_values=[math.nan], b=1.0, c_values=[0.0]),
+    lambda: WavePacketGrid(a_values=[1.0], b=math.nan, c_values=[0.0]),
+    lambda: WavePacketGrid(a_values=[1.0], b=math.inf, c_values=[0.0]),
+    lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[math.nan]),
+    lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, -math.inf]),
+    lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[]),
+    lambda: wave_packet_frame_bounds(freq_indicator(0.0, 1.0, step=1 / 16),
+                                     WavePacketGrid([1.0], 1.0, [0.0]), gamma_grid=[0.5, math.nan]),
+    lambda: wave_packet_bessel_bound(freq_indicator(0.0, 1.0, step=1 / 16),
+                                     WavePacketGrid([1.0], 1.0, [0.0]), gamma_grid=[math.inf]),
+    lambda: wave_packet_duality_check(shannon_wavelet(), shannon_wavelet(), a=2, b=1.0,
+                                      c_values=[0.0, math.nan]),
+    lambda: wave_packet_duality_check(shannon_wavelet(), shannon_wavelet(), a=2, b=1.0,
+                                      c_values=[math.inf], full_check=False),
+    lambda: wave_packet_duality_check(shannon_wavelet(), shannon_wavelet(), a=math.nan, b=1.0,
+                                      c_values=[0.0]),
+    lambda: wave_packet_duality_check(shannon_wavelet(), shannon_wavelet(), a=2, b=math.nan,
+                                      c_values=[0.0]),
+    lambda: wavelet_duality_check(shannon_wavelet(), shannon_wavelet(), b=math.inf),
+])
+def test_non_finite_wave_packet_parameters_are_domain_errors(call):
+    # at the parent these reported a Bessel bound of 2.0 with a NaN inf window,
+    # a local-integrability sum of 0.0, or raised a bare ValueError
+    with pytest.raises(DomainError, match="finite|one offset"):
+        call()
