@@ -14,10 +14,12 @@ overlap sum is empty, a sufficient condition beyond it, and an honest
 "undecided" elsewhere; the only negative certificate is exact vanishing of
 the periodized diagonal.
 
-The kernel evaluates the spline in blocks of grid rows, several translates
-per call and all frequency shifts of one translate per call.  Evaluation is
-pointwise, so the sums are bit-identical to one call per term; cells too
-large to evaluate are rejected before any grid is built.
+There is one Horner path, _horner, with no masks: bspline_eval runs it on
+the points of [0, N), and the scanner hands it to the kernel, which
+evaluates each translate and each of its frequency shifts only on the slice
+of the sorted grid where it lies in [0, N).  Evaluation is pointwise, so
+the sums are bit-identical to one call per term; cells too large to
+evaluate are rejected before any grid is built.
 """
 
 from __future__ import annotations
@@ -112,11 +114,23 @@ def bspline_eval(N: int, x) -> np.ndarray:
     if not live.any():  # no table: N may be past any array dimension
         return out
     _check_work(_table_work(N), f"the piece table of B_{N}")
-    table = _piece_table(N)
     xl = x[live]
-    y = np.minimum(xl, n_float - xl)
-    special = ~np.isfinite(y)
-    y[special] = 0.0
+    special = ~np.isfinite(xl)
+    xl[special] = 0.0
+    value = _horner(N, xl)
+    value[special] = np.nan if N > 1 else 0.0
+    out[live] = value
+    return out
+
+
+def _horner(N: int, x) -> np.ndarray:
+    """B_N at points x of [0, N), unchecked: Horner's rule in t on the left-half
+    piece j of y = min(x, N - x), t = y - j (see bspline_eval).  The caller
+    keeps x inside [0, N) and charges the work: bspline_eval its points and
+    the table, the scanner its cell (_check_cell admits no order whose table
+    is over the budget)."""
+    table = _piece_table(N)
+    y = np.minimum(x, float(N) - x)
     j = y.astype(np.intp)  # in 0..N // 2: "clip" only skips the bounds check
     t = y - j
     value = table[N - 1].take(j, mode="clip")
@@ -124,9 +138,7 @@ def bspline_eval(N: int, x) -> np.ndarray:
     for k in range(N - 2, -1, -1):
         value *= t
         value += table[k].take(j, out=column, mode="clip")
-    value[special] = np.nan if N > 1 else 0.0
-    out[live] = value
-    return out
+    return value
 
 
 def bspline_fourier(N: int, gamma) -> np.ndarray:
@@ -250,8 +262,8 @@ def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 
     xs = _scan_grid(a, period_points, knots)
     # points lie in [0, a): translates n*a outside this range miss [0, N)
     offsets = [n * a for n in range(-int(math.ceil(N / a)) - 1, 2)]
-    diag, off = _overlap_sums(lambda x: bspline_eval(N, x), [1.0], offsets, shifts, xs,
-                              support=(0, N))
+    diag, off = _overlap_sums(functools.partial(_horner, N), [1.0], offsets, shifts, xs,
+                              (0.0, float(N)))
     # Lipschitz slack: translates meeting a point, times the terms per translate
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2

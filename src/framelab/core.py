@@ -339,10 +339,13 @@ class VectorSystem:
     @classmethod
     def from_json_dict(cls, data) -> "VectorSystem":
         vectors = _decode_pairs(_field(data, "vectors"), "vectors")
+        raw = _field(data, "ambient_dim")
         try:
-            dim = int(_field(data, "ambient_dim"))
-        except (TypeError, ValueError):
-            raise DomainError(f"ambient_dim must be an integer, got {data['ambient_dim']!r}") from None
+            dim = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            dim = None
+        if dim is None or (isinstance(raw, numbers.Real) and dim != raw):
+            raise DomainError(f"ambient_dim must be an integer, got {raw!r}")
         return cls(vectors, ambient_dim=dim, label=data.get("label", ""))
 
     def to_csv(self) -> str:

@@ -83,6 +83,18 @@ class FreqFunction:
         starts = self.start + self.step * nz
         return starts, starts + self.step
 
+    def support(self):
+        """[lo, hi) outside which values_at is 0: the nonzero cells and one cell
+        more on each side, which holds every point that the rounding of
+        values_at puts into a nonzero cell, widened further for a grid whose
+        positions round by more than a cell.  (0, 0) for the zero function."""
+        starts, ends = self.nonzero_cells()
+        if not starts.size:
+            return 0.0, 0.0
+        lo, hi = float(starts.min()), float(ends.max())
+        margin = self.step + 1e-12 * (abs(lo) + abs(hi) + abs(self.start))
+        return lo - margin, hi + margin
+
     def scaled(self, factor: complex) -> "FreqFunction":
         return FreqFunction(self.start, self.step, factor * self.values, self.band)
 
@@ -204,57 +216,119 @@ def _check_ceiling(ceiling):
         raise DomainError(f"ceiling must be > 0 (got {ceiling!r})")
 
 
-#: points per values_at call of _overlap_sums (one grid row if that is larger):
-#: one call per whole cell is barely faster and multiplies the peak memory
+#: points per values_at call of _overlap_sums: one call per whole cell is barely
+#: faster and multiplies the peak memory
 _BLOCK_POINTS = 2 ** 14
 
 
-def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support=None):
+def _live_slices(xs, offsets, shifts, support):
+    """(start, stop) of the slice of the sorted xs where the computed fl(fl(x - c) - s)
+    lies in support = [lo, hi), for each pair of offsets c (a column) and shifts s (a row).
+
+    Rounding is monotone, so the computed value is nondecreasing in x and the
+    points where it reaches a bound are a suffix of xs.  A binary search for
+    bound + s + c lands within rounding of that suffix's first point; the
+    computed value is then tested at the edge, and the index moved over runs of
+    equal points, until it is the first point of the suffix.
+    """
+    bound = np.reshape(np.asarray(support, dtype=float), (2, 1, 1))
+    idx = np.searchsorted(xs, (bound + shifts) + offsets)
+    last = xs.size - 1
+    while True:
+        before, at = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx, last)]
+        back = ((before - offsets) - shifts >= bound) & (idx > 0)
+        ahead = ((at - offsets) - shifts < bound) & (idx <= last)
+        if not (back.any() or ahead.any()):
+            return idx
+        idx = np.where(back, np.searchsorted(xs, before),
+                       np.where(ahead, np.searchsorted(xs, at, "right"), idx))
+
+
+def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support,
+                  charge=None):
     """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
 
-    The sums run over every dilation a, offset c and shift s; offsets whose
-    |g(u)| vanishes everywhere are skipped.  This is the one translation-
-    overlap loop: the wave-packet bounds use shifts k/b, the B-spline
-    scanner one dilation, offsets n*a and shifts k/b (none when painless).
+    The sums run over every dilation a, offset c and shift s.  This is the
+    one translation-overlap loop: the wave-packet bounds use shifts k/b, the
+    B-spline scanner one dilation, offsets n*a and shifts k/b (none when
+    painless).  support = (lo, hi) must hold every point where g is nonzero,
+    and values_at is called only on points of [lo, hi).
 
-    values_at is called on blocks of at most _BLOCK_POINTS points: the rows
-    u of several offsets at once, and for each offset the shifted points
-    u - s of all shifts at once, taken only where g(u) != 0.  The result is
-    bit-identical to one call per (offset, shift) term: values_at is
-    elementwise, every point is the same float expression, the terms are
-    added in the same order, and a skipped column would add an exact +0.0
-    to a nonnegative sum.  With support=(lo, hi), values_at must be exactly 0
-    at finite points outside [lo, hi); each offset's row then drops the
-    shifts s with fl(max u - s) < lo or fl(min u - s) >= hi over its live u,
-    whose points all lie outside, since float subtraction is monotone.
+    The points are sorted once (stably), so the points of each (dilation,
+    offset) row whose u lies in the support, and among them those whose
+    u - s does, are contiguous slices found by binary search (_live_slices).
+    charge, if given, is called with the number of those live points before
+    values_at is first called.  values_at gets blocks of at most _BLOCK_POINTS
+    of them, the terms taken in order and several rows per call.  The result
+    is bit-identical to one call per (dilation, offset, shift) term at every
+    point: values_at is elementwise, every point is the same float expression,
+    the terms are added in the same order, and a skipped term would add an
+    exact +0.0 to a nonnegative sum.
     """
     pts = np.ravel(gammas)
-    diag = np.zeros(pts.shape)
-    off = np.zeros(pts.shape)
-    shifts = np.asarray(shifts, dtype=float)
+    diag, off = np.zeros(pts.shape), np.zeros(pts.shape)
+    order = np.argsort(pts, kind="stable")
+    xs = pts[order]
     offsets = np.asarray(offsets, dtype=float)
-    rows_per_call = max(1, _BLOCK_POINTS // max(pts.size, 1))
+    shifts = np.concatenate(([0.0], np.asarray(shifts, dtype=float)))  # 0: the row itself
+    plan, live = [], 0
     for a in dilations:
-        base = pts / a
-        for first in range(0, offsets.size, rows_per_call):
-            u_block = base - offsets[first:first + rows_per_call, None]
-            for u, g0 in zip(u_block, np.abs(values_at(u_block))):
-                if not np.any(g0):
-                    continue
-                diag += g0 ** 2
-                if shifts.size:
-                    live = np.flatnonzero(g0)
-                    u_live, g_live, acc = u[live], g0[live], off[live]
-                    row_shifts = shifts
-                    if support is not None:
-                        row_shifts = shifts[(u_live.max() - shifts >= support[0])
-                                            & (u_live.min() - shifts < support[1])]
-                    shifts_per_call = max(1, _BLOCK_POINTS // live.size)
-                    for first_s in range(0, row_shifts.size, shifts_per_call):
-                        block = u_live - row_shifts[first_s:first_s + shifts_per_call, None]
-                        for row in np.abs(values_at(block)):
-                            acc += g_live * row
-                    off[live] = acc
+        base = xs / a
+        starts, stops = _live_slices(base, offsets[:, None], shifts, support)
+        rows = np.flatnonzero(stops[:, 0] > starts[:, 0])
+        # a shifted term is live on the part of its row's slice where u - s is in the support
+        first, last = starts[rows, :1], stops[rows, :1]
+        starts, stops = (np.minimum(np.maximum(ends[rows], first), last)
+                         for ends in (starts, stops))
+        plan.append((a, offsets[rows].tolist(), starts.tolist(), stops.tolist()))
+        live += int(np.sum(stops - starts))
+    if charge is not None:
+        charge(live)
+
+    buffer = np.empty(min(_BLOCK_POINTS, live))
+    batch, size = [], 0
+
+    def evaluate():
+        values = np.abs(values_at(buffer[:size]))
+        first = 0
+        for start, g, is_row in batch:
+            n = g.size
+            value = values[first:first + n]
+            first += n
+            if is_row:
+                g[:] = value
+                value *= value
+                diag[start:start + n] += value
+            else:
+                value *= g
+                off[start:start + n] += value
+
+    def queue(points, s, start, g, is_row):
+        """Adds the term points - s, split where a block fills up."""
+        nonlocal batch, size
+        while points.size:
+            n = min(points.size, _BLOCK_POINTS - size)
+            np.subtract(points[:n], s, out=buffer[size:size + n])
+            batch.append((start, g[:n], is_row))
+            size += n
+            if size == _BLOCK_POINTS:
+                evaluate()
+                batch, size = [], 0
+            points, start, g = points[n:], start + n, g[n:]
+
+    shift_list = shifts[1:].tolist()
+    for a, row_offsets, row_starts, row_stops in plan:
+        base = xs / a
+        for c, (i0, *j0s), (i1, *j1s) in zip(row_offsets, row_starts, row_stops):
+            u = base[i0:i1] - c
+            g = np.empty(u.size)  # |g(u)|, filled by the row's own term
+            queue(u, 0.0, i0, g, True)
+            for s, j0, j1 in zip(shift_list, j0s, j1s):
+                if j1 > j0:
+                    queue(u[j0 - i0:j1 - i0], s, j0, g[j0 - i0:j1 - i0], False)
+    if size:
+        evaluate()
+    diag[order], off[order] = diag.copy(), off.copy()
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 
@@ -296,10 +370,14 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     _check_ceiling(ceiling)
     shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
     gammas, inner, (t_lo, t_hi, margin) = _bound_points(g_hat, grid, shifts, gamma_grid)
-    # complex values per point, dilation, offset and shift
-    _check_work(2 * gammas.size * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
-                f"translation-overlap sums on {gammas.size} frequency points")
-    diag, off = _overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas)
+    # the live slices, about 16 array entries per (dilation, offset, shift) term, then a
+    # complex value per live point
+    _check_work(16 * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
+                "the live slices of the translation-overlap sums")
+    diag, off = _overlap_sums(
+        g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas, g_hat.support(),
+        charge=lambda live: _check_work(2 * live, f"translation-overlap sums on {live} live points "
+                                                  f"of {gammas.size} frequency points"))
     peak = float((diag + off).max())
     if peak > ceiling * grid.b:
         return FrameBounds(0.0, math.inf), AnalysisReport.from_residuals(
@@ -582,6 +660,7 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
     starts, ends = f_hat.nonzero_cells()
     window = [(starts.min(), ends.max())]
     f_edges, psi_edges = _edges(f_hat), _edges(psi_hat)
+    f_support, psi_support = f_hat.support(), psi_hat.support()
     flo, fhi = f_hat.band
     fdiam = fhi - flo
     total = 0.0
@@ -596,8 +675,8 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
         # complex values per piece, shift and offset
         _check_work(2 * mids.size * (len(shifts) + len(grid.c_values) + 1),
                     f"the local-integrability sum on {mids.size} frequency pieces")
-        f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids)
-        psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids)
+        f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids, f_support)
+        psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids, psi_support)
         inside = np.abs(f_hat.values_at(mids)) > 0
         total += float(np.sum((widths * f_sum * psi_sum)[inside]))
         trace.append(total)

@@ -39,9 +39,11 @@ class LambdaSet:
 
     def __init__(self, lambdas):
         try:
-            arr = np.asarray(lambdas, dtype=float).reshape(-1)
+            arr = np.asarray(lambdas, dtype=float)
         except (TypeError, ValueError):
             raise DomainError(f"frequencies must be numbers, got {lambdas!r}") from None
+        if arr.ndim != 1:
+            raise DomainError(f"frequencies must be a flat list of numbers, got {lambdas!r}")
         if arr.size == 0:
             raise DomainError("need at least one frequency")
         if not np.all(np.isfinite(arr)):

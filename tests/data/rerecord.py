@@ -1,13 +1,14 @@
 """Re-record named cases of the CLI goldens in cli_golden.json.
 
-    PYTHONPATH=src python tests/data/rerecord.py "<cmd>" ["<cmd>" ...]
+    PYTHONPATH=src python tests/data/rerecord.py [--add] "<cmd>" ["<cmd>" ...]
 
-Each <cmd> is the "cmd" field of an existing case, "{data}" included.  Only
-those cases are re-run; their stdout, stdout_bytes, stdout_sha256 and exit
-are rewritten and every other case stays byte-identical.  Every value that
-changed is printed with its old and new value and, for numbers, the relative
-difference, so a re-record can be reviewed number by number instead of as a
-new hash.
+Each <cmd> is the "cmd" field of an existing case, "{data}" included; with
+--add, a <cmd> without a case is recorded as a new case at the end, its
+stdout stored.  Only those cases are run; their stdout, stdout_bytes,
+stdout_sha256 and exit are written and every other case stays
+byte-identical.  Every value that changed is printed with its old and new
+value and, for numbers, the relative difference, so a re-record can be
+reviewed number by number instead of as a new hash.
 """
 
 import hashlib
@@ -84,12 +85,15 @@ def report(old_text, new_text):
                 print(f"  changed {path}: {before!r} -> {after!r} (relative difference {rel:.3e})")
 
 
-def rerecord(cmds):
+def rerecord(cmds, add=False):
     cases = json.loads(GOLDEN.read_text())
     by_cmd = {case["cmd"]: case for case in cases}
     missing = [cmd for cmd in cmds if cmd not in by_cmd]
-    if missing:
+    if missing and not add:
         sys.exit(f"no golden case for {missing}")
+    for cmd in missing:
+        by_cmd[cmd] = {"cmd": cmd, "exit": None, "stdout": "", "stdout_bytes": 0}
+        cases.append(by_cmd[cmd])
     for cmd in cmds:
         case = by_cmd[cmd]
         code, out = run(cmd)
@@ -106,4 +110,5 @@ def rerecord(cmds):
 
 
 if __name__ == "__main__":
-    rerecord(sys.argv[1:])
+    args = sys.argv[1:]
+    rerecord([arg for arg in args if arg != "--add"], add="--add" in args)

@@ -420,7 +420,8 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["bspline", "eval", "--N", "1000000", "--x", "0.5"], np, "empty"),
     (["exp", "decay", "--n-max", "100000"], expo, "lower_bound"),
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
-    (["wavepacket", "bounds", "--g", "shannon", "--c-values=-2000:2000:1"], dil, "_overlap_sums"),
+    # 9.7e7 live points: most of the 4002 shifts k/1000 meet the band from every point
+    (["wavepacket", "bounds", "--g", "shannon", "--b", "1000"], dil.FreqFunction, "values_at"),
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
      np, "exp"),
@@ -469,6 +470,9 @@ class Reached(Exception):
      bsp, "_overlap_sums"),
     (["gabor", "bounds", "--L", "65536", "--a", "64", "--b", "64"], np.linalg, "eigvalsh"),
     (["bspline", "eval", "--N", "342", "--x", "0.5"], bsp, "_piece_table"),
+    # charged by its 3.2e4 live points, not by points times offsets and shifts (4.5e8)
+    (["wavepacket", "bounds", "--g", "shannon", "--c-values=-2000:2000:1"], dil.FreqFunction,
+     "values_at"),
 ])
 def test_requests_within_the_work_budget_reach_their_evaluator(argv, module, evaluator, monkeypatch):
     def reached(*args, **kwargs):
@@ -578,6 +582,12 @@ def test_bad_env_tolerance_exits_2(value, capsys, monkeypatch):
     (["gabor", "hrt", "--points", "0,0;1,0", "--window"], "w.json",
      {"x0": 0.0, "step": 0.5, "samples": [[1, 0], [1, 0]], "support_hint": [0, 1, 2]},
      "support hint must be two numbers"),
+    # a number or a nested list was flattened and answered as a frequency set
+    (["exp", "bound", "--file"], "l.json", {"lambdas": 5}, "flat list of numbers, got 5"),
+    (["exp", "bound", "--file"], "l.json", {"lambdas": [[0, 1]]}, "flat list of numbers, got [["),
+    # a fractional dimension was truncated to 2
+    (["frame", "bounds", "--file"], "f.json", {"ambient_dim": 2.5, "vectors": [[[1, 0], [0, 0]]]},
+     "ambient_dim must be an integer, got 2.5"),
 ])
 def test_malformed_input_files_exit_2(argv, name, content, bad, tmp_path, capsys):
     path = tmp_path / name

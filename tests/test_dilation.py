@@ -369,6 +369,17 @@ def test_infinite_ceiling_allowed():
     assert report.residuals["ceiling_not_exceeded"] == 1.0
 
 
+def test_ten_dyadic_dilations_over_800_offsets_are_charged_by_their_live_points():
+    # 4409 pieces against 8000 (dilation, offset) rows: each row is live on a
+    # few pieces only, about 2.6e4 points in all (3.5e8 units when charged as
+    # points times rows times shifts); every dilation covers gamma < 800 / 2^9
+    # once, and no shift k != 0 overlaps [0, 1)
+    grid = WavePacketGrid([2.0 ** -j for j in range(10)], 1.0, range(800))
+    value, report = wave_packet_bessel_bound(freq_indicator(0, 1), grid)
+    assert value == 10.0
+    assert report.verdict == "pass" and report.details == {"bessel_bound": 10.0}
+
+
 # -- pieces narrower than any sampling grid ------------------------------------
 
 

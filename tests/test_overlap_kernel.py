@@ -52,20 +52,30 @@ def painless_oracle(N, a, b, period_points):
     return float(diag.min()), float(diag.max()), slack
 
 
-def overlap_oracle(N, a, b, period_points):
-    k_max = int(math.ceil(b * N)) + 1
-    shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
-    xs = _scan_grid(a, period_points, [k + s for k in range(N + 1) for s in [0.0] + shifts])
-    n_max = int(math.ceil(2 * N / a)) + 1
+def overlap_sums_oracle(N, offsets, shifts, xs):
+    """diag and off of the scanner, one masked spline call per (offset, shift) term."""
     diag = np.zeros_like(xs)
     off = np.zeros_like(xs)
-    for n in range(-n_max, n_max + 1):
-        g0 = bspline_eval(N, xs - n * a)
+    for c in offsets:
+        g0 = bspline_eval(N, xs - c)
         if not np.any(g0):
             continue
         diag += g0 ** 2
         for s in shifts:
-            off += np.abs(g0 * bspline_eval(N, xs - n * a - s))
+            off += np.abs(g0 * bspline_eval(N, xs - c - s))
+    return diag, off
+
+
+def scanner_shifts(N, b):
+    k_max = int(math.ceil(b * N)) + 1
+    return [k / b for k in range(-k_max, k_max + 1) if k != 0]
+
+
+def overlap_oracle(N, a, b, period_points):
+    shifts = scanner_shifts(N, b)
+    xs = _scan_grid(a, period_points, [k + s for k in range(N + 1) for s in [0.0] + shifts])
+    n_max = int(math.ceil(2 * N / a)) + 1
+    diag, off = overlap_sums_oracle(N, [n * a for n in range(-n_max, n_max + 1)], shifts, xs)
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
     return float((diag - off).min()), float((diag + off).max()), slack
@@ -223,40 +233,107 @@ def test_wave_packet_bounds_match_oracles_bitwise(ceiling):
         assert seen["overflow"] > 0
 
 
-@pytest.mark.parametrize("N, a, b", [(2, 0.5, 0.6), (3, 1.25, 0.6), (4, 0.9, 0.4), (5, 0.25, 1.0)])
+def recording_horner(N, evaluated):
+    """_horner that records every point it is given; each must lie in [0, N)."""
+    def values_at(x):
+        assert np.all((x >= 0) & (x < N)), "a point outside the support was evaluated"
+        evaluated.append(x.size)
+        return bspline._horner(N, x)
+    return values_at
+
+
+@pytest.mark.parametrize("N, a, b", [(2, 0.5, 0.6), (3, 1.25, 0.6), (4, 0.9, 0.4), (5, 0.25, 1.0),
+                                     (1, 1.3, 1.0), (3, 2.7, 1.0)])
 def test_support_skips_dead_shifts_bitwise(N, a, b):
-    # a shift whose translates miss [0, N) on a whole row adds only +0.0:
-    # skipping it keeps every bit and evaluates fewer spline points
-    k_max = int(math.ceil(b * N)) + 1
-    shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
+    # offsets and shifts whose translates miss [0, N) add only +0.0: the live
+    # slices evaluate fewer spline points, only inside the support, and keep
+    # every bit of the per-term oracle
+    shifts = scanner_shifts(N, b)
     xs = _scan_grid(a, 256, [k + s for k in range(N + 1) for s in [0.0] + shifts])
     offsets = [n * a for n in range(-int(math.ceil(N / a)) - 3, 4)]
-    sums, evaluated = [], []
-    for support in (None, (0, N)):
-        points = [0]
+    evaluated = []
+    sums = dilation._overlap_sums(recording_horner(N, evaluated), [1.0], offsets, shifts, xs,
+                                  (0.0, float(N)))
+    oracle = overlap_sums_oracle(N, offsets, shifts, xs)
+    assert bits(*np.concatenate(sums)) == bits(*np.concatenate(oracle))
+    assert 0 < sum(evaluated) < xs.size * len(offsets) * (1 + len(shifts))
 
-        def values_at(x):
-            points[0] += np.size(x)
-            return bspline_eval(N, x)
 
-        sums.append(np.concatenate(dilation._overlap_sums(values_at, [1.0], offsets, shifts, xs,
-                                                          support=support)))
-        evaluated.append(points[0])
-    assert sums[0].view(np.uint64).tolist() == sums[1].view(np.uint64).tolist()
-    assert evaluated[1] < evaluated[0]
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 3.0), (-0.7, 1.9), (0.3, 2.1)])
+def test_live_slices_end_where_the_computed_difference_leaves_the_support(lo, hi):
+    # the indicator of [lo, hi) at points within an ulp of every slice end
+    # fl(bound + s + c): a binary search for bound + s + c alone misplaces
+    # many of these ends, and only the computed fl(fl(x - c) - s) decides
+    def indicator(u):
+        return ((u >= lo) & (u < hi)).astype(float)
+
+    def values_at(u):
+        assert np.all((u >= lo) & (u < hi)), "a point outside the support was evaluated"
+        return indicator(u)
+
+    rng = np.random.default_rng(19)
+    offsets = rng.uniform(-5.0, 5.0, 40)
+    shifts = [-1.0, 0.6, 1.0]
+    ends = np.add.outer([lo, hi], np.add.outer([0.0] + shifts, offsets)).ravel()
+    xs = np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)])
+    diag, off = np.zeros_like(xs), np.zeros_like(xs)
+    for c in offsets:
+        g0 = indicator(xs - c)
+        diag += g0 ** 2
+        for s in shifts:
+            off += np.abs(g0 * indicator(xs - c - s))
+    sums = dilation._overlap_sums(values_at, [1.0], offsets, shifts, xs, (lo, hi))
+    assert bits(*np.concatenate(sums)) == bits(*diag, *off)
+
+
+def test_kernel_sums_do_not_depend_on_the_order_of_the_points():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        g, grid, points = random_instance(rng)
+        shifts = [k / grid.b for k in _k_range(g.band, grid.b) if k != 0]
+        perm = rng.permutation(points.size)
+        sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, points,
+                                      g.support())
+        shuffled = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts,
+                                          points[perm], g.support())
+        assert bits(*np.concatenate(sums)[np.concatenate([perm, perm + points.size])]) == \
+            bits(*np.concatenate(shuffled))
+
+
+@pytest.mark.parametrize("a_values, c_values", [
+    ([3.0], [-2.0, 0.0, 1.5]),           # a > 1
+    ([1.7, 2.9, 0.35], [-1.0, 0.25, 3.0]),  # non-dyadic dilations
+    ([1.0, 2.0, 4.0], list(range(-3, 4))),
+])
+def test_wave_packet_sums_match_the_triple_sums_at_b_1(a_values, c_values):
+    # b = 1.0 makes the shifts integers, so shifted pieces meet the cell
+    # edges of g; a shuffled gamma_grid reads the same sums at the same points
+    rng = np.random.default_rng(11)
+    g = FreqFunction(-0.5, 0.125, rng.uniform(0.0, 2.0, 20) * (rng.uniform(size=20) < 0.7),
+                     (-0.5, 2.0))
+    grid = WavePacketGrid(a_values, 1.0, c_values)
+    lo, hi = _coverage_box(g, grid)
+    shuffled = rng.permutation(np.linspace(lo - 1, hi + 1, 3001))
+    for gamma_grid in (None, shuffled):
+        bounds, report = wave_packet_frame_bounds(g, grid, math.inf, gamma_grid)
+        lower, upper, details = frame_oracle(g, grid, math.inf, gamma_grid)
+        assert bits(bounds.lower, bounds.upper) == bits(lower, upper)
+        assert bits(*report.details.values()) == bits(*details.values())
 
 
 def test_kernel_calls_stay_within_the_block(monkeypatch):
-    # no values_at call of the kernel gets more than 2^14 points unless one
-    # grid row alone is larger
+    # every values_at call of the kernel gets at most 2^14 points, all inside
+    # the support it was given; rows are batched, and a row above the block
+    # size is split
     kernel = dilation._overlap_sums
     calls = []
 
-    def recording(values_at, dilations, offsets, shifts, gammas, *args, **kwargs):
+    def recording(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs):
         def wrapped(u):
+            assert np.all((u >= support[0]) & (u < support[1]))
             calls.append((np.size(u), np.size(gammas)))
             return values_at(u)
-        return kernel(wrapped, dilations, offsets, shifts, gammas, *args, **kwargs)
+        return kernel(wrapped, dilations, offsets, shifts, gammas, support, *args, **kwargs)
 
     monkeypatch.setattr(bspline, "_overlap_sums", recording)
     monkeypatch.setattr(dilation, "_overlap_sums", recording)
@@ -265,13 +342,12 @@ def test_kernel_calls_stay_within_the_block(monkeypatch):
     rng = np.random.default_rng(5)
     g, grid, _ = random_instance(rng)
     lo, hi = _coverage_box(g, grid)
-    wave_packet_frame_bounds(g, grid, gamma_grid=np.linspace(lo, hi, 20000))
+    wave_packet_frame_bounds(g, grid, gamma_grid=np.linspace(lo, hi, 40000))
     wave_packet_frame_bounds(g, grid)
     assert calls
-    assert all(points <= max(2 ** 14, row) for points, row in calls)
-    # rows are batched, and a row above the block size is evaluated alone
+    assert all(points <= 2 ** 14 for points, _ in calls)
     assert any(points > row for points, row in calls)
-    assert any(points == row > 2 ** 14 for points, row in calls)
+    assert any(points == 2 ** 14 < row for points, row in calls)
 
 
 def dyadic_instance(rng):
