@@ -11,8 +11,8 @@ parameters (a, b) by sound certificates only, all from one set of
 periodized translation-overlap sums (the kernel the wave-packet bounds use
 too): exact bounds where the support fits one frequency period and the
 overlap sum is empty, a sufficient condition beyond it, and an honest
-"undecided" elsewhere; the only negative certificate is exact vanishing of
-the periodized diagonal.
+"undecided" elsewhere; the only negative certificate, a painless diagonal
+that vanishes, is decided exactly from the support of B_N, not the grid.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
@@ -163,23 +163,26 @@ def bspline_integral(N: int) -> float:
     return total
 
 
-def property_suite(N: int, tolerance=None, grid_points: int = 2048) -> AnalysisReport:
+_SUITE_POINTS = 2048  # interior and partition-of-unity points of property_suite
+
+
+def property_suite(N: int, tolerance=None) -> AnalysisReport:
     """Support, interior positivity, unit integral, partition of unity."""
     tol = resolve_tolerance(tolerance)
     # points in the support: interior, partition sums (N + 1 per point), Gauss nodes
-    _check_work((grid_points * (N + 2) + N * max(8, N)) * (N * (N + 1) // 2), f"B_{N}'s property suite")
+    _check_work((_SUITE_POINTS * (N + 2) + N * max(8, N)) * (N * (N + 1) // 2), f"B_{N}'s property suite")
     outside = np.concatenate([
         np.linspace(-2.0, -1e-9, 200),
         np.linspace(N + 1e-9, N + 2.0, 200),
     ])
     support_leak = float(np.abs(bspline_eval(N, outside)).max())
 
-    interior = np.linspace(0, N, grid_points + 1)[1:-1]
+    interior = np.linspace(0, N, _SUITE_POINTS + 1)[1:-1]
     min_interior = float(bspline_eval(N, interior).min())
 
     integral_dev = abs(bspline_integral(N) - 1.0)
 
-    xs = np.linspace(0.0, 3.0, grid_points)
+    xs = np.linspace(0.0, 3.0, _SUITE_POINTS)
     partition = np.zeros_like(xs)
     for k in range(-N - 2, N + 5):
         partition += bspline_eval(N, xs - k)
@@ -320,16 +323,18 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     """Sound classification of one lattice cell.
 
     Certificates: exact periodized bounds in the painless regime (including
-    the exact-vanishing negative certificate), the translation-overlap
-    sufficient condition outside it, and otherwise undecided with a cyclic
-    finite-section estimate attached when feasible.  Rejects the input
-    translation_overlap_bounds rejects, with DomainError.
+    the negative certificate: B_N > 0 on (0, N), so the diagonal vanishes iff
+    a >= N, and iff a > 1 for N = 1, never read off a grid value that
+    underflows to 0.0), the translation-overlap sufficient condition outside
+    it, and otherwise undecided with a cyclic finite-section estimate
+    attached when feasible.  Rejects the input translation_overlap_bounds
+    rejects, with DomainError.
     """
     _check_cell(N, a, b, period_points)
     painless = b * N <= 1 + 1e-12
     lo, hi, slack = translation_overlap_bounds(
         N, a, b, period_points if painless else max(period_points, 2048))
-    if painless and lo == 0.0:
+    if painless and (a >= N if N > 1 else a > 1):
         return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
                                 "painless diagonal vanishes exactly")
     if lo - slack > 0:

@@ -465,12 +465,15 @@ def frame_bounds(system: VectorSystem, mode: str = "full_space") -> FrameBounds:
         return _spectral_bounds(frame_operator(system))
     if system.count == 0:
         raise DomainError("span bounds of an empty system are undefined")
-    ev = np.linalg.eigvalsh(frame_operator(system))
+    return _span_bounds(system, np.linalg.eigvalsh(frame_operator(system)))
+
+
+def _span_bounds(system: VectorSystem, ev: np.ndarray) -> FrameBounds:
+    """Span bounds from the ascending eigenvalues ev of S: the smallest one above
+    the nonzero cutoff dim * eps * largest, and the largest."""
     upper = max(float(ev[-1]), 0.0)
-    cutoff = system.ambient_dim * np.finfo(float).eps * upper
-    nonzero = ev[ev > cutoff]
-    lower = float(nonzero[0]) if nonzero.size else 0.0
-    return FrameBounds(lower, upper)
+    nonzero = ev[ev > system.ambient_dim * np.finfo(float).eps * upper]
+    return FrameBounds(float(nonzero[0]) if nonzero.size else 0.0, upper)
 
 
 def riesz_bounds(system: VectorSystem) -> FrameBounds:
@@ -494,19 +497,21 @@ def canonical_dual(system: VectorSystem, mode: str = "full_space", tolerance=Non
     f = sum_k <f, S^-1 f_k> f_k then holds on the full space (resp. span).
     """
     tol = resolve_tolerance(tolerance)
-    bounds = frame_bounds(system, mode)
+    if mode == "span" and system.count:  # one eigensolve: the lower bound and the pseudo-inverse
+        ev, Q = np.linalg.eigh(frame_operator(system))
+        bounds = _span_bounds(system, ev)
+    else:
+        bounds = frame_bounds(system, mode)
     if bounds.lower <= tol:
         raise SingularSystemError(
             f"lower bound {bounds.lower:.3e} is below tolerance {tol:.1e}; "
             "the canonical dual is not defined"
         )
-    S = frame_operator(system)
     if mode == "full_space":
-        duals = np.linalg.solve(S, system.vectors.T).T
+        duals = np.linalg.solve(frame_operator(system), system.vectors.T).T
     else:
-        ev, Q = np.linalg.eigh(S)
-        cutoff = system.ambient_dim * np.finfo(float).eps * max(ev[-1], 0.0)
-        inv = np.where(ev > cutoff, 1.0 / np.where(ev > cutoff, ev, 1.0), 0.0)
+        nonzero = ev >= bounds.lower  # ev ascends: the eigenvalues above the cutoff
+        inv = np.where(nonzero, 1.0 / np.where(nonzero, ev, 1.0), 0.0)
         pinv = (Q * inv) @ Q.conj().T
         duals = (pinv @ system.vectors.T).T
     return VectorSystem(duals, label=f"canonical dual of {system.label}" if system.label else "canonical dual")

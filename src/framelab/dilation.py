@@ -244,8 +244,7 @@ def _live_slices(xs, offsets, shifts, support):
                        np.where(ahead, np.searchsorted(xs, at, "right"), idx))
 
 
-def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support,
-                  charge=None):
+def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support, cost=None):
     """diag = sum |g(u)|^2 and off = sum_s |g(u)| |g(u - s)| at u = gamma/a - c.
 
     The sums run over every dilation a, offset c and shift s.  This is the
@@ -257,20 +256,27 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     The points are sorted once (stably), so the points of each (dilation,
     offset) row whose u lies in the support, and among them those whose
     u - s does, are contiguous slices found by binary search (_live_slices).
-    charge, if given, is called with the number of those live points before
-    values_at is first called.  values_at gets blocks of at most _BLOCK_POINTS
-    of them, the terms taken in order and several rows per call.  The result
-    is bit-identical to one call per (dilation, offset, shift) term at every
-    point: values_at is elementwise, every point is the same float expression,
-    the terms are added in the same order, and a skipped term would add an
-    exact +0.0 to a nonnegative sum.
+    With a cost per live point given, the slice search (16 units per term)
+    and then cost times the live points are charged before either is done;
+    the scanner gives none, its cells are charged by _check_cell.  One loop
+    then takes the terms of each live row, the row itself first and then its
+    live shifts, into blocks of at most _BLOCK_POINTS points, one values_at
+    call per block.  The row's own term writes |g(u)| into one scratch array
+    over the points, where its shift terms read it before the next row
+    overwrites it: a block's terms are applied in order.  The result is
+    bit-identical to one call per (dilation, offset, shift) term at every
+    point: values_at is elementwise, every point is the same float
+    expression, the terms are added in the same order, and a skipped term
+    would add an exact +0.0 to a nonnegative sum.
     """
     pts = np.ravel(gammas)
-    diag, off = np.zeros(pts.shape), np.zeros(pts.shape)
-    order = np.argsort(pts, kind="stable")
-    xs = pts[order]
     offsets = np.asarray(offsets, dtype=float)
     shifts = np.concatenate(([0.0], np.asarray(shifts, dtype=float)))  # 0: the row itself
+    if cost is not None:
+        _check_work(16 * len(dilations) * offsets.size * shifts.size,
+                    "the live slices of the translation-overlap sums")
+    order = np.argsort(pts, kind="stable")
+    xs = pts[order]
     plan, live = [], 0
     for a in dilations:
         base = xs / a
@@ -282,52 +288,39 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
                          for ends in (starts, stops))
         plan.append((a, offsets[rows].tolist(), starts.tolist(), stops.tolist()))
         live += int(np.sum(stops - starts))
-    if charge is not None:
-        charge(live)
+    if cost is not None:
+        _check_work(cost * live, f"translation-overlap sums on {live} live points "
+                                 f"of {pts.size} frequency points")
 
+    diag, off = np.zeros(pts.shape), np.zeros(pts.shape)
+    u, g = np.empty(pts.shape), np.empty(pts.shape)  # u and |g(u)| of the current row
     buffer = np.empty(min(_BLOCK_POINTS, live))
-    batch, size = [], 0
-
-    def evaluate():
-        values = np.abs(values_at(buffer[:size]))
-        first = 0
-        for start, g, is_row in batch:
-            n = g.size
-            value = values[first:first + n]
-            first += n
-            if is_row:
-                g[:] = value
-                value *= value
-                diag[start:start + n] += value
-            else:
-                value *= g
-                off[start:start + n] += value
-
-    def queue(points, s, start, g, is_row):
-        """Adds the term points - s, split where a block fills up."""
-        nonlocal batch, size
-        while points.size:
-            n = min(points.size, _BLOCK_POINTS - size)
-            np.subtract(points[:n], s, out=buffer[size:size + n])
-            batch.append((start, g[:n], is_row))
-            size += n
-            if size == _BLOCK_POINTS:
-                evaluate()
-                batch, size = [], 0
-            points, start, g = points[n:], start + n, g[n:]
-
-    shift_list = shifts[1:].tolist()
+    batch, size = [], 0  # (start, stop, is_row) of the terms in buffer[:size]
+    shift_list = shifts.tolist()
     for a, row_offsets, row_starts, row_stops in plan:
         base = xs / a
-        for c, (i0, *j0s), (i1, *j1s) in zip(row_offsets, row_starts, row_stops):
-            u = base[i0:i1] - c
-            g = np.empty(u.size)  # |g(u)|, filled by the row's own term
-            queue(u, 0.0, i0, g, True)
-            for s, j0, j1 in zip(shift_list, j0s, j1s):
-                if j1 > j0:
-                    queue(u[j0 - i0:j1 - i0], s, j0, g[j0 - i0:j1 - i0], False)
-    if size:
-        evaluate()
+        for c, starts, stops in zip(row_offsets, row_starts, row_stops):
+            np.subtract(base[starts[0]:stops[0]], c, out=u[starts[0]:stops[0]])
+            for term, (s, start, stop) in enumerate(zip(shift_list, starts, stops)):
+                while start < stop:  # the term's points, split where the block fills up
+                    n = min(stop - start, _BLOCK_POINTS - size)
+                    np.subtract(u[start:start + n], s, out=buffer[size:size + n])
+                    batch.append((start, start + n, term == 0))
+                    size += n
+                    start += n
+                    live -= n
+                    if size == _BLOCK_POINTS or not live:  # full, or the last term
+                        values = np.abs(values_at(buffer[:size]))
+                        first = 0
+                        for i, j, is_row in batch:
+                            value = values[first:first + j - i]
+                            first += j - i
+                            if is_row:
+                                g[i:j] = value
+                                diag[i:j] += value * value
+                            else:
+                                off[i:j] += value * g[i:j]
+                        batch, size = [], 0
     diag[order], off[order] = diag.copy(), off.copy()
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
@@ -370,14 +363,9 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     _check_ceiling(ceiling)
     shifts = [k / grid.b for k in _k_range(g_hat.band, grid.b) if k != 0]
     gammas, inner, (t_lo, t_hi, margin) = _bound_points(g_hat, grid, shifts, gamma_grid)
-    # the live slices, about 16 array entries per (dilation, offset, shift) term, then a
-    # complex value per live point
-    _check_work(16 * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)),
-                "the live slices of the translation-overlap sums")
-    diag, off = _overlap_sums(
-        g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas, g_hat.support(),
-        charge=lambda live: _check_work(2 * live, f"translation-overlap sums on {live} live points "
-                                                  f"of {gammas.size} frequency points"))
+    # a complex value per live point
+    diag, off = _overlap_sums(g_hat.values_at, grid.a_values, grid.c_values, shifts, gammas,
+                              g_hat.support(), cost=2)
     peak = float((diag + off).max())
     if peak > ceiling * grid.b:
         return FrameBounds(0.0, math.inf), AnalysisReport.from_residuals(

@@ -223,6 +223,30 @@ def test_zero_certificate_at_sparse_translates():
     assert cell.status == STATUS_ZERO
 
 
+@pytest.mark.parametrize("N, a, b", [(80, 79.5, 0.01), (100, 99.5, 0.005), (120, 119.5, 0.008)])
+def test_underflowed_painless_diagonal_is_not_zero_certified(N, a, b):
+    # a < N: every x has a translate inside (0, N), where B_N > 0, so the
+    # diagonal is positive although its grid minimum underflows to 0.0
+    lo, _, _ = translation_overlap_bounds(N, a, b, 1024)
+    assert lo == 0.0
+    cell = classify_cell(N, a, b)
+    assert (cell.status, cell.method) == (STATUS_UNDECIDED, "painless grid estimate below slack")
+
+
+@pytest.mark.parametrize("N, statuses", [
+    (1, (STATUS_FRAME, STATUS_FRAME, STATUS_ZERO)),
+    (2, (STATUS_FRAME, STATUS_ZERO, STATUS_ZERO)),
+    (3, (STATUS_UNDECIDED, STATUS_ZERO, STATUS_ZERO)),
+    (4, (STATUS_UNDECIDED, STATUS_ZERO, STATUS_ZERO)),
+    (5, (STATUS_UNDECIDED, STATUS_ZERO, STATUS_ZERO)),
+])
+def test_zero_certificate_is_decided_by_the_support(N, statuses):
+    # the diagonal vanishes iff a >= N (a > 1 for N = 1); the statuses around
+    # a = N are those the grid minimum gave where it does not underflow
+    got = tuple(classify_cell(N, a, 1 / (2 * N)).status for a in (N - 0.5, N, N + 0.5))
+    assert got == statuses
+
+
 def test_large_b_cells_never_frame_certified():
     for a in (0.1, 0.25, 0.5, 1.0, 1.5):
         cell = classify_cell(2, a, 2.0, attach_estimates=False)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab import bspline, dilation
+from framelab import bspline, core, dilation
 from framelab.bspline import (
     STATUS_FRAME,
     STATUS_UNDECIDED,
@@ -24,6 +24,7 @@ from framelab.bspline import (
     classify_cell,
     translation_overlap_bounds,
 )
+from framelab.core import DomainError
 from framelab.dilation import (
     FreqFunction,
     WavePacketGrid,
@@ -348,6 +349,40 @@ def test_kernel_calls_stay_within_the_block(monkeypatch):
     assert all(points <= 2 ** 14 for points, _ in calls)
     assert any(points > row for points, row in calls)
     assert any(points == 2 ** 14 < row for points, row in calls)
+
+
+def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
+    # with a per-point cost the kernel charges 16 units per term for the slice
+    # search, then the cost per live point, and refuses before values_at is
+    # called; without one it charges nothing and returns the same sums
+    rng = np.random.default_rng(23)
+    g = FreqFunction(-0.5, 0.125, rng.uniform(0.5, 2.0, 20), (-0.5, 2.0))
+    grid = WavePacketGrid([1.0, 2.0], 1.0, [-1.0, 0.0, 1.5])
+    shifts = [k / grid.b for k in _k_range(g.band, grid.b) if k != 0]
+    gammas = np.linspace(-3.0, 6.0, 4001)
+    live = []
+
+    def values_at(u):
+        live.append(u.size)
+        return g.values_at(u)
+
+    expected = dilation._overlap_sums(values_at, grid.a_values, grid.c_values, shifts, gammas,
+                                      g.support(), cost=2)
+    terms = 16 * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts))
+    assert terms < 2 * sum(live)
+
+    def refused(u):
+        raise AssertionError("values_at was called on a refused call")
+
+    for budget, match in ((terms - 1, "live slices"), (2 * sum(live) - 1, "live points")):
+        monkeypatch.setattr(core, "MAX_WORK", budget)
+        with pytest.raises(DomainError, match=match):
+            dilation._overlap_sums(refused, grid.a_values, grid.c_values, shifts, gammas,
+                                   g.support(), cost=2)
+    monkeypatch.setattr(core, "MAX_WORK", 0)
+    sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, gammas,
+                                  g.support())
+    assert bits(*np.concatenate(sums)) == bits(*np.concatenate(expected))
 
 
 def dyadic_instance(rng):
