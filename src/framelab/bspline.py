@@ -11,8 +11,9 @@ parameters (a, b) by sound certificates only, all from one set of
 periodized translation-overlap sums (the kernel the wave-packet bounds use
 too): exact bounds where the support fits one frequency period and the
 overlap sum is empty, a sufficient condition beyond it, and an honest
-"undecided" elsewhere; the only negative certificate, a painless diagonal
-that vanishes, is decided exactly from the support of B_N, not the grid.
+"undecided" elsewhere.  The negative certificates are decided exactly, never
+read off the grid: a painless diagonal that vanishes, from the support of
+B_N, and the density theorem, on the exact product a b of the float cell.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
@@ -327,8 +328,14 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     a >= N, and iff a > 1 for N = 1, never read off a grid value that
     underflows to 0.0), the translation-overlap sufficient condition outside
     it, and otherwise undecided with a cyclic finite-section estimate
-    attached when feasible.  Rejects the input translation_overlap_bounds
-    rejects, with DomainError.
+    attached when feasible.  Before the sufficient conditions, the density
+    theorem zero-certifies every cell with a b > 1, for any window (Rieffel,
+    Math. Ann. 257, 1981; Heil, JFAA 13, 2007), and with a b = 1 for N >= 2:
+    B_N is then continuous with compact support, so its Zak transform has a
+    zero, and at a b = 1 that rules out a frame (Groechenig, Foundations of
+    Time-Frequency Analysis, 2001, ch. 8).  N = 1 at a = b = 1 is an
+    orthonormal basis.  a b is the exact product of the two floats.  Rejects
+    the input translation_overlap_bounds rejects, with DomainError.
     """
     _check_cell(N, a, b, period_points)
     painless = b * N <= 1 + 1e-12
@@ -337,6 +344,11 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     if painless and (a >= N if N > 1 else a > 1):
         return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
                                 "painless diagonal vanishes exactly")
+    density = Fraction(a) * Fraction(b)
+    if density > 1 or density == 1 and N > 1:
+        return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
+                                "density theorem: a b > 1" if density > 1 else
+                                "density theorem: a b = 1 and the Zak transform of B_N vanishes")
     if lo - slack > 0:
         return PhaseDiagramCell(
             a, b, STATUS_FRAME,

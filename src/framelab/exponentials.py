@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -93,7 +94,7 @@ def _check_dps(dps, cubes, what):
     _check_work(cubes * (dps or 15) // 15, what)
 
 
-def lower_bound(lset: LambdaSet, dps: int = None) -> float:
+def lower_bound(lset: LambdaSet, dps: int = None, *, entries: dict = None) -> float:
     """Optimal lower bound on the span: smallest Gram eigenvalue, at least 0.
 
     The Gram matrix is positive semidefinite, so an eigenvalue that rounding
@@ -104,13 +105,17 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     distinct exact difference d by mpmath at dps digits (mp.prec bits),
     converted to an integer with P = mp.prec + 40 fraction bits, and the
     smallest eigenvalue of that integer matrix is found in fixed point by
-    Householder tridiagonalization and Sturm-sequence bisection
+    Householder tridiagonalization and a Sturm-certified Newton search
     (_smallest_eigenvalue).  A frequency set symmetric about its midpoint,
     such as both decay families, has a persymmetric Gram; it is split exactly
     into two half-size blocks first, a quarter of the reduction's work.  The
     cost is O(N^3) products of P-bit integers for the reduction and, for a
-    positive definite matrix, about log2(P) + 55 bisection steps of N
-    divisions each (at most about P otherwise); see README for timings.
+    positive definite matrix, a few Newton steps and Sturm counts of N
+    divisions each (about log2(P) + 55 counts where the Newton search fails,
+    at most about P for an indefinite matrix); see README for timings.
+
+    entries is the table of those integer entries (_fixed_gram), empty when
+    None; decay_study passes one dict to every row of a table.
     """
     _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
     if dps is None:
@@ -120,11 +125,11 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
 
         with mp.workdps(dps):
             frac_bits = mp.prec + _GUARD_BITS
-            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits), frac_bits)
+            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits, entries), frac_bits)
     return lo if lo > 0 else 0.0
 
 
-def _fixed_gram(lset: LambdaSet, frac_bits: int):
+def _fixed_gram(lset: LambdaSet, frac_bits: int, entries=None):
     """Rows of integers floor(G[j, k] 2^frac_bits), G computed at mp.dps.
 
     Negation, sin, products and quotients round sign-symmetrically, so the
@@ -132,23 +137,26 @@ def _fixed_gram(lset: LambdaSet, frac_bits: int):
     exact difference l_j - l_k, keyed by its TwoSum float pair (s, err) with
     s = fl(l_j - l_k) and err = l_j - l_k - s exactly.  Equal exact
     differences round to the same d at mp.prec, so every entry equals its
-    own mpmath evaluation.
+    own mpmath evaluation.  entries is that table, also keyed by frac_bits
+    (so by mp.prec): a caller may pass one dict to several sets, as a decay
+    table does, and each distinct difference is evaluated once per precision.
     """
     from mpmath import mpf, sin, pi as mp_pi
     from mpmath.libmp import to_fixed
 
+    if entries is None:
+        entries = {}
     n = lset.count
     lams = lset.lambdas.tolist()
     mp_lams = [mpf(x) for x in lams]
     diagonal = to_fixed((2 * mp_pi)._mpf_, frac_bits)
     rows = [[diagonal] * n for _ in range(n)]
-    entries = {}
     for j, x in enumerate(lams):
         for k in range(j + 1, n):
             y = lams[k]
             s = x - y
             t = s - x
-            key = (s, (x - (s - t)) - (y + t))
+            key = (frac_bits, s, (x - (s - t)) - (y + t))
             entry = entries.get(key)
             if entry is None:
                 d = mp_lams[j] - mp_lams[k]
@@ -165,7 +173,9 @@ def _tridiagonalize(a, frac_bits: int):
     are shifted back by frac_bits and quotients floored.  Each reflection
     I - 2 v v^T / v^T v is formed from the exact integers of v and v^T v, so
     it is orthogonal, and the floors perturb each entry by about one unit of
-    2^-frac_bits per step.
+    2^-frac_bits per step.  The rank-2 update v_i w_j + w_i v_j is symmetric
+    in (i, j), so it is formed on the upper triangle only and mirrored: the
+    integers of the full update with a third fewer big products.
     """
     diag, off_sq = [], []
     while len(a) > 1:
@@ -183,8 +193,10 @@ def _tridiagonalize(a, frac_bits: int):
         p = [(sum(map(mul, r, v)) << (frac_bits + 1)) // vtv for r in a]
         k = (sum(map(mul, v, p)) << frac_bits) // vtv
         w = [pj - ((k * vj) >> frac_bits) for pj, vj in zip(p, v)]
-        a = [[aij - ((vi * wj + wi * vj) >> frac_bits) for aij, wj, vj in zip(r, w, v)]
-             for r, vi, wi in zip(a, v, w)]
+        upper = [[aij - ((vi * wj + wi * vj) >> frac_bits)
+                  for aij, wj, vj in zip(r[i:], w[i:], v[i:])]
+                 for i, (r, vi, wi) in enumerate(zip(a, v, w))]
+        a = [[u[i - j] for j, u in enumerate(upper[:i])] + upper[i] for i in range(len(upper))]
     diag.append(a[0][0])
     return diag, off_sq
 
@@ -193,6 +205,59 @@ def _floor_sqrt2_times(c: int) -> int:
     """floor(sqrt(2) c); 2 c^2 is no perfect square unless c = 0."""
     root = math.isqrt(2 * c * c)
     return root if c >= 0 else -root - 1
+
+
+def _at_or_below(diag, off_sq, x) -> bool:
+    """Sturm count of the tridiagonal (diag, off_sq) at the integer x: is a pivot
+    of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?
+
+    The pivots q_0 = d_0 - x, q_i = d_i - x - floor(e_(i-1)^2 / q_(i-1)) fall
+    monotonically in x while they are positive, so the answer switches from
+    False to True at one integer threshold.
+    """
+    q = diag[0] - x
+    for d, e2 in zip(diag[1:], off_sq):
+        if q <= 0:
+            return True
+        q = d - x - e2 // q
+    return q <= 0
+
+
+def _newton_sum(diag, off_sq, x, frac_bits: int):
+    """The pivots of _at_or_below at x and their derivatives in one pass: None if
+    a pivot is at most 0, else sum p_i / q_i at scale 2^frac_bits.
+
+    With p_i = -dq_i/dx, p_0 = 1 and p_(i+1) = 1 + (e_i^2 / q_i) (p_i / q_i),
+    the sum is -det'(T - x I) / det(T - x I) = sum over the eigenvalues l of
+    1 / (l - x), so 2^(2 frac_bits) // sum is the Newton step on the
+    determinant, in fixed point.
+    """
+    one = 1 << frac_bits
+    q, p, total = diag[0] - x, one, 0
+    for d, e2 in zip(diag[1:], off_sq):
+        if q <= 0:
+            return None
+        ratio = (p << frac_bits) // q
+        total += ratio
+        u = e2 // q
+        p = one + ((u * ratio) >> frac_bits)
+        q = d - x - u
+    if q <= 0:
+        return None
+    return total + (p << frac_bits) // q
+
+
+def _rounding_range(f: float, frac_bits: int):
+    """(first, last): the integers x with x / 2^frac_bits == f; first > last if none."""
+    half = Fraction(1 << frac_bits, 2)
+    first = math.ceil((Fraction(f) + Fraction(math.nextafter(f, -math.inf))) * half)
+    last = math.floor((Fraction(f) + Fraction(math.nextafter(f, math.inf))) * half)
+    # an integer on a midpoint rounds to the even neighbour
+    if first / (1 << frac_bits) != f:
+        first += 1
+    if last / (1 << frac_bits) != f:
+        last -= 1
+    return first, last
 
 
 def _smallest_eigenvalue(rows, frac_bits: int) -> float:
@@ -206,14 +271,8 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
     middle row joins the + block as the column sqrt(2) c, floored, which adds
     one unit of 2^-frac_bits.  Each block, or else the whole matrix, is
     reduced to tridiagonal form by _tridiagonalize; the two tridiagonals are
-    joined by a zero off-diagonal entry.  The smallest eigenvalue of the
-    tridiagonal T is then bisected on the Sturm sequence of T - x I (Barth,
-    Martin & Wilkinson, Numer. Math. 9, 1967) until both ends of the bracket
-    round to the same float64.  The bracket's upper end is the smallest
-    diagonal entry; its lower end is 0 if T is positive definite, with
-    geometric midpoints isqrt(lo hi) while hi > 4 lo, and else the Gershgorin
-    lower end.  The pivots fall monotonically in x, so every bracket ends on
-    the float64 of the same integer threshold.
+    joined by a zero off-diagonal entry, and _tridiagonal_eigenvalue finds the
+    smallest eigenvalue of the result.
     """
     n = len(rows)
     m = n // 2
@@ -230,29 +289,80 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
         off_sq += [0] + minus_off_sq
     else:
         diag, off_sq = _tridiagonalize(rows, frac_bits)
+    return _tridiagonal_eigenvalue(diag, off_sq, frac_bits)
 
-    def at_or_below(x):
-        """Is a pivot of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?"""
-        q = diag[0] - x
-        for d, e2 in zip(diag[1:], off_sq):
-            if q <= 0:
-                return True
-            q = d - x - e2 // q
-        return q <= 0
 
-    hi = min(diag)
-    if at_or_below(0):
-        radius = [math.isqrt(e2) + 1 for e2 in off_sq]
-        lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
-    else:
-        lo = 0
+def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
+    """Smallest eigenvalue, rounded to float64, of the symmetric tridiagonal T with
+    diagonal diag / 2^frac_bits and squared subdiagonal off_sq / 2^(2 frac_bits).
+
+    It is the integer threshold t at which the Sturm count of T - x I
+    (_at_or_below; Barth, Martin & Wilkinson, Numer. Math. 9, 1967) turns
+    true, and the result is the float64 of t / 2^frac_bits.  t is bracketed by
+    lo < t <= hi: hi is the smallest diagonal entry, lo the Gershgorin lower
+    end, raised to 0 if it is negative and T is positive definite.  Then:
+
+    - for a positive definite T, Newton steps on det(T - x I) from lo
+      (_newton_sum), each also a Sturm count at its iterate.  From the left
+      of the smallest eigenvalue they climb towards it, quadratically for a
+      simple one.  They stop when a pivot is not positive, when the sum is 0,
+      when a step is more than half the one before (a cluster), or when the
+      float64 of the iterate repeats.  That float f is then certified by two
+      Sturm counts, at both ends of the integers that round to f (the
+      rounding floors can leave t a float away: then the neighbouring float
+      on t's side is tried, up to three floats in all);
+    - otherwise, or if that check fails, bisection of the bracket on the
+      Sturm count, with geometric midpoints isqrt(lo hi) while 0 <= 4 lo < hi,
+      until both ends round to the same float64 or hi = lo + 1.
+
+    Every count moves one end of a bracket around t, so every path returns
+    the float64 of the same threshold.
+    """
     scale = 1 << frac_bits
-    while hi - lo > 1 and lo / scale != hi / scale:
-        mid = math.isqrt(max(lo, 1) * hi) if 0 <= 4 * lo < hi else (lo + hi) >> 1
-        if at_or_below(mid):
-            hi = mid
-        else:
-            lo = mid
+    radius = [math.isqrt(e2) + 1 for e2 in off_sq]
+    lo = min(d - r1 - r2 for d, r1, r2 in zip(diag, [0] + radius, radius + [0])) - 1
+    hi = min(diag)
+
+    def below(x):
+        """Is t <= x?  Counts only inside the bracket, and narrows it."""
+        nonlocal lo, hi
+        if x <= lo or x >= hi:
+            return x >= hi
+        if _at_or_below(diag, off_sq, x):
+            hi = x
+            return True
+        lo = x
+        return False
+
+    def undecided():
+        return hi - lo > 1 and lo / scale != hi / scale
+
+    if lo >= 0 or not below(0):
+        x, step, guess = lo, None, None
+        while undecided():
+            total = _newton_sum(diag, off_sq, x, frac_bits)
+            if total is None:  # a pivot is not positive: t <= x
+                hi = guess = x
+                break
+            lo, last = x, step
+            step = (1 << 2 * frac_bits) // total if total else None
+            if step is None or last is not None and 2 * step > last:
+                break
+            x = min(x + step, hi)
+            if x / scale == lo / scale or x == hi:
+                guess = x
+                break
+        for _ in range(3 if guess is not None else 0):
+            f = guess / scale
+            first, last = _rounding_range(f, frac_bits)
+            if below(first - 1):
+                guess = first - 1
+            elif below(last):
+                return f
+            else:
+                guess = last + 1
+    while undecided():
+        below(math.isqrt(max(lo, 1) * hi) if 0 <= 4 * lo < hi else (lo + hi) >> 1)
     return hi / scale
 
 
@@ -309,7 +419,9 @@ def decay_study(family, n_max: int, dps: int = None):
 
     family is a name from FAMILIES or a callable N -> frequency sequence.
     The crude estimate is applied with delta clamped to its hypothesis
-    (gaps at least delta and delta <= 1).
+    (gaps at least delta and delta <= 1).  Each lower bound is lower_bound's
+    at dps; the rows share one table of Gram entries (_fixed_gram), so each
+    distinct exact difference is evaluated once per table.
     """
     _check_dps(dps, (n_max * (n_max + 1) // 2) ** 2 - 1, f"a decay table to N = {n_max}")
     if n_max < 2:
@@ -322,11 +434,12 @@ def decay_study(family, n_max: int, dps: int = None):
     else:
         rule = lambda N: LambdaSet(family(N))
     rows = []
+    entries = {}  # one Gram entry per distinct difference of the whole table
     for N in range(2, n_max + 1):
         lset = rule(N)
         if lset.count != N:
             raise DomainError("family rule returned the wrong number of frequencies")
-        lo = lower_bound(lset, dps=dps)
+        lo = lower_bound(lset, dps=dps, entries=entries)
         delta = min(1.0, lset.delta)
         crude = crude_bound(N, delta)
         log10_lower = math.log10(lo) if lo > 0 else -math.inf

@@ -116,21 +116,14 @@ def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
     )
 
 
-def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
-    """Fixed-point eigenvalue oracle: the whole matrix reduced, no fold, and
-    linear bisection from the Gershgorin lower end.
+def full_update_tridiagonal(rows, frac_bits: int):
+    """Householder reduction oracle: (diag, off_sq) of the symmetric integer
+    matrix rows in fixed point, every entry of each rank-2 update formed.
 
-    Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
-
-    Householder reflections reduce the integer matrix to tridiagonal form in
-    fixed point: products are shifted back by frac_bits and quotients
-    floored.  Each reflection I - 2 v v^T / v^T v is formed from the exact
-    integers of v and v^T v, so it is orthogonal, and the floors perturb each
-    entry by about one unit of 2^-frac_bits per step.  The smallest
-    eigenvalue of the tridiagonal T is then bisected on the Sturm sequence of
-    T - x I (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), starting from
-    the Gershgorin lower end and the smallest diagonal entry, until both ends
-    of the bracket round to the same float64.
+    Products are shifted back by frac_bits and quotients floored.  Each
+    reflection I - 2 v v^T / v^T v is formed from the exact integers of v and
+    v^T v, so it is orthogonal, and the floors perturb each entry by about one
+    unit of 2^-frac_bits per step.
     """
     diag, off_sq = [], []
     a = rows
@@ -152,7 +145,18 @@ def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
         a = [[aij - ((vi * wj + wi * vj) >> frac_bits) for aij, wj, vj in zip(r, w, v)]
              for r, vi, wi in zip(a, v, w)]
     diag.append(a[0][0])
+    return diag, off_sq
 
+
+def bisected_tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
+    """Sturm bisection oracle: smallest eigenvalue, rounded to float64, of the
+    tridiagonal (diag / 2^frac_bits, off_sq / 2^(2 frac_bits)).
+
+    Linear bisection on the Sturm sequence of T - x I (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967), starting from the Gershgorin lower end
+    and the smallest diagonal entry, until both ends of the bracket round to
+    the same float64.
+    """
     def at_or_below(x):
         """Is a pivot of T - x I = L D L^T at most 0, i.e. is some eigenvalue <= x?"""
         q = diag[0] - x
@@ -173,6 +177,15 @@ def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
         else:
             lo = mid
     return hi / scale
+
+
+def unsplit_smallest_eigenvalue(rows, frac_bits: int) -> float:
+    """Fixed-point eigenvalue oracle: the whole matrix reduced, no fold, and
+    linear bisection from the Gershgorin lower end.
+
+    Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+    """
+    return bisected_tridiagonal_eigenvalue(*full_update_tridiagonal(rows, frac_bits), frac_bits)
 
 
 def recursive_bspline(N, x):

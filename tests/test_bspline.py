@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from framelab import bspline
 from framelab.core import MAX_WORK, DomainError, FrameBounds, LatticeError
@@ -247,6 +248,50 @@ def test_zero_certificate_is_decided_by_the_support(N, statuses):
     assert got == statuses
 
 
+@pytest.mark.parametrize("N, a, b, method", [
+    (1, 1.0, 1.0000000000000002, "density theorem: a b > 1"),
+    (1, 0.9999999999999999, 1.0000000000000004, "density theorem: a b > 1"),
+    (2, 0.5, 2.0, "density theorem: a b = 1 and the Zak transform of B_N vanishes"),
+    (3, 0.25, 4.0, "density theorem: a b = 1 and the Zak transform of B_N vanishes"),
+    (3, 1.25, 0.8, "density theorem: a b > 1"),  # the float 0.8 is above 4/5
+    (4, 1.5, 1.0, "density theorem: a b > 1"),
+])
+def test_density_theorem_zero_certificates(N, a, b, method):
+    # the N = 1 cells were frame-certified: the one grid piece where the
+    # shifted term is 1 is about 1e-16 wide, and no grid point hit it
+    cell = classify_cell(N, a, b)
+    assert (cell.status, cell.method) == (STATUS_ZERO, method)
+    assert cell.bounds_estimate.lower == 0.0 and cell.bounds_estimate.upper > 0
+    # the orthonormal basis at a = b = 1 stays a frame with bounds (1, 1)
+    basis = classify_cell(1, 1.0, 1.0)
+    assert (basis.status, basis.bounds_estimate) == (STATUS_FRAME, FrameBounds(1.0, 1.0))
+
+
+@st.composite
+def density_edge_cells(draw):
+    """(N, a, b) up to two ulps either side of a b = 1 or of b N = 1."""
+    N = draw(st.integers(1, 6))
+    a = draw(st.sampled_from([1.0, 0.5, 2.0, 0.75, 1.25, 3.0]) | st.floats(0.5, 6.0))
+    b = 1 / a if draw(st.booleans()) else 1 / N
+    for _ in range(abs(ulps := draw(st.integers(-2, 2)))):
+        b = math.nextafter(b, math.inf if ulps > 0 else 0.0)
+    return N, a, b
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(density_edge_cells())
+@example((1, 1.0, 1.0000000000000002))
+@example((1, 0.9999999999999999, 1.0000000000000004))
+def test_no_frame_certificate_past_the_density_bound(cell_args):
+    N, a, b = cell_args
+    cell = classify_cell(N, a, b, period_points=256, attach_estimates=False)
+    ab = Fraction(a) * Fraction(b)
+    if ab > 1 or ab == 1 and N >= 2:
+        assert cell.status == STATUS_ZERO and cell.bounds_estimate.lower == 0.0
+    if cell.status == STATUS_FRAME:
+        assert ab < 1 or ab == 1 and N == 1
+
+
 def test_large_b_cells_never_frame_certified():
     for a in (0.1, 0.25, 0.5, 1.0, 1.5):
         cell = classify_cell(2, a, 2.0, attach_estimates=False)
@@ -389,7 +434,8 @@ def test_scanner_soundness_certificates_sandwich_finite_section():
 
 
 def test_undecided_cell_carries_estimate():
-    cell = classify_cell(2, 0.5, 2.0, attach_estimates=True)
+    # a b = 3/4 < 1; (2, 0.5, 2.0) has a b = 1 and is zero-certified
+    cell = classify_cell(2, 0.5, 1.5, attach_estimates=True)
     assert cell.status == STATUS_UNDECIDED
     assert cell.bounds_estimate.upper > 0
     assert "finite-section" in cell.method or "inconclusive" in cell.method

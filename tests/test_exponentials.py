@@ -16,7 +16,7 @@ from framelab.exponentials import (
     integer_lambdas,
     lower_bound,
 )
-from oracles import unsplit_smallest_eigenvalue
+from oracles import bisected_tridiagonal_eigenvalue, full_update_tridiagonal, unsplit_smallest_eigenvalue
 
 
 def quad_gram_entry(lj, lk, panels=4096):
@@ -215,6 +215,118 @@ def test_kernel_equals_unsplit_oracle_on_small_integer_matrices():
             continue
         assert exponentials._smallest_eigenvalue(rows, frac_bits) == \
             unsplit_smallest_eigenvalue(rows, frac_bits)
+
+
+def counted_passes(monkeypatch):
+    """{"sturm": n, "newton": n, "empty": n}: pivot passes of the eigenvalue search,
+    and Newton passes whose sum of p_i / q_i was 0."""
+    counts = {"sturm": 0, "newton": 0, "empty": 0}
+    sturm, newton = exponentials._at_or_below, exponentials._newton_sum
+
+    def counted_sturm(*args):
+        counts["sturm"] += 1
+        return sturm(*args)
+
+    def counted_newton(*args):
+        counts["newton"] += 1
+        total = newton(*args)
+        counts["empty"] += total == 0
+        return total
+
+    monkeypatch.setattr(exponentials, "_at_or_below", counted_sturm)
+    monkeypatch.setattr(exponentials, "_newton_sum", counted_newton)
+    return counts
+
+
+@pytest.mark.parametrize("dps", [15, 60, 300])
+@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
+def test_newton_search_equals_bisection_oracle_on_both_families(family, dps, monkeypatch):
+    # the search returns the float of the threshold that linear bisection from
+    # the Gershgorin end finds on the same tridiagonal.  At dps 60 and 300 that
+    # is also the float of the whole matrix reduced; at dps 15 the fold's floors
+    # move the threshold of the half-integer family by a few units of
+    # 2^-frac_bits, which shows where the eigenvalue has few bits (N >= 16)
+    import mpmath
+
+    real_search = exponentials._tridiagonal_eigenvalue
+    searched = []
+
+    def recording_search(diag, off_sq, frac_bits):
+        searched.append((diag, off_sq))
+        return real_search(diag, off_sq, frac_bits)
+
+    monkeypatch.setattr(exponentials, "_tridiagonal_eigenvalue", recording_search)
+    with mpmath.mp.workdps(dps):
+        frac_bits = mpmath.mp.prec + 40
+        for N in range(1, 41):
+            rows = exponentials._fixed_gram(family(N), frac_bits)
+            value = exponentials._smallest_eigenvalue(rows, frac_bits)
+            diag, off_sq = searched.pop()
+            assert value == bisected_tridiagonal_eigenvalue(diag, off_sq, frac_bits), N
+            if dps > 15:
+                assert value == unsplit_smallest_eigenvalue(rows, frac_bits), N
+
+
+@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
+def test_newton_search_pass_count(family, monkeypatch):
+    # bisection took 64 (half-integer) and 61 (integer) Sturm counts at N = 30, dps 60
+    import mpmath
+
+    counts = counted_passes(monkeypatch)
+    with mpmath.mp.workdps(60):
+        frac_bits = mpmath.mp.prec + 40
+        exponentials._smallest_eigenvalue(exponentials._fixed_gram(family(30), frac_bits), frac_bits)
+    assert counts["sturm"] + counts["newton"] <= 16
+
+
+def test_newton_search_on_small_definite_singular_and_clustered_matrices(monkeypatch):
+    # a few units wide at frac_bits 0..11: a pivot ratio p_i / q_i floors to 0,
+    # so the sum of a Newton pass can be 0, where a plain Newton loop divides by it
+    counts = counted_passes(monkeypatch)
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        frac_bits = int(rng.integers(0, 12))
+        kind = rng.integers(3)
+        if kind == 0:  # positive definite
+            b = rng.integers(-6, 7, (n, n))
+            a = b @ b.T + np.eye(n, dtype=int)
+        elif kind == 1:  # singular: one column repeats another
+            b = rng.integers(-6, 7, (n, n))
+            b[:, -1] = b[:, 0]
+            a = b @ b.T
+        else:  # a cluster c I, up to small off-diagonal entries
+            e = rng.integers(-2, 3, (n, n))
+            a = e + e.T + int(rng.integers(1, 200)) * np.eye(n, dtype=int)
+        rows = (a << frac_bits).tolist() if rng.integers(2) else a.tolist()
+        diag, off_sq = full_update_tridiagonal(rows, frac_bits)
+        assert exponentials._tridiagonal_eigenvalue(diag, off_sq, frac_bits) == \
+            bisected_tridiagonal_eigenvalue(diag, off_sq, frac_bits)
+    assert counts["newton"] > 0 and counts["empty"] > 0
+
+
+def test_one_triangle_update_equals_full_update():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        frac_bits = int(rng.choice([0, 5, 64, 200]))
+        a = rng.integers(-1 << 40, 1 << 40, (n, n), dtype=np.int64)
+        rows = [[(int(a[min(i, j), max(i, j)]) << frac_bits) // 3 for j in range(n)] for i in range(n)]
+        assert exponentials._tridiagonalize(rows, frac_bits) == full_update_tridiagonal(rows, frac_bits)
+
+
+@pytest.mark.parametrize("family", [
+    "half_integer", "integer",
+    lambda N: np.cumsum([0.0] + [(0.25, 0.7, 0.45, 1.1)[k % 4] for k in range(N - 1)]),
+], ids=["half_integer", "integer", "uneven"])
+def test_decay_table_shares_entries_bitwise(family):
+    # one Gram entry table per decay table; two precisions in one process, so
+    # an entry of one can never be read at the other
+    rule = exponentials.FAMILIES.get(family) if isinstance(family, str) else \
+        (lambda N: LambdaSet(family(N)))
+    for dps in (30, 45):
+        rows = decay_study(family, 16, dps=dps)
+        assert [r.lower for r in rows] == [lower_bound(rule(N), dps=dps) for N in range(2, 17)]
 
 
 def mirrored_sets(rng, count):

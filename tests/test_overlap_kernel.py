@@ -10,6 +10,7 @@ the oracle returns.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,16 +83,32 @@ def overlap_oracle(N, a, b, period_points):
     return float((diag - off).min()), float((diag + off).max()), slack
 
 
+def density_oracle(N, a, b):
+    """The method of a density-theorem zero certificate, or None: a b > 1, or
+    a b = 1 for a continuous window (N >= 2), on the exact product."""
+    ab = Fraction(a) * Fraction(b)
+    if ab > 1:
+        return "density theorem: a b > 1"
+    if ab == 1 and N >= 2:
+        return "density theorem: a b = 1 and the Zak transform of B_N vanishes"
+    return None
+
+
 def classify_oracle(N, a, b, period_points=1024):
     """(status, lower, upper, method) of the scanner without finite-section estimates."""
+    density = density_oracle(N, a, b)
     if b * N <= 1 + 1e-12:
         inf_, sup_, slack = painless_oracle(N, a, b, period_points)
         if inf_ == 0.0:
             return STATUS_ZERO, 0.0, (sup_ + slack) / b, "painless diagonal vanishes exactly"
+        if density:
+            return STATUS_ZERO, 0.0, (sup_ + slack) / b, density
         if inf_ - slack > 0:
             return STATUS_FRAME, (inf_ - slack) / b, (sup_ + slack) / b, "painless periodization"
         return STATUS_UNDECIDED, 0.0, (sup_ + slack) / b, "painless grid estimate below slack"
     lo, hi, slack = overlap_oracle(N, a, b, max(period_points, 2048))
+    if density:
+        return STATUS_ZERO, 0.0, (hi + slack) / b, density
     if lo - slack > 0:
         return (STATUS_FRAME, (lo - slack) / b, (hi + slack) / b,
                 "translation-overlap sufficient condition")
