@@ -28,7 +28,7 @@ CRUDE_FACTORIAL_POWER = 8
 #: fewest decimal digits accepted for extended precision (mpmath's default);
 #: below it the eigenvalue is wrong, e.g. dps=1 gives 2.34 for 2 pi - 4
 MIN_DPS = 15
-#: most decimal digits accepted; the cost grows about as dps^1.7 (see README)
+#: most decimal digits accepted; the cost grows about as dps^1.6 (see README)
 MAX_DPS = 1000
 
 #: fraction bits beyond mp.prec in the fixed-point eigenvalue kernel
@@ -344,23 +344,24 @@ def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
             if total is None:  # a pivot is not positive: t <= x
                 hi = guess = x
                 break
-            lo, last = x, step
+            lo, prev = x, step
             step = (1 << 2 * frac_bits) // total if total else None
-            if step is None or last is not None and 2 * step > last:
+            if step is None or (prev is not None and 2 * step > prev):
                 break
             x = min(x + step, hi)
             if x / scale == lo / scale or x == hi:
                 guess = x
                 break
-        for _ in range(3 if guess is not None else 0):
-            f = guess / scale
-            first, last = _rounding_range(f, frac_bits)
-            if below(first - 1):
-                guess = first - 1
-            elif below(last):
-                return f
-            else:
-                guess = last + 1
+        if guess is not None:
+            for _ in range(3):  # the float of guess, then up to two on t's side of it
+                f = guess / scale
+                first, last = _rounding_range(f, frac_bits)
+                if below(first - 1):
+                    guess = first - 1
+                elif below(last):
+                    return f
+                else:
+                    guess = last + 1
     while undecided():
         below(math.isqrt(max(lo, 1) * hi) if 0 <= 4 * lo < hi else (lo + hi) >> 1)
     return hi / scale
