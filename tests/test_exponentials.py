@@ -267,15 +267,20 @@ def test_newton_search_equals_bisection_oracle_on_both_families(family, dps, mon
                 assert value == unsplit_smallest_eigenvalue(rows, frac_bits), N
 
 
-@pytest.mark.parametrize("family", [half_integer_lambdas, integer_lambdas])
-def test_newton_search_pass_count(family, monkeypatch):
-    # bisection took 64 (half-integer) and 61 (integer) Sturm counts at N = 30, dps 60
+@pytest.mark.parametrize("family, N, dps", [
+    # bisection took 64 (half-integer) and 61 (integer) Sturm counts
+    (half_integer_lambdas, 30, 60), (integer_lambdas, 30, 60),
+    # the floors leave the threshold a float above the Newton float: 65 passes
+    # when that float is not followed by its neighbour
+    (half_integer_lambdas, 19, 15),
+])
+def test_newton_search_pass_count(family, N, dps, monkeypatch):
     import mpmath
 
     counts = counted_passes(monkeypatch)
-    with mpmath.mp.workdps(60):
+    with mpmath.mp.workdps(dps):
         frac_bits = mpmath.mp.prec + 40
-        exponentials._smallest_eigenvalue(exponentials._fixed_gram(family(30), frac_bits), frac_bits)
+        exponentials._smallest_eigenvalue(exponentials._fixed_gram(family(N), frac_bits), frac_bits)
     assert counts["sturm"] + counts["newton"] <= 16
 
 
@@ -319,13 +324,24 @@ def test_one_triangle_update_equals_full_update():
     "half_integer", "integer",
     lambda N: np.cumsum([0.0] + [(0.25, 0.7, 0.45, 1.1)[k % 4] for k in range(N - 1)]),
 ], ids=["half_integer", "integer", "uneven"])
-def test_decay_table_shares_entries_bitwise(family):
-    # one Gram entry table per decay table; two precisions in one process, so
-    # an entry of one can never be read at the other
+def test_decay_table_shares_entries_bitwise(family, monkeypatch):
+    # one Gram entry table per decay table, new and empty at its first row;
+    # two precisions in one process, so an entry of one is never read at the other
+    real_gram = exponentials._fixed_gram
+    tables = []
+
+    def recording_gram(lset, frac_bits, entries=None):
+        tables.append((entries, len(entries)))
+        return real_gram(lset, frac_bits, entries)
+
     rule = exponentials.FAMILIES.get(family) if isinstance(family, str) else \
         (lambda N: LambdaSet(family(N)))
     for dps in (30, 45):
+        monkeypatch.setattr(exponentials, "_fixed_gram", recording_gram)
         rows = decay_study(family, 16, dps=dps)
+        monkeypatch.undo()
+        assert tables[0][1] == 0 and all(entries is tables[0][0] for entries, _ in tables)
+        tables.clear()
         assert [r.lower for r in rows] == [lower_bound(rule(N), dps=dps) for N in range(2, 17)]
 
 
