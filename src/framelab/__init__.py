@@ -64,7 +64,6 @@ from .bspline import (
     bspline_fourier,
     classify_cell,
     dual_window_solve,
-    gabor_scan,
     property_suite,
 )
 from .exponentials import LambdaSet, crude_bound, decay_study, exp_gram, lower_bound

@@ -222,8 +222,13 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
 
 
 def _check_cell(N, a, b, period_points):
-    """Reject a cell the scanner cannot or should not evaluate, before any
-    offset list, shift list or grid is built."""
+    """Decide the regime of a cell and reject one the scanner cannot or should not
+    evaluate, before any offset list, shift list or grid is built.
+
+    Returns (shifts, period_points): the frequency offsets k/b of the overlap
+    sum, none in the painless regime b N <= 1, where no shift of B_N overlaps
+    another, and the grid size, at least 2048 outside it.
+    """
     if not isinstance(N, numbers.Integral) or N < 1:
         raise DomainError(f"order must be a positive integer (got {N!r})")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -232,36 +237,28 @@ def _check_cell(N, a, b, period_points):
         raise DomainError("lattice steps must be positive")
     if period_points < 1:
         raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
-    # spline evaluations of translation_overlap_bounds, in floats; the acceptance grids, the
+    # spline evaluations of the overlap bounds, in floats; the acceptance grids, the
     # benchmark cells and `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 need < 1.3e7
     try:
-        shifts = 2 * (b * N + 2) if b * N > 1 + 1e-12 else 0
+        painless = b * N <= 1 + 1e-12
+        if not painless:
+            period_points = max(period_points, 2048)
+        shifts = 0 if painless else 2 * (b * N + 2)
         points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
         work = (N / a + 4) * (1 + shifts) * points * (N * (N + 1) // 2)
     except OverflowError:
         work = math.inf
     _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
+    if painless:
+        return [], period_points
+    k_max = int(math.ceil(b * N)) + 1
+    return [k / b for k in range(-k_max, k_max + 1) if k != 0], period_points
 
 
-def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
-    """Periodized translation-overlap bounds on a knot-augmented grid over [0, a).
-
-    Returns (inf of diag - off, sup of diag + off, slack), all before the
-    division by b: diag sums the squared translates B_N(x - n a), off their
-    overlaps at the frequency offsets k/b.  In the painless regime b*N <= 1
-    the offset sum is empty and the values are the exact periodized bounds.
-    The true inf/sup lie within slack of the grid values (Lipschitz bound;
-    exact for order 1, whose piecewise-constant sums are sampled in every
-    piece).  A positive lower value certifies a frame with bounds
-    (inf/b, sup/b); a nonpositive one is inconclusive.  Raises DomainError
-    for a non-integral order, non-finite steps and a cell whose estimated
-    work is over the work budget, before anything is built.
-    """
-    _check_cell(N, a, b, period_points)
-    shifts = []
-    if b * N > 1 + 1e-12:
-        k_max = int(math.ceil(b * N)) + 1
-        shifts = [k / b for k in range(-k_max, k_max + 1) if k != 0]
+def _overlap_bounds(N: int, a: float, shifts, period_points: int):
+    """(inf of diag - off, sup of diag + off, slack) of a cell that _check_cell
+    admitted, with its shifts, on a knot-augmented grid of period_points over
+    [0, a) (see translation_overlap_bounds)."""
     knots = [k + s for k in range(N + 1) for s in [0.0] + shifts]
     xs = _scan_grid(a, period_points, knots)
     # points lie in [0, a): translates n*a outside this range miss [0, N)
@@ -272,6 +269,24 @@ def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
     return float((diag - off).min()), float((diag + off).max()), slack
+
+
+def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
+    """Periodized translation-overlap bounds on a knot-augmented grid over [0, a).
+
+    Returns (inf of diag - off, sup of diag + off, slack), all before the
+    division by b: diag sums the squared translates B_N(x - n a), off their
+    overlaps at the frequency offsets k/b.  In the painless regime b*N <= 1
+    the offset sum is empty and the values are the exact periodized bounds;
+    outside it the grid has at least 2048 points.  The true inf/sup lie
+    within slack of the grid values (Lipschitz bound; exact for order 1,
+    whose piecewise-constant sums are sampled in every piece).  A positive
+    lower value certifies a frame with bounds (inf/b, sup/b); a nonpositive
+    one is inconclusive.  Raises DomainError for a non-integral order,
+    non-finite steps and a cell whose estimated work is over the work
+    budget, before anything is built.
+    """
+    return _overlap_bounds(N, a, *_check_cell(N, a, b, period_points))
 
 
 def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
@@ -337,46 +352,30 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     orthonormal basis.  a b is the exact product of the two floats.  Rejects
     the input translation_overlap_bounds rejects, with DomainError.
     """
-    _check_cell(N, a, b, period_points)
-    painless = b * N <= 1 + 1e-12
-    lo, hi, slack = translation_overlap_bounds(
-        N, a, b, period_points if painless else max(period_points, 2048))
-    if painless and (a >= N if N > 1 else a > 1):
-        return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
-                                "painless diagonal vanishes exactly")
+    shifts, points = _check_cell(N, a, b, period_points)
+    painless = not shifts
+    lo, hi, slack = _overlap_bounds(N, a, shifts, points)
+    lower, estimate = 0.0, None
     density = Fraction(a) * Fraction(b)
-    if density > 1 or density == 1 and N > 1:
-        return PhaseDiagramCell(a, b, STATUS_ZERO, FrameBounds(0.0, (hi + slack) / b),
-                                "density theorem: a b > 1" if density > 1 else
-                                "density theorem: a b = 1 and the Zak transform of B_N vanishes")
-    if lo - slack > 0:
-        return PhaseDiagramCell(
-            a, b, STATUS_FRAME,
-            FrameBounds((lo - slack) / b, (hi + slack) / b),
-            "painless periodization" if painless else "translation-overlap sufficient condition",
-        )
-    if painless:
-        return PhaseDiagramCell(a, b, STATUS_UNDECIDED, FrameBounds(0.0, (hi + slack) / b),
-                                "painless grid estimate below slack")
-    if attach_estimates:
-        try:
-            est = finite_section_bounds(N, a, b)
-            return PhaseDiagramCell(a, b, STATUS_UNDECIDED, est,
-                                    "sufficient condition inconclusive; cyclic finite-section estimate")
-        except (GridError, LatticeError):
-            pass
-    return PhaseDiagramCell(a, b, STATUS_UNDECIDED, FrameBounds(0.0, (hi + slack) / b),
-                            "sufficient condition inconclusive")
-
-
-def gabor_scan(N: int, a_values, b_values, period_points: int = 1024,
-               attach_estimates: bool = True):
-    """Phase-diagram scan over the (a, b) grid, row-major in (a, b)."""
-    return [
-        classify_cell(N, float(a), float(b), period_points, attach_estimates)
-        for a in a_values
-        for b in b_values
-    ]
+    if painless and (a >= N if N > 1 else a > 1):
+        status, method = STATUS_ZERO, "painless diagonal vanishes exactly"
+    elif density > 1 or density == 1 and N > 1:
+        status, method = STATUS_ZERO, ("density theorem: a b > 1" if density > 1 else
+                                       "density theorem: a b = 1 and the Zak transform of B_N vanishes")
+    elif lo - slack > 0:
+        status, lower = STATUS_FRAME, (lo - slack) / b
+        method = "painless periodization" if painless else "translation-overlap sufficient condition"
+    elif painless:
+        status, method = STATUS_UNDECIDED, "painless grid estimate below slack"
+    else:
+        status, method = STATUS_UNDECIDED, "sufficient condition inconclusive"
+        if attach_estimates:
+            try:
+                estimate = finite_section_bounds(N, a, b)
+                method += "; cyclic finite-section estimate"
+            except (GridError, LatticeError):
+                pass
+    return PhaseDiagramCell(a, b, status, estimate or FrameBounds(lower, (hi + slack) / b), method)
 
 
 def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None):

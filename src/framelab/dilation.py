@@ -15,11 +15,17 @@ Every sum is piecewise constant in gamma, with breakpoints at the dilated
 and shifted edges of the generators, so it is read exactly, at one point per
 piece (_pieces): its sup, inf and max |.| are true values, not samples.
 
+The translation-overlap sums of the wave-packet bounds and of the
+local-integrability sum, and those of the B-spline scanner, run on one
+kernel (_overlap_sums), which takes the ascending points its callers build.
+
 The dual wavelet criterion is the a = 2, c = {0} case of the dual
 wave-packet criterion, and both run on one loop (_class_deviations): b is
 the translation step, the offset/dilation sum must equal b, and the sums of
 every shift class alpha = a^j n / b != 0, i.e. over the lattices a^j (1/b)Z
-grouped by the exact rational alpha, must vanish.
+grouped by the exact rational alpha, must vanish.  The shifted products of
+the wave-packet criterion are the classes n / b of the same loop at j = 0
+and c = 0, read on the band of psi.
 """
 
 from __future__ import annotations
@@ -253,15 +259,16 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     painless).  support = (lo, hi) must hold every point where g is nonzero,
     and values_at is called only on points of [lo, hi).
 
-    The points are sorted once (stably), so the points of each (dilation,
-    offset) row whose u lies in the support, and among them those whose
-    u - s does, are contiguous slices found by binary search (_live_slices).
-    With a cost per live point given, the slice search (16 units per term)
-    and then cost times the live points are charged before either is done;
-    the scanner gives none, its cells are charged by _check_cell.  One loop
-    then takes the terms of each live row, the row itself first and then its
-    live shifts, into blocks of at most _BLOCK_POINTS points, one values_at
-    call per block.  The row's own term writes |g(u)| into one scratch array
+    The points must be ascending, as every caller builds them: the scanner's
+    grid, the pieces of one window (_pieces) and a sorted gamma_grid.  So the
+    points of each (dilation, offset) row whose u lies in the support, and
+    among them those whose u - s does, are contiguous slices found by binary
+    search (_live_slices).  With a cost per live point given, the slice
+    search (16 units per term) and then cost times the live points are
+    charged before either is done; the scanner gives none, its cells are
+    charged by _check_cell.  One loop then takes the terms of each live row,
+    the row itself first and then its live shifts, into blocks of at most
+    _BLOCK_POINTS points, one values_at call per block.  The row's own term writes |g(u)| into one scratch array
     over the points, where its shift terms read it before the next row
     overwrites it: a block's terms are applied in order.  The result is
     bit-identical to one call per (dilation, offset, shift) term at every
@@ -275,11 +282,9 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     if cost is not None:
         _check_work(16 * len(dilations) * offsets.size * shifts.size,
                     "the live slices of the translation-overlap sums")
-    order = np.argsort(pts, kind="stable")
-    xs = pts[order]
     plan, live = [], 0
     for a in dilations:
-        base = xs / a
+        base = pts / a
         starts, stops = _live_slices(base, offsets[:, None], shifts, support)
         rows = np.flatnonzero(stops[:, 0] > starts[:, 0])
         # a shifted term is live on the part of its row's slice where u - s is in the support
@@ -298,7 +303,7 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     batch, size = [], 0  # (start, stop, is_row) of the terms in buffer[:size]
     shift_list = shifts.tolist()
     for a, row_offsets, row_starts, row_stops in plan:
-        base = xs / a
+        base = pts / a
         for c, starts, stops in zip(row_offsets, row_starts, row_stops):
             np.subtract(base[starts[0]:stops[0]], c, out=u[starts[0]:stops[0]])
             for term, (s, start, stop) in enumerate(zip(shift_list, starts, stops)):
@@ -321,7 +326,6 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
                             else:
                                 off[i:j] += value * g[i:j]
                         batch, size = [], 0
-    diag[order], off[order] = diag.copy(), off.copy()
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 
@@ -331,7 +335,7 @@ def _bound_points(g_hat: FreqFunction, grid: WavePacketGrid, shifts, gamma_grid)
     [t_lo, t_hi), the region less one dilated band diameter at each edge, which
     is cut in.  |g(u)| |g(u - s)| at u = gamma/a_j - c_m is constant between the
     a_j (x_i + c_m + s), x_i an edge of g and s = 0 or k/b.  A given gamma_grid
-    serves both the sup and the inf."""
+    serves both the sup and the inf, sorted for the kernel."""
     lo, hi = _coverage_box(g_hat, grid)
     margin = _edge_margin(g_hat, grid)
     t_lo, t_hi = lo + margin, hi - margin
@@ -339,7 +343,7 @@ def _bound_points(g_hat: FreqFunction, grid: WavePacketGrid, shifts, gamma_grid)
         gammas = np.asarray(gamma_grid, dtype=float)
         if gammas.size == 0 or not np.isfinite(gammas).all():
             raise DomainError("gamma_grid must be nonempty and finite (no NaN or Inf)")
-        return gammas, np.ones(gammas.shape, dtype=bool), (t_lo, t_hi, margin)
+        return np.sort(gammas, axis=None), np.ones(gammas.size, dtype=bool), (t_lo, t_hi, margin)
     offsets = np.add.outer(grid.c_values, [0.0, *shifts]).ravel()
     edges = np.append(_breakpoints(_edges(g_hat), grid.a_values, offsets), (t_lo, t_hi))
     gammas, _ = _pieces(edges, [(lo, hi)])
@@ -476,19 +480,21 @@ def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values)
     return range(-n_max, n_max + 1)
 
 
-def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members) -> np.ndarray:
-    """One point per piece of T_alpha (see _class_deviations) on +-[1, a): its
-    terms are constant between the a^j (x_i + c) and the a^j (x'_i + c) - alpha."""
+def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members, windows=None):
+    """One point per piece of T_alpha (see _class_deviations) on the windows,
+    +-[1, a) by default: its terms are constant between the a^j (x_i + c) and
+    the a^j (x'_i + c) - alpha."""
     a_f = float(a)
     scales = [a_f ** j for j in members]
     edges = np.concatenate((_breakpoints(psi_edges, scales, c_values),
                             _breakpoints(psi_tilde_edges, scales, c_values) - float(alpha)))
-    return _pieces(edges, [(1.0, a_f), (-a_f, -1.0)])[0]
+    return _pieces(edges, windows or [(1.0, a_f), (-a_f, -1.0)])[0]
 
 
 def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: float,
-                      c_values, js, ns):
-    """{alpha: max over +-[1, a) of |T_alpha - b [alpha = 0]|}, where
+                      c_values, js, ns, windows=None):
+    """{alpha: max over the windows, +-[1, a) by default, of |T_alpha - b [alpha = 0]|},
+    where
 
     T_alpha(g) = sum over the j of the class and c in c_values of
     psi(a^-j g - c) conj(psit(a^-j (g + alpha) - c)),
@@ -509,7 +515,7 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
                 if n:
                     classes.setdefault((a_frac ** j) * n / b_frac, []).append(j)
     edges = _edges(psi_hat), _edges(psi_tilde_hat)
-    points = {alpha: _class_points(*edges, a, c_values, alpha, members)
+    points = {alpha: _class_points(*edges, a, c_values, alpha, members, windows)
               for alpha, members in classes.items()}
     # complex values per point, member and offset, on both sides
     _check_work(4 * len(c_values) * sum(points[al].size * len(m) for al, m in classes.items()),
@@ -577,7 +583,9 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     Condition c2: psi(g) conj(psit(g + q)) vanishes for q in (1/b) Z, q != 0.
     With full_check, the complete ratio-grouped criterion is evaluated: for
     every reachable alpha = a^j n / b != 0 (grouped exactly via rational
-    arithmetic) the corresponding double sum must vanish.  Every sum is
+    arithmetic) the corresponding double sum must vanish.  All three are read
+    by _class_deviations: c1 and the ratio classes in one call, c2 as the
+    classes n / b at j = 0 and c = 0 on the band of psi.  Every sum is
     piecewise constant with known breakpoints and is read exactly, at one
     point per piece.
     """
@@ -595,30 +603,22 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     if not all(map(math.isfinite, c_values)):
         raise DomainError("offsets must be finite (no NaN or Inf)")
     js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
+    ns = _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if full_check else (0,)
+    devs = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
+    residuals = {"c1": devs.pop(0)}
 
-    residuals = {"c1": _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, (0,))[0]}
-    details = {}
-
-    # c2: products of 1/b-shifted supports, on the pieces between the psi
-    # edges and the psit edges moved by -k/b, over the band of psi
+    # c2: the classes n/b at j = 0 and c = 0, read on the band of psi; distinct
+    # n are distinct classes, so b goes in exactly and each shift is the float n/b
     lo1, hi1 = psi_hat.band
     lo2, hi2 = psi_tilde_hat.band
     _shift_window(b * ((hi2 - lo1) - (lo2 - hi1)))  # bounds the shifts k/b listed below
     k_lo = int(math.ceil((lo2 - hi1) * b - 1e-12))
     k_hi = int(math.floor((hi2 - lo1) * b + 1e-12))
     ks = [k for k in range(k_lo, k_hi + 1) if k != 0] if not psi_hat.is_zero() else []
-    psi_edges, psi_tilde_edges = _edges(psi_hat), _edges(psi_tilde_hat)
-    dev_c2 = 0.0
-    for k in ks:
-        pts, _ = _pieces(np.concatenate((psi_edges, psi_tilde_edges - k / b)), [(lo1, hi1)])
-        prod = np.abs(psi_hat.values_at(pts) * np.conj(psi_tilde_hat.values_at(pts + k / b)))
-        dev_c2 = max(dev_c2, float(prod.max()))
-    residuals["c2"] = dev_c2
-    details["c2_shifts_checked"] = float(len(ks))
-
+    c2 = _class_deviations(psi_hat, psi_tilde_hat, 1, Fraction(b), (0.0,), (0,), ks, [(lo1, hi1)])
+    residuals["c2"] = max(c2.values(), default=0.0)
+    details = {"c2_shifts_checked": float(len(ks))}
     if full_check:
-        shifts = [n for n in _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if n]
-        devs = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, shifts)
         residuals["g1_offdiagonal"] = max(devs.values(), default=0.0)
         details["g1_classes"] = float(len(devs))
 

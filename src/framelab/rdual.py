@@ -29,6 +29,7 @@ from .core import (
     _bound_gaps,
     _equivalence_report,
     biorthogonality_residual,
+    cross_gram,
     duality_check,
     frame_bounds,
     gram_matrix,
@@ -106,11 +107,6 @@ class NSequence:
     report: AnalysisReport
 
 
-def _coefficients(f_system: VectorSystem, basis: VectorSystem) -> np.ndarray:
-    """C[i, j] = <f_i, basis_j>."""
-    return f_system.vectors @ basis.vectors.conj().T
-
-
 def r_dual(f_system: VectorSystem, pair: OrthonormalPair) -> VectorSystem:
     """omega_j = sum_i <f_i, e_j> h_i for j = 1..N."""
     N = pair.dim
@@ -122,8 +118,7 @@ def r_dual(f_system: VectorSystem, pair: OrthonormalPair) -> VectorSystem:
             f"(got {f_system.count}); an index set larger or smaller than an "
             "orthonormal basis index set has no finite-dimensional realization"
         )
-    C = _coefficients(f_system, pair.e_basis)
-    omega = C.T @ pair.h_basis.vectors
+    omega = cross_gram(f_system, pair.e_basis).T @ pair.h_basis.vectors  # <f_i, e_j> at [j, i]
     return VectorSystem(omega, label=f"r-dual of {f_system.label}" if f_system.label else "r-dual")
 
 
@@ -204,8 +199,7 @@ def n_sequence(f_system: VectorSystem, omega_system: VectorSystem,
     G = gram_matrix(omega_system)
     dual_rows = np.linalg.solve(G.T, omega_system.vectors)
 
-    coeff = (f_system.vectors @ pair.e_basis.vectors.conj().T).conj()  # <e_k, f_i>
-    n_rows = coeff[:, :M] @ dual_rows
+    n_rows = cross_gram(f_system, pair.e_basis).conj()[:, :M] @ dual_rows  # <e_k, f_i> at [i, k]
 
     # orthonormal coordinates of W from the right singular vectors of omega
     _, _, Wh = np.linalg.svd(omega_system.vectors, full_matrices=False)

@@ -20,6 +20,7 @@ from framelab.bspline import (
     STATUS_FRAME,
     STATUS_UNDECIDED,
     STATUS_ZERO,
+    _overlap_bounds,
     _scan_grid,
     bspline_eval,
     classify_cell,
@@ -33,6 +34,7 @@ from framelab.dilation import (
     _coverage_box,
     _edge_margin,
     _k_range,
+    lic_estimate,
     wave_packet_bessel_bound,
     wave_packet_frame_bounds,
 )
@@ -144,8 +146,11 @@ def test_classify_cell_matches_oracle_bitwise_on_the_benchmark_grid():
 def test_overlap_bounds_match_oracles_bitwise():
     for N, a, b, points in ((1, 0.7, 0.5, 64), (2, 0.5, 0.25, 1024), (2, 1.9, 0.5, 100),
                             (3, 1.25, 0.6, 512), (4, 0.9, 0.4, 300), (5, 2.2, 0.2, 128)):
-        oracle = painless_oracle if b * N <= 1 else overlap_oracle
-        assert bits(*translation_overlap_bounds(N, a, b, points)) == bits(*oracle(N, a, b, points))
+        # _overlap_bounds keeps these grids below the scanner's 2048-point floor
+        painless = b * N <= 1
+        oracle = painless_oracle if painless else overlap_oracle
+        shifts = [] if painless else scanner_shifts(N, b)
+        assert bits(*_overlap_bounds(N, a, shifts, points)) == bits(*oracle(N, a, b, points))
 
 
 # -- wave-packet oracles --------------------------------------------------------
@@ -293,7 +298,7 @@ def test_live_slices_end_where_the_computed_difference_leaves_the_support(lo, hi
     offsets = rng.uniform(-5.0, 5.0, 40)
     shifts = [-1.0, 0.6, 1.0]
     ends = np.add.outer([lo, hi], np.add.outer([0.0] + shifts, offsets)).ravel()
-    xs = np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)])
+    xs = np.sort(np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)]))
     diag, off = np.zeros_like(xs), np.zeros_like(xs)
     for c in offsets:
         g0 = indicator(xs - c)
@@ -304,18 +309,34 @@ def test_live_slices_end_where_the_computed_difference_leaves_the_support(lo, hi
     assert bits(*np.concatenate(sums)) == bits(*diag, *off)
 
 
-def test_kernel_sums_do_not_depend_on_the_order_of_the_points():
+def test_kernel_callers_pass_ascending_points(monkeypatch):
+    # the kernel slices the points by binary search and does not sort them:
+    # every production caller hands it ascending points
+    kernel = dilation._overlap_sums
+    callers = []
+
+    def checked(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs):
+        pts = np.ravel(gammas)
+        assert np.all(pts[1:] >= pts[:-1]), "the kernel was given points out of order"
+        callers.append(pts.size)
+        return kernel(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs)
+
+    monkeypatch.setattr(bspline, "_overlap_sums", checked)
+    monkeypatch.setattr(dilation, "_overlap_sums", checked)
+    for N in (2, 3, 4, 5):
+        for k in range(1, 8):
+            for b in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 1.0):
+                classify_cell(N, 0.25 * k, b)
+    scanner_calls = len(callers)
+    assert scanner_calls == 4 * 7 * 9
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    for _ in range(10):
         g, grid, points = random_instance(rng)
-        shifts = [k / grid.b for k in _k_range(g.band, grid.b) if k != 0]
-        perm = rng.permutation(points.size)
-        sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, points,
-                                      g.support())
-        shuffled = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts,
-                                          points[perm], g.support())
-        assert bits(*np.concatenate(sums)[np.concatenate([perm, perm + points.size])]) == \
-            bits(*np.concatenate(shuffled))
+        wave_packet_frame_bounds(g, grid)
+        wave_packet_frame_bounds(g, grid, gamma_grid=rng.permutation(points))
+        lic_estimate(g, grid, FreqFunction(-1.0, 0.25, rng.uniform(0.0, 1.0, 12), (-1.0, 2.0)))
+    # two bound calls and one per dilation and side of the local-integrability sum
+    assert len(callers) > scanner_calls + 20
 
 
 @pytest.mark.parametrize("a_values, c_values", [
