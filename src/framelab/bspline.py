@@ -222,13 +222,9 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
 
 
 def _check_cell(N, a, b, period_points):
-    """Decide the regime of a cell and reject one the scanner cannot or should not
-    evaluate, before any offset list, shift list or grid is built.
-
-    Returns (shifts, period_points): the frequency offsets k/b of the overlap
-    sum, none in the painless regime b N <= 1, where no shift of B_N overlaps
-    another, and the grid size, at least 2048 outside it.
-    """
+    """Reject a cell the scanner cannot or should not evaluate, before anything is
+    built, and decide its regime: (the shifts k/b of the overlap sum, none in the
+    painless regime b N <= 1, and the grid size, at least 2048 outside it)."""
     if not isinstance(N, numbers.Integral) or N < 1:
         raise DomainError(f"order must be a positive integer (got {N!r})")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -241,24 +237,20 @@ def _check_cell(N, a, b, period_points):
     # benchmark cells and `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 need < 1.3e7
     try:
         painless = b * N <= 1 + 1e-12
-        if not painless:
-            period_points = max(period_points, 2048)
+        period_points = period_points if painless else max(period_points, 2048)
         shifts = 0 if painless else 2 * (b * N + 2)
         points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
         work = (N / a + 4) * (1 + shifts) * points * (N * (N + 1) // 2)
     except OverflowError:
         work = math.inf
     _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
-    if painless:
-        return [], period_points
-    k_max = int(math.ceil(b * N)) + 1
+    k_max = 0 if painless else int(math.ceil(b * N)) + 1
     return [k / b for k in range(-k_max, k_max + 1) if k != 0], period_points
 
 
 def _overlap_bounds(N: int, a: float, shifts, period_points: int):
-    """(inf of diag - off, sup of diag + off, slack) of a cell that _check_cell
-    admitted, with its shifts, on a knot-augmented grid of period_points over
-    [0, a) (see translation_overlap_bounds)."""
+    """translation_overlap_bounds of a cell that _check_cell admitted, with its
+    shifts and grid size."""
     knots = [k + s for k in range(N + 1) for s in [0.0] + shifts]
     xs = _scan_grid(a, period_points, knots)
     # points lie in [0, a): translates n*a outside this range miss [0, N)
@@ -353,8 +345,8 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     the input translation_overlap_bounds rejects, with DomainError.
     """
     shifts, points = _check_cell(N, a, b, period_points)
-    painless = not shifts
     lo, hi, slack = _overlap_bounds(N, a, shifts, points)
+    painless = not shifts
     lower, estimate = 0.0, None
     density = Fraction(a) * Fraction(b)
     if painless and (a >= N if N > 1 else a > 1):

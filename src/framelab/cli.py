@@ -29,7 +29,7 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -83,7 +83,8 @@ def _int_list(text):
 
 
 def _range(text):
-    """Comma list of values, or start:stop:step (stop inclusive)."""
+    """Comma list of values, or start:stop:step with stop included within half a
+    step; point i is the float nearest start + i step in the decimals typed."""
     if ":" not in text:
         return _float_list(text)
     parts = text.split(":")
@@ -93,7 +94,12 @@ def _range(text):
     if step == 0:
         raise argparse.ArgumentTypeError(f"zero step in {text!r}")
     core._check_work(core._PASS_WORK * ((stop - start) / step + 1), f"the range {text!r}")
-    values = [float(v) for v in np.arange(start, stop + step / 2, step)]
+    try:  # a token that reads as 0.0 is 0, whatever the exponent typed
+        start, stop, step = (Fraction(tok) if value else Fraction(0)
+                             for tok, value in zip(parts, (start, stop, step)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected decimal numbers in {text!r}") from None
+    values = [float(start + i * step) for i in range(math.ceil((stop - start) / step + Fraction(1, 2)))]
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return values
@@ -323,6 +329,7 @@ def _gabor_extend(args):
 def _map(fn, tasks, jobs, chunksize):
     """[fn(t) for t in tasks], in order, on a pool of `jobs` processes if jobs > 1."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 15 ms of start, paid only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
     return [fn(t) for t in tasks]

@@ -14,18 +14,15 @@ checking +-[1, 2) (resp. +-[1, a)) covers almost every gamma.
 Every sum is piecewise constant in gamma, with breakpoints at the dilated
 and shifted edges of the generators, so it is read exactly, at one point per
 piece (_pieces): its sup, inf and max |.| are true values, not samples.
-
-The translation-overlap sums of the wave-packet bounds and of the
-local-integrability sum, and those of the B-spline scanner, run on one
-kernel (_overlap_sums), which takes the ascending points its callers build.
+The translation-overlap sums, the B-spline scanner's too, run on one kernel
+(_overlap_sums), which takes the ascending points its callers build.
 
 The dual wavelet criterion is the a = 2, c = {0} case of the dual
 wave-packet criterion, and both run on one loop (_class_deviations): b is
 the translation step, the offset/dilation sum must equal b, and the sums of
 every shift class alpha = a^j n / b != 0, i.e. over the lattices a^j (1/b)Z
-grouped by the exact rational alpha, must vanish.  The shifted products of
-the wave-packet criterion are the classes n / b of the same loop at j = 0
-and c = 0, read on the band of psi.
+grouped by the exact rational alpha, must vanish.  The shifted products
+psi(g) conj(psit(g + n/b)) are its classes n/b at j = 0, c = 0.
 """
 
 from __future__ import annotations
@@ -263,18 +260,18 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     grid, the pieces of one window (_pieces) and a sorted gamma_grid.  So the
     points of each (dilation, offset) row whose u lies in the support, and
     among them those whose u - s does, are contiguous slices found by binary
-    search (_live_slices).  With a cost per live point given, the slice
-    search (16 units per term) and then cost times the live points are
-    charged before either is done; the scanner gives none, its cells are
-    charged by _check_cell.  One loop then takes the terms of each live row,
-    the row itself first and then its live shifts, into blocks of at most
-    _BLOCK_POINTS points, one values_at call per block.  The row's own term writes |g(u)| into one scratch array
-    over the points, where its shift terms read it before the next row
-    overwrites it: a block's terms are applied in order.  The result is
-    bit-identical to one call per (dilation, offset, shift) term at every
-    point: values_at is elementwise, every point is the same float
-    expression, the terms are added in the same order, and a skipped term
-    would add an exact +0.0 to a nonnegative sum.
+    search (_live_slices).  With a cost per live point given, the slice search
+    (16 units per term) and then cost times the live points are charged before
+    either is done; the scanner gives none, its cells are charged by
+    _check_cell.  One loop then takes the terms of each live row, the row
+    itself first and then its live shifts, into blocks of at most _BLOCK_POINTS
+    points, one values_at call per block.  The row's own term writes |g(u)|
+    into one scratch array over the points, where its shift terms read it
+    before the next row overwrites it: a block's terms are applied in order.
+    The result is bit-identical to one call per (dilation, offset, shift) term
+    at every point: values_at is elementwise, every point is the same float
+    expression, the terms are added in the same order, and a skipped term would
+    add an exact +0.0 to a nonnegative sum.
     """
     pts = np.ravel(gammas)
     offsets = np.asarray(offsets, dtype=float)
@@ -481,9 +478,8 @@ def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values)
 
 
 def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members, windows=None):
-    """One point per piece of T_alpha (see _class_deviations) on the windows,
-    +-[1, a) by default: its terms are constant between the a^j (x_i + c) and
-    the a^j (x'_i + c) - alpha."""
+    """One point per piece of T_alpha (see _class_deviations) on the windows, +-[1, a)
+    by default: its terms are constant between the a^j (x_i + c) and a^j (x'_i + c) - alpha."""
     a_f = float(a)
     scales = [a_f ** j for j in members]
     edges = np.concatenate((_breakpoints(psi_edges, scales, c_values),
@@ -493,8 +489,7 @@ def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members, windo
 
 def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: float,
                       c_values, js, ns, windows=None):
-    """{alpha: max over the windows, +-[1, a) by default, of |T_alpha - b [alpha = 0]|},
-    where
+    """{alpha: max over the windows (+-[1, a)) of |T_alpha - b [alpha = 0]|}, where
 
     T_alpha(g) = sum over the j of the class and c in c_values of
     psi(a^-j g - c) conj(psit(a^-j (g + alpha) - c)),
@@ -583,11 +578,9 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     Condition c2: psi(g) conj(psit(g + q)) vanishes for q in (1/b) Z, q != 0.
     With full_check, the complete ratio-grouped criterion is evaluated: for
     every reachable alpha = a^j n / b != 0 (grouped exactly via rational
-    arithmetic) the corresponding double sum must vanish.  All three are read
-    by _class_deviations: c1 and the ratio classes in one call, c2 as the
-    classes n / b at j = 0 and c = 0 on the band of psi.  Every sum is
-    piecewise constant with known breakpoints and is read exactly, at one
-    point per piece.
+    arithmetic) the corresponding double sum must vanish.  c1 and the ratio
+    classes are one _class_deviations call, c2 its classes n/b at j = 0, c = 0
+    on the band of psi; each is read exactly, at one point per piece.
     """
     tol = resolve_tolerance(tolerance)
     if isinstance(a, str):
@@ -607,8 +600,7 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     devs = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
     residuals = {"c1": devs.pop(0)}
 
-    # c2: the classes n/b at j = 0 and c = 0, read on the band of psi; distinct
-    # n are distinct classes, so b goes in exactly and each shift is the float n/b
+    # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b
     lo1, hi1 = psi_hat.band
     lo2, hi2 = psi_tilde_hat.band
     _shift_window(b * ((hi2 - lo1) - (lo2 - hi1)))  # bounds the shifts k/b listed below

@@ -291,6 +291,30 @@ def test_no_frame_certificate_past_the_density_bound(cell_args):
         assert ab < 1 or ab == 1 and N == 1
 
 
+@st.composite
+def cells_past_the_support(draw):
+    """(N, a, b) with a >= N (a > 1 for N = 1), b over 0.01..4 or one ulp either side of 1/N."""
+    N = draw(st.integers(1, 6))
+    a = draw(st.sampled_from([float(N), N + 0.5, 2.0 * N]) | st.floats(N, 4.0 * N))
+    if N == 1 and a == 1.0:
+        a = math.nextafter(1.0, math.inf)
+    b = draw(st.floats(0.01, 4.0) | st.sampled_from(
+        [math.nextafter(1 / N, 0.0), 1 / N, math.nextafter(1 / N, math.inf)]))
+    return N, a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cells_past_the_support())
+@example((1, 1.0000000000000002, 1.0))
+@example((4, 4.0, math.nextafter(0.25, math.inf)))
+def test_a_at_least_N_is_zero_certified_at_every_b(cell_args):
+    # inside the painless regime the diagonal vanishes; outside it b N > 1,
+    # so a b > 1 and the density theorem applies
+    N, a, b = cell_args
+    cell = classify_cell(N, a, b, period_points=64, attach_estimates=False)
+    assert cell.status == STATUS_ZERO and cell.bounds_estimate.lower == 0.0
+
+
 def test_large_b_cells_never_frame_certified():
     for a in (0.1, 0.25, 0.5, 1.0, 1.5):
         cell = classify_cell(2, a, 2.0, attach_estimates=False)

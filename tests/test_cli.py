@@ -3,6 +3,7 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,40 @@ def test_every_cell_of_the_baseline_scan_is_within_the_work_budget():
     for a in cli._range("0.1:3.9:0.1"):
         for b in cli._range("0.05:0.5:0.025"):
             bsp._check_cell(4, a, b, 2048)
+
+
+def test_range_points_are_the_typed_decimals():
+    # point i is the float nearest start + i step: no drift such as
+    # b = 0.25000000000000006 or a = 2.0000000000000004
+    assert cli._range("0.05:0.5:0.025") == [float(Fraction(10 + 5 * i, 200)) for i in range(19)]
+    assert cli._range("0.1:3.9:0.1") == [float(Fraction(i, 10)) for i in range(1, 40)]
+    assert cli._range("1:0:-0.25") == [1.0, 0.75, 0.5, 0.25, 0.0]
+    # stop is included when it lies within half a step, and a token that reads as
+    # 0.0 is 0 whatever its exponent
+    assert cli._range("0:1.2:0.5") == [0.0, 0.5, 1.0]
+    assert cli._range("0:1.3:0.5") == [0.0, 0.5, 1.0, 1.5]
+    assert cli._range("0e999999999:1:0.5") == [0.0, 0.5, 1.0]
+
+
+def test_range_token_that_fraction_rejects_exits_2(capsys, monkeypatch):
+    # Python 3.10's Fraction rejects the underscores that float accepts
+    def strict(token):
+        if "_" in str(token):
+            raise ValueError(f"Invalid literal for Fraction: {token!r}")
+        return Fraction(token)
+
+    monkeypatch.setattr(cli, "Fraction", strict)
+    assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "0.5:1_0:0.5", "--b-grid", "0.25"],
+                       capsys, "0.5:1_0:0.5")
+
+
+def test_cli_import_loads_neither_the_process_pool_nor_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, framelab.cli; "
+         "print(sorted({'concurrent.futures.process', 'mpmath'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_csv_for_a_command_without_rows_exits_2_before_running(capsys, monkeypatch):

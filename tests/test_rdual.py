@@ -4,6 +4,7 @@ import pytest
 import framelab.rdual as rdual_module
 
 from framelab.core import (
+    DimensionMismatch,
     DomainError,
     SingularSystemError,
     VectorSystem,
@@ -165,6 +166,14 @@ def test_n_sequence_degenerate_omega_raises():
     pair = OrthonormalPair.standard(3)
     with pytest.raises(SingularSystemError):
         n_sequence(standard_basis(3), VectorSystem([[1, 0, 0], [1, 0, 0]]), pair)
+
+
+def test_n_sequence_rejects_a_family_in_another_dimension():
+    # N = 3 members in dimension 4: the coefficients <e_k, f_i> are a cross Gram of
+    # unequal dimensions, refused as an input error instead of a numpy shape error
+    rng = np.random.default_rng(2)
+    with pytest.raises(DimensionMismatch):
+        n_sequence(random_system(rng, 3, 4), random_system(rng, 2, 3), OrthonormalPair.standard(3))
 
 
 def test_n_sequence_bound_sandwich():
