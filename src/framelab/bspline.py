@@ -249,8 +249,13 @@ def _check_cell(N, a, b, period_points):
 
 
 def _overlap_bounds(N: int, a: float, shifts, period_points: int):
-    """translation_overlap_bounds of a cell that _check_cell admitted, with its
-    shifts and grid size."""
+    """Periodized translation-overlap bounds of a cell that _check_cell admitted, on the
+    knot-augmented grid over [0, a) of the size it chose: (inf of diag - off, sup of
+    diag + off, slack), all before the division by b.  diag sums the squared translates B_N(x - n a),
+    off their overlaps at its shifts k/b; in the painless regime there are none, and the
+    values are the exact periodized bounds.  The true inf/sup lie within slack of the
+    grid values (Lipschitz bound; exact for order 1, whose piecewise-constant sums are
+    sampled in every piece)."""
     knots = [k + s for k in range(N + 1) for s in [0.0] + shifts]
     xs = _scan_grid(a, period_points, knots)
     # points lie in [0, a): translates n*a outside this range miss [0, N)
@@ -261,24 +266,6 @@ def _overlap_bounds(N: int, a: float, shifts, period_points: int):
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
     return float((diag - off).min()), float((diag + off).max()), slack
-
-
-def translation_overlap_bounds(N: int, a: float, b: float, period_points: int = 2048):
-    """Periodized translation-overlap bounds on a knot-augmented grid over [0, a).
-
-    Returns (inf of diag - off, sup of diag + off, slack), all before the
-    division by b: diag sums the squared translates B_N(x - n a), off their
-    overlaps at the frequency offsets k/b.  In the painless regime b*N <= 1
-    the offset sum is empty and the values are the exact periodized bounds;
-    outside it the grid has at least 2048 points.  The true inf/sup lie
-    within slack of the grid values (Lipschitz bound; exact for order 1,
-    whose piecewise-constant sums are sampled in every piece).  A positive
-    lower value certifies a frame with bounds (inf/b, sup/b); a nonpositive
-    one is inconclusive.  Raises DomainError for a non-integral order,
-    non-finite steps and a cell whose estimated work is over the work
-    budget, before anything is built.
-    """
-    return _overlap_bounds(N, a, *_check_cell(N, a, b, period_points))
 
 
 def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
@@ -341,8 +328,8 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     B_N is then continuous with compact support, so its Zak transform has a
     zero, and at a b = 1 that rules out a frame (Groechenig, Foundations of
     Time-Frequency Analysis, 2001, ch. 8).  N = 1 at a = b = 1 is an
-    orthonormal basis.  a b is the exact product of the two floats.  Rejects
-    the input translation_overlap_bounds rejects, with DomainError.
+    orthonormal basis.  a b is the exact product of the two floats.  Input
+    that _check_cell rejects raises DomainError before anything is built.
     """
     shifts, points = _check_cell(N, a, b, period_points)
     lo, hi, slack = _overlap_bounds(N, a, shifts, points)
@@ -386,7 +373,7 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
     if b <= 0 or b > limit + 1e-12:
         raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
-    tolerance = 1e-8 if tolerance is None else tolerance
+    tolerance = 1e-8 if tolerance is None else resolve_tolerance(tolerance)
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")

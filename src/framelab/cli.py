@@ -9,15 +9,7 @@ over the work budget core.MAX_WORK (float64 entries filled, checked before
 anything large is built; MAX_DPS and MAX_AUTO_CYCLE remain domain limits).
 
 Every command takes --format and --output; the others exist only where they
-are read:
-
-- --tolerance: frame dual/check-dual, rdual verify/check-dual-pair/nseq,
-  extend run, gabor duality/wexler-raz/commute/ron-shen/hrt, wavelet
-  check-dual, wavepacket check-dual, bspline props/dual-window.  Without it
-  FRAMELAB_TOLERANCE, then 1e-10, applies (gabor ron-shen/hrt and bspline
-  dual-window keep their own defaults).
-- --seed: every rdual command and gabor bounds/duality/wexler-raz/commute/sweep.
-- --jobs: gabor sweep and bspline scan.
+are read, as the README lists them.
 """
 
 from __future__ import annotations

@@ -348,17 +348,6 @@ class VectorSystem:
             raise DomainError(f"ambient_dim must be an integer, got {raw!r}")
         return cls(vectors, ambient_dim=dim, label=data.get("label", ""))
 
-    def to_csv(self) -> str:
-        """One row per vector, columns interleaved re,im,re,im,..."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in self._vectors:
-            flat = []
-            for z in row:
-                flat.extend((repr(float(z.real)), repr(float(z.imag))))
-            writer.writerow(flat)
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str, label="") -> "VectorSystem":
         rows = []

@@ -262,7 +262,7 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     among them those whose u - s does, are contiguous slices found by binary
     search (_live_slices).  With a cost per live point given, the slice search
     (16 units per term) and then cost times the live points are charged before
-    either is done; the scanner gives none, its cells are charged by
+    either is done; only the scanner gives none, its cells are charged by
     _check_cell.  One loop then takes the terms of each live row, the row
     itself first and then its live shifts, into blocks of at most _BLOCK_POINTS
     points, one values_at call per block.  The row's own term writes |g(u)|
@@ -652,11 +652,10 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
         edges = np.concatenate([_breakpoints(f_edges, [1.0], shifts),
                                 _breakpoints(psi_edges, [a], grid.c_values)])
         mids, widths = _pieces(edges, window)
-        # complex values per piece, shift and offset
-        _check_work(2 * mids.size * (len(shifts) + len(grid.c_values) + 1),
-                    f"the local-integrability sum on {mids.size} frequency pieces")
-        f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids, f_support)
-        psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids, psi_support)
+        # a complex value per live point
+        f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids, f_support, cost=2)
+        psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids, psi_support,
+                                   cost=2)
         inside = np.abs(f_hat.values_at(mids)) > 0
         total += float(np.sum((widths * f_sum * psi_sum)[inside]))
         trace.append(total)

@@ -95,17 +95,6 @@ class GaborSpec:
         scale = math.sqrt(self.L / (self.a * self.b))
         return GaborSpec(self.L, self.L // self.b, self.L // self.a, scale * self.window)
 
-    def to_json_dict(self):
-        return {
-            "L": self.L, "a": self.a, "b": self.b,
-            "window": _encode_pairs(self.window),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        window = _decode_pairs(_field(data, "window"), "window")
-        return cls(_field(data, "L"), _field(data, "a"), _field(data, "b"), window)
-
     def __repr__(self):
         return f"GaborSpec(L={self.L}, a={self.a}, b={self.b})"
 
@@ -345,7 +334,7 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
     if abs(g.step - h.step) > 1e-15:
         raise GridError("both windows must share the same sampling step")
     step = g.step
-    tol = tolerance if tolerance is not None else RON_SHEN_TOL_PER_STEP * step
+    tol = RON_SHEN_TOL_PER_STEP * step if tolerance is None else resolve_tolerance(tolerance)
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
     _sample_count(a + 1.0 / b, step)  # the grid over [0, a) and the shift 1/b, in samples
@@ -516,7 +505,7 @@ def hrt_independence(g: SampledWindow, points, tolerance=None) -> AnalysisReport
         raise DomainError("time-frequency points must be distinct")
     if not np.any(np.abs(g.samples) > 0):
         raise DomainError("window must not be identically zero")
-    tol = tolerance if tolerance is not None else 1e-8 * math.sqrt(len(points))
+    tol = 1e-8 * math.sqrt(len(points)) if tolerance is None else resolve_tolerance(tolerance)
 
     lo, hi = g.support_hint
     mus = [p.mu for p in points]

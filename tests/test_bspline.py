@@ -12,6 +12,8 @@ from framelab.bspline import (
     STATUS_FRAME,
     STATUS_UNDECIDED,
     STATUS_ZERO,
+    _check_cell,
+    _overlap_bounds,
     bspline_eval,
     bspline_fourier,
     bspline_integral,
@@ -20,10 +22,14 @@ from framelab.bspline import (
     finite_section_bounds,
     property_suite,
     sample_bspline,
-    translation_overlap_bounds,
 )
 from framelab.gabor import GaborSpec, _cycle_length, gabor_frame_bounds
 from oracles import rational_cycle, recursive_bspline, triangular_bspline
+
+
+def overlap_bounds(N, a, b, points):
+    """The scanner's overlap bounds of a cell, checked as classify_cell checks it."""
+    return _overlap_bounds(N, a, *_check_cell(N, a, b, points))
 
 
 def convolution_oracle(n_max, inv_step):
@@ -227,7 +233,7 @@ def test_zero_certificate_at_sparse_translates():
 def test_underflowed_painless_diagonal_is_not_zero_certified(N, a, b):
     # a < N: every x has a translate inside (0, N), where B_N > 0, so the
     # diagonal is positive although its grid minimum underflows to 0.0
-    lo, _, _ = translation_overlap_bounds(N, a, b, 1024)
+    lo, _, _ = overlap_bounds(N, a, b, 1024)
     assert lo == 0.0
     cell = classify_cell(N, a, b)
     assert (cell.status, cell.method) == (STATUS_UNDECIDED, "painless grid estimate below slack")
@@ -338,7 +344,7 @@ def test_translation_overlap_certifies_beyond_painless():
 def test_monotone_degeneration_toward_a_equals_two():
     values = []
     for eps in (0.4, 0.2, 0.1, 0.05):
-        inf_, _sup, _slack = translation_overlap_bounds(2, 2.0 - eps, 0.25, period_points=1024)
+        inf_, _sup, _slack = overlap_bounds(2, 2.0 - eps, 0.25, 1024)
         values.append(inf_ / 0.25)
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     assert values[-1] < 0.02
@@ -349,7 +355,7 @@ def test_nonpositive_period_points_rejected(points):
     # an empty base grid would certify from the knots alone: at a = 1.9,
     # b = 0.25 that claimed A = 0.0352 above the optimal 0.02
     with pytest.raises(DomainError, match="period_points"):
-        translation_overlap_bounds(2, 1.9, 0.25, period_points=points)
+        overlap_bounds(2, 1.9, 0.25, points)
     with pytest.raises(DomainError, match="period_points"):
         classify_cell(2, 1.9, 0.25, period_points=points)
 
@@ -379,7 +385,7 @@ def test_hostile_cells_rejected_before_any_grid(N, a, b, match, monkeypatch):
     with pytest.raises(DomainError, match=match):
         classify_cell(N, a, b)
     with pytest.raises(DomainError, match=match):
-        translation_overlap_bounds(N, a, b, period_points=1024)
+        overlap_bounds(N, a, b, 1024)
 
 
 #: the acceptance grid of criterion 7 (order 2, with the a = 2 column and the b = 2
@@ -410,7 +416,7 @@ def test_finite_section_matches_painless_on_aligned_grids():
     for (a, b) in ((0.5, 0.25), (1.0, 0.5), (0.5, 0.5)):
         est = finite_section_bounds(2, a, b, resolution=16)
         aligned_points = int(round(a * 16))
-        inf_, sup_, slack = translation_overlap_bounds(2, a, b, period_points=aligned_points)
+        inf_, sup_, slack = overlap_bounds(2, a, b, aligned_points)
         assert inf_ / b <= est.lower + 1e-9
         assert sup_ / b >= est.upper - 1e-9
 

@@ -216,7 +216,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     # lattice systems are single-dilation wave packets: feeding the spline
     # into the translation-overlap formula with offsets m*a reproduces the
     # painless periodization bounds on a common evaluation grid
-    from framelab.bspline import bspline_eval, translation_overlap_bounds
+    from framelab.bspline import _check_cell, _overlap_bounds, bspline_eval
 
     N, a, b = 2, 0.5, 0.25
     step = 1 / 64
@@ -235,7 +235,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     assert bounds.lower == pytest.approx(diag.min() / b, abs=1e-12)
     assert bounds.upper == pytest.approx(diag.max() / b, abs=1e-12)
 
-    inf_, sup_, _slack = translation_overlap_bounds(N, a, b, period_points=int(round(a / step)))
+    inf_, sup_, _slack = _overlap_bounds(N, a, *_check_cell(N, a, b, int(round(a / step))))
     assert bounds.lower == pytest.approx(inf_ / b, abs=1e-8)
     assert bounds.upper == pytest.approx(sup_ / b, abs=1e-8)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import framelab.gabor as gabor_module
+from framelab.bspline import dual_window_solve
 from framelab.core import (
     DomainError,
     GridError,
@@ -657,3 +658,18 @@ def test_extension_cycle_past_the_float_range_is_a_domain_error():
     g = sampled_indicator(0.0, 1.0, 0.25)
     with pytest.raises(DomainError, match="too large"):
         gabor_extension(g, g, 1.0, 0.5, L=10 ** 400)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0, "abc"])
+@pytest.mark.parametrize("check", [
+    lambda tol: ron_shen_duality_check(sampled_indicator(0.0, 1.0, 0.25),
+                                       sampled_indicator(0.0, 1.0, 0.25), 1.0, 1.0, tol),
+    lambda tol: hrt_independence(sampled_gaussian(4.0, 0.125), [(0, 0), (1, 0)], tol),
+    lambda tol: dual_window_solve(2, 0.25, tolerance=tol),
+], ids=["ron_shen", "hrt", "dual_window"])
+def test_explicit_tolerance_must_be_finite_and_positive(check, tolerance):
+    # the three checks with their own defaults validate a given tolerance like
+    # every other check: unchecked, nan would fail the exact dual pair with
+    # residual 0.0, inf would pass anything and -1 fail an independent pair
+    with pytest.raises(DomainError, match="tolerance"):
+        check(tolerance)

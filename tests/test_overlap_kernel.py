@@ -2,8 +2,8 @@
 
 The B-spline scanner and the wave-packet bounds both run on
 dilation._overlap_sums.  The oracles below are the separate loops it
-replaced, kept verbatim in substance: painless_bounds and the wide-range
-translation_overlap_bounds of the scanner, and the per-function
+replaced, kept verbatim in substance: the painless and the wide-range
+translation-overlap bounds of the scanner, and the per-function
 triple-sum passes of the wave-packet bounds, read at the library's piece
 points (_bound_points).  Every value must agree to the last bit wherever
 the oracle returns.
@@ -24,7 +24,6 @@ from framelab.bspline import (
     _scan_grid,
     bspline_eval,
     classify_cell,
-    translation_overlap_bounds,
 )
 from framelab.core import DomainError
 from framelab.dilation import (
@@ -409,7 +408,7 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     terms = 16 * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts))
     assert terms < 2 * sum(live)
 
-    def refused(u):
+    def refused(*args):
         raise AssertionError("values_at was called on a refused call")
 
     for budget, match in ((terms - 1, "live slices"), (2 * sum(live) - 1, "live points")):
@@ -421,6 +420,21 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, gammas,
                                   g.support())
     assert bits(*np.concatenate(sums)) == bits(*np.concatenate(expected))
+
+    # lic_estimate passes the same cost: a test function of 4000 cells, whose
+    # first kernel call (110223 live points) is charged more than the shift
+    # window and the breakpoints before it, is refused by the kernel
+    monkeypatch.undo()
+    rng = np.random.default_rng(29)
+    f = FreqFunction(0.0, 1 / 2000, rng.uniform(0.5, 1.0, 4000), (0.0, 2.0))
+    psi = FreqFunction(1.0, 0.125, rng.uniform(0.5, 2.0, 8), (1.0, 2.0))
+    lic_grid = WavePacketGrid([1.0], 3.0, [-1.0, 0.0, 1.5])
+    value, _ = lic_estimate(psi, lic_grid, f)
+    assert value.hex() == "0x1.098504d001d5fp+4"  # where the work is charged moves no bit
+    monkeypatch.setattr(core, "MAX_WORK", 2 * 110223 - 1)
+    monkeypatch.setattr(FreqFunction, "values_at", refused)
+    with pytest.raises(DomainError, match="110223 live points"):
+        lic_estimate(psi, lic_grid, f)
 
 
 def dyadic_instance(rng):
