@@ -13,7 +13,9 @@ too): exact bounds where the support fits one frequency period and the
 overlap sum is empty, a sufficient condition beyond it, and an honest
 "undecided" elsewhere.  The negative certificates are decided exactly, never
 read off the grid: a painless diagonal that vanishes, from the support of
-B_N, and the density theorem, on the exact product a b of the float cell.
+B_N, the density theorem, on the exact product a b of the float cell, and
+the zeros of the transform of B_N, at an integer b >= 2.  The painless
+bounds do not depend on b, so they are computed once per column of a scan.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
@@ -268,6 +270,13 @@ def _overlap_bounds(N: int, a: float, shifts, period_points: int):
     return float((diag - off).min()), float((diag + off).max()), slack
 
 
+@functools.lru_cache(maxsize=1)
+def _painless_bounds(N: int, a: float, period_points: int):
+    """_overlap_bounds of a painless cell, which has no shifts and so does not depend on b:
+    the scanner sweeps b inside each (N, a) column, and one entry serves the column."""
+    return _overlap_bounds(N, a, [], period_points)
+
+
 def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
                           max_length: int = 8192):
     """Spectral bounds of an exact cyclic section of the lattice system.
@@ -328,12 +337,17 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     B_N is then continuous with compact support, so its Zak transform has a
     zero, and at a b = 1 that rules out a frame (Groechenig, Foundations of
     Time-Frequency Analysis, 2001, ch. 8).  N = 1 at a = b = 1 is an
-    orthonormal basis.  a b is the exact product of the two floats.  Input
-    that _check_cell rejects raises DomainError before anything is built.
+    orthonormal basis.  a b is the exact product of the two floats.  After
+    them, an integer b >= 2 zero-certifies the cell: the transform of B_N
+    vanishes at every nonzero integer, so sum_k |B_N^(w - k b)|^2 = 0 at
+    w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE Trans. Inf.
+    Theory 49, 2003).  Input that _check_cell rejects raises DomainError
+    before anything is built; a painless cell then reads the bounds of its
+    (N, a, period_points) column from _painless_bounds.
     """
     shifts, points = _check_cell(N, a, b, period_points)
-    lo, hi, slack = _overlap_bounds(N, a, shifts, points)
     painless = not shifts
+    lo, hi, slack = _painless_bounds(N, a, points) if painless else _overlap_bounds(N, a, shifts, points)
     lower, estimate = 0.0, None
     density = Fraction(a) * Fraction(b)
     if painless and (a >= N if N > 1 else a > 1):
@@ -341,6 +355,8 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
     elif density > 1 or density == 1 and N > 1:
         status, method = STATUS_ZERO, ("density theorem: a b > 1" if density > 1 else
                                        "density theorem: a b = 1 and the Zak transform of B_N vanishes")
+    elif b >= 2 and float(b).is_integer():
+        status, method = STATUS_ZERO, "integer b >= 2: the transform of B_N vanishes at every 1 - k b"
     elif lo - slack > 0:
         status, lower = STATUS_FRAME, (lo - slack) / b
         method = "painless periodization" if painless else "translation-overlap sufficient condition"

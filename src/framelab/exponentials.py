@@ -111,8 +111,9 @@ def lower_bound(lset: LambdaSet, dps: int = None, *, entries: dict = None) -> fl
     into two half-size blocks first, a quarter of the reduction's work.  The
     cost is O(N^3) products of P-bit integers for the reduction and, for a
     positive definite matrix, a few Newton steps and Sturm counts of N
-    divisions each (about log2(P) + 55 counts where the Newton search fails,
-    at most about P for an indefinite matrix); see README for timings.
+    divisions each (about log2(P) + 55 counts where the Newton search fails);
+    a matrix with an eigenvalue at most 0 stops at the Sturm count at 0, since
+    its clamped answer is then decided.  See README for timings.
 
     entries is the table of those integer entries (_fixed_gram), empty when
     None; decay_study passes one dict to every row of a table.
@@ -125,7 +126,8 @@ def lower_bound(lset: LambdaSet, dps: int = None, *, entries: dict = None) -> fl
 
         with mp.workdps(dps):
             frac_bits = mp.prec + _GUARD_BITS
-            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits, entries), frac_bits)
+            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits, entries), frac_bits,
+                                      nonnegative=True)
     return lo if lo > 0 else 0.0
 
 
@@ -260,8 +262,9 @@ def _rounding_range(f: float, frac_bits: int):
     return first, last
 
 
-def _smallest_eigenvalue(rows, frac_bits: int) -> float:
-    """Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits.
+def _smallest_eigenvalue(rows, frac_bits: int, *, nonnegative: bool = False) -> float:
+    """Smallest eigenvalue, rounded to float64, of the symmetric matrix rows / 2^frac_bits;
+    with nonnegative, 0.0 wherever that eigenvalue is at most 0.
 
     A persymmetric input (rows[i][j] == rows[n-1-i][n-1-j], so centrosymmetric,
     as is every symmetric Toeplitz matrix) is folded first (Cantoni & Butler,
@@ -272,7 +275,7 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
     one unit of 2^-frac_bits.  Each block, or else the whole matrix, is
     reduced to tridiagonal form by _tridiagonalize; the two tridiagonals are
     joined by a zero off-diagonal entry, and _tridiagonal_eigenvalue finds the
-    smallest eigenvalue of the result.
+    smallest eigenvalue of the result, passed nonnegative.
     """
     n = len(rows)
     m = n // 2
@@ -289,12 +292,13 @@ def _smallest_eigenvalue(rows, frac_bits: int) -> float:
         off_sq += [0] + minus_off_sq
     else:
         diag, off_sq = _tridiagonalize(rows, frac_bits)
-    return _tridiagonal_eigenvalue(diag, off_sq, frac_bits)
+    return _tridiagonal_eigenvalue(diag, off_sq, frac_bits, nonnegative=nonnegative)
 
 
-def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
+def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int, *, nonnegative: bool = False) -> float:
     """Smallest eigenvalue, rounded to float64, of the symmetric tridiagonal T with
-    diagonal diag / 2^frac_bits and squared subdiagonal off_sq / 2^(2 frac_bits).
+    diagonal diag / 2^frac_bits and squared subdiagonal off_sq / 2^(2 frac_bits);
+    with nonnegative, 0.0 as soon as a Sturm count shows it is at most 0.
 
     It is the integer threshold t at which the Sturm count of T - x I
     (_at_or_below; Barth, Martin & Wilkinson, Numer. Math. 9, 1967) turns
@@ -311,6 +315,7 @@ def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
       Sturm counts, at both ends of the integers that round to f (the
       rounding floors can leave t a float away: then the neighbouring float
       on t's side is tried, up to three floats in all);
+    - otherwise, with nonnegative, 0.0 (t <= 0, decided by the count at 0);
     - otherwise, or if that check fails, bisection of the bracket on the
       Sturm count, with geometric midpoints isqrt(lo hi) while 0 <= 4 lo < hi,
       until both ends round to the same float64 or hi = lo + 1.
@@ -362,6 +367,8 @@ def _tridiagonal_eigenvalue(diag, off_sq, frac_bits: int) -> float:
                     return f
                 else:
                     guess = last + 1
+    elif nonnegative:
+        return 0.0
     while undecided():
         below(math.isqrt(max(lo, 1) * hi) if 0 <= 4 * lo < hi else (lo + hi) >> 1)
     return hi / scale

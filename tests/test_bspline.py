@@ -27,6 +27,16 @@ from framelab.gabor import GaborSpec, _cycle_length, gabor_frame_bounds
 from oracles import rational_cycle, recursive_bspline, triangular_bspline
 
 
+@pytest.fixture(autouse=True)
+def empty_painless_memo():
+    """Each test starts and ends with an empty memo of painless bounds, so no test reads
+    a column that another one left, computed with _overlap_sums, _scan_grid or _horner
+    replaced."""
+    bspline._painless_bounds.cache_clear()
+    yield
+    bspline._painless_bounds.cache_clear()
+
+
 def overlap_bounds(N, a, b, points):
     """The scanner's overlap bounds of a cell, checked as classify_cell checks it."""
     return _overlap_bounds(N, a, *_check_cell(N, a, b, points))
@@ -325,6 +335,15 @@ def test_large_b_cells_never_frame_certified():
     for a in (0.1, 0.25, 0.5, 1.0, 1.5):
         cell = classify_cell(2, a, 2.0, attach_estimates=False)
         assert cell.status != STATUS_FRAME
+    # below the density bound an integer b >= 2 is zero-certified: the transform of
+    # B_N vanishes at every nonzero integer, so its b-periodization vanishes at 1
+    for N in (1, 2, 3, 4):
+        for b in (2.0, 3.0):
+            for a in (0.1, 0.25, 0.3):
+                cell = classify_cell(N, a, b, attach_estimates=False)
+                assert (cell.status, cell.bounds_estimate.lower) == (STATUS_ZERO, 0.0)
+                assert cell.method.startswith("integer b >= 2"), (N, a, b)
+                assert cell.bounds_estimate.upper > 0
 
 
 def test_known_region_recovery_order_two():
@@ -410,6 +429,21 @@ def test_scanner_verdicts_match_the_triangular_oracle(monkeypatch):
         scale = 1e-14 * want.bounds_estimate.upper
         assert abs(cell.bounds_estimate.lower - want.bounds_estimate.lower) <= scale, (cell, want)
         assert abs(cell.bounds_estimate.upper - want.bounds_estimate.upper) <= scale, (cell, want)
+
+
+def test_scan_order_moves_no_bit():
+    # in order, the painless cells of a column read one memo entry; shuffled, almost
+    # every painless cell computes its bounds afresh: the cells are the same bit for bit
+    cells = ACCEPTANCE_CELLS + BENCHMARK_CELLS
+
+    def classified(N, a, b, estimates):
+        cell = classify_cell(N, a, b, attach_estimates=estimates)
+        bounds = cell.bounds_estimate
+        return cell.status, cell.method, bounds.lower.hex(), bounds.upper.hex()
+
+    in_order = [classified(*args) for args in cells]
+    for i in np.random.default_rng(41).permutation(len(cells)):
+        assert classified(*cells[i]) == in_order[i], cells[i]
 
 
 def test_finite_section_matches_painless_on_aligned_grids():

@@ -24,6 +24,16 @@ DATA = ROOT / "tests" / "data"
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
+@pytest.fixture(autouse=True)
+def empty_painless_memo():
+    """Each test starts and ends with an empty memo of painless bounds, so no test reads
+    a column that another one left, computed with _overlap_sums, _scan_grid or _horner
+    replaced."""
+    bsp._painless_bounds.cache_clear()
+    yield
+    bsp._painless_bounds.cache_clear()
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()

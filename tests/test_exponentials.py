@@ -145,9 +145,9 @@ def test_mp_gram_equals_full_gram_oracle(family, monkeypatch):
     real_kernel = exponentials._smallest_eigenvalue
     solved = []
 
-    def recording_kernel(rows, frac_bits):
+    def recording_kernel(rows, frac_bits, **kwargs):
         solved.append((rows, frac_bits))
-        return real_kernel(rows, frac_bits)
+        return real_kernel(rows, frac_bits, **kwargs)
 
     monkeypatch.setattr(exponentials, "_smallest_eigenvalue", recording_kernel)
     if family == "random":
@@ -251,9 +251,9 @@ def test_newton_search_equals_bisection_oracle_on_both_families(family, dps, mon
     real_search = exponentials._tridiagonal_eigenvalue
     searched = []
 
-    def recording_search(diag, off_sq, frac_bits):
+    def recording_search(diag, off_sq, frac_bits, **kwargs):
         searched.append((diag, off_sq))
-        return real_search(diag, off_sq, frac_bits)
+        return real_search(diag, off_sq, frac_bits, **kwargs)
 
     monkeypatch.setattr(exponentials, "_tridiagonal_eigenvalue", recording_search)
     with mpmath.mp.workdps(dps):
@@ -282,6 +282,42 @@ def test_newton_search_pass_count(family, N, dps, monkeypatch):
         frac_bits = mpmath.mp.prec + 40
         exponentials._smallest_eigenvalue(exponentials._fixed_gram(family(N), frac_bits), frac_bits)
     assert counts["sturm"] + counts["newton"] <= 16
+
+
+def test_clamped_rows_stop_at_the_count_at_zero(monkeypatch):
+    # at dps 15 the half-integer rows N = 25..40 have a smallest eigenvalue at most 0,
+    # which lower_bound prints as 0.0: it stops at the Sturm count at 0, where bisecting
+    # the eigenvalue took 94-96 counts.  A positive row makes the passes of the unclamped
+    # search, and every row is the unclamped eigenvalue clamped, bit for bit
+    import mpmath
+
+    counts = counted_passes(monkeypatch)
+    passes = []
+    real_lower_bound = exponentials.lower_bound
+
+    def counted_lower_bound(*args, **kwargs):
+        before = counts["sturm"] + counts["newton"]
+        value = real_lower_bound(*args, **kwargs)
+        passes.append(counts["sturm"] + counts["newton"] - before)
+        return value
+
+    monkeypatch.setattr(exponentials, "lower_bound", counted_lower_bound)
+    table = decay_study("half_integer", 40, dps=15)
+    clamped = []
+    with mpmath.mp.workdps(15):
+        frac_bits = mpmath.mp.prec + 40
+        for row, row_passes in zip(table, passes):
+            before = counts["sturm"] + counts["newton"]
+            value = exponentials._smallest_eigenvalue(
+                exponentials._fixed_gram(half_integer_lambdas(row.N), frac_bits), frac_bits)
+            unclamped_passes = counts["sturm"] + counts["newton"] - before
+            assert row.lower.hex() == (value if value > 0 else 0.0).hex(), row.N
+            if value <= 0:
+                clamped.append(row.N)
+                assert row_passes <= 1, row.N
+            else:
+                assert row_passes <= unclamped_passes, row.N
+    assert clamped == list(range(25, 41))
 
 
 def test_newton_search_on_small_definite_singular_and_clustered_matrices(monkeypatch):

@@ -39,6 +39,16 @@ from framelab.dilation import (
 )
 
 
+@pytest.fixture(autouse=True)
+def empty_painless_memo():
+    """Each test starts and ends with an empty memo of painless bounds, so no test reads
+    a column that another one left, computed with _overlap_sums, _scan_grid or _horner
+    replaced."""
+    bspline._painless_bounds.cache_clear()
+    yield
+    bspline._painless_bounds.cache_clear()
+
+
 def bits(*values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
@@ -110,6 +120,9 @@ def classify_oracle(N, a, b, period_points=1024):
     lo, hi, slack = overlap_oracle(N, a, b, max(period_points, 2048))
     if density:
         return STATUS_ZERO, 0.0, (hi + slack) / b, density
+    if b >= 2 and b == int(b):  # never painless: b N > 1
+        return (STATUS_ZERO, 0.0, (hi + slack) / b,
+                "integer b >= 2: the transform of B_N vanishes at every 1 - k b")
     if lo - slack > 0:
         return (STATUS_FRAME, (lo - slack) / b, (hi + slack) / b,
                 "translation-overlap sufficient condition")
@@ -119,9 +132,10 @@ def classify_oracle(N, a, b, period_points=1024):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_classify_cell_matches_oracle_bitwise(N):
     # b*N on both sides of the painless threshold b*N = 1; a = N - 0.1 puts
-    # the painless inf below the slack, a = N + 0.5 makes it vanish
+    # the painless inf below the slack, a = N + 0.5 makes it vanish; b = 2 and 3
+    # are integers, below and past the density bound
     for a in (0.3, 0.75, 1.0, 1.6, N - 0.1, N + 0.5):
-        for bN in (0.5, 1.0, 1.2, 2.5):
+        for bN in (0.5, 1.0, 1.2, 2.5, 2 * N, 3 * N):
             b = bN / N
             cell = classify_cell(N, a, b, period_points=256, attach_estimates=False)
             status, lower, upper, method = classify_oracle(N, a, b, period_points=256)
@@ -327,7 +341,9 @@ def test_kernel_callers_pass_ascending_points(monkeypatch):
             for b in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 1.0):
                 classify_cell(N, 0.25 * k, b)
     scanner_calls = len(callers)
-    assert scanner_calls == 4 * 7 * 9
+    # one call per non-painless cell and one per painless (N, a) column, whose bounds
+    # do not depend on b: 112 cells and 28 columns
+    assert scanner_calls == 112 + 28
     rng = np.random.default_rng(7)
     for _ in range(10):
         g, grid, points = random_instance(rng)
@@ -336,6 +352,29 @@ def test_kernel_callers_pass_ascending_points(monkeypatch):
         lic_estimate(g, grid, FreqFunction(-1.0, 0.25, rng.uniform(0.0, 1.0, 12), (-1.0, 2.0)))
     # two bound calls and one per dilation and side of the local-integrability sum
     assert len(callers) > scanner_calls + 20
+
+
+def test_painless_bounds_are_computed_once_per_column(monkeypatch):
+    # b sweeps inside each (N, a) column: its painless cells share one kernel call,
+    # every other cell makes its own, and a column scanned again after another one
+    # is computed again, since the memo holds one column
+    kernel = dilation._overlap_sums
+    shifts = []
+
+    def counted(values_at, dilations, offsets, cell_shifts, *args, **kwargs):
+        shifts.append(len(cell_shifts))
+        return kernel(values_at, dilations, offsets, cell_shifts, *args, **kwargs)
+
+    monkeypatch.setattr(bspline, "_overlap_sums", counted)
+    columns = [(2, 0.5, (0.1, 0.6, 0.2, 1.0, 0.3)), (3, 0.75, (0.3, 0.2, 0.5, 0.1))]
+    for N, a, bs in columns:
+        for b in bs:
+            classify_cell(N, a, b, attach_estimates=False)
+    assert shifts.count(0) == 2 and len(shifts) == 2 + 3
+    N, a, bs = columns[0]
+    classify_cell(N, a, bs[0], attach_estimates=False)
+    classify_cell(N, a, bs[2], attach_estimates=False)
+    assert shifts.count(0) == 3 and len(shifts) == 6
 
 
 @pytest.mark.parametrize("a_values, c_values", [
