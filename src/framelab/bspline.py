@@ -91,6 +91,18 @@ def _piece_table(N: int) -> np.ndarray:
     return table
 
 
+def _check_order(N) -> None:
+    """DomainError unless the order N is an integer, not a bool, of at least 1."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise DomainError(f"order must be a positive integer (got {N!r})")
+
+
+def _point_work(N: int) -> int:
+    """Work charged per value of B_N: the N (N + 1) / 2 entries of the order recurrence's
+    triangle, an upper bound of Horner's N - 1 multiply-adds kept so no refusal moves."""
+    return N * (N + 1) // 2
+
+
 def bspline_eval(N: int, x) -> np.ndarray:
     """B_N at x (vectorized), by Horner's rule on the exact piece polynomials.
 
@@ -102,17 +114,14 @@ def bspline_eval(N: int, x) -> np.ndarray:
     near x = N, out of use.  Finite points outside [0, N) are not evaluated
     and give +0.0; NaN and +-inf give NaN (0.0 for N = 1).
 
-    Each point of [0, N) and each non-finite point is still charged the
-    N (N + 1) / 2 entries of the triangular table of the order recurrence, an
-    upper bound kept so that every refusal stays where it was; the table of
-    the order is charged once more, before it is built.
+    Each point of [0, N) and each non-finite point is charged _point_work(N);
+    the table of the order is charged once more, before it is built.
     """
-    if N < 1:
-        raise DomainError("order must be a positive integer")
+    _check_order(N)
     x = np.asarray(x, dtype=float)
     n_float = _as_float(N, "the order N")
     live = ~(np.isfinite(x) & ((x < 0) | (x >= n_float)))
-    _check_work(int(np.count_nonzero(live)) * (N * (N + 1) // 2), f"B_{N} at {x.size} points")
+    _check_work(int(np.count_nonzero(live)) * _point_work(N), f"B_{N} at {x.size} points")
     out = np.zeros(x.shape)
     if not live.any():  # no table: N may be past any array dimension
         return out
@@ -150,8 +159,7 @@ def bspline_fourier(N: int, gamma) -> np.ndarray:
     Evaluated as (exp(-i pi g) sinc(g))^N, which is exact and stable at the
     removable singularity.
     """
-    if N < 1:
-        raise DomainError("order must be a positive integer")
+    _check_order(N)
     g = np.asarray(gamma, dtype=float)
     return (np.exp(-1j * np.pi * g) * np.sinc(g)) ** N
 
@@ -171,9 +179,10 @@ _SUITE_POINTS = 2048  # interior and partition-of-unity points of property_suite
 
 def property_suite(N: int, tolerance=None) -> AnalysisReport:
     """Support, interior positivity, unit integral, partition of unity."""
+    _check_order(N)
     tol = resolve_tolerance(tolerance)
     # points in the support: interior, partition sums (N + 1 per point), Gauss nodes
-    _check_work((_SUITE_POINTS * (N + 2) + N * max(8, N)) * (N * (N + 1) // 2), f"B_{N}'s property suite")
+    _check_work((_SUITE_POINTS * (N + 2) + N * max(8, N)) * _point_work(N), f"B_{N}'s property suite")
     outside = np.concatenate([
         np.linspace(-2.0, -1e-9, 200),
         np.linspace(N + 1e-9, N + 2.0, 200),
@@ -206,7 +215,8 @@ def property_suite(N: int, tolerance=None) -> AnalysisReport:
 
 def sample_bspline(N: int, step: float = 1.0 / 64) -> SampledWindow:
     """B_N sampled on [0, N] with the given step."""
-    count = _sample_count(N, step) + 1
+    _check_order(N)
+    count = _sample_count(_as_float(N, "the order N"), step) + 1
     x = step * np.arange(count)
     return SampledWindow(0.0, step, bspline_eval(N, x), (0.0, float(N)))
 
@@ -226,9 +236,8 @@ def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
 def _check_cell(N, a, b, period_points):
     """Reject a cell the scanner cannot or should not evaluate, before anything is
     built, and decide its regime: (the shifts k/b of the overlap sum, none in the
-    painless regime b N <= 1, and the grid size, at least 2048 outside it)."""
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise DomainError(f"order must be a positive integer (got {N!r})")
+    painless regime b N <= 1 (exact), and the grid size, at least 2048 outside it)."""
+    _check_order(N)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"lattice steps must be finite (got a={a!r}, b={b!r})")
     if a <= 0 or b <= 0:
@@ -238,11 +247,11 @@ def _check_cell(N, a, b, period_points):
     # spline evaluations of the overlap bounds, in floats; the acceptance grids, the
     # benchmark cells and `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 need < 1.3e7
     try:
-        painless = b * N <= 1 + 1e-12
+        painless = Fraction(b) * N <= 1
         period_points = period_points if painless else max(period_points, 2048)
         shifts = 0 if painless else 2 * (b * N + 2)
         points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
-        work = (N / a + 4) * (1 + shifts) * points * (N * (N + 1) // 2)
+        work = (N / a + 4) * (1 + shifts) * points * _point_work(N)
     except OverflowError:
         work = math.inf
     _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
@@ -384,8 +393,7 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     is reproduced up to the kernel of the (rank-deficient, symmetric-shift)
     design matrix.
     """
-    if N < 1:
-        raise DomainError("order must be a positive integer")
+    _check_order(N)
     limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
     if b <= 0 or b > limit + 1e-12:
         raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
@@ -397,7 +405,7 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     if bf == 0 or abs(float(bf) - b) > 1e-12:
         raise GridError("b must be a rational of denominator at most 10^6 to sample the "
                         "verification grid")
-    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), N * (N + 1) // 2
+    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), _point_work(N)
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1

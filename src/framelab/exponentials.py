@@ -11,6 +11,7 @@ overcomplete families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,8 @@ MAX_DPS = 1000
 
 #: fraction bits beyond mp.prec in the fixed-point eigenvalue kernel
 _GUARD_BITS = 40
+#: Gram entries that _gram_entry keeps: one holds about 700 bytes at MAX_DPS, 4096 under 3 MB
+_GRAM_ENTRIES = 4096
 
 
 class LambdaSet:
@@ -94,18 +97,18 @@ def _check_dps(dps, cubes, what):
     _check_work(cubes * (dps or 15) // 15, what)
 
 
-def lower_bound(lset: LambdaSet, dps: int = None, *, entries: dict = None) -> float:
+def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     """Optimal lower bound on the span: smallest Gram eigenvalue, at least 0.
 
     The Gram matrix is positive semidefinite, so an eigenvalue that rounding
     pushes below zero is clamped to 0.0.  In float64 that happens below the
     resolution of the 2 pi scale (~1e-15); smaller values need dps, the
     decimal digits of extended precision (MIN_DPS to MAX_DPS, else
-    DomainError).  Then each entry 2 sin(pi d)/d is computed once per
-    distinct exact difference d by mpmath at dps digits (mp.prec bits),
-    converted to an integer with P = mp.prec + 40 fraction bits, and the
-    smallest eigenvalue of that integer matrix is found in fixed point by
-    Householder tridiagonalization and a Sturm-certified Newton search
+    DomainError).  Then the Gram matrix is formed in integers with
+    P = mp.prec + 40 fraction bits at dps digits (_fixed_gram: one mpmath
+    evaluation per distinct exact difference and precision in a process),
+    and its smallest eigenvalue is found in fixed point by Householder
+    tridiagonalization and a Sturm-certified Newton search
     (_smallest_eigenvalue).  A frequency set symmetric about its midpoint,
     such as both decay families, has a persymmetric Gram; it is split exactly
     into two half-size blocks first, a quarter of the reduction's work.  The
@@ -114,56 +117,46 @@ def lower_bound(lset: LambdaSet, dps: int = None, *, entries: dict = None) -> fl
     divisions each (about log2(P) + 55 counts where the Newton search fails);
     a matrix with an eigenvalue at most 0 stops at the Sturm count at 0, since
     its clamped answer is then decided.  See README for timings.
-
-    entries is the table of those integer entries (_fixed_gram), empty when
-    None; decay_study passes one dict to every row of a table.
     """
     _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
     if dps is None:
         lo = _spectral_bounds(exp_gram(lset).real).lower
     else:
-        from mpmath import mp
-
-        with mp.workdps(dps):
-            frac_bits = mp.prec + _GUARD_BITS
-            lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits, entries), frac_bits,
-                                      nonnegative=True)
+        from mpmath.libmp import dps_to_prec
+        frac_bits = dps_to_prec(dps) + _GUARD_BITS
+        lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits), frac_bits, nonnegative=True)
     return lo if lo > 0 else 0.0
 
 
-def _fixed_gram(lset: LambdaSet, frac_bits: int, entries=None):
-    """Rows of integers floor(G[j, k] 2^frac_bits), G computed at mp.dps.
+@functools.lru_cache(maxsize=_GRAM_ENTRIES)
+def _gram_entry(frac_bits: int, s: float, err: float) -> int:
+    """floor(2^frac_bits 2 sin(pi d) / d), 2 pi at d = 0: d is the exact s + err, and it and
+    the entry are rounded at frac_bits - _GUARD_BITS bits, whatever the caller's mp.prec."""
+    from mpmath import libmp, mp, mpf, sin
+
+    with mp.workprec(frac_bits - _GUARD_BITS):
+        d = mpf(s) + err
+        return libmp.to_fixed((2 * sin(mp.pi * d) / d if d else 2 * mp.pi)._mpf_, frac_bits)
+
+
+def _fixed_gram(lset: LambdaSet, frac_bits: int):
+    """Rows of integers floor(G[j, k] 2^frac_bits), G at frac_bits - _GUARD_BITS bits.
 
     Negation, sin, products and quotients round sign-symmetrically, so the
-    entry at -d is the entry at d.  Each entry is computed once per distinct
-    exact difference l_j - l_k, keyed by its TwoSum float pair (s, err) with
-    s = fl(l_j - l_k) and err = l_j - l_k - s exactly.  Equal exact
-    differences round to the same d at mp.prec, so every entry equals its
-    own mpmath evaluation.  entries is that table, also keyed by frac_bits
-    (so by mp.prec): a caller may pass one dict to several sets, as a decay
-    table does, and each distinct difference is evaluated once per precision.
+    entry at -d is the entry at d, and one entry serves (j, k) and (k, j).
+    Each is read from _gram_entry, keyed by the precision and by the TwoSum
+    float pair (s, err), s = fl(l_j - l_k) and err = l_j - l_k - s exactly:
+    equal exact differences round to the same d, so every entry equals its
+    own mpmath evaluation, and a difference is evaluated once per precision
+    while it stays in the table.
     """
-    from mpmath import mpf, sin, pi as mp_pi
-    from mpmath.libmp import to_fixed
-
-    if entries is None:
-        entries = {}
-    n = lset.count
     lams = lset.lambdas.tolist()
-    mp_lams = [mpf(x) for x in lams]
-    diagonal = to_fixed((2 * mp_pi)._mpf_, frac_bits)
-    rows = [[diagonal] * n for _ in range(n)]
+    rows = [[_gram_entry(frac_bits, 0.0, 0.0)] * len(lams) for _ in lams]
     for j, x in enumerate(lams):
-        for k in range(j + 1, n):
-            y = lams[k]
+        for k, y in enumerate(lams[j + 1:], j + 1):
             s = x - y
             t = s - x
-            key = (frac_bits, s, (x - (s - t)) - (y + t))
-            entry = entries.get(key)
-            if entry is None:
-                d = mp_lams[j] - mp_lams[k]
-                entry = entries[key] = to_fixed((2 * sin(mp_pi * d) / d)._mpf_, frac_bits)
-            rows[j][k] = rows[k][j] = entry
+            rows[j][k] = rows[k][j] = _gram_entry(frac_bits, s, (x - (s - t)) - (y + t))
     return rows
 
 
@@ -428,8 +421,8 @@ def decay_study(family, n_max: int, dps: int = None):
     family is a name from FAMILIES or a callable N -> frequency sequence.
     The crude estimate is applied with delta clamped to its hypothesis
     (gaps at least delta and delta <= 1).  Each lower bound is lower_bound's
-    at dps; the rows share one table of Gram entries (_fixed_gram), so each
-    distinct exact difference is evaluated once per table.
+    at dps; its Gram entries come from one bounded table per process
+    (_gram_entry), so a difference that several rows share is evaluated once.
     """
     _check_dps(dps, (n_max * (n_max + 1) // 2) ** 2 - 1, f"a decay table to N = {n_max}")
     if n_max < 2:
@@ -442,12 +435,11 @@ def decay_study(family, n_max: int, dps: int = None):
     else:
         rule = lambda N: LambdaSet(family(N))
     rows = []
-    entries = {}  # one Gram entry per distinct difference of the whole table
     for N in range(2, n_max + 1):
         lset = rule(N)
         if lset.count != N:
             raise DomainError("family rule returned the wrong number of frequencies")
-        lo = lower_bound(lset, dps=dps, entries=entries)
+        lo = lower_bound(lset, dps=dps)
         delta = min(1.0, lset.delta)
         crude = crude_bound(N, delta)
         log10_lower = math.log10(lo) if lo > 0 else -math.inf

@@ -27,16 +27,6 @@ from framelab.gabor import GaborSpec, _cycle_length, gabor_frame_bounds
 from oracles import rational_cycle, recursive_bspline, triangular_bspline
 
 
-@pytest.fixture(autouse=True)
-def empty_painless_memo():
-    """Each test starts and ends with an empty memo of painless bounds, so no test reads
-    a column that another one left, computed with _overlap_sums, _scan_grid or _horner
-    replaced."""
-    bspline._painless_bounds.cache_clear()
-    yield
-    bspline._painless_bounds.cache_clear()
-
-
 def overlap_bounds(N, a, b, points):
     """The scanner's overlap bounds of a cell, checked as classify_cell checks it."""
     return _overlap_bounds(N, a, *_check_cell(N, a, b, points))
@@ -229,6 +219,25 @@ def test_painless_cell_explicit_values():
     assert cell.bounds_estimate.lower == pytest.approx(5.0, abs=1e-2)
     assert cell.bounds_estimate.upper == pytest.approx(6.0, abs=1e-2)
     assert "painless" in cell.method
+
+
+def test_painless_regime_is_decided_on_the_exact_product():
+    # b N = 1 + 2^-52 is past the painless regime: the shifts k/b overlap the support
+    cell = classify_cell(2, 0.5, math.nextafter(0.5, 1))
+    assert (cell.status, cell.method) == (STATUS_FRAME, "translation-overlap sufficient condition")
+    assert "painless" in classify_cell(2, 0.5, 0.5).method
+
+
+@pytest.mark.parametrize("N", [True, 2.5, 2.0, 0])
+@pytest.mark.parametrize("entry", [
+    lambda N: classify_cell(N, 0.5, 0.5), lambda N: bspline_eval(N, [0.5]),
+    lambda N: bspline_fourier(N, [0.5]), property_suite, sample_bspline,
+    lambda N: dual_window_solve(N, 0.2),
+], ids=["classify_cell", "bspline_eval", "bspline_fourier", "property_suite",
+        "sample_bspline", "dual_window_solve"])
+def test_every_entry_point_rejects_an_order_that_is_no_positive_integer(entry, N):
+    with pytest.raises(DomainError, match="order must be a positive integer"):
+        entry(N)
 
 
 def test_zero_certificate_at_sparse_translates():
@@ -573,6 +582,8 @@ def test_sample_bspline_window():
 def test_eval_order_past_the_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="too large"):
         bspline_eval(10 ** 400, np.array([-1.0, 0.5]))
+    with pytest.raises(DomainError, match="too large"):
+        sample_bspline(10 ** 400)
     # within the float range but past any array dimension: over the budget at
     # a point of [0, N), zeros without an (N, 0) table elsewhere
     with pytest.raises(DomainError, match="work budget"):

@@ -24,16 +24,6 @@ DATA = ROOT / "tests" / "data"
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def empty_painless_memo():
-    """Each test starts and ends with an empty memo of painless bounds, so no test reads
-    a column that another one left, computed with _overlap_sums, _scan_grid or _horner
-    replaced."""
-    bsp._painless_bounds.cache_clear()
-    yield
-    bsp._painless_bounds.cache_clear()
-
-
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -169,6 +159,18 @@ def test_bspline_scan_csv(capsys):
     assert lines[0] == "a,b,status,A,B,method"
     assert len(lines) == 3
     assert all("frame_certified" in line for line in lines[1:])
+
+
+def test_bspline_scan_past_the_painless_regime_is_not_tight(capsys):
+    # b N = 1 + 2^-52: B_1(x) B_1(x - 1/b) = 1 on [1/b, 1), so the upper bound is not 1/b
+    code, out, _ = run_cli(["bspline", "scan", "--N", "1", "--a-grid", "0.5", "--b-grid",
+                            "1.0000000000000002", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == ("0.5,1.0000000000000002,frame_certified,0.9999999999999998,"
+                                   "2.9999999999999996,translation-overlap sufficient condition")
+    code, out, _ = run_cli(["bspline", "scan", "--N", "1", "--a-grid", "1", "--b-grid", "1",
+                            "--format", "csv"], capsys)
+    assert out.splitlines()[1] == "1.0,1.0,frame_certified,1.0,1.0,painless periodization"
 
 
 def test_bspline_dual_window_cli(capsys):

@@ -360,25 +360,49 @@ def test_one_triangle_update_equals_full_update():
     "half_integer", "integer",
     lambda N: np.cumsum([0.0] + [(0.25, 0.7, 0.45, 1.1)[k % 4] for k in range(N - 1)]),
 ], ids=["half_integer", "integer", "uneven"])
-def test_decay_table_shares_entries_bitwise(family, monkeypatch):
-    # one Gram entry table per decay table, new and empty at its first row;
-    # two precisions in one process, so an entry of one is never read at the other
-    real_gram = exponentials._fixed_gram
-    tables = []
-
-    def recording_gram(lset, frac_bits, entries=None):
-        tables.append((entries, len(entries)))
-        return real_gram(lset, frac_bits, entries)
-
+def test_decay_table_shares_entries_bitwise(family):
+    # rows at two precisions in one process read one entry table: each row equals a
+    # fresh lower_bound, and no entry of one precision is read at the other
     rule = exponentials.FAMILIES.get(family) if isinstance(family, str) else \
         (lambda N: LambdaSet(family(N)))
     for dps in (30, 45):
-        monkeypatch.setattr(exponentials, "_fixed_gram", recording_gram)
         rows = decay_study(family, 16, dps=dps)
-        monkeypatch.undo()
-        assert tables[0][1] == 0 and all(entries is tables[0][0] for entries, _ in tables)
-        tables.clear()
-        assert [r.lower for r in rows] == [lower_bound(rule(N), dps=dps) for N in range(2, 17)]
+        fresh = []
+        for N in range(2, 17):
+            exponentials._gram_entry.cache_clear()
+            fresh.append(lower_bound(rule(N), dps=dps))
+        assert [r.lower for r in rows] == fresh
+
+
+def test_decay_chain_evaluates_each_difference_once(monkeypatch):
+    # the half-integer rows N = 2..30 have 29 distinct differences; one call per row
+    # with its own table evaluated 435 sines
+    import mpmath
+
+    sines = []
+    real_sin = mpmath.sin
+
+    def counted_sin(x):
+        sines.append(x)
+        return real_sin(x)
+
+    monkeypatch.setattr(mpmath, "sin", counted_sin)
+    for N in range(2, 31):
+        lower_bound(half_integer_lambdas(N), dps=60)
+    assert len(sines) == 29
+
+
+def test_gram_entry_ignores_the_callers_precision():
+    # d = -1 + 1e-20 needs about 67 bits: at 53 it would round to -1, where sin vanishes
+    import mpmath
+
+    frac_bits = 100 + exponentials._GUARD_BITS
+    values = set()
+    for dps in (15, 30, 200):
+        exponentials._gram_entry.cache_clear()
+        with mpmath.mp.workdps(dps):
+            values.add(exponentials._gram_entry(frac_bits, -1.0, 1e-20))
+    assert len(values) == 1
 
 
 def mirrored_sets(rng, count):
