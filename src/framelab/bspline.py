@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -43,6 +42,7 @@ from .core import (
     GridError,
     LatticeError,
     _as_float,
+    _check_order,
     _check_work,
     _sample_count,
     resolve_tolerance,
@@ -89,12 +89,6 @@ def _piece_table(N: int) -> np.ndarray:
         table[::-1, j] = [c / fact for c in scaled]
     table.flags.writeable = False
     return table
-
-
-def _check_order(N) -> None:
-    """DomainError unless the order N is an integer, not a bool, of at least 1."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
-        raise DomainError(f"order must be a positive integer (got {N!r})")
 
 
 def _point_work(N: int) -> int:
@@ -160,6 +154,7 @@ def bspline_fourier(N: int, gamma) -> np.ndarray:
     removable singularity.
     """
     _check_order(N)
+    _as_float(N, "the order N")  # past the float range is a DomainError; the power keeps int N
     g = np.asarray(gamma, dtype=float)
     return (np.exp(-1j * np.pi * g) * np.sinc(g)) ** N
 

@@ -184,8 +184,7 @@ def _freq_function(spec: str) -> dil.FreqFunction:
     if spec == "shannon":
         return dil.shannon_wavelet()
     if spec == "zero":
-        base = dil.shannon_wavelet()
-        return dil.FreqFunction(base.start, base.step, np.zeros(base.count), base.band)
+        return dil.freq_indicator(-1.0, 1.0, amplitude=0.0)
     if spec.split(":")[0] == "indicator":
         lo, hi, amp = _spec_params(spec, [None, None, 1.0])
         return dil.freq_indicator(lo, hi, amplitude=amp)
@@ -366,7 +365,7 @@ def _wavepacket_lic(args):
 
 
 def _wavepacket_bessel_probe(args):
-    g = dil.freq_indicator(0.0, 1.0, step=1 / 16, amplitude=args.amplitude)
+    g = dil.freq_indicator(0.0, 1.0, amplitude=args.amplitude)
     rows, report = dil.bessel_divergence_probe(
         g, b=args.b, c_step=args.c_step, ceiling=args.ceiling, rule=args.rule)
     return {"rows": [{"terms": t, "partial_sum": v} for t, v in rows], "report": report}

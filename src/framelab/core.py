@@ -98,6 +98,12 @@ def _as_float(value, what: str) -> float:
         raise DomainError(f"{what} is too large: past the float range") from None
 
 
+def _check_order(N, what: str = "order") -> None:
+    """DomainError unless N is an integer, not a bool, of at least 1."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise DomainError(f"{what} must be a positive integer (got {N!r})")
+
+
 def _sample_count(width: float, step: float) -> int:
     """round(width / step), the samples over width; DomainError if negative or over budget."""
     if width / step < 0:

@@ -1,11 +1,11 @@
 """Dilation-based systems on the frequency side: wavelet and wave-packet checks.
 
-All generators are band-limited functions held as piecewise-constant values
-on a uniform frequency grid (class-D model: bounded, compactly supported on
-the frequency side).  Band limitation is what makes every dilation,
-translation and shift sum below finite, so truncation is exact rather than
-approximate; inputs whose support reaches 0 are rejected where that would
-make infinitely many dilations contribute.
+All generators are band-limited piecewise-constant functions, held by their
+exact pieces (class-D model: bounded, compactly supported on the frequency
+side).  Band limitation is what makes every dilation, translation and shift
+sum below finite, so truncation is exact rather than approximate; inputs
+whose support reaches 0 are rejected where that would make infinitely many
+dilations contribute.
 
 Scale invariance is exploited throughout: the dyadic (resp. a-adic)
 conditions are invariant under gamma -> 2 gamma (resp. a gamma), so
@@ -38,68 +38,66 @@ from .core import (
     DimensionMismatch,
     DomainError,
     FrameBounds,
-    GridError,
     TruncationUnsoundError,
+    _as_float,
     _check_work,
     _decode_pairs,
     _encode_pairs,
     _field,
     _grid_samples,
-    _sample_count,
     _shift_window,
     resolve_tolerance,
 )
 
 
 class FreqFunction:
-    """Band-limited function sampled on a uniform frequency grid.
+    """Band-limited piecewise-constant function on the frequency axis.
 
-    The value on the half-open cell [start + i*step, start + (i+1)*step) is
-    values[i]; outside the grid the function is zero.  The band is an
-    interval containing every nonzero cell.  Half-open indicators aligned to
-    the grid are represented exactly.
+    It is held by its pieces: pieces[i] on [edges[i], edges[i + 1]), zero
+    outside, with the ascending edges every x where the value changes.  The
+    band is an interval holding every nonzero piece.  The constructor takes a
+    uniform grid, values[i] on [start + i*step, start + (i+1)*step), kept as
+    given (the input format), and merges equal neighbouring cells.
     """
 
     def __init__(self, start: float, step: float, values, band):
         self.start, self.step, self.values, self.band = _grid_samples(
             start, step, values, band, True, ("start", "values", "band", "cells"))
+        self._hold(self.start + self.step * np.arange(self.count + 1), self.values)
+
+    def _hold(self, cuts, cells):
+        """Hold the cells [cuts[i], cuts[i + 1]) of value cells[i] by their pieces, read-only."""
+        padded = np.concatenate(([0j], cells, [0j]))
+        change = np.flatnonzero(padded[1:] != padded[:-1])
+        self.edges = cuts[change]
+        self._padded = np.concatenate(([0j], padded[change[:-1] + 1], [0j]))
+        self.pieces = self._padded[1:-1]
+        self.edges.flags.writeable = self._padded.flags.writeable = False
+        return self
 
     @property
     def count(self) -> int:
         return self.values.shape[0]
 
     def is_zero(self) -> bool:
-        return not np.any(np.abs(self.values) > 0)
+        return not self.edges.size
 
     def values_at(self, gamma) -> np.ndarray:
-        """Piecewise-constant evaluation, zero outside the grid."""
-        g = np.asarray(gamma, dtype=float)
-        idx = np.floor((g - self.start) / self.step).astype(int)
-        valid = (idx >= 0) & (idx < self.count)
-        out = np.zeros(g.shape, dtype=complex)
-        out[valid] = self.values[idx[valid]]
-        return out
+        """pieces[i] on [edges[i], edges[i + 1]), zero outside: exact at every float."""
+        return self._padded[np.searchsorted(self.edges, np.asarray(gamma, dtype=float), "right")]
 
     def nonzero_cells(self):
-        """(start, end) of every nonzero cell."""
-        nz = np.nonzero(np.abs(self.values) > 0)[0]
-        starts = self.start + self.step * nz
-        return starts, starts + self.step
+        """(start, end) of every nonzero piece."""
+        nz = np.flatnonzero(self.pieces)
+        return self.edges[nz], self.edges[nz + 1]
 
     def support(self):
-        """[lo, hi) outside which values_at is 0: the nonzero cells and one cell
-        more on each side, which holds every point that the rounding of
-        values_at puts into a nonzero cell, widened further for a grid whose
-        positions round by more than a cell.  (0, 0) for the zero function."""
-        starts, ends = self.nonzero_cells()
-        if not starts.size:
-            return 0.0, 0.0
-        lo, hi = float(starts.min()), float(ends.max())
-        margin = self.step + 1e-12 * (abs(lo) + abs(hi) + abs(self.start))
-        return lo - margin, hi + margin
+        """[edges[0], edges[-1]), outside which values_at is 0; (0, 0) for the zero function."""
+        return (float(self.edges[0]), float(self.edges[-1])) if self.edges.size else (0.0, 0.0)
 
     def scaled(self, factor: complex) -> "FreqFunction":
-        return FreqFunction(self.start, self.step, factor * self.values, self.band)
+        return _bare(self.start, self.step, factor * self.values, self.band)._hold(
+            self.edges, factor * self.pieces)
 
     def to_json_dict(self):
         return {
@@ -117,32 +115,32 @@ class FreqFunction:
         return cls(_field(grid, "start"), _field(grid, "step"), values, _field(data, "band"))
 
 
-DEFAULT_FREQ_STEP = 2.0 ** -10
+def _bare(start, step, values, band) -> FreqFunction:
+    """A FreqFunction of this grid whose pieces _hold sets; only its values are checked."""
+    fn = FreqFunction(0.0, 1.0, values, (0.0, len(values)))
+    fn.start, fn.step, fn.band = start, step, band
+    return fn
 
 
-def freq_indicator(lo: float, hi: float, step: float = DEFAULT_FREQ_STEP,
-                   amplitude: complex = 1.0) -> FreqFunction:
-    """Indicator of [lo, hi), exactly representable when the edges are on-grid."""
-    count = _sample_count(hi - lo, step)
-    if abs(count * step - (hi - lo)) > 1e-12:
-        raise GridError("interval length must be a multiple of the step")
-    return FreqFunction(lo, step, amplitude * np.ones(count), (lo, hi))
+def freq_indicator(lo: float, hi: float, *, amplitude: complex = 1.0) -> FreqFunction:
+    """amplitude times the indicator of [lo, hi), for any finite lo <= hi.
+
+    Its edges are the floats lo and hi, none if lo = hi.  Its grid, which
+    to_json_dict writes, is the one cell at lo of step hi - lo, whose end
+    lo + (hi - lo) can be an ulp off hi.
+    """
+    lo, hi = _as_float(lo, "lo"), _as_float(hi, "hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"an indicator from {lo:g} to {hi:g}, a width of {hi - lo:g}, "
+                          "must be finite and not negative")
+    if lo == hi:
+        return FreqFunction(lo, 1.0, [], (lo, hi))
+    return _bare(lo, hi - lo, [amplitude], (lo, hi))._hold(np.array([lo, hi]), [amplitude])
 
 
-def shannon_wavelet(step: float = DEFAULT_FREQ_STEP) -> FreqFunction:
+def shannon_wavelet() -> FreqFunction:
     """Indicator of [-1, -1/2) union [1/2, 1): the dyadic tiling generator."""
-    if abs(round(0.5 / step) * step - 0.5) > 1e-12:
-        raise GridError("step must divide 1/2 for the exact tiling window")
-    count = int(round(2.0 / step))
-    starts = -1.0 + step * np.arange(count)
-    values = np.where((starts >= -1.0) & (starts < -0.5) | (starts >= 0.5) & (starts < 1.0), 1.0, 0.0)
-    return FreqFunction(-1.0, step, values, (-1.0, 1.0))
-
-
-def _edges(fn: FreqFunction) -> np.ndarray:
-    """Every x where the value of fn changes, zero outside its grid included."""
-    padded = np.concatenate(([0], fn.values, [0]))
-    return fn.start + fn.step * np.flatnonzero(padded[1:] != padded[:-1])
+    return FreqFunction(-1.0, 0.5, [1.0, 0.0, 0.0, 1.0], (-1.0, 1.0))
 
 
 def _breakpoints(edges, scales, offsets) -> np.ndarray:
@@ -342,7 +340,7 @@ def _bound_points(g_hat: FreqFunction, grid: WavePacketGrid, shifts, gamma_grid)
             raise DomainError("gamma_grid must be nonempty and finite (no NaN or Inf)")
         return np.sort(gammas, axis=None), np.ones(gammas.size, dtype=bool), (t_lo, t_hi, margin)
     offsets = np.add.outer(grid.c_values, [0.0, *shifts]).ravel()
-    edges = np.append(_breakpoints(_edges(g_hat), grid.a_values, offsets), (t_lo, t_hi))
+    edges = np.append(_breakpoints(g_hat.edges, grid.a_values, offsets), (t_lo, t_hi))
     gammas, _ = _pieces(edges, [(lo, hi)])
     return gammas, (gammas > t_lo) & (gammas < t_hi), (t_lo, t_hi, margin)
 
@@ -509,7 +507,7 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
             for n in ns:
                 if n:
                     classes.setdefault((a_frac ** j) * n / b_frac, []).append(j)
-    edges = _edges(psi_hat), _edges(psi_tilde_hat)
+    edges = psi_hat.edges, psi_tilde_hat.edges
     points = {alpha: _class_points(*edges, a, c_values, alpha, members, windows)
               for alpha, members in classes.items()}
     # complex values per point, member and offset, on both sides
@@ -637,9 +635,6 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
         return 0.0, AnalysisReport.from_residuals(
             {}, resolve_tolerance(None), notes="zero test function", details={"value": 0.0}
         )
-    starts, ends = f_hat.nonzero_cells()
-    window = [(starts.min(), ends.max())]
-    f_edges, psi_edges = _edges(f_hat), _edges(psi_hat)
     f_support, psi_support = f_hat.support(), psi_hat.support()
     flo, fhi = f_hat.band
     fdiam = fhi - flo
@@ -649,9 +644,9 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
         n_max = _shift_window(grid.b * fdiam / a)
         shifts = [-a * n / grid.b for n in range(-n_max, n_max + 1)]
         # n = 0 puts f_hat's own edges, the edges of its support, among the cuts
-        edges = np.concatenate([_breakpoints(f_edges, [1.0], shifts),
-                                _breakpoints(psi_edges, [a], grid.c_values)])
-        mids, widths = _pieces(edges, window)
+        edges = np.concatenate([_breakpoints(f_hat.edges, [1.0], shifts),
+                                _breakpoints(psi_hat.edges, [a], grid.c_values)])
+        mids, widths = _pieces(edges, [f_support])
         # a complex value per live point
         f_sum, _ = _overlap_sums(f_hat.values_at, [1.0], shifts, [], mids, f_support, cost=2)
         psi_sum, _ = _overlap_sums(psi_hat.values_at, [a], grid.c_values, [], mids, psi_support,

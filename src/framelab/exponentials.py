@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, _check_work, _field, _spectral_bounds
+from .core import DomainError, _check_order, _check_work, _field, _spectral_bounds
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
@@ -378,8 +378,7 @@ def crude_bound(N: int, delta: float) -> CrudeBound:
     prefactor * (delta/2)^(2N+1) / ((N+1)!)^8, evaluated in log space; the
     value field underflows to 0.0 for large N while log10 stays finite.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_order(N, "N")
     if not (0 < delta <= 1):
         raise DomainError(f"the estimate requires 0 < delta <= 1 (got {delta:g})")
     try:
@@ -395,10 +394,12 @@ def crude_bound(N: int, delta: float) -> CrudeBound:
 
 
 def integer_lambdas(N: int) -> LambdaSet:
+    _check_order(N, "N")
     return LambdaSet(np.arange(N, dtype=float))
 
 
 def half_integer_lambdas(N: int) -> LambdaSet:
+    _check_order(N, "N")
     return LambdaSet(0.5 * np.arange(N, dtype=float))
 
 
@@ -424,6 +425,7 @@ def decay_study(family, n_max: int, dps: int = None):
     at dps; its Gram entries come from one bounded table per process
     (_gram_entry), so a difference that several rows share is evaluated once.
     """
+    _check_order(n_max, "n_max")
     _check_dps(dps, (n_max * (n_max + 1) // 2) ** 2 - 1, f"a decay table to N = {n_max}")
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2 (got {n_max})")

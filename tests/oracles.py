@@ -252,3 +252,37 @@ def rational_cycle(N, a, b, resolution=16, max_length=8192):
     if L > max_length:
         raise LatticeError(f"cyclic section too large (L = {L} > {max_length})")
     return M, int(L), int(af * M), int(bf * period)
+
+
+def grid_values_at(fn, gamma):
+    """A FreqFunction read on its grid: values[floor((gamma - start) / step)], zero outside
+    the cells, the reading of values_at before the function was held by its pieces."""
+    g = np.asarray(gamma, dtype=float)
+    idx = np.floor((g - fn.start) / fn.step).astype(int)
+    valid = (idx >= 0) & (idx < fn.count)
+    out = np.zeros(g.shape, dtype=complex)
+    out[valid] = fn.values[idx[valid]]
+    return out
+
+
+def rational_indicator_bounds(lo, hi, a_values, b, c_values, window):
+    """(inf over window, sup) of (diag -+ off) / b for the indicator g of [lo, hi), in exact
+    rationals: diag = sum |g(u)|^2 and off = sum_k |g(u)| |g(u - k/b)| at u = gamma/a - c,
+    over the dilations a, offsets c and shifts k/b != 0 of the band, read at the midpoint of
+    every piece between the dilated and shifted edges.  The floats are taken as given."""
+    lo, hi, b = Fraction(lo), Fraction(hi), Fraction(b)
+    k_max = math.ceil(b * (hi - lo)) + 1
+    shifts = [k / b for k in range(-k_max, k_max + 1) if k]
+    copies = [(Fraction(a), Fraction(c)) for a in a_values for c in c_values]
+    cuts = sorted({a * (x + c + s) for a, c in copies for x in (lo, hi) for s in [0, *shifts]})
+    w_lo, w_hi = Fraction(window[0]), Fraction(window[1])
+    inside = lambda u: lo <= u < hi  # noqa: E731
+    lower, upper = None, Fraction(0)
+    for mid in ((x + y) / 2 for x, y in zip(cuts, cuts[1:])):
+        us = [mid / a - c for a, c in copies]
+        diag = sum(inside(u) for u in us)
+        off = sum(inside(u) and inside(u - s) for u in us for s in shifts)
+        upper = max(upper, (diag + off) / b)
+        if w_lo < mid < w_hi:
+            lower = (diag - off) / b if lower is None else min(lower, (diag - off) / b)
+    return lower, upper

@@ -302,7 +302,7 @@ def test_criterion_08_wave_packet_soundness_and_divergence():
         if bounds.lower > 0:
             sound_ok &= bounds.lower <= ev[0] + 1e-6
 
-    g = freq_indicator(0.0, 1.0, step=1 / 16, amplitude=4.0)
+    g = freq_indicator(0.0, 1.0, amplitude=4.0)
     rows, probe = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e6)
     diverged = probe.residuals["ceiling_not_exceeded"] == 0.0 and rows[-1][1] > 1e6
 

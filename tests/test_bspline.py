@@ -584,6 +584,8 @@ def test_eval_order_past_the_float_range_is_a_domain_error():
         bspline_eval(10 ** 400, np.array([-1.0, 0.5]))
     with pytest.raises(DomainError, match="too large"):
         sample_bspline(10 ** 400)
+    with pytest.raises(DomainError, match="too large"):
+        bspline_fourier(10 ** 400, [0.5])
     # within the float range but past any array dimension: over the budget at
     # a point of [0, N), zeros without an (N, 0) table elsewhere
     with pytest.raises(DomainError, match="work budget"):

@@ -306,7 +306,7 @@ def readme_commands():
 
 def test_readme_examples_are_golden():
     cmds = readme_commands()
-    assert len(cmds) == 8
+    assert len(cmds) == 9
     golden = {case["cmd"] for case in GOLDEN}
     assert [cmd for cmd in cmds if cmd not in golden] == []
 
@@ -379,7 +379,8 @@ def assert_usage_error(argv, capsys, bad):
       "--a", "1", "--b", "1"], "width of -1"),
     (["gabor", "hrt", "--window", "indicator:0:1", "--points", "0,1e300"], "1e+300"),
     (["bspline", "scan", "--N", "2", "--a-grid", "0:1e8:1", "--b-grid", "0.25"], "work budget"),
-    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "work budget"),
+    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "support across 0"),
+    (["wavepacket", "check-dual", "--psi", "indicator:1:1e300"], "work budget"),
     (["wavelet", "check-dual", "--b", "1e300"], "work budget"),
     (["wavelet", "check-dual", "--b", "1e-300"], "must be rational"),
     (["gabor", "sweep", "--L-list", "1e300"], "1e300"),
@@ -433,7 +434,7 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["bspline", "eval", "--N", "1000000", "--x", "0.5"], np, "empty"),
     (["exp", "decay", "--n-max", "100000"], expo, "lower_bound"),
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
-    # 9.7e7 live points: most of the 4002 shifts k/1000 meet the band from every point
+    # 9.65e7 live points: most of the 4002 shifts k/1000 meet the band from every point
     (["wavepacket", "bounds", "--g", "shannon", "--b", "1000"], dil.FreqFunction, "values_at"),
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],

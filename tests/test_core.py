@@ -488,7 +488,7 @@ def test_json_round_trip_and_missing_fields():
 
     rng = np.random.default_rng(0)
     system = VectorSystem(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), label="x")
-    objects = [system, sampled_indicator(0.0, 1.0, 0.25), freq_indicator(1.0, 2.0, 0.25),
+    objects = [system, sampled_indicator(0.0, 1.0, 0.25), freq_indicator(1.0, 2.0),
                LambdaSet([0, 1.5])]
     for obj in objects:
         data = json.loads(json.dumps(obj.to_json_dict()))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from framelab.core import DomainError, TruncationUnsoundError
 from framelab.dilation import (
@@ -16,15 +17,94 @@ from framelab.dilation import (
     wave_packet_frame_bounds,
     wavelet_duality_check,
 )
+from oracles import grid_values_at, rational_indicator_bounds
 
 
 def test_freq_function_cell_semantics():
-    fn = freq_indicator(0.5, 1.0, step=0.25)
+    fn = freq_indicator(0.5, 1.0)
     assert fn.values_at(0.5) == 1.0
     assert fn.values_at(0.999) == 1.0
     assert fn.values_at(1.0) == 0.0
     assert fn.values_at(0.49) == 0.0
     np.testing.assert_allclose(fn.values_at([0.6, 1.2]), [1.0, 0.0])
+
+
+# -- exact pieces ----------------------------------------------------------------
+
+
+def grid_functions():
+    """Grid functions whose cells repeat values, so neighbours merge into pieces; the
+    steps 1/3, 0.1 and 1/2000 are not dyadic."""
+    rng = np.random.default_rng(3)
+    fns = [shannon_wavelet(), freq_indicator(0.5, 1.0), narrow_cell_wavelet_pair()[1]]
+    for step in (1 / 3, 0.1, 2.0 ** -6, 1 / 2000):
+        count = int(rng.integers(4, 400))
+        start = float(rng.uniform(-50.0, 50.0))
+        values = rng.choice([0.0, 0.5, 1.0, 2j], count, p=[0.4, 0.2, 0.2, 0.2])
+        fns.append(FreqFunction(start, step, values, (start, start + step * count)))
+    return fns
+
+
+def test_pieces_read_the_grid_bitwise_at_every_piece_and_cell_midpoint():
+    for fn in grid_functions():
+        pieces = (fn.edges[:-1] + fn.edges[1:]) / 2
+        cells = fn.start + (np.arange(fn.count) + 0.5) * fn.step
+        for points in (pieces, cells):
+            assert fn.values_at(points).tobytes() == grid_values_at(fn, points).tobytes()
+
+
+def test_pieces_are_exact_at_every_edge_and_at_the_float_below_it():
+    for fn in grid_functions():
+        assert np.all(np.diff(fn.edges) > 0) and fn.edges.size == fn.pieces.size + 1
+        held = np.concatenate(([0], fn.pieces, [0]))
+        assert np.all(held[1:] != held[:-1])  # equal neighbouring cells are merged
+        assert fn.values_at(fn.edges).tolist() == held[1:].tolist()
+        assert fn.values_at(np.nextafter(fn.edges, -np.inf)).tolist() == held[:-1].tolist()
+        assert fn.support() == (fn.edges[0], fn.edges[-1])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(finite, finite).map(sorted).filter(lambda pair: pair[0] < pair[1]))
+@example([-0.3, 0.7])
+@example([-849.5002778359652, 533.9330124270582])
+@example([-1.0, 2.0 ** 53 + 2])
+def test_indicator_edges_are_exactly_lo_and_hi(pair):
+    # one cell of step hi - lo ends at lo + (hi - lo), an ulp off hi for about
+    # half of the mixed-sign intervals, and refused for (-1, 2^53 + 2)
+    lo, hi = pair
+    fn = freq_indicator(lo, hi, amplitude=2.5)
+    assert fn.edges.tolist() == [lo, hi] and fn.pieces.tolist() == [2.5]
+    assert fn.support() == (lo, hi) and [x.tolist() for x in fn.nonzero_cells()] == [[lo], [hi]]
+    with np.errstate(over="ignore"):  # below the most negative float is -inf
+        below_lo, below_hi = np.nextafter([lo, hi], -np.inf)
+    assert fn.values_at([below_lo, lo, below_hi, hi]).tolist() == [0.0, 2.5, 2.5, 0.0]
+
+
+def test_empty_and_reversed_indicators():
+    assert freq_indicator(1.0, 1.0).is_zero() and freq_indicator(1.0, 1.0).band == (1.0, 1.0)
+    for lo, hi in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(DomainError, match="must be finite and not negative"):
+            freq_indicator(lo, hi)
+
+
+def test_off_grid_indicator_bounds_match_an_exact_rational_oracle():
+    # `wavepacket bounds --g indicator:1:2.3 --a-values 1,2 --b 0.5 --c-values 0,1`:
+    # 2.3 is on no 2^-k grid
+    g, grid = freq_indicator(1.0, 2.3), WavePacketGrid([1.0, 2.0], 0.5, [0.0, 1.0])
+    bounds, report = wave_packet_frame_bounds(g, grid)
+    window = report.details["inf_window_lo"], report.details["inf_window_hi"]
+    assert (bounds.lower, bounds.upper) == (2.0, 6.0) == rational_indicator_bounds(
+        1.0, 2.3, grid.a_values, grid.b, grid.c_values, window)
+    # three dilations; at b = 2 the shifts k/2 overlap the interval and the lower sum is negative
+    for b, c_values in ((0.5, [0.0, 0.7, 1.9]), (2.0, [0.0, 0.61, 1.37, 2.93]), (0.75, [-0.4, 0.0, 1.37])):
+        grid = WavePacketGrid([1.0, 2.0, 3.0], b, c_values)
+        bounds, report = wave_packet_frame_bounds(g, grid)
+        window = report.details["inf_window_lo"], report.details["inf_window_hi"]
+        lower, upper = rational_indicator_bounds(1.0, 2.3, grid.a_values, b, c_values, window)
+        assert (report.details["lower_raw"], bounds.upper) == (float(lower), float(upper))
 
 
 def test_freq_function_band_validation():
@@ -77,7 +157,7 @@ def test_shifted_sum_violation_detected():
     # b on part of the axis, but the integer-shift class alpha = 1 picks up
     # a product of size 1
     step = 2.0 ** -10
-    psi = freq_indicator(0.5, 1.0, step=step)
+    psi = freq_indicator(0.5, 1.0)
     count = int(round(1.5 / step))
     starts = 0.5 + step * np.arange(count)
     values = np.where((starts < 1.0) | (starts >= 1.5), 1.0, 0.0)
@@ -89,8 +169,7 @@ def test_shifted_sum_violation_detected():
 
 def test_wave_packet_c2_violation_detected():
     # overlapping 1/b-shifted supports with matching values break c2
-    step = 2.0 ** -8
-    psi = freq_indicator(1.0, 3.0, step=step)  # diameter 2 > 1/b = 1
+    psi = freq_indicator(1.0, 3.0)  # diameter 2 > 1/b = 1
     report = wave_packet_duality_check(psi, psi, a=2, b=1.0, c_values=[0.0],
                                        full_check=True)
     assert not report.passed
@@ -100,7 +179,7 @@ def test_wave_packet_c2_violation_detected():
 
 
 def test_wave_packet_single_dilation_tight():
-    g = freq_indicator(0.0, 1.0, step=1 / 256)
+    g = freq_indicator(0.0, 1.0)
     offsets = list(range(-8, 9))
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=offsets)
     B, rep_b = wave_packet_bessel_bound(g, grid)
@@ -119,7 +198,7 @@ def test_wave_packet_zero_window():
 
 
 def test_wave_packet_spectral_gap_inconclusive():
-    g = freq_indicator(0.0, 1.0, step=1 / 64)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, 2.0])
     bounds, rep = wave_packet_frame_bounds(g, grid)
     assert bounds.lower == 0.0
@@ -155,7 +234,7 @@ def test_wave_packet_bessel_soundness_against_spectral_estimate():
 
 
 def test_wave_packet_duality_c2_vacuous_when_bands_small():
-    psi = freq_indicator(1.0, 1.5, step=1 / 64)
+    psi = freq_indicator(1.0, 1.5)
     report = wave_packet_duality_check(psi, psi.scaled(0.5), a=2, b=1.0, c_values=[0.0],
                                        full_check=False)
     assert report.residuals["c2"] == 0.0
@@ -180,7 +259,7 @@ def test_wave_packet_duality_matches_wavelet_for_shannon():
 
 def test_wave_packet_duality_rational_string_dilation():
     # "5/2" is the rational 5/2 of the exact class grouping, the float 2.5 elsewhere
-    psi = freq_indicator(1.0, 2.5, step=1 / 64)
+    psi = freq_indicator(1.0, 2.5)
     as_string = wave_packet_duality_check(psi, psi, a="5/2", b=1.0, c_values=[0.0])
     as_float = wave_packet_duality_check(psi, psi, a=2.5, b=1.0, c_values=[0.0])
     assert as_string == as_float
@@ -241,7 +320,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
 
 
 def test_lic_zero_generator():
-    f = freq_indicator(0.5, 1.5, step=1 / 64)
+    f = freq_indicator(0.5, 1.5)
     zero = FreqFunction(0.0, 0.5, np.zeros(2), (0.0, 1.0))
     grid = WavePacketGrid(a_values=[1.0, 2.0], b=1.0, c_values=[0.0, 1.0])
     value, report = lic_estimate(zero, grid, f)
@@ -249,8 +328,8 @@ def test_lic_zero_generator():
 
 
 def test_lic_disjoint_supports():
-    f = freq_indicator(10.0, 11.0, step=1 / 64)
-    psi = freq_indicator(1.0, 2.0, step=1 / 64)
+    f = freq_indicator(10.0, 11.0)
+    psi = freq_indicator(1.0, 2.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0])
     value, _ = lic_estimate(psi, grid, f)
     assert value == 0.0
@@ -258,8 +337,8 @@ def test_lic_disjoint_supports():
 
 def test_lic_single_dilation_matches_direct_quadrature():
     step = 1 / 128
-    f = freq_indicator(0.5, 1.5, step=step)
-    psi = freq_indicator(0.25, 1.25, step=step)
+    f = freq_indicator(0.5, 1.5)
+    psi = freq_indicator(0.25, 1.25)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, 1.0])
     value, report = lic_estimate(psi, grid, f)
 
@@ -277,18 +356,18 @@ def test_lic_single_dilation_matches_direct_quadrature():
 
 @pytest.mark.parametrize("b, expected", [(1.0, 1 / 32), (2.0, 1 / 16)])
 def test_lic_integrates_exactly_below_the_test_function_cells(b, expected):
-    # psi_hat lives inside the first 1/16 cell of f_hat, off every cell centre:
-    # the midpoint rule on f_hat's cells read 0.0.  At b = 2 the shift n = 1
-    # adds |f_hat(g + 1/2)|^2 = 1 on [0, 1/2) as well
-    f = freq_indicator(0.0, 1.0, step=1 / 16)
-    psi = freq_indicator(0.0, 1 / 32, step=1 / 1024)
+    # psi_hat lives on [0, 1/32), inside f_hat's one piece [0, 1) and off its
+    # centre: a midpoint rule on f_hat's pieces reads 0.0.  At b = 2 the shift
+    # n = 1 adds |f_hat(g + 1/2)|^2 = 1 on [0, 1/2) as well
+    f = freq_indicator(0.0, 1.0)
+    psi = freq_indicator(0.0, 1 / 32)
     value, report = lic_estimate(psi, WavePacketGrid(a_values=[1.0], b=b, c_values=[0.0]), f)
     assert value == expected
     assert report.details["value"] == expected
 
 
 def test_divergence_probe_exceeds_ceiling():
-    g = freq_indicator(0.0, 1.0, step=1 / 16, amplitude=4.0)
+    g = freq_indicator(0.0, 1.0, amplitude=4.0)
     rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e6)
     assert report.residuals["ceiling_not_exceeded"] == 0.0
     partials = [p for _, p in rows]
@@ -297,7 +376,7 @@ def test_divergence_probe_exceeds_ceiling():
 
 
 def test_divergence_probe_monotone_growth():
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e9,
                                            block=2048, max_terms=8192)
     assert report.residuals["ceiling_not_exceeded"] == 1.0  # not reached in 8192 terms
@@ -308,7 +387,7 @@ def test_divergence_probe_monotone_growth():
 def test_divergence_flag_in_bessel_bound():
     # dyadic dilations with wide covering offsets blow past a small ceiling:
     # all ten dilations cover gamma < 200/512, where the diagonal sum is 1000
-    g = freq_indicator(0.0, 1.0, step=1 / 16, amplitude=10.0)
+    g = freq_indicator(0.0, 1.0, amplitude=10.0)
     grid = WavePacketGrid(
         a_values=[2.0 ** -j for j in range(10)],
         b=1.0,
@@ -338,7 +417,7 @@ def test_overflow_on_inf_grid_only_reports_bessel_violated():
 
 
 def test_empty_gamma_grid_is_domain_error():
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0])
     for bound in (wave_packet_frame_bounds, wave_packet_bessel_bound):
         with pytest.raises(DomainError, match="gamma_grid"):
@@ -347,7 +426,7 @@ def test_empty_gamma_grid_is_domain_error():
 
 @pytest.mark.parametrize("ceiling", [math.nan, 0.0, -1.0, -math.inf])
 def test_ceiling_must_be_positive(ceiling):
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0])
     with pytest.raises(DomainError, match="ceiling"):
         wave_packet_frame_bounds(g, grid, ceiling=ceiling)
@@ -358,7 +437,7 @@ def test_ceiling_must_be_positive(ceiling):
 
 
 def test_infinite_ceiling_allowed():
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=list(range(-8, 9)))
     bounds, _ = wave_packet_frame_bounds(g, grid, ceiling=math.inf)
     assert bounds.lower == pytest.approx(1.0, abs=1e-12)
@@ -387,7 +466,7 @@ def test_overlap_sums_read_pieces_narrower_than_a_grid():
     # the offset -1.00005 leaves the diagonal sum 0 on [-5e-5, 0), inside the
     # inf window, and 2 on [-1.00005, -1): the system is no frame certificate
     # and its Bessel bound is 2
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=[-3, -2, -1.00005, 0, 1, 2])
     bounds, report = wave_packet_frame_bounds(g, grid)
     assert (bounds.lower, bounds.upper) == (0.0, 2.0)
@@ -424,7 +503,7 @@ def test_duality_checks_read_a_narrow_dilated_cell():
 def test_c2_reads_a_narrow_partner_cell():
     # psit is 1 only on [2 + 3 * 2^-10, 2 + 4 * 2^-10), so psi(g) psit(g + 1)
     # is 1 on a piece narrower than every cell of psi
-    psi = freq_indicator(1.0, 2.0, step=1 / 16)
+    psi = freq_indicator(1.0, 2.0)
     values = np.zeros(8)
     values[3] = 1.0
     partner = FreqFunction(2.0, 2.0 ** -10, values, (2.0, 2.0 + 8 * 2.0 ** -10))
@@ -436,7 +515,7 @@ def test_c2_reads_a_narrow_partner_cell():
 def test_bounds_on_a_given_grid_are_samples():
     # a minimum over the caller's points proves nothing: same numbers, verdict
     # undecided
-    g = freq_indicator(0.0, 1.0, step=1 / 16)
+    g = freq_indicator(0.0, 1.0)
     grid = WavePacketGrid(a_values=[1.0], b=1.0, c_values=list(range(-8, 9)))
     bounds, report = wave_packet_frame_bounds(g, grid, gamma_grid=[0.25, 0.5])
     assert (bounds.lower, bounds.upper) == (1.0, 1.0)
@@ -454,9 +533,9 @@ def test_bounds_on_a_given_grid_are_samples():
     lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[math.nan]),
     lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[0.0, -math.inf]),
     lambda: WavePacketGrid(a_values=[1.0], b=1.0, c_values=[]),
-    lambda: wave_packet_frame_bounds(freq_indicator(0.0, 1.0, step=1 / 16),
+    lambda: wave_packet_frame_bounds(freq_indicator(0.0, 1.0),
                                      WavePacketGrid([1.0], 1.0, [0.0]), gamma_grid=[0.5, math.nan]),
-    lambda: wave_packet_bessel_bound(freq_indicator(0.0, 1.0, step=1 / 16),
+    lambda: wave_packet_bessel_bound(freq_indicator(0.0, 1.0),
                                      WavePacketGrid([1.0], 1.0, [0.0]), gamma_grid=[math.inf]),
     lambda: wave_packet_duality_check(shannon_wavelet(), shannon_wavelet(), a=2, b=1.0,
                                       c_values=[0.0, math.nan]),

@@ -23,7 +23,6 @@ from framelab.dilation import (
     _adic_j_window,
     _as_fraction,
     _class_points,
-    _edges,
     _pieces,
     freq_indicator,
     shannon_wavelet,
@@ -60,7 +59,7 @@ def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0):
         js = range(int(math.floor(math.log2(m))) - 1, int(math.ceil(math.log2(M))) + 2)
 
     # the oracle's 2^j gamma is the library's a^-j gamma: its j are negated
-    edges = _edges(psi_hat), _edges(psi_tilde_hat)
+    edges = psi_hat.edges, psi_tilde_hat.edges
     gammas = _class_points(*edges, 2, [0.0], 0, [-j for j in js])
     total = np.zeros(gammas.shape, dtype=complex)
     for j in js:
@@ -94,7 +93,7 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
     residuals, details = {}, {}
 
-    edges = _edges(psi_hat), _edges(psi_tilde_hat)
+    edges = psi_hat.edges, psi_tilde_hat.edges
     gammas = _class_points(*edges, a, c_values, 0, js)
     total = np.zeros(gammas.shape, dtype=complex)
     for j in js:
@@ -157,7 +156,7 @@ def shifted_copy_pair():
     count = int(round(1.5 / step))
     starts = 0.5 + step * np.arange(count)
     values = np.where((starts < 1.0) | (starts >= 1.5), 1.0, 0.0)
-    return freq_indicator(0.5, 1.0, step=step), FreqFunction(0.5, step, values, (0.5, 2.0))
+    return freq_indicator(0.5, 1.0), FreqFunction(0.5, step, values, (0.5, 2.0))
 
 
 def random_band_function(rng, step=2.0 ** -6):
@@ -268,8 +267,7 @@ def wave_packet_cases():
         (psi, zero_like(psi), 2, 1.0, [0.0]),
         (psi, psi.scaled(2.0), 2, 2.0, [0.0]),
         (freq_indicator(1.0, 2.0), freq_indicator(1.0, 2.0), 2, 1.0, [0.0, 1.0]),
-        (freq_indicator(1.0, 3.0, step=2.0 ** -8), freq_indicator(1.0, 3.0, step=2.0 ** -8),
-         2, 1.0, [0.0]),
+        (freq_indicator(1.0, 3.0), freq_indicator(1.0, 3.0), 2, 1.0, [0.0]),
     ]
     rng = np.random.default_rng(11)
     for (psi_r, psit_r), (a, b, c_values) in zip(

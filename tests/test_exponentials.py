@@ -611,3 +611,13 @@ def test_low_precision_dps_rejected():
 def test_crude_bound_past_the_float_range_is_a_domain_error(N):
     with pytest.raises(DomainError, match="too large"):
         crude_bound(N, 0.5)
+
+
+@pytest.mark.parametrize("N", [True, 2.5, 2.0, 0])
+@pytest.mark.parametrize("entry", [
+    lambda N: crude_bound(N, 0.5), integer_lambdas, half_integer_lambdas,
+    lambda N: decay_study("integer", N),
+], ids=["crude_bound", "integer_lambdas", "half_integer_lambdas", "decay_study"])
+def test_every_entry_point_rejects_a_size_that_is_no_positive_integer(entry, N):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        entry(N)

@@ -451,7 +451,7 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     assert bits(*np.concatenate(sums)) == bits(*np.concatenate(expected))
 
     # lic_estimate passes the same cost: a test function of 4000 cells, whose
-    # first kernel call (110223 live points) is charged more than the shift
+    # first kernel call (110165 live points) is charged more than the shift
     # window and the breakpoints before it, is refused by the kernel
     monkeypatch.undo()
     rng = np.random.default_rng(29)
@@ -460,9 +460,9 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     lic_grid = WavePacketGrid([1.0], 3.0, [-1.0, 0.0, 1.5])
     value, _ = lic_estimate(psi, lic_grid, f)
     assert value.hex() == "0x1.098504d001d5fp+4"  # where the work is charged moves no bit
-    monkeypatch.setattr(core, "MAX_WORK", 2 * 110223 - 1)
+    monkeypatch.setattr(core, "MAX_WORK", 2 * 110165 - 1)
     monkeypatch.setattr(FreqFunction, "values_at", refused)
-    with pytest.raises(DomainError, match="110223 live points"):
+    with pytest.raises(DomainError, match="110165 live points"):
         lic_estimate(psi, lic_grid, f)
 
 
