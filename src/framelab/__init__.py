@@ -34,7 +34,7 @@ from .core import (
     synthesis,
 )
 from .rdual import NSequence, OrthonormalPair, RDualReport, n_sequence, r_dual, \
-    r_dual_inverse_check, verify_dual_pair_biorthogonality, verify_rdual_theorem
+    verify_dual_pair_biorthogonality, verify_rdual_theorem
 from .extension import extend_to_dual_pair, verify_extension
 from .gabor import (
     GaborSpec,

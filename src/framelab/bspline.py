@@ -281,27 +281,26 @@ def _painless_bounds(N: int, a: float, period_points: int):
     return _overlap_bounds(N, a, [], period_points)
 
 
-def finite_section_bounds(N: int, a: float, b: float, resolution: int = 16,
-                          max_length: int = 8192):
+def finite_section_bounds(N: int, a: float, b: float):
     """Spectral bounds of an exact cyclic section of the lattice system.
 
-    Rational (a, b) are realized on a cyclic grid: sampling density M with
-    a M and M/b integral, and the cycle of gabor._cycle_length, the shortest
-    on which b is an integral frequency step, that holds the support [0, N]
-    and one sample more.  The returned bounds are the extreme eigenvalues of
-    the cyclic frame operator times the step 1/M, i.e. continuous
-    normalization.
+    Rational (a, b) are realized on a cyclic grid: the least sampling density
+    M >= 16 with a M and M/b integral, and the cycle of gabor._cycle_length,
+    the shortest on which b is an integral frequency step, that holds the
+    support [0, N] and one sample more, up to 8192 samples (else
+    LatticeError).  The returned bounds are the extreme eigenvalues of the
+    cyclic frame operator times the step 1/M, i.e. continuous normalization.
     """
     af = Fraction(a).limit_denominator(4096)
     bf = Fraction(b).limit_denominator(4096)
     if abs(float(af) - a) > 1e-9 or abs(float(bf) - b) > 1e-9:
         raise GridError("finite sections need rational lattice parameters")
     M0 = math.lcm(af.denominator, bf.numerator)
-    M = M0 * max(1, math.ceil(resolution / M0))
+    M = M0 * max(1, math.ceil(16 / M0))
     a_int = int(af * M)
     L = _cycle_length(a_int, b, 1 / M, M * (N + 1))
-    if L > max_length:
-        raise LatticeError(f"cyclic section too large (L = {L} > {max_length})")
+    if L > 8192:
+        raise LatticeError(f"cyclic section too large (L = {L} > 8192)")
     fb = gabor_frame_bounds(GaborSpec(L, a_int, round(b * L / M), bspline_eval(N, np.arange(L) / M)))
     return FrameBounds(fb.lower / M, fb.upper / M)
 
@@ -390,7 +389,7 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     """
     _check_order(N)
     limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
-    if b <= 0 or b > limit + 1e-12:
+    if not 0 < b <= limit + 1e-12:
         raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
     tolerance = 1e-8 if tolerance is None else resolve_tolerance(tolerance)
     K = shift_range if shift_range is not None else max(N - 1, 0)

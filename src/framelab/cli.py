@@ -433,8 +433,8 @@ WAVE_PACKET_GRID = (
 )
 ORDER = _required("--N", type=int)
 LAMBDAS = (_opt("--lambdas", type=_float_list, default=None), _opt("--file", default=None))
-DPS = _opt("--dps", type=int, default=None,
-           help=f"extended-precision digits, {expo.MIN_DPS} to {expo.MAX_DPS} (default: float64)")
+DPS = _opt("--dps", type=int, default=expo.DEFAULT_DPS,
+           help=f"extended-precision digits, {expo.MIN_DPS} to {expo.MAX_DPS} (default: {expo.DEFAULT_DPS})")
 
 
 class Command(NamedTuple):

@@ -100,11 +100,21 @@ class FreqFunction:
             self.edges, factor * self.pieces)
 
     def to_json_dict(self):
-        return {
+        """The grid form; DomainError unless it reads back with exactly these edges, which
+        an indicator whose lo + (hi - lo) misses hi, or overflows, does not."""
+        data = {
             "grid": {"start": self.start, "step": self.step, "count": self.count},
             "values": _encode_pairs(self.values),
             "band": [self.band[0], self.band[1]],
         }
+        try:
+            exact = np.array_equal(FreqFunction.from_json_dict(data).edges, self.edges)
+        except DomainError:
+            exact = False
+        if not exact:
+            raise DomainError(f"the grid at {self.start!r} of step {self.step!r} does not "
+                              "read back with this function's edges")
+        return data
 
     @classmethod
     def from_json_dict(cls, data):
@@ -127,7 +137,7 @@ def freq_indicator(lo: float, hi: float, *, amplitude: complex = 1.0) -> FreqFun
 
     Its edges are the floats lo and hi, none if lo = hi.  Its grid, which
     to_json_dict writes, is the one cell at lo of step hi - lo, whose end
-    lo + (hi - lo) can be an ulp off hi.
+    lo + (hi - lo) can be an ulp off hi: to_json_dict refuses it then.
     """
     lo, hi = _as_float(lo, "lo"), _as_float(hi, "hi")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -665,30 +675,30 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
 
 
 def bessel_divergence_probe(g_hat: FreqFunction, b: float, c_step: float,
-                            gamma: float = 0.75, ceiling: float = 1e6,
-                            rule: str = "inverse_linear", block: int = 4096,
-                            max_terms: int = 10 ** 7):
+                            ceiling: float = 1e6, rule: str = "inverse_linear"):
     """Partial translation-overlap sums under covering offsets, until a ceiling.
 
     Models the obstruction hypotheses: |g| bounded below on an interval, the
     offsets c_m = m * c_step covering the line, and a dilation family bounded
     above on an infinite index set (a_j = 1/(1+j), or 2^-j with "dyadic").
-    The diagonal partial sums at a fixed gamma are then monotone increasing
-    and unbounded; rows of (J, partial sum) are returned together with the
-    first J exceeding the ceiling.
+    The diagonal partial sums at gamma = 0.75 are then monotone increasing
+    and unbounded; rows of (J, partial sum), one per 4096 dilations, are
+    returned together with the first J exceeding the ceiling.  The probe
+    gives up after the block that passes 10^7 dilations.
     """
     if rule not in ("inverse_linear", "dyadic"):
         raise DomainError("rule must be 'inverse_linear' or 'dyadic'")
-    if c_step <= 0 or b <= 0:
-        raise DomainError("b and c_step must be positive")
+    if not (0 < c_step < math.inf and 0 < b < math.inf):
+        raise DomainError(f"b and c_step must be positive and finite (got {b!r} and {c_step!r})")
     _check_ceiling(ceiling)
+    gamma, block = 0.75, 4096
     lo_b, hi_b = g_hat.band
     offsets = np.arange(0, _shift_window((hi_b - lo_b) / c_step) + 1)
     rows = []
     total = 0.0
     exceeded_at = None
     j0 = 0
-    while j0 < max_terms:
+    while j0 < 10 ** 7:
         j = np.arange(j0, j0 + block)
         if rule == "inverse_linear":
             u = gamma * (1.0 + j)

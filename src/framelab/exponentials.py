@@ -2,11 +2,10 @@
 
 The Gram matrix has the closed form G[j, k] = 2 sin(pi (l_j - l_k)) /
 (l_j - l_k) with diagonal 2 pi, so the optimal lower bound of the system
-as a frame for its span is an exact eigenvalue computation.  The crude
-factorial lower-bound formula is evaluated in log space; for the decay
-tables the eigenvalue can optionally be computed in extended precision,
-since the float64 floor (~1e-15 relative) is reached long before N = 40 on
-overcomplete families.
+as a frame for its span is an exact eigenvalue computation, always made in
+extended precision: float64 loses it below about 1e-15 of the 2 pi scale,
+long before N = 40 on overcomplete families.  The crude factorial
+lower-bound estimate is evaluated in log space.
 """
 
 from __future__ import annotations
@@ -20,12 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, _check_order, _check_work, _field, _spectral_bounds
+from .core import DomainError, _check_order, _check_work, _field
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
 CRUDE_FACTORIAL_POWER = 8
 
+#: decimal digits of lower_bound and decay_study: both decay families are exact to N = 62
+DEFAULT_DPS = 60
 #: fewest decimal digits accepted for extended precision (mpmath's default);
 #: below it the eigenvalue is wrong, e.g. dps=1 gives 2.34 for 2 pi - 4
 MIN_DPS = 15
@@ -92,19 +93,17 @@ def exp_gram(lset: LambdaSet) -> np.ndarray:
 
 
 def _check_dps(dps, cubes, what):
-    if dps is not None and not MIN_DPS <= dps <= MAX_DPS:
+    _check_order(dps, "dps")
+    if not MIN_DPS <= dps <= MAX_DPS:
         raise DomainError(f"dps must be between {MIN_DPS} and {MAX_DPS} (got {dps})")
-    _check_work(cubes * (dps or 15) // 15, what)
+    _check_work(cubes * dps // 15, what)
 
 
-def lower_bound(lset: LambdaSet, dps: int = None) -> float:
+def lower_bound(lset: LambdaSet, dps: int = DEFAULT_DPS) -> float:
     """Optimal lower bound on the span: smallest Gram eigenvalue, at least 0.
 
-    The Gram matrix is positive semidefinite, so an eigenvalue that rounding
-    pushes below zero is clamped to 0.0.  In float64 that happens below the
-    resolution of the 2 pi scale (~1e-15); smaller values need dps, the
-    decimal digits of extended precision (MIN_DPS to MAX_DPS, else
-    DomainError).  Then the Gram matrix is formed in integers with
+    dps is the decimal digits of extended precision, an integer from MIN_DPS
+    to MAX_DPS (else DomainError).  The Gram matrix is formed in integers with
     P = mp.prec + 40 fraction bits at dps digits (_fixed_gram: one mpmath
     evaluation per distinct exact difference and precision in a process),
     and its smallest eigenvalue is found in fixed point by Householder
@@ -114,18 +113,15 @@ def lower_bound(lset: LambdaSet, dps: int = None) -> float:
     into two half-size blocks first, a quarter of the reduction's work.  The
     cost is O(N^3) products of P-bit integers for the reduction and, for a
     positive definite matrix, a few Newton steps and Sturm counts of N
-    divisions each (about log2(P) + 55 counts where the Newton search fails);
-    a matrix with an eigenvalue at most 0 stops at the Sturm count at 0, since
-    its clamped answer is then decided.  See README for timings.
+    divisions each (about log2(P) + 55 counts where the Newton search fails).
+    The Gram matrix is positive semidefinite, so an eigenvalue that rounding
+    leaves at most 0 is clamped to 0.0, decided by the Sturm count at 0.  See
+    README for timings.
     """
     _check_dps(dps, lset.count ** 3, f"the smallest eigenvalue of {lset.count} frequencies")
-    if dps is None:
-        lo = _spectral_bounds(exp_gram(lset).real).lower
-    else:
-        from mpmath.libmp import dps_to_prec
-        frac_bits = dps_to_prec(dps) + _GUARD_BITS
-        lo = _smallest_eigenvalue(_fixed_gram(lset, frac_bits), frac_bits, nonnegative=True)
-    return lo if lo > 0 else 0.0
+    from mpmath.libmp import dps_to_prec
+    frac_bits = dps_to_prec(dps) + _GUARD_BITS
+    return _smallest_eigenvalue(_fixed_gram(lset, frac_bits), frac_bits, nonnegative=True)
 
 
 @functools.lru_cache(maxsize=_GRAM_ENTRIES)
@@ -416,7 +412,7 @@ class DecayRow:
     log10_crude: float
 
 
-def decay_study(family, n_max: int, dps: int = None):
+def decay_study(family, n_max: int, dps: int = DEFAULT_DPS):
     """Table of (N, optimal lower bound, crude estimate, ratio) for N = 2..n_max.
 
     family is a name from FAMILIES or a callable N -> frequency sequence.

@@ -434,6 +434,8 @@ def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float, L:
     Returns (g2, h2) as SampledWindows on the cyclic grid; the union systems
     on that lattice pass the dual-pair check exactly.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"a and b must be finite (got a={a:g}, b={b:g})")
     if abs(g1.step - h1.step) > 1e-15:
         raise GridError("both windows must share the same sampling step")
     step = g1.step
@@ -501,6 +503,8 @@ def hrt_independence(g: SampledWindow, points, tolerance=None) -> AnalysisReport
     points = [p if isinstance(p, TFPoint) else TFPoint(*p) for p in points]
     if not points:
         raise DomainError("need at least one time-frequency point")
+    if not all(math.isfinite(p.lam) and math.isfinite(p.mu) for p in points):
+        raise DomainError("time-frequency points must be finite (no NaN or Inf)")
     if len({(p.lam, p.mu) for p in points}) != len(points):
         raise DomainError("time-frequency points must be distinct")
     if not np.any(np.abs(g.samples) > 0):

@@ -122,20 +122,6 @@ def r_dual(f_system: VectorSystem, pair: OrthonormalPair) -> VectorSystem:
     return VectorSystem(omega, label=f"r-dual of {f_system.label}" if f_system.label else "r-dual")
 
 
-def r_dual_inverse_check(f_system: VectorSystem, omega_system: VectorSystem,
-                         pair: OrthonormalPair, tolerance=None) -> AnalysisReport:
-    """Residual of the inversion formula f_i = sum_j <omega_j, h_i> e_j."""
-    tol = resolve_tolerance(tolerance)
-    if f_system.count != pair.dim or omega_system.count != pair.dim:
-        raise DimensionMismatch("both families must have exactly N members")
-    rebuilt = r_dual(omega_system, pair.swapped())
-    residual = float(np.linalg.norm(f_system.vectors - rebuilt.vectors, axis=1).max())
-    return AnalysisReport.from_residuals(
-        {"inversion": residual}, tol,
-        notes="max_i ||f_i - sum_j <omega_j, h_i> e_j||",
-    )
-
-
 def verify_rdual_theorem(f_system: VectorSystem, pair: OrthonormalPair) -> RDualReport:
     """Bound transfer: frame bounds of f equal Riesz bounds of its R-dual.
 

@@ -457,7 +457,7 @@ def test_scan_order_moves_no_bit():
 
 def test_finite_section_matches_painless_on_aligned_grids():
     for (a, b) in ((0.5, 0.25), (1.0, 0.5), (0.5, 0.5)):
-        est = finite_section_bounds(2, a, b, resolution=16)
+        est = finite_section_bounds(2, a, b)
         aligned_points = int(round(a * 16))
         inf_, sup_, slack = overlap_bounds(2, a, b, aligned_points)
         assert inf_ / b <= est.lower + 1e-9
@@ -500,7 +500,7 @@ def test_scanner_soundness_certificates_sandwich_finite_section():
     for (a, b) in ((0.5, 0.25), (1.0, 0.25), (0.75, 0.25), (1.0, 0.5)):
         cell = classify_cell(2, a, b)
         assert cell.status == STATUS_FRAME
-        est = finite_section_bounds(2, a, b, resolution=32)
+        est = finite_section_bounds(2, a, b)
         assert cell.bounds_estimate.lower <= est.lower + 1e-9
         assert cell.bounds_estimate.upper >= est.upper - 1e-9
 

@@ -433,6 +433,9 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["bspline", "props", "--N", "2000"], bsp, "bspline_eval"),
     (["bspline", "eval", "--N", "1000000", "--x", "0.5"], np, "empty"),
     (["exp", "decay", "--n-max", "100000"], expo, "lower_bound"),
+    # a 60-digit integer, the default, is charged 4 units: N = 100 and 293 frequencies
+    (["exp", "decay", "--n-max", "100"], expo, "lower_bound"),
+    (["exp", "bound", "--lambdas", ",".join(map(str, range(293)))], expo, "_fixed_gram"),
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
     # 9.65e7 live points: most of the 4002 shifts k/1000 meet the band from every point
     (["wavepacket", "bounds", "--g", "shannon", "--b", "1000"], dil.FreqFunction, "values_at"),
@@ -478,6 +481,8 @@ class Reached(Exception):
     (["bspline", "props", "--N", "24"], bsp, "bspline_eval"),
     (["bspline", "props", "--N", "40"], bsp, "bspline_eval"),
     (["exp", "decay", "--n-max", "40", "--dps", "60"], expo, "lower_bound"),
+    (["exp", "decay", "--n-max", "99"], expo, "lower_bound"),
+    (["exp", "bound", "--lambdas", ",".join(map(str, range(292)))], expo, "_fixed_gram"),
     (["exp", "decay", "--n-max", "40", "--dps", "1000"], expo, "lower_bound"),
     (["gabor", "sweep", "--L-list", "48,64", "--windows", "2"], cli, "_sweep_task"),
     (["bspline", "scan", "--N", "4", "--a-grid", "0.1:3.9:0.1", "--b-grid", "0.05:0.5:0.025"],

@@ -523,3 +523,35 @@ def test_resolve_tolerance_sources(monkeypatch):
     monkeypatch.setenv("FRAMELAB_TOLERANCE", "1e-7")
     assert resolve_tolerance() == 1e-7
     assert resolve_tolerance(1e-3) == 1e-3
+
+
+def _library_calls_with_nan_or_inf():
+    from framelab.bspline import dual_window_solve
+    from framelab.dilation import bessel_divergence_probe, freq_indicator
+    from framelab.gabor import gabor_extension, hrt_independence, sampled_indicator
+
+    g, w = freq_indicator(0.0, 1.0), sampled_indicator(0.0, 1.0, 0.25)
+    calls = {}
+    for bad in (math.nan, math.inf):
+        calls.update({
+            f"bessel_divergence_probe b={bad}": lambda bad=bad: bessel_divergence_probe(g, bad, 1.0),
+            f"bessel_divergence_probe c_step={bad}":
+                lambda bad=bad: bessel_divergence_probe(g, 1.0, bad),
+            f"dual_window_solve b={bad}": lambda bad=bad: dual_window_solve(2, bad),
+            f"gabor_extension a={bad}": lambda bad=bad: gabor_extension(w, w, bad, 0.5),
+            f"gabor_extension b={bad}": lambda bad=bad: gabor_extension(w, w, 1.0, bad),
+            f"hrt_independence lam={bad}": lambda bad=bad: hrt_independence(w, [(0, 0), (bad, 0)]),
+            f"hrt_independence mu={bad}": lambda bad=bad: hrt_independence(w, [(0, 0), (0, bad)]),
+        })
+    return calls
+
+
+NAN_OR_INF_CALLS = _library_calls_with_nan_or_inf()
+
+
+@pytest.mark.parametrize("name", NAN_OR_INF_CALLS)
+def test_library_entry_points_refuse_nan_and_inf(name):
+    # the CLI filters NaN and Inf while parsing; a library caller used to get a
+    # probe run to 10^7 terms, a bare ValueError or a LinAlgError
+    with pytest.raises(DomainError):
+        NAN_OR_INF_CALLS[name]()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,22 @@ def test_indicator_edges_are_exactly_lo_and_hi(pair):
     with np.errstate(over="ignore"):  # below the most negative float is -inf
         below_lo, below_hi = np.nextafter([lo, hi], -np.inf)
     assert fn.values_at([below_lo, lo, below_hi, hi]).tolist() == [0.0, 2.5, 2.5, 0.0]
+
+
+@pytest.mark.parametrize("lo, hi, exact", [
+    (-0.3, 0.7, True),
+    (-849.5002778359652, 533.9330124270582, False),  # the grid ends at 533.9330124270583
+    (-1.0, 2.0 ** 53 + 2, False),  # at 2^53 + 4, past the band
+    (-1e308, 1e308, False),  # its step overflows
+])
+def test_indicator_json_round_trips_its_edges_or_is_refused(lo, hi, exact):
+    fn = freq_indicator(lo, hi)
+    if exact:
+        data = json.loads(json.dumps(fn.to_json_dict()))
+        assert FreqFunction.from_json_dict(data).edges.tolist() == [lo, hi]
+    else:
+        with pytest.raises(DomainError, match="edges"):
+            fn.to_json_dict()
 
 
 def test_empty_and_reversed_indicators():
@@ -377,9 +394,8 @@ def test_divergence_probe_exceeds_ceiling():
 
 def test_divergence_probe_monotone_growth():
     g = freq_indicator(0.0, 1.0)
-    rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e9,
-                                           block=2048, max_terms=8192)
-    assert report.residuals["ceiling_not_exceeded"] == 1.0  # not reached in 8192 terms
+    rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e9)
+    assert report.residuals["ceiling_not_exceeded"] == 1.0  # not reached in 10^7 terms
     partials = [p for _, p in rows]
     assert all(p2 > p1 for p1, p2 in zip(partials, partials[1:]))
 
@@ -443,8 +459,7 @@ def test_infinite_ceiling_allowed():
     assert bounds.lower == pytest.approx(1.0, abs=1e-12)
     value, _ = wave_packet_bessel_bound(g, grid, ceiling=math.inf)
     assert value == pytest.approx(1.0, abs=1e-12)
-    _, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=math.inf,
-                                        block=256, max_terms=512)
+    _, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=math.inf)
     assert report.residuals["ceiling_not_exceeded"] == 1.0
 
 

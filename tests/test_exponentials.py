@@ -7,6 +7,7 @@ import pytest
 from framelab import exponentials
 from framelab.core import DomainError
 from framelab.exponentials import (
+    FAMILIES,
     MAX_DPS,
     LambdaSet,
     crude_bound,
@@ -74,14 +75,23 @@ def test_lower_bound_examples():
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
 
-def test_float_lower_bound_never_negative():
-    # the eigensolver's rounding pushed N = 23, 24 and 28..40 below zero
-    for N in range(20, 41):
-        assert lower_bound(half_integer_lambdas(N)) >= 0.0
-    rows = decay_study("half_integer", 30)
-    assert all(r.lower >= 0.0 for r in rows)
-    assert all(r.ratio == math.inf and r.log10_lower == -math.inf
-               for r in rows if r.lower == 0.0)
+@pytest.mark.parametrize("family", ["integer", "half_integer"])
+def test_default_lower_bound_is_dps_60_with_no_zero_row(family):
+    # a float64 eigensolve clamped half-integer N = 23, 24 and 28..40 to 0.0
+    rows = decay_study(family, 40)
+    assert rows == decay_study(family, 40, dps=60)
+    assert all(r.lower > 0.0 and math.isfinite(r.log10_lower) for r in rows)
+    rule = FAMILIES[family]
+    for N in (2, 23, 40):
+        assert lower_bound(rule(N)).hex() == lower_bound(rule(N), dps=60).hex()
+
+
+@pytest.mark.parametrize("dps", [60.5, True, "60", None])
+def test_dps_that_is_no_integer_is_a_domain_error(dps):
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        lower_bound(LambdaSet([0.0, 0.5]), dps=dps)
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        decay_study("integer", 3, dps=dps)
 
 
 def full_mp_gram(lset):
@@ -564,7 +574,6 @@ def test_decay_integer_family_constant():
 
 
 def test_decay_half_integer_family_decreasing():
-    # double precision resolves the decay until the eigensolver floor (~N 20)
     rows = decay_study("half_integer", 18)
     lows = [r.lower for r in rows]
     assert all(v2 < v1 for v1, v2 in zip(lows, lows[1:]))
