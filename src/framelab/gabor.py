@@ -6,9 +6,12 @@ divisor of L, so the lattice identities (duality principle, Wexler-Raz,
 frame-operator commutation, dual-pair extension) hold exactly and are
 verified to rounding, not to a truncation error.
 
-Lattice frame operators use Walnut's representation, L/b blocks of size
-b x b: O(L b) to build from one table of class sums (_class_sums, which also
-gives the Ron-Shen sums) and O(L b^2) to diagonalize, against O(L^3) for the
+Lattice frame operators use Walnut's representation: with q = L/b, block
+r < q acts on x[r + k q], k < b, as K[r][k, l] = q C[(r + k q) mod a, (l - k)
+mod b], C one a x b table of class sums (_class_sums, which also gives the
+Ron-Shen sums).  K[r] is K[r mod g], g = gcd(q, a), with rows and columns
+cycled by t, t q = r - r mod g (mod a) (Zibulski & Zeevi 1997), so only g
+blocks are diagonalized: O(L b + gcd(L/b, a) b^3) against O(L^3) for the
 dense operator.  The other side of each theorem check is computed from the
 windows by another route (the dense adjoint Riesz bounds, the a*b adjoint
 inner products that hold the whole adjoint cross Gram, the commutation
@@ -48,6 +51,7 @@ from .core import (
     _equivalence_report,
     _field,
     _grid_samples,
+    _operator_norm,
     _sample_count,
     _shift_window,
     _spectral_bounds,
@@ -117,39 +121,50 @@ def _class_sums(h: np.ndarray, G: np.ndarray, a: int) -> np.ndarray:
     return (G.conj() * h[:, None]).reshape(-1, a, G.shape[1]).sum(axis=0)
 
 
-def _walnut_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
-    """(L/b, b, b) Walnut blocks of the mixed operator x -> sum <x, g_nm> h_nm.
-
-    Block r acts on the samples x[r + k L/b], k < b:
-    K[r][k, l] = (L/b) sum_n h(r + k L/b - n a) conj(g(r + l L/b - n a))
-               = (L/b) C[(r + k L/b) mod a, (l - k) mod b], C the class sums of h, g(p + j L/b).
-    """
-    L = g.shape[0]
+def _walnut_table(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(a, b) table (L/b) C, C the class sums of h, g(p + j L/b), of the mixed operator's Walnut blocks."""
+    L, q = g.shape[0], g.shape[0] // b
     # index, then shifted window, its conjugate, products and blocks (complex)
     _check_work(9 * L * b, f"the Walnut blocks of L={L}, a={a}, b={b}")
-    q = L // b
-    p, k = np.arange(L), np.arange(b)
-    C = q * _class_sums(h, g[p[:, None] + np.arange(-L, 0, q)], a)  # negative indices wrap
-    return C[(p % a).reshape(b, q).T[:, :, None], k - k[:, None]]  # l - k wraps too
+    return q * _class_sums(h, g[np.arange(L)[:, None] + np.arange(-L, 0, q)], a)  # negative indices wrap
 
 
-def _apply_blocks(K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("rkl,lr->kr", K, x.reshape(K.shape[1], -1)).reshape(-1)
+def _walnut_blocks(T: np.ndarray, q: int, count: int) -> np.ndarray:
+    """Blocks r < count of T = _walnut_table(g, h, a, b), q = L/b; K[r] acts on x[r + k q], k < b, as
+    K[r][k, l] = q sum_n h(r + k q - n a) conj(g(r + l q - n a)) = T[(r + k q) mod a, (l - k) mod b].
+    K[r] is K[r mod g], g = gcd(q, a), cycled by t, t q = r - r mod g (mod a): all spectra, O(g b^3)."""
+    k = np.arange(T.shape[1])
+    return T[((np.arange(count)[:, None] + q * k) % T.shape[0])[:, :, None], k - k[:, None]]  # l - k wraps
+
+
+def _class_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The gcd(L/b, a) Walnut blocks that hold every block's spectrum and singular values."""
+    return _walnut_blocks(_walnut_table(g, h, a, b), g.shape[0] // b, math.gcd(g.shape[0] // b, a))
+
+
+def _apply_blocks(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    q = x.shape[0] // T.shape[1]
+    return np.einsum("rkl,lr->kr", _walnut_blocks(T, q, q), x.reshape(-1, q)).reshape(-1)
 
 
 def gabor_frame_bounds(spec: GaborSpec) -> FrameBounds:
     # a b > L: each block has rank <= L/a < b
-    return _spectral_bounds(_walnut_blocks(spec.window, spec.window, spec.a, spec.b),
+    return _spectral_bounds(_class_blocks(spec.window, spec.window, spec.a, spec.b),
                             rank_deficient=spec.a * spec.b > spec.L)
 
 
 def canonical_dual_window(spec: GaborSpec, tolerance=None) -> np.ndarray:
     """S^-1 w; by commutation this window generates the canonical dual system."""
     tol = resolve_tolerance(tolerance)
-    ev, U = np.linalg.eigh(_walnut_blocks(spec.window, spec.window, spec.a, spec.b))
+    ev, U = np.linalg.eigh(_class_blocks(spec.window, spec.window, spec.a, spec.b))
     if ev.min() <= tol * max(ev.max(), 1.0):
         raise SingularSystemError(f"lattice system is not a frame (lower bound {max(ev.min(), 0.0):.3e})")
-    return _apply_blocks((U / ev[:, None, :]) @ U.conj().transpose(0, 2, 1), spec.window)
+    # K[r] and its inverse repeat when rows and columns cycle by p = a/g: rows k < p hold each table row once
+    a, b, g, p = spec.a, spec.b, ev.shape[0], spec.a // ev.shape[0]
+    k, T = np.arange(p)[:, None], np.empty((a, b), dtype=complex)
+    T[(np.arange(g)[:, None, None] + spec.L // b * k) % a, np.arange(b) - k] = \
+        (U[:, :p] / ev[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    return _apply_blocks(T, spec.window)
 
 
 def duality_principle_check(spec: GaborSpec, tolerance=None) -> AnalysisReport:
@@ -209,8 +224,7 @@ def wexler_raz_check(spec_g: GaborSpec, spec_h: GaborSpec, tolerance=None) -> An
     V = _adjoint_inner_products(spec_g.window, spec_h.window, a, b)
     V[0, 0] -= 1.0
     bio = float(np.abs(V).max())
-    K = _walnut_blocks(spec_g.window, spec_h.window, a, b)
-    duality = float(np.linalg.norm(np.eye(b) - K, 2, axis=(1, 2)).max())
+    duality = float(_operator_norm(np.eye(b) - _class_blocks(spec_g.window, spec_h.window, a, b)).max())
     return _equivalence_report(duality, bio, tol, "Wexler-Raz equivalence",
                                "dual-pair check", "adjoint biorthogonality")
 
@@ -237,8 +251,8 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
     t = np.arange(L)
     # M_b S^-1 M_b* scales entry (s, t) by exp(2 pi i b (s - t) / L): exactly 1 where b (s - t) = 0 mod L
     phase = np.exp(2j * np.pi * ((b * (t[:, None] - t[None, :])) % L) / L)
-    r_T = float(np.linalg.norm(Sinv - np.roll(Sinv, (a, a), axis=(0, 1)), 2))
-    r_M = float(np.linalg.norm(Sinv - phase * Sinv, 2))
+    r_T = float(_operator_norm(Sinv - np.roll(Sinv, (a, a), axis=(0, 1))))
+    r_M = float(_operator_norm(Sinv - phase * Sinv))
     return AnalysisReport.from_residuals(
         {"commutator": bounds.lower * ((L // (2 * a)) * r_T + (L // (2 * b)) * r_M)}, tol,
         notes=("A (floor(L/2a) ||S^-1 T_a - T_a S^-1|| + floor(L/2b) ||S^-1 M_b - M_b S^-1||) "
@@ -389,7 +403,7 @@ def extend_gabor_windows(spec_g: GaborSpec, spec_h: GaborSpec, r1_window=None):
         r1_spec = GaborSpec(L, a, b, r1_window)  # checks length and finiteness
         r1, r2 = r1_spec.window, canonical_dual_window(r1_spec)
     # Phi* r1 = r1 - sum <r1, h_nm> g_nm, from the (h, g) Walnut blocks
-    g2 = r1 - _apply_blocks(_walnut_blocks(spec_h.window, spec_g.window, a, b), r1)
+    g2 = r1 - _apply_blocks(_walnut_table(spec_h.window, spec_g.window, a, b), r1)
     return g2, r2
 
 
@@ -469,10 +483,7 @@ def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float, L:
     spec_h = GaborSpec(L, a_int, b_int, _cyclic_embed(h1, L))
     g2_vec, h2_vec = extend_gabor_windows(spec_g, spec_h)
     hint = (0.0, (L - 1) * step)
-    return (
-        SampledWindow(0.0, step, g2_vec, hint),
-        SampledWindow(0.0, step, h2_vec, hint),
-    )
+    return SampledWindow(0.0, step, g2_vec, hint), SampledWindow(0.0, step, h2_vec, hint)
 
 
 # -- time-frequency independence probe ---------------------------------------

@@ -16,6 +16,7 @@ from framelab.core import (
     VectorSystem,
     _decode_pairs,
     _encode_pairs,
+    _operator_norm,
     _spectral_bounds,
     analysis,
     biorthogonality_residual,
@@ -369,6 +370,15 @@ def test_spectral_bounds_of_one_matrix_or_a_stack_of_blocks():
     assert _spectral_bounds(np.diag([-1e-17, 1.0])) == FrameBounds(0.0, 1.0)
     assert _spectral_bounds(-np.eye(2)) == FrameBounds(0.0, 0.0)
     assert _spectral_bounds(np.zeros((0, 0))) == FrameBounds(0.0, 0.0)
+
+
+def test_operator_norm_is_the_bits_of_numpy_norm_2():
+    rng = np.random.default_rng(31)
+    for shape in [(1, 1), (5, 5), (16, 16), (3, 7), (9, 2), (24, 40)]:
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert _operator_norm(M) == np.linalg.norm(M, 2)
+    stack = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    assert np.array_equal(_operator_norm(stack), [np.linalg.norm(M, 2) for M in stack])
 
 
 def _grid_classes():

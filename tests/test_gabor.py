@@ -555,14 +555,22 @@ def _assert_extension_matches_dense(spec_g, spec_h, r1_window=None):
 
 @pytest.mark.parametrize("L", tuple(range(4, 25)) + (48, 64))
 def test_walnut_blocks_match_the_gather_over_n(L):
+    # block r is class block r0 = r mod gcd(L/b, a), rows and columns cycled by t, t L/b = r - r0 (mod a)
     rng = np.random.default_rng(700 + L)
     for a, b in divisor_pairs(L):
         g, h = rand_window(rng, L), rand_window(rng, L)
+        q = L // b
         expected = gathered_walnut_blocks(g, h, a, b)
-        got = gabor_module._walnut_blocks(g, h, a, b)
-        assert got.shape == expected.shape == (L // b, b, b)
         scale = np.abs(expected).max(axis=(1, 2))  # block by block
-        assert np.all(np.abs(got - expected).max(axis=(1, 2)) <= 1e-13 * scale)
+        classes = gabor_module._class_blocks(g, h, a, b)
+        assert classes.shape == (math.gcd(q, a), b, b)
+        for r in range(q):
+            r0 = r % classes.shape[0]
+            t = next(t for t in range(a) if (t * q - (r - r0)) % a == 0)
+            cycled = np.roll(classes[r0], (-t, -t), axis=(0, 1))
+            assert np.abs(cycled - expected[r]).max() <= 1e-13 * scale[r]
+        every = gabor_module._walnut_blocks(gabor_module._walnut_table(g, h, a, b), q, q)
+        assert np.all(np.abs(every - expected).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_undersampled_lattice_lower_bound_is_zero_by_counting(monkeypatch):
@@ -578,7 +586,7 @@ def test_undersampled_lattice_lower_bound_is_zero_by_counting(monkeypatch):
             assert fb.upper >= 1.0
 
 
-@pytest.mark.parametrize("L", ACCEPTANCE_LENGTHS + (48, 64))
+@pytest.mark.parametrize("L", tuple(range(4, 33)) + (48, 64))
 def test_block_bounds_and_dual_match_dense(L):
     rng = np.random.default_rng(100 + L)
     for a, b in divisor_pairs(L):
