@@ -16,6 +16,12 @@ dense operator.  The other side of each theorem check is computed from the
 windows by another route (the dense adjoint Riesz bounds, the a*b adjoint
 inner products that hold the whole adjoint cross Gram, the commutation
 check's dense S^-1), so no check verifies the blocks against themselves.
+The index and phase tables of a lattice depend on its integers alone, never
+on a window: _shift_index, _modulations, _walnut_index, _block_rows,
+_block_cols, _adjoint_phases and _commutation_phase each build one from its
+formula, read-only, and one memo keeps the _MEMO_TABLES = 24 used last, of at
+most _MEMO_ELEMENTS = 2^14 elements of at most 16 bytes each: 6 MiB (6.3 MB)
+retained at worst.  A larger table is built per call.
 Commutation is checked on the two lattice generators T_a and M_b; their
 residuals propagate to a bound for every lattice time-frequency shift.
 
@@ -58,6 +64,43 @@ from .core import (
     resolve_tolerance,
     riesz_bounds,
 )
+
+#: lattice tables the memo keeps (the ones used last) and the most elements one of them may hold:
+#: at most 24 * 2^14 elements of at most 16 bytes, 6 MiB
+_MEMO_TABLES, _MEMO_ELEMENTS = 24, 1 << 14
+_lattice_tables: dict = {}
+
+
+def _lattice_table(build):
+    """build(*lattice integers), one table of a cyclic lattice, made read-only and served from
+    _lattice_tables when it has at most _MEMO_ELEMENTS elements."""
+    def table(*lattice):
+        key = (build, *lattice)
+        out = _lattice_tables.pop(key, None)  # put back below as the one used last
+        if out is None:
+            out = build(*lattice)
+            out.flags.writeable = False
+        if out.size <= _MEMO_ELEMENTS:
+            _lattice_tables[key] = out
+            if len(_lattice_tables) > _MEMO_TABLES:
+                _lattice_tables.pop(next(iter(_lattice_tables)), None)  # the least recently used
+        return out
+    return table
+
+
+# one formula per table, from lattice integers alone; rows n < L/a, m < L/b, r < count, k < b
+_shift_index = _lattice_table(lambda L, a: (np.arange(L) - a * np.arange(L // a)[:, None]) % L)  # t - n a
+_modulations = _lattice_table(  # exp(2 pi i b m t / L), (m, t)
+    lambda L, b: np.exp(2j * np.pi * b * np.outer(np.arange(L // b), np.arange(L)) / L))
+_walnut_index = _lattice_table(lambda L, q: np.arange(L)[:, None] + np.arange(-L, 0, q))  # p + j q, wraps
+_block_rows = _lattice_table(lambda a, b, q, count: (np.arange(count)[:, None] + q * np.arange(b)) % a)
+_block_cols = _lattice_table(lambda b: np.arange(b) - np.arange(b)[:, None])  # l - k, wraps
+_adjoint_phases = _lattice_table(  # exp(2 pi i (e s mod a) / a), (s, e)
+    lambda L, a: np.exp(2j * np.pi * (np.outer(np.arange(L), np.arange(a)) % a) / a))
+# M_b S^-1 M_b* scales entry (s, t) by exp(2 pi i b (s - t) / L): exactly 1 where b (s - t) = 0 mod L
+_commutation_phase = _lattice_table(
+    lambda L, b: np.exp(2j * np.pi * ((b * (np.arange(L)[:, None] - np.arange(L))) % L) / L))
+
 
 #: default sampling step for real-line windows
 DEFAULT_STEP = 1.0 / 64
@@ -108,10 +151,8 @@ def finite_gabor_system(spec: GaborSpec) -> VectorSystem:
     L, a, b = spec.L, spec.a, spec.b
     count = (L // a) * (L // b)  # rows, then the smaller of S and the Gram that checks form
     _check_work(2 * (count * L + min(count, L) ** 2), f"the {count} generated vectors of {spec!r}")
-    t = np.arange(L)
-    phases = np.exp(2j * np.pi * b * np.outer(np.arange(L // b), t) / L)  # (m, t)
-    shifts = spec.window[(t[None, :] - a * np.arange(L // a)[:, None]) % L]  # (n, t)
-    rows = (shifts[:, None, :] * phases[None, :, :]).reshape(-1, L)
+    shifts = spec.window[_shift_index(L, a)]
+    rows = (shifts[:, None, :] * _modulations(L, b)[None, :, :]).reshape(-1, L)
     return VectorSystem(rows, label=f"gabor(L={L},a={a},b={b})")
 
 
@@ -126,15 +167,15 @@ def _walnut_table(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
     L, q = g.shape[0], g.shape[0] // b
     # index, then shifted window, its conjugate, products and blocks (complex)
     _check_work(9 * L * b, f"the Walnut blocks of L={L}, a={a}, b={b}")
-    return q * _class_sums(h, g[np.arange(L)[:, None] + np.arange(-L, 0, q)], a)  # negative indices wrap
+    return q * _class_sums(h, g[_walnut_index(L, q)], a)
 
 
 def _walnut_blocks(T: np.ndarray, q: int, count: int) -> np.ndarray:
     """Blocks r < count of T = _walnut_table(g, h, a, b), q = L/b; K[r] acts on x[r + k q], k < b, as
     K[r][k, l] = q sum_n h(r + k q - n a) conj(g(r + l q - n a)) = T[(r + k q) mod a, (l - k) mod b].
     K[r] is K[r mod g], g = gcd(q, a), cycled by t, t q = r - r mod g (mod a): all spectra, O(g b^3)."""
-    k = np.arange(T.shape[1])
-    return T[((np.arange(count)[:, None] + q * k) % T.shape[0])[:, :, None], k - k[:, None]]  # l - k wraps
+    a, b = T.shape
+    return T[_block_rows(a, b, q, count)[:, :, None], _block_cols(b)]
 
 
 def _class_blocks(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -161,8 +202,8 @@ def canonical_dual_window(spec: GaborSpec, tolerance=None) -> np.ndarray:
         raise SingularSystemError(f"lattice system is not a frame (lower bound {max(ev.min(), 0.0):.3e})")
     # K[r] and its inverse repeat when rows and columns cycle by p = a/g: rows k < p hold each table row once
     a, b, g, p = spec.a, spec.b, ev.shape[0], spec.a // ev.shape[0]
-    k, T = np.arange(p)[:, None], np.empty((a, b), dtype=complex)
-    T[(np.arange(g)[:, None, None] + spec.L // b * k) % a, np.arange(b) - k] = \
+    T = np.empty((a, b), dtype=complex)
+    T[_block_rows(a, b, spec.L // b, g)[:, :p, None], _block_cols(b)[:p]] = \
         (U[:, :p] / ev[:, None, :]) @ U.conj().transpose(0, 2, 1)
     return _apply_blocks(T, spec.window)
 
@@ -200,10 +241,8 @@ def _adjoint_inner_products(g: np.ndarray, h: np.ndarray, a: int, b: int) -> np.
     L = g.shape[0]
     # index and products (b, L), exponents and phases (L, a), the table
     _check_work(3 * (a + b) * L + 2 * a * b, f"the adjoint inner products of L={L}, a={a}, b={b}")
-    s = np.arange(L)
-    products = g[(s - (L // b) * np.arange(b)[:, None]) % L] * h.conj()  # (d, s)
-    phases = np.exp(2j * np.pi * (np.outer(s, np.arange(a)) % a) / a)  # (s, e)
-    return (L / (a * b)) * (products @ phases)
+    products = g[_shift_index(L, L // b)] * h.conj()  # (d, s)
+    return (L / (a * b)) * (products @ _adjoint_phases(L, a))
 
 
 def wexler_raz_check(spec_g: GaborSpec, spec_h: GaborSpec, tolerance=None) -> AnalysisReport:
@@ -248,11 +287,8 @@ def frame_operator_commutation_check(spec: GaborSpec, tolerance=None) -> Analysi
         raise SingularSystemError("commutation check needs a frame (invertible S)")
     Sinv = np.linalg.inv(frame_operator(finite_gabor_system(spec)))
     L, a, b = spec.L, spec.a, spec.b
-    t = np.arange(L)
-    # M_b S^-1 M_b* scales entry (s, t) by exp(2 pi i b (s - t) / L): exactly 1 where b (s - t) = 0 mod L
-    phase = np.exp(2j * np.pi * ((b * (t[:, None] - t[None, :])) % L) / L)
     r_T = float(_operator_norm(Sinv - np.roll(Sinv, (a, a), axis=(0, 1))))
-    r_M = float(_operator_norm(Sinv - phase * Sinv))
+    r_M = float(_operator_norm(Sinv - _commutation_phase(L, b) * Sinv))
     return AnalysisReport.from_residuals(
         {"commutator": bounds.lower * ((L // (2 * a)) * r_T + (L // (2 * b)) * r_M)}, tol,
         notes=("A (floor(L/2a) ||S^-1 T_a - T_a S^-1|| + floor(L/2b) ||S^-1 M_b - M_b S^-1||) "

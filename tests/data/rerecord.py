@@ -8,7 +8,10 @@ stdout stored.  Only those cases are run; their stdout, stdout_bytes,
 stdout_sha256 and exit are written and every other case stays
 byte-identical.  Every value that changed is printed with its old and new
 value and, for numbers, the relative difference, so a re-record can be
-reviewed number by number instead of as a new hash.
+reviewed number by number instead of as a new hash.  A case too large to
+store its stdout keeps stdout_line_sha256 instead, the first 16 hex digits
+of the sha256 of each line (newline included): the lines that changed are
+printed with their new text.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import re
 import shlex
 import sys
 from contextlib import redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 from framelab.cli import main
@@ -36,6 +40,20 @@ def run(cmd):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+def line_digests(text):
+    """stdout_line_sha256 of a golden's stdout; tests/test_cli.py checks it the same way."""
+    return [hashlib.sha256(line.encode()).hexdigest()[:16] for line in text.splitlines(keepends=True)]
+
+
+def report_lines(old_digests, new_text):
+    lines = new_text.splitlines(keepends=True)
+    for i, (before, after) in enumerate(zip_longest(old_digests, line_digests(new_text))):
+        if after is None:
+            print(f"  removed line {i}")
+        elif before != after:
+            print(f"  {'added' if before is None else 'changed'} line {i}: {lines[i]!r}")
 
 
 def leaves(text):
@@ -101,6 +119,9 @@ def rerecord(cmds, add=False):
         if "stdout" in case:
             report(case["stdout"], out)
             case["stdout"] = out
+        elif "stdout_line_sha256" in case:
+            report_lines(case["stdout_line_sha256"], out)
+            case["stdout_line_sha256"] = line_digests(out)
         elif hashlib.sha256(out.encode()).hexdigest() != case["stdout_sha256"]:
             print("  stdout changed (not stored in the golden, only its hash)")
         case["exit"] = code

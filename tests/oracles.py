@@ -84,6 +84,27 @@ def gathered_walnut_blocks(g, h, a: int, b: int) -> np.ndarray:
     return q * (h[idx] @ g[idx].conj().transpose(0, 2, 1))
 
 
+def lattice_tables(L: int, a: int, b: int) -> dict:
+    """Lattice-table oracle: every index and phase table of the lattice (L, a, b), each formed by
+    the inline formula the Gabor kernels used before the tables were memoized, by name."""
+    t, q, k = np.arange(L), L // b, np.arange(b)
+    g = math.gcd(q, a)
+    kp = np.arange(a // g)[:, None]  # the rows k < a/g that canonical_dual_window writes back
+    return {
+        "shifts": (t[None, :] - a * np.arange(L // a)[:, None]) % L,
+        "modulations": np.exp(2j * np.pi * b * np.outer(np.arange(L // b), t) / L),
+        "walnut index": np.arange(L)[:, None] + np.arange(-L, 0, q),
+        "class block rows": ((np.arange(g)[:, None] + q * k) % a)[:, :, None],
+        "all block rows": ((np.arange(q)[:, None] + q * k) % a)[:, :, None],
+        "block cols": k - k[:, None],
+        "write-back rows": (np.arange(g)[:, None, None] + q * kp) % a,
+        "write-back cols": np.arange(b) - kp,
+        "adjoint shifts": (t - q * np.arange(b)[:, None]) % L,
+        "adjoint phases": np.exp(2j * np.pi * (np.outer(t, np.arange(a)) % a) / a),
+        "commutation phase": np.exp(2j * np.pi * ((b * (t[:, None] - t[None, :])) % L) / L),
+    }
+
+
 def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
     """Ron-Shen oracle: r_n(x) = sum_k conj(g(x - n/b - k a)) h(x - k a) on the
     grid of [0, a), one n and one k at a time, k increasing; the report of

@@ -294,6 +294,9 @@ def test_golden_output(case, capsys):
     assert code == case["exit"]
     if "stdout" in case:
         assert out == case["stdout"]
+    if "stdout_line_sha256" in case:  # as tests/data/rerecord.py records it: the first line that moved shows
+        lines = out.splitlines(keepends=True)
+        assert [hashlib.sha256(line.encode()).hexdigest()[:16] for line in lines] == case["stdout_line_sha256"]
     assert len(out.encode()) == case["stdout_bytes"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
@@ -443,6 +446,13 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
      np, "exp"),
     (["gabor", "bounds", "--L", "8192", "--a", "8192", "--b", "8192"], np.linalg, "eigvalsh"),
+    # and no lattice table is built for a refused request
+    (["gabor", "bounds", "--L", "8192", "--a", "8192", "--b", "8192"], gabor, "_walnut_index"),
+    (EXTEND + ["--L", "100000"], gabor, "_walnut_index"),
+    (["gabor", "duality", "--L", "512", "--a", "512", "--b", "512"], gabor, "_shift_index"),
+    (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
+     gabor, "_adjoint_phases"),
+    (["gabor", "commute", "--L", "1024", "--a", "4", "--b", "4"], gabor, "_commutation_phase"),
     (["exp", "gram", "--lambdas", ",".join(map(str, range(5001)))], np, "sinc"),
     (["gabor", "hrt", "--window", "indicator:0:1", "--step", "0.001", "--points", "0,0;0,20000"],
      gabor.SampledWindow, "values_interpolated"),

@@ -32,7 +32,7 @@ from framelab.gabor import (
     sampled_indicator,
     wexler_raz_check,
 )
-from oracles import dense_adjoint_biorthogonality, gathered_walnut_blocks, looped_ron_shen
+from oracles import dense_adjoint_biorthogonality, gathered_walnut_blocks, lattice_tables, looped_ron_shen
 
 ACCEPTANCE_LENGTHS = (4, 6, 8, 12, 16, 24)
 
@@ -571,6 +571,97 @@ def test_walnut_blocks_match_the_gather_over_n(L):
             assert np.abs(cycled - expected[r]).max() <= 1e-13 * scale[r]
         every = gabor_module._walnut_blocks(gabor_module._walnut_table(g, h, a, b), q, q)
         assert np.all(np.abs(every - expected).max(axis=(1, 2)) <= 1e-13 * scale)
+
+
+def _memoized_tables(L, a, b):
+    """The tables of lattice (L, a, b) as the kernels look them up, named as in oracles.lattice_tables."""
+    q = L // b
+    g = math.gcd(q, a)
+    G = gabor_module
+    return {
+        "shifts": G._shift_index(L, a),
+        "modulations": G._modulations(L, b),
+        "walnut index": G._walnut_index(L, q),
+        "class block rows": G._block_rows(a, b, q, g)[:, :, None],
+        "all block rows": G._block_rows(a, b, q, q)[:, :, None],
+        "block cols": G._block_cols(b),
+        "write-back rows": G._block_rows(a, b, q, g)[:, :a // g, None],
+        "write-back cols": G._block_cols(b)[:a // g],
+        "adjoint shifts": G._shift_index(L, q),
+        "adjoint phases": G._adjoint_phases(L, a),
+        "commutation phase": G._commutation_phase(L, b),
+    }
+
+
+def _bits(x):
+    return (x.dtype, x.shape, x.tobytes())
+
+
+@pytest.mark.parametrize("L", tuple(range(4, 25)) + (48, 64))
+def test_lattice_tables_are_the_inline_formulas_bit_for_bit(L):
+    pairs = divisor_pairs(L)
+    for a, b in pairs:
+        assert (L // b, L // a) in pairs  # so every adjoint lattice is checked too
+        expected = lattice_tables(L, a, b)
+        for _ in ("cold", "warm"):
+            tables = _memoized_tables(L, a, b)
+            assert tables.keys() == expected.keys()
+            for name, table in tables.items():
+                assert _bits(table) == _bits(expected[name]), (a, b, name)
+
+
+def test_checks_give_equal_results_with_a_cold_and_a_warm_memo():
+    rng = np.random.default_rng(29)
+
+    def run(spec, partner, frame):
+        out = [duality_principle_check(spec), wexler_raz_check(spec, partner)]
+        if spec.a * spec.b <= spec.L:
+            out += [_bits(w) for w in extend_gabor_windows(spec, partner)]
+        if frame:
+            out += [_bits(canonical_dual_window(spec)), frame_operator_commutation_check(spec)]
+        return out
+
+    for L in ACCEPTANCE_LENGTHS + (48,):
+        for a, b in divisor_pairs(L):
+            spec, partner = _specs(rng, L, a, b)
+            frame = _is_frame(spec)
+            gabor_module._lattice_tables.clear()
+            cold = run(spec, partner, frame)
+            assert gabor_module._lattice_tables
+            assert run(spec, partner, frame) == cold
+
+
+def test_lattice_tables_are_read_only():
+    # the ones kept and, with 2^16 elements, one built per call
+    for table in [*_memoized_tables(12, 2, 3).values(), gabor_module._commutation_phase(256, 2)]:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+
+
+def test_memo_keeps_no_table_over_its_cap():
+    G, cap = gabor_module, gabor_module._MEMO_ELEMENTS
+    over = [G._shift_index(256, 2), G._modulations(256, 2), G._walnut_index(4096, 512),
+            G._block_rows(256, 256, 128, 128), G._block_cols(256), G._adjoint_phases(8192, 4),
+            G._commutation_phase(256, 2)]
+    assert min(table.size for table in over) > cap
+    assert G._lattice_tables == {}
+    assert G._shift_index(128, 1).size == cap  # (128, 128): at the cap, kept
+    assert len(G._lattice_tables) == 1
+
+
+def test_memo_never_holds_more_than_its_bound():
+    G, rng, most = gabor_module, np.random.default_rng(30), 0
+    for L in (24, 48):
+        for a, b in divisor_pairs(L):
+            spec, partner = _specs(rng, L, a, b)
+            for check in (lambda: duality_principle_check(spec), lambda: wexler_raz_check(spec, partner)):
+                check()
+                most = max(most, len(G._lattice_tables))
+                assert len(G._lattice_tables) <= G._MEMO_TABLES
+    assert most == G._MEMO_TABLES
+    # 16 bytes an element at most: the worst case the gabor docstring states, within 8 MB
+    assert sum(t.nbytes for t in G._lattice_tables.values()) <= G._MEMO_TABLES * G._MEMO_ELEMENTS * 16
+    assert G._MEMO_TABLES * G._MEMO_ELEMENTS * 16 <= 8_000_000
 
 
 def test_undersampled_lattice_lower_bound_is_zero_by_counting(monkeypatch):
