@@ -48,7 +48,8 @@ from .core import (
     resolve_tolerance,
 )
 from .dilation import _overlap_sums
-from .gabor import GaborSpec, SampledWindow, _cycle_length, gabor_frame_bounds, ron_shen_duality_check
+from .gabor import (DEFAULT_STEP, GaborSpec, SampledWindow, _cycle_length, gabor_frame_bounds,
+                    ron_shen_duality_check)
 
 
 #: work units per big-integer addition of a piece table: one took about 100 ns up to
@@ -208,7 +209,7 @@ def property_suite(N: int, tolerance=None) -> AnalysisReport:
     )
 
 
-def sample_bspline(N: int, step: float = 1.0 / 64) -> SampledWindow:
+def sample_bspline(N: int, step: float = DEFAULT_STEP) -> SampledWindow:
     """B_N sampled on [0, N] with the given step."""
     _check_order(N)
     count = _sample_count(_as_float(N, "the order N"), step) + 1

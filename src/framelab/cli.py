@@ -422,7 +422,7 @@ MODE = _opt("--mode", choices=("full_space", "span"), default="full_space")
 PAIR = (_opt("--e-basis"), _opt("--h-basis"), _opt("--random-pair", action="store_true"), SEED)
 LATTICE = tuple(_required(flag, type=_positive_int) for flag in ("--L", "--a", "--b"))
 WINDOW = (_opt("--window", default="random"), SEED)
-STEP = _opt("--step", type=_positive_number, default=1 / 64)
+STEP = _opt("--step", type=_positive_number, default=gabor.DEFAULT_STEP)
 SAMPLED_PAIR = (_required("--window-g"), _required("--window-h"),
                 _required("--a", type=_number), _required("--b", type=_number), STEP)
 PSI_PAIR = (_opt("--psit", default=None), _opt("--b", type=_number, default=1.0), TOLERANCE)

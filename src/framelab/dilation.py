@@ -18,11 +18,14 @@ The translation-overlap sums, the B-spline scanner's too, run on one kernel
 (_overlap_sums), which takes the ascending points its callers build.
 
 The dual wavelet criterion is the a = 2, c = {0} case of the dual
-wave-packet criterion, and both run on one loop (_class_deviations): b is
-the translation step, the offset/dilation sum must equal b, and the sums of
+wave-packet criterion, and both run on one front end (_dual_deviations) and
+one loop (_class_deviations), in one dilation order, decreasing j: b is the
+translation step, the offset/dilation sum must equal b, and the sums of
 every shift class alpha = a^j n / b != 0, i.e. over the lattices a^j (1/b)Z
-grouped by the exact rational alpha, must vanish.  The shifted products
-psi(g) conj(psit(g + n/b)) are its classes n/b at j = 0, c = 0.
+grouped by the exact rational alpha, must vanish.  Each dilation reads every
+offset at once; its j window comes from the exact nonzero pieces.  The
+shifted products psi(g) conj(psit(g + n/b)) are its classes n/b at j = 0,
+c = 0.
 """
 
 from __future__ import annotations
@@ -439,37 +442,27 @@ def _as_fraction(x, name: str) -> Fraction:
 
 
 def _adic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, a: float, c_values):
-    """j range with a^-j gamma inside some shifted support, |gamma| in [1, a)."""
-    mins, maxs = [], []
-    for fn in (psi, psi_tilde):
-        if fn.is_zero():
-            continue
-        lo_b, hi_b = fn.band
-        for c in c_values:
-            lo_s, hi_s = lo_b + c, hi_b + c
-            if lo_s <= 0.0 <= hi_s:
-                # the shifted band may still avoid 0 on the nonzero cells
-                starts, ends = fn.nonzero_cells()
-                s_lo, s_hi = starts + c, ends + c
-                if np.any((s_lo <= 0) & (s_hi >= 0)):
-                    raise TruncationUnsoundError(
-                        f"offset c={c} places the support across 0; the dilation "
-                        "sum has no sound finite truncation"
-                    )
-                mins.append(float(np.minimum(np.abs(s_lo), np.abs(s_hi)).min()))
-                maxs.append(float(np.maximum(np.abs(s_lo), np.abs(s_hi)).max()))
-            else:
-                mins.append(min(abs(lo_s), abs(hi_s)))
-                maxs.append(max(abs(lo_s), abs(hi_s)))
-    if not maxs:
+    """j range with a^-j gamma inside some shifted nonzero piece, |gamma| in [1, a), read
+    by binary search in the piece ends: x + c rounds monotonically in x and c, and to 0
+    only at x = -c, so the shifted ends nearest 0 are the two around -c."""
+    offsets = np.asarray(c_values, dtype=float)
+    near, far = [], []
+    for starts, ends in (fn.nonzero_cells() for fn in (psi, psi_tilde)
+                         if offsets.size and not fn.is_zero()):
+        # of the disjoint pieces, only the last one starting at or below -c can hold -c
+        k = np.searchsorted(starts, -offsets, "right") - 1
+        across = (k >= 0) & (ends[k] >= -offsets)
+        if across.any():
+            raise TruncationUnsoundError(f"offset c={c_values[np.argmax(across)]} places the support "
+                                         "across 0; the dilation sum has no sound finite truncation")
+        cuts = np.union1d(starts, ends)
+        k = np.searchsorted(cuts, -offsets).clip(1, cuts.size - 1)
+        near.append(np.minimum(np.abs(cuts[k - 1] + offsets), np.abs(cuts[k] + offsets)).min())
+        far.append(max(abs(starts[0] + offsets.min()), abs(ends[-1] + offsets.max())))
+    if not near:
         return range(0, 0)
-    m, M = min(mins), max(maxs)
-    if m == 0.0:
-        raise TruncationUnsoundError("shifted support reaches 0")
     ln_a = math.log(a)
-    j_lo = int(math.floor(-math.log(M) / ln_a)) - 1
-    j_hi = int(math.ceil(-math.log(m) / ln_a)) + 1
-    return range(j_lo, j_hi + 1)
+    return range(math.floor(-math.log(max(far)) / ln_a) - 1, math.ceil(-math.log(min(near)) / ln_a) + 2)
 
 
 def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values):
@@ -506,9 +499,10 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
     rationals.  This is the one dilation/shift-class loop of the duality
     criteria: n = 0 puts every j in the class alpha = 0, the offset/dilation
     sum that must equal b, and every other class must vanish.  Each class is
-    read on its own pieces (_class_points), and the psit side only where the
-    psi side is nonzero: the skipped terms are exact zeros, so each sum is
-    that of the dense loop, in the order of js.
+    read on its own pieces (_class_points).  For each j of the class both
+    sides are read once on every (offset, point), and the offset rows are
+    added to the sum one at a time: its terms are added in the order of js,
+    then of c_values.
     """
     classes = {Fraction(0): list(js)} if 0 in ns else {}
     if any(ns):
@@ -523,21 +517,46 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
     # complex values per point, member and offset, on both sides
     _check_work(4 * len(c_values) * sum(points[al].size * len(m) for al, m in classes.items()),
                 "the shift-class sums of the duality criteria")
-    a_f = float(a)
+    a_f, offsets = float(a), np.asarray(c_values, dtype=float)[:, None]
     devs = {}
     for alpha, members in classes.items():
         gammas = points[alpha]
         shifted = gammas + float(alpha)
         total = np.zeros(gammas.shape, dtype=complex)
         for j in members:
-            for c in c_values:
-                vals = psi_hat.values_at(gammas / (a_f ** j) - c)
-                nz = np.flatnonzero(vals)
-                if nz.size:
-                    psit = psi_tilde_hat.values_at(shifted[nz] / (a_f ** j) - c)
-                    total[nz] += vals[nz] * np.conj(psit)
+            terms = psi_hat.values_at(gammas / (a_f ** j) - offsets) * np.conj(
+                psi_tilde_hat.values_at(shifted / (a_f ** j) - offsets))
+            for row in terms:
+                total += row
         devs[alpha] = float(np.abs(total - b if alpha == 0 else total).max())
     return devs
+
+
+def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c_values,
+                     full_check: bool = True):
+    """(float(a), b, _class_deviations) of the dual-frame criterion at dilation base a,
+    translation step b and offsets c_values, the front end of both duality checks.
+
+    a and b may be rational strings, and b is then read as a float.  The j
+    window comes from the nonzero pieces, the n window from the bands.  The
+    dilations run in decreasing j, the dyadic order: where three or more
+    scales meet on one gamma the order fixes the last bits.  Without
+    full_check only the class alpha = 0 is read.
+    """
+    if isinstance(a, str):
+        a = _as_fraction(a, "a")
+    if not 1 < float(a) < math.inf:
+        raise DomainError("the dilation base must exceed 1 and be finite")
+    if isinstance(b, str):
+        b = float(_as_fraction(b, "b"))
+    if not 0 < b < math.inf:
+        raise DomainError("b must be positive and finite")
+    c_values = [float(c) for c in c_values]
+    if not all(map(math.isfinite, c_values)):
+        raise DomainError("offsets must be finite (no NaN or Inf)")
+    js = _adic_j_window(psi_hat, psi_tilde_hat, float(a), c_values)[::-1]
+    ns = _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if full_check else (0,)
+    return float(a), b, _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
 
 
 def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
@@ -553,16 +572,7 @@ def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
     dilation invariant, so both are read exactly on every piece over +-[1, 2).
     """
     tol = resolve_tolerance(tolerance)
-    if isinstance(b, str):
-        b = float(_as_fraction(b, "b"))
-    if not 0 < b < math.inf:
-        raise DomainError("b must be positive and finite")
-    js = _adic_j_window(psi_hat, psi_tilde_hat, 2.0, (0.0,))
-    # decreasing j, i.e. increasing dilation 2^-j: where three or more scales
-    # meet on one gamma the order fixes the last bits, and the dyadic sums
-    # keep theirs
-    devs = _class_deviations(psi_hat, psi_tilde_hat, 2, b, (0.0,), js[::-1],
-                             _reachable_n(psi_hat, psi_tilde_hat, b, (0.0,)))
+    _, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, 2, b, (0.0,))
     scaling = devs.pop(0)
     worst = max(devs, key=devs.get, default=None)
     residual_ii = devs[worst] if worst is not None else 0.0
@@ -587,25 +597,12 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     With full_check, the complete ratio-grouped criterion is evaluated: for
     every reachable alpha = a^j n / b != 0 (grouped exactly via rational
     arithmetic) the corresponding double sum must vanish.  c1 and the ratio
-    classes are one _class_deviations call, c2 its classes n/b at j = 0, c = 0
-    on the band of psi; each is read exactly, at one point per piece.
+    classes are one _dual_deviations call, c2 the classes n/b of
+    _class_deviations at j = 0, c = 0 on the band of psi; each is read
+    exactly, at one point per piece.
     """
     tol = resolve_tolerance(tolerance)
-    if isinstance(a, str):
-        a = _as_fraction(a, "a")
-    a_f = float(a)
-    if not 1 < a_f < math.inf:
-        raise DomainError("the dilation base must exceed 1 and be finite")
-    if isinstance(b, str):
-        b = float(_as_fraction(b, "b"))
-    if not 0 < b < math.inf:
-        raise DomainError("b must be positive and finite")
-    c_values = [float(c) for c in c_values]
-    if not all(map(math.isfinite, c_values)):
-        raise DomainError("offsets must be finite (no NaN or Inf)")
-    js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
-    ns = _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if full_check else (0,)
-    devs = _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
+    a_f, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, full_check)
     residuals = {"c1": devs.pop(0)}
 
     # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b

@@ -3,6 +3,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,6 +302,12 @@ def test_golden_output(case, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
+def test_every_golden_stores_its_stdout():
+    # so that tests/data/rerecord.py can show a re-record value by value or line by line
+    assert [case["cmd"] for case in GOLDEN
+            if "stdout" not in case and "stdout_line_sha256" not in case] == []
+
+
 def readme_commands():
     """The `framelab ...` examples of the README "Command line" section."""
     section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
@@ -478,6 +485,26 @@ def test_wide_or_long_input_families_exit_2_before_any_dense_matrix(count, dim, 
     path.write_text("\n".join([",".join(["1,0"] * dim)] * count) + "\n")
     monkeypatch.setattr(cli.core, "frame_bounds", evaluated)
     assert_usage_error(["frame", "bounds", "--file", str(path)], capsys, f"{count} vectors in dimension {dim}")
+
+
+def test_many_offsets_of_a_many_piece_generator_exit_2_before_any_offset_piece_array(
+        tmp_path, capsys, monkeypatch):
+    # 1000 pieces and 1000 offsets under a budget of 10^6: the breakpoints are
+    # refused (1001 edges x 3 or more dilations x 1000 offsets), and nothing of
+    # the 10^6 (offset, piece) pairs, 8 MB per float64 array, is built before:
+    # the traced peak stays under 4 MiB
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(FreqFunction(1.0, 0.002, [1, 2] * 500, (1.0, 3.0)).to_json_dict()))
+    offsets = ",".join(str(i / 1000) for i in range(1000))
+    monkeypatch.setattr(cli.core, "MAX_WORK", 10 ** 6)
+    tracemalloc.start()
+    try:
+        assert_usage_error(["wavepacket", "check-dual", "--psi", str(path), "--c-values", offsets],
+                           capsys, "the breakpoints of the frequency sums")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
 
 
 class Reached(Exception):

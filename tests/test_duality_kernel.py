@@ -1,14 +1,15 @@
 """Bitwise oracles for the shared dilation-duality kernel.
 
 wavelet_duality_check and wave_packet_duality_check both run on
-dilation._class_deviations.  The oracles below are the separate loops it
-replaced, kept verbatim in substance: the dyadic check with its own j window
-and its integer shifts m grouped by m / 2^j, and the wave-packet check with
-its c1 and g1 loops.  Each oracle sum is read at the library's piece points
-of its class (_class_points), so the comparison checks the loops, not the
-points.  At b = 1 the integer shifts are the shift classes of the
-translation lattice (1/b)Z, so there every residual must agree to the last
-bit; the wave-packet check must agree everywhere.
+dilation._dual_deviations and _class_deviations, in decreasing j.  The
+oracles below are the separate loops they replaced, kept verbatim in
+substance: the dyadic check with its own j window and its integer shifts m
+grouped by m / 2^j, and the wave-packet check with its c1 and g1 loops.
+Each oracle sum is read at the library's piece points of its class
+(_class_points), so the comparison checks the loops, not the points.  At
+b = 1 the integer shifts are the shift classes of the translation lattice
+(1/b)Z, so there every residual must agree to the last bit; the
+wave-packet check must agree everywhere.
 """
 
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framelab.core import FrameLabError
+from framelab.core import FrameLabError, TruncationUnsoundError
 from framelab.dilation import (
     FreqFunction,
     _adic_j_window,
@@ -90,7 +91,7 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     """(residuals, details) of the wave-packet check with separate c1 and g1 loops."""
     a_f = float(a)
     c_values = [float(c) for c in c_values]
-    js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
+    js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)[::-1]  # decreasing j
     residuals, details = {}, {}
 
     edges = psi_hat.edges, psi_tilde_hat.edges
@@ -297,3 +298,69 @@ def test_wave_packet_matches_oracle_bitwise(full_check):
             *(residuals[k] for k in sorted(residuals)))
         assert report.details == details
 
+
+
+# -- one path: the wavelet check is the wave-packet check at a = 2, c = {0} ---------------
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+def test_wavelet_is_the_wave_packet_check_at_a2_c0_bitwise(b):
+    for psi, psit in random_pairs(5, 32):
+        wavelet = wavelet_duality_check(psi, psit, b=b)
+        packet = wave_packet_duality_check(psi, psit, a=2, b=b, c_values=[0.0])
+        assert bits(wavelet.residuals["scaling_sum"], wavelet.residuals["shifted_sums"]) == bits(
+            packet.residuals["c1"], packet.residuals["g1_offdiagonal"])
+        assert wavelet.details["shift_classes"] == packet.details["g1_classes"]
+
+
+def test_padded_band_reads_the_j_window_of_its_pieces():
+    # the band (0.25, 8) holds the pieces of [1, 2) loosely: the j window comes
+    # from the pieces, so only the n window still reads the band
+    padded = FreqFunction(1.0, 0.5, [1, 1], (0.25, 8.0))
+    tight = FreqFunction(1.0, 0.5, [1, 1], (1.0, 2.0))
+    for b in (0.5, 1.0, 2.0):
+        wide, narrow = (wavelet_duality_check(fn, fn, b=b) for fn in (padded, tight))
+        assert (wide.residuals, wide.verdict) == (narrow.residuals, narrow.verdict)
+        for a, c_values in ((2, [0.0, 0.5]), (3, [0.0]), (1.5, [0.5])):
+            wide, narrow = (wave_packet_duality_check(fn, fn, a=a, b=b, c_values=c_values)
+                            for fn in (padded, tight))
+            assert (wide.residuals, wide.verdict) == (narrow.residuals, narrow.verdict)
+    # a j window read from the band counts 88 and 100
+    assert wavelet_duality_check(padded, padded).details["shift_classes"] == 48
+    assert wave_packet_duality_check(padded, padded, a=2, b=1.0, c_values=[0.0, 0.5]
+                                     ).details["g1_classes"] == 60
+
+
+def j_window_oracle(psi, psit, a, c_values):
+    """The j window from the dense (offset, piece end) sums, or the first offset
+    that puts a piece across 0."""
+    radii = []
+    for fn in (psi, psit):
+        s_lo, s_hi = (np.add.outer(c_values, x) for x in fn.nonzero_cells())
+        across = np.any((s_lo <= 0) & (s_hi >= 0), axis=1)
+        if across.any():
+            return c_values[np.argmax(across)]
+        radii += [np.abs(s_lo).ravel(), np.abs(s_hi).ravel()]
+    radii = np.concatenate(radii)
+    if not radii.size:
+        return range(0, 0)
+    return range(math.floor(-math.log(radii.max()) / math.log(a)) - 1,
+                 math.ceil(-math.log(radii.min()) / math.log(a)) + 2)
+
+
+def test_j_window_is_that_of_every_shifted_piece_end():
+    rng = np.random.default_rng(21)
+    for psi, psit in random_pairs(22, 100):
+        edges = np.concatenate((psi.edges, psit.edges))
+        # offsets on the step grid, some of them minus a piece end
+        reach = int(rng.choice([8, 300]))
+        c_values = [float(c) for c in 2.0 ** -6 * rng.integers(-reach, reach, int(rng.integers(1, 6)))]
+        if rng.uniform() < 0.3:
+            c_values.append(-float(rng.choice(edges)))
+        a = float(rng.choice([1.5, 2.0, 3.0]))
+        expected = j_window_oracle(psi, psit, a, c_values)
+        if isinstance(expected, range):
+            assert _adic_j_window(psi, psit, a, c_values) == expected
+        else:
+            with pytest.raises(TruncationUnsoundError, match=f"offset c={expected} places"):
+                _adic_j_window(psi, psit, a, c_values)
