@@ -11,18 +11,23 @@ parameters (a, b) by sound certificates only, all from one set of
 periodized translation-overlap sums (the kernel the wave-packet bounds use
 too): exact bounds where the support fits one frequency period and the
 overlap sum is empty, a sufficient condition beyond it, and an honest
-"undecided" elsewhere.  The negative certificates are decided exactly, never
-read off the grid: a painless diagonal that vanishes, from the support of
-B_N, the density theorem, on the exact product a b of the float cell, and
-the zeros of the transform of B_N, at an integer b >= 2.  The painless
-bounds do not depend on b, so they are computed once per column of a scan.
+"undecided" elsewhere.  Between their breakpoints the sums are polynomials
+of degree 2N - 2: each piece is read once, at its 2N - 1 Chebyshev nodes,
+enclosed through its Chebyshev coefficients, and halved only where that can
+still move a bound, with an a-priori rounding term (Farouki & Rajan, CAGD 4,
+1987; Trefethen, Approximation Theory and Approximation Practice, 2013).
+The negative certificates are decided exactly, never read off a value: a
+painless diagonal that vanishes, from the support of B_N, the density
+theorem, on the exact product a b of the float cell, and the zeros of the
+transform of B_N, at an integer b >= 2.  The painless bounds do not depend
+on b, so they are computed once per column of a scan.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
 evaluates each translate and each of its frequency shifts only on the slice
-of the sorted grid where it lies in [0, N).  Evaluation is pointwise, so
+of the sorted nodes where it lies in [0, N).  Evaluation is pointwise, so
 the sums are bit-identical to one call per term; cells too large to
-evaluate are rejected before any grid is built.
+evaluate are rejected before anything is read.
 """
 
 from __future__ import annotations
@@ -220,66 +225,236 @@ def sample_bspline(N: int, step: float = DEFAULT_STEP) -> SampledWindow:
 # -- periodized bound computations -------------------------------------------
 
 
-def _scan_grid(a: float, period_points: int, knots) -> np.ndarray:
-    """Uniform grid over [0, a) augmented with knots and piece midpoints."""
-    base = a * np.arange(period_points) / period_points
-    ks = sorted({float(k) % a for k in knots} | {0.0, a})
-    mids = [(u + v) / 2 for u, v in zip(ks, ks[1:]) if v > u]
-    pts = np.unique(np.concatenate([base, np.array(ks[:-1]), np.array(mids)]))
-    return pts[(pts >= 0) & (pts < a)]
+#: work units per term of a row of the kernel's Python loop: the 2e5 offset rows of a
+#: = 1e-5 took 1.1 s on a 2-CPU x86-64 VM, about 550 units each
+_TERM_WORK = 1000
+#: halving levels of a piece at most; the bound of a piece still open after them is kept
+_MAX_HALVINGS = 8
+#: a piece is halved while its bound lies more than this share of the cell's largest value
+#: beyond the extreme of the values read, i.e. while it can still move the reported extreme
+_TOLERANCE = 2.0 ** -11
+_UNIT = 2.0 ** -53  # the unit roundoff of float64
 
 
-def _check_cell(N, a, b, period_points):
+@functools.lru_cache(maxsize=8)
+def _chebyshev(m: int):
+    """(nodes, to_coefficients, halving, ends, h) of the polynomials of degree < m,
+    read-only.
+
+    nodes are the m first-kind Chebyshev points cos((j + 1/2) pi / m) of
+    (-1, 1), ascending.  to_coefficients maps the values of p at them to its
+    Chebyshev coefficients, p = sum_k c_k T_k (a discrete cosine transform):
+    row 0 sums to 1, every other row to at most 2 in absolute value.
+    coefficients @ halving are the coefficients on [-1, 0] and then those on
+    [0, 1], each read on [-1, 1].  Row k of its right half holds the
+    coefficients of T_k((s + 1) / 2), 2^-k times the integers of the exact
+    recurrence T_{k+1}(x) = (s + 1) T_k(x) - T_{k-1}(x), with 2 s T_l =
+    T_{l+1} + T_{|l-1|}, each rounded once; the left half is the right one
+    times (-1)^(k + l).  coefficients @ ends are the values at s = 1 and
+    s = -1.  h is the largest sum of absolute values of a row of a half,
+    exact before rounding: 2.3 for m = 7 and 9.3 for m = 159.
+    """
+    theta = (np.arange(m, 0, -1) - 0.5) * (np.pi / m)
+    to_coefficients = np.cos(np.outer(np.arange(m), theta)) * (2.0 / m)
+    to_coefficients[0] /= 2
+    rows = [[1], [1, 1]][:m]  # row k scaled by 2^k
+    while len(rows) < m:
+        last, before = rows[-1], rows[-2]
+        row = [2 * c for c in last] + [0]
+        for l, c in enumerate(last):
+            row[l + 1] += c
+            row[abs(l - 1)] += c
+        for l, c in enumerate(before):
+            row[l] -= 4 * c
+        rows.append(row)
+    right = np.zeros((m, m))
+    for k, row in enumerate(rows):
+        right[k, :k + 1] = [math.ldexp(float(c), -k) for c in row]
+    signs = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    ends = np.stack([np.ones(m), (-1.0) ** np.arange(m)], axis=1)
+    parts = np.cos(theta), to_coefficients.T, np.hstack([signs * right, right]), ends
+    for part in parts:
+        part.flags.writeable = False
+    return (*parts, float(max(Fraction(sum(map(abs, row)), 2 ** k) for k, row in enumerate(rows))))
+
+
+def _least(values: np.ndarray, tolerance: float, floors) -> np.ndarray:
+    """Lower bounds, rounding aside, of the least value on [-1, 1] of the polynomials of
+    degree < m of each side, given by their values at the m nodes of _chebyshev:
+    values[i, j] are those of piece j of side i, and floors[i] is its floor.
+
+    Since |T_k| <= 1 on [-1, 1], c_0 - sum_{k >= 1} |c_k| bounds a piece from
+    below.  A piece is halved, by the fixed map of _chebyshev, while its bound
+    is below both the least value read on its side less the tolerance and
+    the floor: then halving can still move the side's bound by more than the
+    tolerance, or lift it over the floor.  Once the least value read on a
+    side is at most its floor, no bound can rise above the floor, and none of
+    the side is halved.  There are at most _MAX_HALVINGS levels, and they
+    halve at most _MAX_HALVINGS times as many pieces as one side was given,
+    the lowest first; the values at the ends of the halves join the values
+    read.
+    """
+    sides, pieces, m = values.shape
+    _, to_coefficients, halving, ends, _ = _chebyshev(m)
+    coefficients = values.reshape(-1, m) @ to_coefficients
+    bounds = coefficients[:, 0] - np.abs(coefficients[:, 1:]).sum(axis=1)
+    side = np.repeat(np.arange(sides), pieces)
+    least, floors = values.min(axis=(1, 2)), np.asarray(floors, dtype=float)
+    budget = pieces * _MAX_HALVINGS
+    for _ in range(_MAX_HALVINGS):
+        target = np.where(least > floors, np.maximum(least - tolerance, floors), -np.inf)
+        halve = np.flatnonzero(bounds < target[side])
+        if not (halve.size and budget):
+            break
+        halve = halve[np.argsort(bounds[halve], kind="stable")[:budget]]
+        budget -= halve.size
+        children = (coefficients[halve] @ halving).reshape(-1, m)
+        halved = np.repeat(side[halve], 2)
+        np.minimum.at(least, halved, (children @ ends).min(axis=1))
+        keep = np.ones(bounds.size, dtype=bool)
+        keep[halve] = False
+        coefficients = np.concatenate([coefficients[keep], children])
+        bounds = np.concatenate([bounds[keep], children[:, 0] - np.abs(children[:, 1:]).sum(axis=1)])
+        side = np.concatenate([side[keep], halved])
+    return np.array([bounds[side == i].min() for i in range(sides)])
+
+
+def _rounding_term(N: int, a: float, shifts) -> float:
+    """E: the bounds of _overlap_bounds, less and plus E, hold for the exact sums of
+    the floats a and k/b, whatever rounding did to the values read.
+
+    With u = 2^-53, m = 2N - 1, s the largest |k/b| and T = (floor(N/a) + 2)
+    (1 + len(shifts)) the live terms at a point (each at most 1, as
+    0 <= B_N <= 1, so diag + off <= T):
+    - Placement.  A node, fl(n a) and fl(k/b), the arguments fl(fl(x - n a) -
+      k/b) and the knots fl(j + k/b) mod a are each within d = 2u (3N + 11a +
+      2s) of their exact values.
+    - The kernel.  Horner's rule on the rounded table is within (2N - 1) u S
+      of B_N at a float, S the largest sum of |coefficients| of a piece of
+      _piece_table (2.5 at most, falling with N; Higham, Accuracy and
+      Stability, 2002, 5.1), and B_N is 1-Lipschitz for N >= 2 (B_N' =
+      B_{N-1} - B_{N-1}(. - 1)), so each term's factor is off by at most e =
+      (2N - 1) u S + d.  The products and the two sums of at most T terms,
+      and diag -+ off, then keep a value within P = T (2e + e^2 + (T + 2) u).
+    - The knots.  Between true breakpoints, diag -+ off is a polynomial of
+      degree 2N - 2 and is 2T-Lipschitz.  A true breakpoint inside a piece
+      lies within d of one of its ends, so on the piece diag -+ off is within
+      4Td of one polynomial Q; a node is off its place by at most d.  So
+      every value read is within D = P + 6Td of Q at the exact node.
+    - The conversion.  The coefficients of data off by D are off by at most
+      (2m - 1) D in sum, the sum of |entries| of to_coefficients.  The angle
+      k theta_j of an entry carries a relative error of at most 4u, so the
+      entry is off by at most (2/m) (4 pi k + 2) u; with the product (m
+      terms) and c_0 - sum |c_k| that adds at most 20 m^2 u T.
+    - Each halving.  A polynomial bounded by T has sum |c_k| <= (2m - 1) T
+      (|c_k| <= 2 max |p|), so the rounded entries of a half map and the
+      product with them add at most (m + 1) u h (2m - 1) T per level, h the
+      row sum of _chebyshev; a halving moves no value, so earlier errors pass
+      through it unchanged.  The halves of a piece cover it, wherever
+      its midpoint rounds.
+
+    So E = 1.03 ((2m - 1) D + 4Td + 20 m^2 u T + _MAX_HALVINGS (m + 1) u h
+    (2m - 1) T), the 3 % covering the first-order products dropped above.  It
+    grows as N^2 T^2 u for large T and as m^3 u T through the halvings:
+    about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5,
+    b = 0.01.  For N = 1 it is 0: B_1 reads 1.0 exactly, every product and sum
+    is a small integer, and m = 1 reads each piece at its midpoint, exact on
+    every piece wider than the rounding of its ends and offsets.  B_1 jumps,
+    so a narrower piece can be misread (at a = fl(1/3), [0, 2^-54) has 4
+    translates and reads 3): for N = 1 the bounds hold where no piece is.
+    """
+    if N == 1:
+        return 0.0
+    m, u = 2 * N - 1, _UNIT
+    s = max(map(abs, shifts), default=0.0)
+    T = (math.floor(N / a) + 2) * (1 + len(shifts))
+    d = 2 * u * (3 * N + 11 * a + 2 * s)
+    e = (2 * N - 1) * u * _table_sum(N) + d
+    data = T * (2 * e + e * e + (T + 2) * u) + 6 * T * d
+    h = _chebyshev(m)[4]
+    return 1.03 * ((2 * m - 1) * data + 4 * T * d + 20 * m * m * u * T
+                   + _MAX_HALVINGS * (m + 1) * u * h * (2 * m - 1) * T)
+
+
+@functools.lru_cache(maxsize=16)
+def _table_sum(N: int) -> float:
+    """The largest sum of |Taylor coefficients| of a left-half piece of B_N."""
+    return float(np.abs(_piece_table(N)).sum(axis=0).max())
+
+
+def _check_cell(N, a, b):
     """Reject a cell the scanner cannot or should not evaluate, before anything is
-    built, and decide its regime: (the shifts k/b of the overlap sum, none in the
-    painless regime b N <= 1 (exact), and the grid size, at least 2048 outside it)."""
+    built, and return the shifts k/b of its overlap sum: none in the painless regime
+    b N <= 1, decided exactly.
+
+    A cell is charged by what it reads: _TERM_WORK per term of each offset
+    row of the kernel's Python loop; N units per spline value at the
+    2N - 1 nodes of every piece (Horner's N - 1 multiply-adds and the
+    product), for each live term; and (2N - 1)^2 per piece of both sides for
+    the conversion, and per half for the halvings, at most _MAX_HALVINGS
+    times as many as the period has pieces.  The 741 cells of the README
+    scan need less than 3.4e6 units each.
+    """
     _check_order(N)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"lattice steps must be finite (got a={a!r}, b={b!r})")
     if a <= 0 or b <= 0:
         raise DomainError("lattice steps must be positive")
-    if period_points < 1:
-        raise DomainError(f"period_points must be a positive integer (got {period_points!r})")
-    # spline evaluations of the overlap bounds, in floats; the acceptance grids, the
-    # benchmark cells and `bspline scan --N 4` over a = 0.1..3.9, b = 0.05..0.5 need < 1.3e7
     try:
-        painless = Fraction(b) * N <= 1
-        period_points = period_points if painless else max(period_points, 2048)
-        shifts = 0 if painless else 2 * (b * N + 2)
-        points = period_points + 2 * ((N + 1) * (1 + shifts) + 2)
-        work = (N / a + 4) * (1 + shifts) * points * _point_work(N)
+        k_max = 0 if Fraction(b) * N <= 1 else int(math.ceil(b * N)) + 1
+        terms, m = 2 * k_max + 1, 2 * N - 1
+        pieces = (N + 1) * terms + 1
+        work = (_TERM_WORK * (math.ceil(N / a) + 3) * terms
+                + pieces * m * (math.floor(N / a) + 2) * terms * N
+                + 2 * pieces * m * m * (1 + _MAX_HALVINGS))
     except OverflowError:
         work = math.inf
     _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
-    k_max = 0 if painless else int(math.ceil(b * N)) + 1
-    return [k / b for k in range(-k_max, k_max + 1) if k != 0], period_points
+    return [k / b for k in range(-k_max, k_max + 1) if k != 0]
 
 
-def _overlap_bounds(N: int, a: float, shifts, period_points: int):
-    """Periodized translation-overlap bounds of a cell that _check_cell admitted, on the
-    knot-augmented grid over [0, a) of the size it chose: (inf of diag - off, sup of
-    diag + off, slack), all before the division by b.  diag sums the squared translates B_N(x - n a),
-    off their overlaps at its shifts k/b; in the painless regime there are none, and the
-    values are the exact periodized bounds.  The true inf/sup lie within slack of the
-    grid values (Lipschitz bound; exact for order 1, whose piecewise-constant sums are
-    sampled in every piece)."""
-    knots = [k + s for k in range(N + 1) for s in [0.0] + shifts]
-    xs = _scan_grid(a, period_points, knots)
-    # points lie in [0, a): translates n*a outside this range miss [0, N)
+def _piece_reads(N: int, a: float, shifts):
+    """(cuts, diag, off): the pieces [cuts[i], cuts[i + 1]] of [0, a] between the knots
+    (j + k/b) mod a, j = 0..N, and the sums at the 2N - 1 nodes of _chebyshev of each
+    piece, one row per piece, from one _overlap_sums call over the cell."""
+    knots = {(k + s) % a for k in range(N + 1) for s in [0.0, *shifts]}
+    cuts = np.array(sorted(knots | {0.0, a}))
+    lefts, rights = cuts[:-1, None], cuts[1:, None]
+    nodes = _chebyshev(2 * N - 1)[0]
+    # nodes of a piece stay inside it, so the points ascend, as the kernel needs
+    xs = np.clip((lefts + rights) / 2 + (rights - lefts) / 2 * nodes, lefts, rights)
+    # points lie in [0, a]: translates n*a outside this range miss [0, N)
     offsets = [n * a for n in range(-int(math.ceil(N / a)) - 1, 2)]
     diag, off = _overlap_sums(functools.partial(_horner, N), [1.0], offsets, shifts, xs,
                               (0.0, float(N)))
-    # Lipschitz slack: translates meeting a point, times the terms per translate
-    terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
-    slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
-    return float((diag - off).min()), float((diag + off).max()), slack
+    return cuts, diag, off
+
+
+def _overlap_bounds(N: int, a: float, shifts):
+    """(lo, hi), lo <= inf(diag - off) and hi >= sup(diag + off), before the division
+    by b, for a cell that _check_cell admitted.
+
+    diag sums the squared translates B_N(x - n a), off their overlaps at the
+    shifts k/b, none in the painless regime, where the bounds are those of the
+    periodized diagonal.  Both are a-periodic, and between the knots of
+    _piece_reads both are polynomials of degree 2N - 2, read once at 2N - 1
+    nodes per piece.  _least encloses and halves the pieces of diag - off and
+    of -(diag + off), at a tolerance of _TOLERANCE times the largest value
+    read, and diag - off only while it can still be certified positive.
+    _rounding_term's E makes the bounds hold for the exact sums.
+    """
+    _, diag, off = _piece_reads(N, a, shifts)
+    rounding = _rounding_term(N, a, shifts)
+    lower, upper = _least(np.stack([diag - off, -(diag + off)]),
+                          _TOLERANCE * float((diag + off).max()), [rounding, -math.inf])
+    return float(lower) - rounding, rounding - float(upper)
 
 
 @functools.lru_cache(maxsize=1)
-def _painless_bounds(N: int, a: float, period_points: int):
+def _painless_bounds(N: int, a: float):
     """_overlap_bounds of a painless cell, which has no shifts and so does not depend on b:
     the scanner sweeps b inside each (N, a) column, and one entry serves the column."""
-    return _overlap_bounds(N, a, [], period_points)
+    return _overlap_bounds(N, a, [])
 
 
 def finite_section_bounds(N: int, a: float, b: float):
@@ -326,32 +501,35 @@ class PhaseDiagramCell:
             raise ValueError("a frame certificate requires a positive lower bound")
 
 
-def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
-                  attach_estimates: bool = True) -> PhaseDiagramCell:
+def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> PhaseDiagramCell:
     """Sound classification of one lattice cell.
 
     Certificates: exact periodized bounds in the painless regime (including
     the negative certificate: B_N > 0 on (0, N), so the diagonal vanishes iff
-    a >= N, and iff a > 1 for N = 1, never read off a grid value that
-    underflows to 0.0), the translation-overlap sufficient condition outside
-    it, and otherwise undecided with a cyclic finite-section estimate
-    attached when feasible.  Before the sufficient conditions, the density
-    theorem zero-certifies every cell with a b > 1, for any window (Rieffel,
-    Math. Ann. 257, 1981; Heil, JFAA 13, 2007), and with a b = 1 for N >= 2:
-    B_N is then continuous with compact support, so its Zak transform has a
-    zero, and at a b = 1 that rules out a frame (Groechenig, Foundations of
-    Time-Frequency Analysis, 2001, ch. 8).  N = 1 at a = b = 1 is an
-    orthonormal basis.  a b is the exact product of the two floats.  After
-    them, an integer b >= 2 zero-certifies the cell: the transform of B_N
-    vanishes at every nonzero integer, so sum_k |B_N^(w - k b)|^2 = 0 at
-    w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE Trans. Inf.
-    Theory 49, 2003).  Input that _check_cell rejects raises DomainError
-    before anything is built; a painless cell then reads the bounds of its
-    (N, a, period_points) column from _painless_bounds.
+    a >= N, and iff a > 1 for N = 1, never read off a value that underflows
+    to 0.0), the translation-overlap sufficient condition outside it, and
+    otherwise undecided with a cyclic finite-section estimate attached when
+    feasible.  Both rest on the enclosures of _overlap_bounds: every piece of
+    the sums between their breakpoints is read at 2N - 1 Chebyshev nodes and
+    bounded through its Chebyshev coefficients, halved where that can still
+    move a bound, less or plus an a-priori rounding term; a cell whose lower
+    enclosure is not positive is not certified.  Before the sufficient
+    conditions, the density theorem zero-certifies every cell with a b > 1,
+    for any window (Rieffel, Math. Ann. 257, 1981; Heil, JFAA 13, 2007), and
+    with a b = 1 for N >= 2: B_N is then continuous with compact support, so
+    its Zak transform has a zero, and at a b = 1 that rules out a frame
+    (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 8).  N = 1
+    at a = b = 1 is an orthonormal basis.  a b is the exact product of the
+    two floats.  After them, an integer b >= 2 zero-certifies the cell: the
+    transform of B_N vanishes at every nonzero integer, so sum_k |B_N^(w -
+    k b)|^2 = 0 at w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE
+    Trans. Inf. Theory 49, 2003).  Input that _check_cell rejects raises
+    DomainError before anything is built; a painless cell then reads the
+    bounds of its (N, a) column from _painless_bounds.
     """
-    shifts, points = _check_cell(N, a, b, period_points)
+    shifts = _check_cell(N, a, b)
     painless = not shifts
-    lo, hi, slack = _painless_bounds(N, a, points) if painless else _overlap_bounds(N, a, shifts, points)
+    lo, hi = _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts)
     lower, estimate = 0.0, None
     density = Fraction(a) * Fraction(b)
     if painless and (a >= N if N > 1 else a > 1):
@@ -361,11 +539,11 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
                                        "density theorem: a b = 1 and the Zak transform of B_N vanishes")
     elif b >= 2 and float(b).is_integer():
         status, method = STATUS_ZERO, "integer b >= 2: the transform of B_N vanishes at every 1 - k b"
-    elif lo - slack > 0:
-        status, lower = STATUS_FRAME, (lo - slack) / b
+    elif lo > 0:
+        status, lower = STATUS_FRAME, lo / b
         method = "painless periodization" if painless else "translation-overlap sufficient condition"
     elif painless:
-        status, method = STATUS_UNDECIDED, "painless grid estimate below slack"
+        status, method = STATUS_UNDECIDED, "painless enclosure not positive"
     else:
         status, method = STATUS_UNDECIDED, "sufficient condition inconclusive"
         if attach_estimates:
@@ -374,7 +552,7 @@ def classify_cell(N: int, a: float, b: float, period_points: int = 1024,
                 method += "; cyclic finite-section estimate"
             except (GridError, LatticeError):
                 pass
-    return PhaseDiagramCell(a, b, status, estimate or FrameBounds(lower, (hi + slack) / b), method)
+    return PhaseDiagramCell(a, b, status, estimate or FrameBounds(lower, hi / b), method)
 
 
 def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None):

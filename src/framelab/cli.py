@@ -379,7 +379,7 @@ def _scan_task(task):
 
 def _bspline_scan(args):
     core._check_work(core._PASS_WORK * len(args.a_grid) * len(args.b_grid), "the cells of the scan")
-    tasks = [(args.N, a, b, args.period_points, not args.no_estimates)
+    tasks = [(args.N, a, b, not args.no_estimates)
              for a in args.a_grid for b in args.b_grid]
     return {"rows": _map(_scan_task, tasks, args.jobs, chunksize=4)}
 
@@ -565,7 +565,6 @@ COMMANDS = {
         Command("scan",
                 "phase diagram over (a, b): certified frame cells, certified failures, undecided",
                 (ORDER, _required("--a-grid", type=_range), _required("--b-grid", type=_range),
-                 _opt("--period-points", type=_positive_int, default=1024),
                  _opt("--no-estimates", action="store_true"), JOBS),
                 _bspline_scan, ("a", "b", "status", "A", "B", "method")),
         Command("dual-window", "dual window as a finite combination of integer shifts of the spline",

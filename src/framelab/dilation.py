@@ -465,14 +465,24 @@ def _adic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, a: float, c_value
     return range(math.floor(-math.log(max(far)) / ln_a) - 1, math.ceil(-math.log(min(near)) / ln_a) + 2)
 
 
+def _extent(fn: FreqFunction):
+    """(start of the first, end of the last) nonzero piece of fn; its band if it has none,
+    where every product with it vanishes whatever the window."""
+    if fn.is_zero():
+        return fn.band
+    starts, ends = fn.nonzero_cells()
+    return float(starts[0]), float(ends[-1])
+
+
 def _reachable_n(psi: FreqFunction, psi_tilde: FreqFunction, b: float, c_values):
     """n window of the shift classes alpha = a^j n / b.
 
     A class contributes only if n/b fits inside the difference of the two
-    offset-shifted bands, a window that does not depend on j.
+    offset-shifted extents of the nonzero pieces, a window that does not
+    depend on j.
     """
-    lo1, hi1 = psi.band
-    lo2, hi2 = psi_tilde.band
+    lo1, hi1 = _extent(psi)
+    lo2, hi2 = _extent(psi_tilde)
     c_span = (max(c_values) - min(c_values)) if c_values else 0.0
     n_max = _shift_window(b * ((max(hi1, hi2) - min(lo1, lo2)) + c_span))
     return range(-n_max, n_max + 1)
@@ -538,10 +548,10 @@ def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c
     translation step b and offsets c_values, the front end of both duality checks.
 
     a and b may be rational strings, and b is then read as a float.  The j
-    window comes from the nonzero pieces, the n window from the bands.  The
-    dilations run in decreasing j, the dyadic order: where three or more
-    scales meet on one gamma the order fixes the last bits.  Without
-    full_check only the class alpha = 0 is read.
+    window and the n window come from the nonzero pieces.  The dilations run
+    in decreasing j, the dyadic order: where three or more scales meet on one
+    gamma the order fixes the last bits.  Without full_check only the class
+    alpha = 0 is read.
     """
     if isinstance(a, str):
         a = _as_fraction(a, "a")
@@ -598,16 +608,18 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     every reachable alpha = a^j n / b != 0 (grouped exactly via rational
     arithmetic) the corresponding double sum must vanish.  c1 and the ratio
     classes are one _dual_deviations call, c2 the classes n/b of
-    _class_deviations at j = 0, c = 0 on the band of psi; each is read
-    exactly, at one point per piece.
+    _class_deviations at j = 0, c = 0 on the extent of the nonzero pieces of
+    psi, its shifts k/b from the extents of both; each is read exactly, at
+    one point per piece.
     """
     tol = resolve_tolerance(tolerance)
     a_f, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, full_check)
     residuals = {"c1": devs.pop(0)}
 
-    # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b
-    lo1, hi1 = psi_hat.band
-    lo2, hi2 = psi_tilde_hat.band
+    # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b; psi
+    # is read on the extent of its nonzero pieces
+    lo1, hi1 = _extent(psi_hat)
+    lo2, hi2 = _extent(psi_tilde_hat)
     _shift_window(b * ((hi2 - lo1) - (lo2 - hi1)))  # bounds the shifts k/b listed below
     k_lo = int(math.ceil((lo2 - hi1) * b - 1e-12))
     k_hi = int(math.floor((hi2 - lo1) * b + 1e-12))

@@ -307,3 +307,39 @@ def rational_indicator_bounds(lo, hi, a_values, b, c_values, window):
         if w_lo < mid < w_hi:
             lower = (diag - off) / b if lower is None else min(lower, (diag - off) / b)
     return lower, upper
+
+
+def scan_grid(a: float, period_points: int, knots) -> np.ndarray:
+    """The uniform grid over [0, a) augmented with the knots and piece midpoints, which
+    the scanner read before its piece enclosures."""
+    base = a * np.arange(period_points) / period_points
+    ks = sorted({float(k) % a for k in knots} | {0.0, a})
+    mids = [(u + v) / 2 for u, v in zip(ks, ks[1:]) if v > u]
+    pts = np.unique(np.concatenate([base, np.array(ks[:-1]), np.array(mids)]))
+    return pts[(pts >= 0) & (pts < a)]
+
+
+def scanner_shifts(N: int, b: float):
+    """The shifts k/b of the scanner's overlap sums: none in the painless regime b N <= 1."""
+    if Fraction(b) * N <= 1:
+        return []
+    k_max = int(math.ceil(b * N)) + 1
+    return [k / b for k in range(-k_max, k_max + 1) if k != 0]
+
+
+def grid_overlap_bounds(N: int, a: float, b: float, period_points: int = 1024):
+    """(min of diag - off, max of diag + off, slack) on the scanner's former grid, before the
+    division by b: period_points points (2048 at least outside the painless regime), and a
+    Lipschitz slack within which the true inf and sup lie (0 for order 1, whose
+    piecewise-constant sums the grid reads in every piece)."""
+    from framelab.bspline import _horner
+    from framelab.dilation import _overlap_sums
+
+    shifts = scanner_shifts(N, b)
+    period_points = period_points if not shifts else max(period_points, 2048)
+    xs = scan_grid(a, period_points, [k + s for k in range(N + 1) for s in [0.0] + shifts])
+    offsets = [n * a for n in range(-int(math.ceil(N / a)) - 1, 2)]
+    diag, off = _overlap_sums(lambda x: _horner(N, x), [1.0], offsets, shifts, xs, (0.0, float(N)))
+    terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
+    slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
+    return float((diag - off).min()), float((diag + off).max()), slack

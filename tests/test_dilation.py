@@ -311,7 +311,7 @@ def test_corollary_consistency_c1_c2_imply_g1():
 def test_wave_packet_adapter_matches_spline_painless_bounds():
     # lattice systems are single-dilation wave packets: feeding the spline
     # into the translation-overlap formula with offsets m*a reproduces the
-    # painless periodization bounds on a common evaluation grid
+    # painless periodization bounds
     from framelab.bspline import _check_cell, _overlap_bounds, bspline_eval
 
     N, a, b = 2, 0.5, 0.25
@@ -331,9 +331,10 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     assert bounds.lower == pytest.approx(diag.min() / b, abs=1e-12)
     assert bounds.upper == pytest.approx(diag.max() / b, abs=1e-12)
 
-    inf_, sup_, _slack = _overlap_bounds(N, a, *_check_cell(N, a, b, int(round(a / step))))
-    assert bounds.lower == pytest.approx(inf_ / b, abs=1e-8)
-    assert bounds.upper == pytest.approx(sup_ / b, abs=1e-8)
+    # the scanner's enclosures hold these extremes, 5 and 6, within their tolerance
+    inf_, sup_ = _overlap_bounds(N, a, _check_cell(N, a, b))
+    assert inf_ / b <= bounds.lower == pytest.approx(inf_ / b, rel=1e-3)
+    assert sup_ / b >= bounds.upper == pytest.approx(sup_ / b, rel=1e-3)
 
 
 def test_lic_zero_generator():

@@ -87,6 +87,15 @@ def wavelet_oracle(psi_hat, psi_tilde_hat, b=1.0):
     return {"scaling_sum": residual_i, "shifted_sums": residual_ii}
 
 
+def nonzero_extent(fn):
+    """The least and largest edge of a nonzero cell of fn, or its band if it has none."""
+    values = np.append(fn.pieces, 0)
+    nonzero = np.flatnonzero(values[:-1])
+    if not nonzero.size:
+        return fn.band
+    return float(fn.edges[nonzero[0]]), float(fn.edges[nonzero[-1] + 1])
+
+
 def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     """(residuals, details) of the wave-packet check with separate c1 and g1 loops."""
     a_f = float(a)
@@ -104,8 +113,8 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     residuals["c1"] = float(np.abs(total - b).max())
 
     dev_c2 = 0.0
-    lo1, hi1 = psi_hat.band
-    lo2, hi2 = psi_tilde_hat.band
+    lo1, hi1 = nonzero_extent(psi_hat)
+    lo2, hi2 = nonzero_extent(psi_tilde_hat)
     overlaps = 0
     # psi(g) psit(g + k/b) can be nonzero only for k/b in (lo2 - hi1, hi2 - lo1)
     k_lo = int(math.ceil((lo2 - hi1) * b - 1e-12))
@@ -314,21 +323,24 @@ def test_wavelet_is_the_wave_packet_check_at_a2_c0_bitwise(b):
 
 
 def test_padded_band_reads_the_j_window_of_its_pieces():
-    # the band (0.25, 8) holds the pieces of [1, 2) loosely: the j window comes
-    # from the pieces, so only the n window still reads the band
+    # the band (0.25, 8) holds the pieces of [1, 2) loosely: the j window, the n
+    # window and the c2 shifts all come from the pieces, so the padded band reads
+    # what its tight twin reads
     padded = FreqFunction(1.0, 0.5, [1, 1], (0.25, 8.0))
     tight = FreqFunction(1.0, 0.5, [1, 1], (1.0, 2.0))
     for b in (0.5, 1.0, 2.0):
         wide, narrow = (wavelet_duality_check(fn, fn, b=b) for fn in (padded, tight))
-        assert (wide.residuals, wide.verdict) == (narrow.residuals, narrow.verdict)
+        assert (wide.residuals, wide.verdict, wide.details) == (
+            narrow.residuals, narrow.verdict, narrow.details)
         for a, c_values in ((2, [0.0, 0.5]), (3, [0.0]), (1.5, [0.5])):
             wide, narrow = (wave_packet_duality_check(fn, fn, a=a, b=b, c_values=c_values)
                             for fn in (padded, tight))
-            assert (wide.residuals, wide.verdict) == (narrow.residuals, narrow.verdict)
-    # a j window read from the band counts 88 and 100
-    assert wavelet_duality_check(padded, padded).details["shift_classes"] == 48
-    assert wave_packet_duality_check(padded, padded, a=2, b=1.0, c_values=[0.0, 0.5]
-                                     ).details["g1_classes"] == 60
+            assert (wide.residuals, wide.verdict, wide.details) == (
+                narrow.residuals, narrow.verdict, narrow.details)
+    # windows read from the band counted 48 shift classes and 14 c2 shifts
+    assert wavelet_duality_check(padded, padded).details["shift_classes"] == 10
+    assert wave_packet_duality_check(padded, padded, a=2, b=1.0, c_values=[0.0]).details == {
+        "c2_shifts_checked": 2.0, "g1_classes": 10.0}
 
 
 def j_window_oracle(psi, psit, a, c_values):

@@ -2,11 +2,11 @@
 
 The B-spline scanner and the wave-packet bounds both run on
 dilation._overlap_sums.  The oracles below are the separate loops it
-replaced, kept verbatim in substance: the painless and the wide-range
-translation-overlap bounds of the scanner, and the per-function
-triple-sum passes of the wave-packet bounds, read at the library's piece
-points (_bound_points).  Every value must agree to the last bit wherever
-the oracle returns.
+replaced, kept verbatim in substance: one masked spline call per
+(translate, shift) term of the scanner, read at the scanner's own Chebyshev
+nodes, and the per-function triple-sum passes of the wave-packet bounds,
+read at the library's piece points (_bound_points).  Every value must agree
+to the last bit wherever the oracle returns.
 """
 
 import math
@@ -20,8 +20,8 @@ from framelab.bspline import (
     STATUS_FRAME,
     STATUS_UNDECIDED,
     STATUS_ZERO,
+    _check_cell,
     _overlap_bounds,
-    _scan_grid,
     bspline_eval,
     classify_cell,
 )
@@ -37,6 +37,7 @@ from framelab.dilation import (
     wave_packet_bessel_bound,
     wave_packet_frame_bounds,
 )
+from oracles import scan_grid, scanner_shifts
 
 
 def bits(*values):
@@ -44,15 +45,6 @@ def bits(*values):
 
 
 # -- scanner oracles ----------------------------------------------------------
-
-
-def painless_oracle(N, a, b, period_points):
-    xs = _scan_grid(a, period_points, (k for k in range(N + 1)))
-    diag = np.zeros_like(xs)
-    for n in range(-int(math.ceil(N / a)) - 1, 2):
-        diag += bspline_eval(N, xs - n * a) ** 2
-    slack = 0.0 if N == 1 else 2.0 * (int(math.floor(N / a)) + 1) * (a / period_points) / 2
-    return float(diag.min()), float(diag.max()), slack
 
 
 def overlap_sums_oracle(N, offsets, shifts, xs):
@@ -69,19 +61,16 @@ def overlap_sums_oracle(N, offsets, shifts, xs):
     return diag, off
 
 
-def scanner_shifts(N, b):
-    k_max = int(math.ceil(b * N)) + 1
-    return [k / b for k in range(-k_max, k_max + 1) if k != 0]
+def oracle_bounds(N, a, b, monkeypatch):
+    """_overlap_bounds of the cell with the kernel replaced by the per-term loop, on the
+    same points; the spline is read by bspline_eval, with masks."""
+    def per_term(values_at, dilations, offsets, shifts, gammas, support):
+        assert list(dilations) == [1.0] and support == (0.0, float(N))
+        return overlap_sums_oracle(N, offsets, shifts, gammas)
 
-
-def overlap_oracle(N, a, b, period_points):
-    shifts = scanner_shifts(N, b)
-    xs = _scan_grid(a, period_points, [k + s for k in range(N + 1) for s in [0.0] + shifts])
-    n_max = int(math.ceil(2 * N / a)) + 1
-    diag, off = overlap_sums_oracle(N, [n * a for n in range(-n_max, n_max + 1)], shifts, xs)
-    terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
-    slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
-    return float((diag - off).min()), float((diag + off).max()), slack
+    with monkeypatch.context() as patch:
+        patch.setattr(bspline, "_overlap_sums", per_term)
+        return _overlap_bounds(N, a, scanner_shifts(N, b))
 
 
 def density_oracle(N, a, b):
@@ -95,65 +84,61 @@ def density_oracle(N, a, b):
     return None
 
 
-def classify_oracle(N, a, b, period_points=1024):
+def classify_oracle(N, a, b, monkeypatch):
     """(status, lower, upper, method) of the scanner without finite-section estimates."""
     density = density_oracle(N, a, b)
+    lo, hi = oracle_bounds(N, a, b, monkeypatch)
     if Fraction(b) * N <= 1:
-        inf_, sup_, slack = painless_oracle(N, a, b, period_points)
-        if inf_ == 0.0:
-            return STATUS_ZERO, 0.0, (sup_ + slack) / b, "painless diagonal vanishes exactly"
+        if (a >= N if N > 1 else a > 1):
+            return STATUS_ZERO, 0.0, hi / b, "painless diagonal vanishes exactly"
         if density:
-            return STATUS_ZERO, 0.0, (sup_ + slack) / b, density
-        if inf_ - slack > 0:
-            return STATUS_FRAME, (inf_ - slack) / b, (sup_ + slack) / b, "painless periodization"
-        return STATUS_UNDECIDED, 0.0, (sup_ + slack) / b, "painless grid estimate below slack"
-    lo, hi, slack = overlap_oracle(N, a, b, max(period_points, 2048))
+            return STATUS_ZERO, 0.0, hi / b, density
+        if lo > 0:
+            return STATUS_FRAME, lo / b, hi / b, "painless periodization"
+        return STATUS_UNDECIDED, 0.0, hi / b, "painless enclosure not positive"
     if density:
-        return STATUS_ZERO, 0.0, (hi + slack) / b, density
+        return STATUS_ZERO, 0.0, hi / b, density
     if b >= 2 and b == int(b):  # never painless: b N > 1
-        return (STATUS_ZERO, 0.0, (hi + slack) / b,
+        return (STATUS_ZERO, 0.0, hi / b,
                 "integer b >= 2: the transform of B_N vanishes at every 1 - k b")
-    if lo - slack > 0:
-        return (STATUS_FRAME, (lo - slack) / b, (hi + slack) / b,
-                "translation-overlap sufficient condition")
-    return STATUS_UNDECIDED, 0.0, (hi + slack) / b, "sufficient condition inconclusive"
+    if lo > 0:
+        return STATUS_FRAME, lo / b, hi / b, "translation-overlap sufficient condition"
+    return STATUS_UNDECIDED, 0.0, hi / b, "sufficient condition inconclusive"
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-def test_classify_cell_matches_oracle_bitwise(N):
+def test_classify_cell_matches_oracle_bitwise(N, monkeypatch):
     # b*N on both sides of the painless threshold b*N = 1; a = N - 0.1 puts
-    # the painless inf below the slack, a = N + 0.5 makes it vanish; b = 2 and 3
+    # the painless inf near 0, a = N + 0.5 makes it vanish; b = 2 and 3
     # are integers, below and past the density bound
     for a in (0.3, 0.75, 1.0, 1.6, N - 0.1, N + 0.5):
         for bN in (0.5, 1.0, 1.2, 2.5, 2 * N, 3 * N):
             b = bN / N
-            cell = classify_cell(N, a, b, period_points=256, attach_estimates=False)
-            status, lower, upper, method = classify_oracle(N, a, b, period_points=256)
+            bspline._painless_bounds.cache_clear()
+            cell = classify_cell(N, a, b, attach_estimates=False)
+            status, lower, upper, method = classify_oracle(N, a, b, monkeypatch)
             assert (cell.status, cell.method) == (status, method)
             assert bits(cell.bounds_estimate.lower, cell.bounds_estimate.upper) == bits(lower, upper)
 
 
-def test_classify_cell_matches_oracle_bitwise_on_the_benchmark_grid():
-    # the scan_decay cells: N = 2..5, a = 0.25..1.75, b = 0.10..0.45 and 1.0,
-    # default period_points
+def test_classify_cell_matches_oracle_bitwise_on_the_benchmark_grid(monkeypatch):
+    # the scan_decay cells: N = 2..5, a = 0.25..1.75, b = 0.10..0.45 and 1.0
     for N in (2, 3, 4, 5):
         for a in (0.25 * k for k in range(1, 8)):
             for b in [round(0.10 + 0.05 * k, 2) for k in range(8)] + [1.0]:
                 cell = classify_cell(N, a, b, attach_estimates=False)
-                status, lower, upper, method = classify_oracle(N, a, b)
+                status, lower, upper, method = classify_oracle(N, a, b, monkeypatch)
                 assert (cell.status, cell.method) == (status, method)
                 assert bits(cell.bounds_estimate.lower, cell.bounds_estimate.upper) == \
                     bits(lower, upper)
 
 
-def test_overlap_bounds_match_oracles_bitwise():
-    for N, a, b, points in ((1, 0.7, 0.5, 64), (2, 0.5, 0.25, 1024), (2, 1.9, 0.5, 100),
-                            (3, 1.25, 0.6, 512), (4, 0.9, 0.4, 300), (5, 2.2, 0.2, 128)):
-        # _overlap_bounds keeps these grids below the scanner's 2048-point floor
-        painless = b * N <= 1
-        oracle = painless_oracle if painless else overlap_oracle
-        shifts = [] if painless else scanner_shifts(N, b)
-        assert bits(*_overlap_bounds(N, a, shifts, points)) == bits(*oracle(N, a, b, points))
+def test_overlap_bounds_match_oracles_bitwise(monkeypatch):
+    for N, a, b in ((1, 0.7, 0.5), (2, 0.5, 0.25), (2, 1.9, 0.5), (3, 1.25, 0.6), (4, 0.9, 0.4),
+                    (5, 2.2, 0.2), (7, 0.8, 0.3), (12, 11.5, 0.05)):
+        shifts = _check_cell(N, a, b)
+        assert shifts == scanner_shifts(N, b)
+        assert bits(*_overlap_bounds(N, a, shifts)) == bits(*oracle_bounds(N, a, b, monkeypatch))
 
 
 # -- wave-packet oracles --------------------------------------------------------
@@ -275,7 +260,7 @@ def test_support_skips_dead_shifts_bitwise(N, a, b):
     # slices evaluate fewer spline points, only inside the support, and keep
     # every bit of the per-term oracle
     shifts = scanner_shifts(N, b)
-    xs = _scan_grid(a, 256, [k + s for k in range(N + 1) for s in [0.0] + shifts])
+    xs = scan_grid(a, 256, [k + s for k in range(N + 1) for s in [0.0] + shifts])
     offsets = [n * a for n in range(-int(math.ceil(N / a)) - 3, 4)]
     evaluated = []
     sums = dilation._overlap_sums(recording_horner(N, evaluated), [1.0], offsets, shifts, xs,
