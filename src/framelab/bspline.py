@@ -6,7 +6,10 @@ on [0, N] with the partition-of-unity property.  B_N is evaluated by
 Horner's rule on its piece polynomials, whose Taylor coefficients are
 computed exactly once per order and rounded once each; every point is read
 on a left-half piece through the symmetry B_N(x) = B_N(N - x), O(N)
-operations per point of the support.  The scanner classifies lattice
+operations per point of the support.  The integer pieces also decide the
+partition of unity, the unit integral and interior positivity exactly
+(property_suite); what stays numerical, the rounded table and Horner's
+rule, is covered by an a-priori bound.  The scanner classifies lattice
 parameters (a, b) by sound certificates only, all from one set of
 periodized translation-overlap sums (the kernel the wave-packet bounds use
 too): exact bounds where the support fits one frequency period and the
@@ -15,8 +18,9 @@ overlap sum is empty, a sufficient condition beyond it, and an honest
 of degree 2N - 2: each piece is read once, at its 2N - 1 Chebyshev nodes,
 enclosed through its Chebyshev coefficients, and halved only where that can
 still move a bound, with an a-priori rounding term (Farouki & Rajan, CAGD 4,
-1987; Trefethen, Approximation Theory and Approximation Practice, 2013).
-The negative certificates are decided exactly, never read off a value: a
+1987; Trefethen, Approximation Theory and Approximation Practice, 2013);
+order 1, an indicator, counts its translates exactly instead.  The
+negative certificates are decided exactly, never read off a value: a
 painless diagonal that vanishes, from the support of B_N, the density
 theorem, on the exact product a b of the float cell, and the zeros of the
 transform of B_N, at an integer b >= 2.  The painless bounds do not depend
@@ -61,6 +65,7 @@ from .gabor import (DEFAULT_STEP, GaborSpec, SampledWindow, _cycle_length, gabor
 #: N = 450 on a 2-CPU x86-64 VM, where a work unit is about 10 ns, so the largest admitted
 #: table, N = 342, builds in about a second
 _TABLE_ADD_WORK = 10
+_UNIT = 2.0 ** -53  # the unit roundoff of float64
 
 
 def _table_work(N: int) -> int:
@@ -69,38 +74,39 @@ def _table_work(N: int) -> int:
     return _TABLE_ADD_WORK * (N // 2) * (N * (N - 1) // 2)
 
 
-@functools.lru_cache(maxsize=16)
-def _piece_table(N: int) -> np.ndarray:
-    """Taylor coefficients of B_N on its left-half pieces, rounded once each.
+def _taylor_shift(coefficients) -> list:
+    """The integer coefficients of p(t + 1), highest power first, from those of p(t):
+    len - 1 passes of prefix sums (Horner's synthetic division at -1), additions only."""
+    shifted = list(coefficients)
+    for n in range(len(shifted), 1, -1):
+        shifted[:n] = accumulate(shifted[:n])
+    return shifted
 
-    table[k, j] is the coefficient of t^k of B_N(j + t) on [j, j + 1), for
-    j = 0..N // 2.  On that piece B_N(x) = sum_{i <= j} (-1)^i C(N, i)
-    (x - i)^(N-1) / (N - 1)! (de Boor, A Practical Guide to Splines, ch. IX),
-    so the scaled piece (N - 1)! B_N(j + t) has integer coefficients: piece 0
-    is t^(N-1), and piece j is piece j - 1 shifted by t -> t + 1 plus the new
-    term (-1)^j C(N, j) t^(N-1).  The shift runs as N - 1 passes of suffix
-    sums over the integer coefficients, additions only (Horner's synthetic
-    division at -1); each coefficient is then rounded by one correctly
-    rounded int / int division.
+
+@functools.lru_cache(maxsize=16)
+def _piece_table(N: int):
+    """(pieces, table): B_N on its left-half pieces, exactly and rounded once each.
+
+    pieces[j] holds the integer coefficients of (N - 1)! B_N(j + t) on
+    [j, j + 1), highest power first, for j = 0..N // 2.  On that piece B_N(x)
+    = sum_{i <= j} (-1)^i C(N, i) (x - i)^(N-1) / (N - 1)! (de Boor, A
+    Practical Guide to Splines, ch. IX), so piece 0 is t^(N-1), and piece j is
+    piece j - 1 shifted by t -> t + 1 (_taylor_shift) plus the new term
+    (-1)^j C(N, j) t^(N-1).  table[k, j] is the coefficient of t^k of
+    B_N(j + t), rounded by one correctly rounded int / int division; both are
+    read-only.
     """
     fact = math.factorial(N - 1)
-    scaled = [0] * N  # highest power first: scaled[i] multiplies t^(N-1-i)
-    scaled[0] = 1
+    pieces = [(1,) + (0,) * (N - 1)]
+    for j in range(1, N // 2 + 1):
+        scaled = _taylor_shift(pieces[-1])
+        scaled[0] += (-1) ** j * math.comb(N, j)
+        pieces.append(tuple(scaled))
     table = np.empty((N, N // 2 + 1))
-    for j in range(N // 2 + 1):
-        if j:
-            for n in range(N, 1, -1):
-                scaled[:n] = accumulate(scaled[:n])
-            scaled[0] += (-1) ** j * math.comb(N, j)
+    for j, scaled in enumerate(pieces):
         table[::-1, j] = [c / fact for c in scaled]
     table.flags.writeable = False
-    return table
-
-
-def _point_work(N: int) -> int:
-    """Work charged per value of B_N: the N (N + 1) / 2 entries of the order recurrence's
-    triangle, an upper bound of Horner's N - 1 multiply-adds kept so no refusal moves."""
-    return N * (N + 1) // 2
+    return tuple(pieces), table
 
 
 def bspline_eval(N: int, x) -> np.ndarray:
@@ -114,14 +120,15 @@ def bspline_eval(N: int, x) -> np.ndarray:
     near x = N, out of use.  Finite points outside [0, N) are not evaluated
     and give +0.0; NaN and +-inf give NaN (0.0 for N = 1).
 
-    Each point of [0, N) and each non-finite point is charged _point_work(N);
-    the table of the order is charged once more, before it is built.
+    Each point of [0, N) and each non-finite point is charged N units, its
+    N - 1 multiply-adds and the gather; the table of the order is charged
+    once more, before it is built.
     """
     _check_order(N)
     x = np.asarray(x, dtype=float)
     n_float = _as_float(N, "the order N")
     live = ~(np.isfinite(x) & ((x < 0) | (x >= n_float)))
-    _check_work(int(np.count_nonzero(live)) * _point_work(N), f"B_{N} at {x.size} points")
+    _check_work(int(np.count_nonzero(live)) * N, f"B_{N} at {x.size} points")
     out = np.zeros(x.shape)
     if not live.any():  # no table: N may be past any array dimension
         return out
@@ -141,7 +148,7 @@ def _horner(N: int, x) -> np.ndarray:
     keeps x inside [0, N) and charges the work: bspline_eval its points and
     the table, the scanner its cell (_check_cell admits no order whose table
     is over the budget)."""
-    table = _piece_table(N)
+    table = _piece_table(N)[1]
     y = np.minimum(x, float(N) - x)
     j = y.astype(np.intp)  # in 0..N // 2: "clip" only skips the bounds check
     t = y - j
@@ -165,52 +172,102 @@ def bspline_fourier(N: int, gamma) -> np.ndarray:
     return (np.exp(-1j * np.pi * g) * np.sinc(g)) ** N
 
 
-def bspline_integral(N: int) -> float:
-    """Integral over the support, by per-knot-interval Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(max(8, N))
-    total = 0.0
-    for k in range(N):
-        x = k + (nodes + 1) / 2
-        total += float(np.sum(weights * bspline_eval(N, x)) / 2)
-    return total
+@functools.lru_cache(maxsize=16)
+def _table_sum(N: int) -> float:
+    """The largest sum of |Taylor coefficients| of a left-half piece of B_N."""
+    return float(np.abs(_piece_table(N)[1]).sum(axis=0).max())
 
 
-_SUITE_POINTS = 2048  # interior and partition-of-unity points of property_suite
+def _kernel_error(N: int) -> float:
+    """(2N - 1) u S: _horner's value at a float of [0, N) is within this of B_N there,
+    S = _table_sum(N).  One rounding per coefficient moves a piece by at most u S, and
+    Horner's rule on the rounded piece, N - 1 multiply-adds at t in [0, 1), adds at most
+    gamma_{2N-2} S (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 5.1);
+    the products of u dropped here are below 1 % for N < 10^13."""
+    return (2 * N - 1) * _UNIT * _table_sum(N)
+
+
+def _partition_bound(N: int) -> float:
+    """A-priori bound of |sum_k bspline_eval(N, x - k) - 1| at every float x, in any order
+    of summation, given the exact partition of unity of the pieces.
+
+    For N >= 2 at most N terms are nonzero, exact or computed: those with x - k
+    in [0, N), as rounding is monotone and keeps 0 and N, so fl(x - k) lies in
+    [0, N) only if x - k does (B_N(-0.0) = 0).  fl(x - k) is within u N of
+    x - k, and B_N is 1-Lipschitz and 0 at 0 and N (B_N' = B_{N-1} -
+    B_{N-1}(. - 1)), so each term is within _kernel_error(N) + u N of its exact
+    value; the sum of N terms adds at most gamma_{N-1} times their sum, about
+    1.  The factor 1.01 covers the products of u dropped here.
+    For N = 1 the bound is 0 where each x - k is exact, as for every dyadic x of
+    modest size: each term is 1.0 or 0.0, one of them 1.0.  An inexact
+    difference can round to 1.0 from below (x = -1e-20, k = -1) and drop the
+    one term, as B_1 jumps there.
+    """
+    if N == 1:
+        return 0.0
+    return 1.01 * (N * (_kernel_error(N) + N * _UNIT) + (N - 1) * _UNIT)
+
+
+def _suite_work(N: int) -> int:
+    """Work of property_suite(N): the table, then one Taylor shift of N (N - 1) / 2
+    additions per piece for the Bernstein coefficients and one for the mirrored half."""
+    return _table_work(N) + _TABLE_ADD_WORK * (N // 2 + 2) * (N * (N - 1) // 2)
 
 
 def property_suite(N: int, tolerance=None) -> AnalysisReport:
-    """Support, interior positivity, unit integral, partition of unity."""
+    """Support, interior positivity, unit integral and partition of unity of B_N.
+
+    The last three are decided exactly on the integer pieces p_j = (N - 1)!
+    B_N(j + t) of _piece_table, recomputed at every call; the pieces of the
+    right half are the mirrored left ones, p_j(t) = p_{N-1-j}(1 - t).
+    - Partition of unity: sum_j p_j(t) = (N - 1)! as a polynomial.
+    - Unit integral: sum_j sum_k c_jk / (k + 1) = (N - 1)!, over lcm(1..N).
+    - Interior positivity: each piece has Bernstein coefficients >= 0, not all
+      0, so it is positive on (0, 1), and B_N > 0 at the interior knots.
+    A broken identity reports residual 1.0, a holding one 0.0; the partition
+    of unity then reports _partition_bound, the a-priori bound of the float
+    sums of bspline_eval.  The support is read by one bspline_eval call at
+    400 points outside [0, N].  The table and the shifts are charged before
+    either is built (_suite_work), so every admitted order runs in about a
+    second.
+    """
     _check_order(N)
     tol = resolve_tolerance(tolerance)
-    # points in the support: interior, partition sums (N + 1 per point), Gauss nodes
-    _check_work((_SUITE_POINTS * (N + 2) + N * max(8, N)) * _point_work(N), f"B_{N}'s property suite")
+    _check_work(_suite_work(N), f"B_{N}'s property suite")
     outside = np.concatenate([
         np.linspace(-2.0, -1e-9, 200),
         np.linspace(N + 1e-9, N + 2.0, 200),
     ])
     support_leak = float(np.abs(bspline_eval(N, outside)).max())
 
-    interior = np.linspace(0, N, _SUITE_POINTS + 1)[1:-1]
-    min_interior = float(bspline_eval(N, interior).min())
-
-    integral_dev = abs(bspline_integral(N) - 1.0)
-
-    xs = np.linspace(0.0, 3.0, _SUITE_POINTS)
-    partition = np.zeros_like(xs)
-    for k in range(-N - 2, N + 5):
-        partition += bspline_eval(N, xs - k)
-    partition_dev = float(np.abs(partition - 1.0).max())
-
+    pieces = _piece_table(N)[0]
+    fact, common = math.factorial(N - 1), math.lcm(*range(1, N + 1))
+    # the sums of all left pieces and of those the right half mirrors; column i
+    # multiplies t^(N-1-i)
+    left, right = ([sum(column) for column in zip(*half)] if half else [0] * N
+                   for half in (pieces, pieces[:N - 1 - N // 2]))
+    # right(1 - t) is right(1 + s) at s = -t
+    reflected = [-c if (N - 1 - i) % 2 else c for i, c in enumerate(_taylor_shift(right))]
+    partition = [x + y for x, y in zip(left, reflected)] == [0] * (N - 1) + [fact]
+    integral = sum((x + y) * (common // (N - i)) for i, (x, y) in enumerate(zip(left, right)))
+    # (1 + s)^(N-1) p(s / (1 + s)) = sum_i C(N - 1, i) b_i s^i is the reversed piece
+    # shifted by 1: its coefficients are the Bernstein coefficients b_i times C(N - 1, i)
+    bernstein = [_taylor_shift(piece[::-1]) for piece in pieces]
+    positive = (all(min(b) >= 0 and max(b) > 0 for b in bernstein)
+                and all(piece[-1] > 0 for piece in pieces[1:]))  # at the knots 1..N // 2
+    exact = {"partition_of_unity": partition, "unit_integral": integral == fact * common,
+             "interior_nonpositive": positive}
+    broken = [name for name, holds in exact.items() if not holds]
+    residuals = {name: 0.0 if holds else 1.0 for name, holds in exact.items()}
+    if partition:
+        residuals["partition_of_unity"] = _partition_bound(N)
     return AnalysisReport.from_residuals(
-        {
-            "support_leak": support_leak,
-            "interior_nonpositive": 0.0 if min_interior > 0 else 1.0,
-            "unit_integral": integral_dev,
-            "partition_of_unity": partition_dev,
-        },
+        {"support_leak": support_leak, **residuals},
         tol,
-        notes=f"order {N}: support [0, {N}], min interior value {min_interior:.3e}",
-        details={"min_interior": min_interior},
+        notes=(f"order {N}: support [0, {N}]; " + (
+            f"broken on the integer pieces: {', '.join(broken)}" if broken else
+            "partition of unity, unit integral and interior positivity exact on the integer "
+            "pieces; partition_of_unity is the a-priori bound of the float sums")),
     )
 
 
@@ -233,7 +290,6 @@ _MAX_HALVINGS = 8
 #: a piece is halved while its bound lies more than this share of the cell's largest value
 #: beyond the extreme of the values read, i.e. while it can still move the reported extreme
 _TOLERANCE = 2.0 ** -11
-_UNIT = 2.0 ** -53  # the unit roundoff of float64
 
 
 @functools.lru_cache(maxsize=8)
@@ -329,13 +385,13 @@ def _rounding_term(N: int, a: float, shifts) -> float:
     - Placement.  A node, fl(n a) and fl(k/b), the arguments fl(fl(x - n a) -
       k/b) and the knots fl(j + k/b) mod a are each within d = 2u (3N + 11a +
       2s) of their exact values.
-    - The kernel.  Horner's rule on the rounded table is within (2N - 1) u S
-      of B_N at a float, S the largest sum of |coefficients| of a piece of
-      _piece_table (2.5 at most, falling with N; Higham, Accuracy and
-      Stability, 2002, 5.1), and B_N is 1-Lipschitz for N >= 2 (B_N' =
-      B_{N-1} - B_{N-1}(. - 1)), so each term's factor is off by at most e =
-      (2N - 1) u S + d.  The products and the two sums of at most T terms,
-      and diag -+ off, then keep a value within P = T (2e + e^2 + (T + 2) u).
+    - The kernel.  Horner's rule on the rounded table is within
+      _kernel_error(N) = (2N - 1) u S of B_N at a float, S the largest sum of
+      |coefficients| of a piece of _piece_table (2.5 at most, falling with
+      N), and B_N is 1-Lipschitz for N >= 2 (B_N' = B_{N-1} - B_{N-1}(. -
+      1)), so each term's factor is off by at most e = (2N - 1) u S + d.
+      The products and the two sums of at most T terms, and diag -+ off,
+      then keep a value within P = T (2e + e^2 + (T + 2) u).
     - The knots.  Between true breakpoints, diag -+ off is a polynomial of
       degree 2N - 2 and is 2T-Lipschitz.  A true breakpoint inside a piece
       lies within d of one of its ends, so on the piece diag -+ off is within
@@ -357,29 +413,19 @@ def _rounding_term(N: int, a: float, shifts) -> float:
     (2m - 1) T), the 3 % covering the first-order products dropped above.  It
     grows as N^2 T^2 u for large T and as m^3 u T through the halvings:
     about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5,
-    b = 0.01.  For N = 1 it is 0: B_1 reads 1.0 exactly, every product and sum
-    is a small integer, and m = 1 reads each piece at its midpoint, exact on
-    every piece wider than the rounding of its ends and offsets.  B_1 jumps,
-    so a narrower piece can be misread (at a = fl(1/3), [0, 2^-54) has 4
-    translates and reads 3): for N = 1 the bounds hold where no piece is.
+    b = 0.01.  It needs N >= 2: B_1 jumps, so a piece narrower than the
+    rounding of its ends can be misread, and order 1 is counted exactly
+    instead (_indicator_bounds).
     """
-    if N == 1:
-        return 0.0
     m, u = 2 * N - 1, _UNIT
     s = max(map(abs, shifts), default=0.0)
     T = (math.floor(N / a) + 2) * (1 + len(shifts))
     d = 2 * u * (3 * N + 11 * a + 2 * s)
-    e = (2 * N - 1) * u * _table_sum(N) + d
+    e = _kernel_error(N) + d
     data = T * (2 * e + e * e + (T + 2) * u) + 6 * T * d
     h = _chebyshev(m)[4]
     return 1.03 * ((2 * m - 1) * data + 4 * T * d + 20 * m * m * u * T
                    + _MAX_HALVINGS * (m + 1) * u * h * (2 * m - 1) * T)
-
-
-@functools.lru_cache(maxsize=16)
-def _table_sum(N: int) -> float:
-    """The largest sum of |Taylor coefficients| of a left-half piece of B_N."""
-    return float(np.abs(_piece_table(N)).sum(axis=0).max())
 
 
 def _check_cell(N, a, b):
@@ -432,7 +478,7 @@ def _piece_reads(N: int, a: float, shifts):
 
 def _overlap_bounds(N: int, a: float, shifts):
     """(lo, hi), lo <= inf(diag - off) and hi >= sup(diag + off), before the division
-    by b, for a cell that _check_cell admitted.
+    by b, for a cell of order N >= 2 that _check_cell admitted.
 
     diag sums the squared translates B_N(x - n a), off their overlaps at the
     shifts k/b, none in the painless regime, where the bounds are those of the
@@ -455,6 +501,34 @@ def _painless_bounds(N: int, a: float):
     """_overlap_bounds of a painless cell, which has no shifts and so does not depend on b:
     the scanner sweeps b inside each (N, a) column, and one entry serves the column."""
     return _overlap_bounds(N, a, [])
+
+
+def _indicator_bounds(a: float, b: float, k_max: int):
+    """(inf(diag - off), sup(diag + off)) of order 1, exactly, for the float a and the
+    exact shifts k/b, 0 < |k| <= k_max.
+
+    B_1 is the indicator of [0, 1), so diag and off count translates: diag
+    those of [0, 1), off those of [max(0, s), min(1, 1 + s)) for each shift
+    |s| < 1.  The count of [l, r), #{n : l <= x - n a < r}, is floor((x - l)/a)
+    - floor((x - r)/a): it rises by 1 where x = l mod a and falls by 1 where
+    x = r mod a.  So both sums are constant on the pieces between these
+    Fraction breakpoints, and one sweep over them, from their exact values at
+    x = 0, reads every piece.
+    """
+    step, inverse = Fraction(a), 1 / Fraction(b)
+    shifts = (k * inverse for k in range(-k_max, k_max + 1) if k)
+    intervals = [(0, 1, 0)] + [(max(0, s), min(1, 1 + s), 1) for s in shifts if -1 < s < 1]
+    counts, jumps = [0, 0], {}  # diag and off at x = 0; their jumps at each breakpoint
+    for left, right, sums in intervals:
+        counts[sums] += math.floor(-left / step) - math.floor(-right / step)
+        for end, jump in ((left % step, 1), (right % step, -1)):
+            if end:
+                jumps.setdefault(end, [0, 0])[sums] += jump
+    (diag, off), lo, hi = counts, counts[0] - counts[1], sum(counts)
+    for end in sorted(jumps):
+        diag, off = diag + jumps[end][0], off + jumps[end][1]
+        lo, hi = min(lo, diag - off), max(hi, diag + off)
+    return float(lo), float(hi)
 
 
 def finite_section_bounds(N: int, a: float, b: float):
@@ -513,7 +587,8 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     the sums between their breakpoints is read at 2N - 1 Chebyshev nodes and
     bounded through its Chebyshev coefficients, halved where that can still
     move a bound, less or plus an a-priori rounding term; a cell whose lower
-    enclosure is not positive is not certified.  Before the sufficient
+    enclosure is not positive is not certified.  Order 1 counts its
+    translates exactly instead (_indicator_bounds).  Before the sufficient
     conditions, the density theorem zero-certifies every cell with a b > 1,
     for any window (Rieffel, Math. Ann. 257, 1981; Heil, JFAA 13, 2007), and
     with a b = 1 for N >= 2: B_N is then continuous with compact support, so
@@ -524,12 +599,13 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     transform of B_N vanishes at every nonzero integer, so sum_k |B_N^(w -
     k b)|^2 = 0 at w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE
     Trans. Inf. Theory 49, 2003).  Input that _check_cell rejects raises
-    DomainError before anything is built; a painless cell then reads the
-    bounds of its (N, a) column from _painless_bounds.
+    DomainError before anything is built; a painless cell of order N >= 2
+    then reads the bounds of its (N, a) column from _painless_bounds.
     """
     shifts = _check_cell(N, a, b)
     painless = not shifts
-    lo, hi = _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts)
+    lo, hi = (_indicator_bounds(a, b, len(shifts) // 2) if N == 1 else
+              _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts))
     lower, estimate = 0.0, None
     density = Fraction(a) * Fraction(b)
     if painless and (a >= N if N > 1 else a > 1):
@@ -578,7 +654,7 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     if bf == 0 or abs(float(bf) - b) > 1e-12:
         raise GridError("b must be a rational of denominator at most 10^6 to sample the "
                         "verification grid")
-    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), _point_work(N)
+    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), N
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1

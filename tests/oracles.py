@@ -309,6 +309,26 @@ def rational_indicator_bounds(lo, hi, a_values, b, c_values, window):
     return lower, upper
 
 
+def order_one_bounds(a: float, b: float):
+    """(min of diag - off, max of diag + off) of the order-1 scanner cell, before the
+    division by b, in exact rationals: for the float a and the exact shifts k/b, the
+    translates of B_1 = 1 on [0, 1) counted at the midpoint of every piece of [0, a)
+    between the breakpoints (j + k/b) mod a, j = 0, 1.  rational_indicator_bounds, given
+    the offsets n a, counts the same sums, but reads every piece of every offset."""
+    a, b = Fraction(a), Fraction(b)
+    shifts = [k / b for k in range(-math.ceil(b) - 1, math.ceil(b) + 2) if k]
+    cuts = sorted({(j + s) % a for j in (0, 1) for s in [0, *shifts]} | {a})
+    inside = lambda u: 0 <= u < 1  # noqa: E731
+    minus, plus = [], []
+    for mid in ((x + y) / 2 for x, y in zip(cuts, cuts[1:])):
+        us = [mid - n * a for n in range(math.floor((mid - 1) / a), math.floor(mid / a) + 1)]
+        diag = sum(inside(u) for u in us)
+        off = sum(inside(u) and inside(u - s) for u in us for s in shifts)
+        minus.append(diag - off)
+        plus.append(diag + off)
+    return min(minus), max(plus)
+
+
 def scan_grid(a: float, period_points: int, knots) -> np.ndarray:
     """The uniform grid over [0, a) augmented with the knots and piece midpoints, which
     the scanner read before its piece enclosures."""

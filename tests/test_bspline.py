@@ -16,7 +16,6 @@ from framelab.bspline import (
     _overlap_bounds,
     bspline_eval,
     bspline_fourier,
-    bspline_integral,
     classify_cell,
     dual_window_solve,
     finite_section_bounds,
@@ -151,20 +150,22 @@ def test_piece_table_over_the_budget_is_refused_before_it_is_built(monkeypatch):
 
 
 def test_high_orders_run():
-    # 2^23 and 2^39 calls for the recursion
+    # the identities are read on N // 2 + 1 integer pieces, O(N^3) additions in all
     assert property_suite(24).passed
     assert property_suite(40).passed
+    assert property_suite(60).passed
 
 
-def test_orders_whose_interior_underflows_are_rejected_not_failed(monkeypatch):
-    # B_N = x^(N-1) / (N-1)! at the first interior grid point x = N / 2048
-    # rounds to 0.0 from N = 114 on (below half the smallest subnormal), and
-    # an evaluated suite would report interior_nonpositive (property_suite(115) did)
-    monkeypatch.setattr(bspline, "bspline_eval", no_evaluation)
-    underflowing = [N for N in range(2, 400)
-                    if (N - 1) * math.log(N / 2048) - math.lgamma(N) < math.log(5e-324) - math.log(2)]
-    assert underflowing[0] == 114 and 115 in underflowing
-    for N in underflowing:
+def test_orders_whose_first_grid_value_underflows_pass_and_the_budget_ends_at_271(monkeypatch):
+    # B_N = x^(N-1) / (N-1)! at the first point x = N / 2048 of the former interior grid
+    # rounds to 0.0 from N = 114 on; no value is sampled, so these orders pass
+    for N in (114, 115):
+        report = property_suite(N)
+        assert report.passed and report.residuals["interior_nonpositive"] == 0.0
+    # the table and the shifts of N = 271 take about 0.7 s on a 2-CPU x86-64 VM
+    assert bspline._suite_work(271) <= MAX_WORK < bspline._suite_work(272)
+    monkeypatch.setattr(bspline, "_piece_table", no_evaluation)
+    for N in (272, 2000, 10 ** 6, 10 ** 400):
         with pytest.raises(DomainError, match="work budget"):
             property_suite(N)
 
@@ -208,8 +209,95 @@ def test_partition_of_unity_negative_control():
 
 
 def test_unit_integral():
-    for N in range(1, 9):
-        assert bspline_integral(N) == pytest.approx(1.0, abs=1e-12)
+    # exact on the integer pieces, and a Gauss-Legendre rule on each knot interval,
+    # exact for the polynomial pieces, agrees with it in floats
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    for N in range(1, 61):
+        assert property_suite(N).residuals["unit_integral"] == 0.0
+        if N <= 30:
+            total = sum(float(np.sum(weights * bspline_eval(N, k + (nodes + 1) / 2)) / 2)
+                        for k in range(N))
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+
+#: dyadic points where bspline_eval is off by 1.39, 1.24 and 1.12 times u S, more than
+#: the one rounding of each coefficient: the bound needs its Horner term
+HORNER_WITNESSES = [(16, 8623796034 / 2 ** 30), (20, 10448981483 / 2 ** 30),
+                    (60, 31756825232 / 2 ** 30)]
+
+
+@st.composite
+def dyadic_points(draw):
+    """(N, x): N = 1..60 and x a multiple of 2^-30 in [-1, N + 1], so every x - k is exact."""
+    N = draw(st.integers(1, 60))
+    return N, draw(st.integers(-2 ** 30, (N + 1) * 2 ** 30)) / 2 ** 30
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dyadic_points())
+@example(HORNER_WITNESSES[0])
+@example(HORNER_WITNESSES[1])
+@example(HORNER_WITNESSES[2])
+@example((1, 0.0))
+@example((2, 1.0))
+def test_partition_sums_stay_within_the_reported_bound(point):
+    # each term is within the kernel's bound of the exact truncated-power value, and
+    # their float sum within the suite's partition residual of 1
+    N, x = point
+    bound = property_suite(N).residuals["partition_of_unity"]
+    ks = range(math.floor(x) - N, math.floor(x) + 2)
+    values = bspline_eval(N, np.array([x - k for k in ks])).tolist()
+    for k, value in zip(ks, values):
+        assert abs(Fraction(value) - exact_bspline(N, x - k)) <= 1.01 * bspline._kernel_error(N)
+    assert abs(sum(values) - 1.0) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 60), st.floats(-1.0, 1.0), st.integers(-70, 70))
+def test_partition_sums_at_inexact_differences_stay_within_the_reported_bound(N, t, shift):
+    # x - k rounds here; B_N is 1-Lipschitz for N >= 2, so the bound still holds
+    x = t + shift
+    values = bspline_eval(N, x - np.arange(math.floor(x) - N, math.floor(x) + 2))
+    assert abs(np.sum(values) - 1.0) <= property_suite(N).residuals["partition_of_unity"]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 10])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_coefficient_off_by_one_fails_the_suite_and_names_the_identities(N, delta, monkeypatch):
+    pieces, table = bspline._piece_table(N)
+    assert property_suite(N).passed
+    for j, piece in enumerate(pieces):
+        for i in range(N):
+            broken = [list(p) for p in pieces]
+            broken[j][i] += delta
+            monkeypatch.setattr(bspline, "_piece_table",
+                                lambda order, broken=broken: (tuple(map(tuple, broken)), table))
+            # no result is kept: every call reads the table it is given
+            report = property_suite(N)
+            assert not report.passed, (j, i)
+            assert report.residuals["partition_of_unity"] == report.residuals["unit_integral"] == 1.0
+            assert "broken on the integer pieces: partition_of_unity, unit_integral" in report.notes
+    monkeypatch.undo()
+    assert property_suite(N).passed
+
+
+def test_interior_positivity_reads_the_bernstein_coefficients_and_the_knots(monkeypatch):
+    # 2 B_3 is t^2 on [0, 1) and 1 + 2t - 2t^2 on [1, 2); a quadratic c0 + c1 t + c2 t^2
+    # has the Bernstein coefficients c0, c0 + c1 / 2, c0 + c1 + c2
+    pieces, table = bspline._piece_table(3)
+    assert pieces == ((1, 0, 0), (-2, 2, 1))
+    cases = [
+        # 2t - 2t^2: Bernstein (0, 1, 0), positive inside, but 0 at the knot 1
+        ((-2, 2, 0), ["partition_of_unity", "unit_integral", "interior_nonpositive"]),
+        # (1 - t)^2: Bernstein (1, 0, 0), positive on [0, 1)
+        ((1, -2, 1), ["partition_of_unity", "unit_integral"]),
+        # 1 + 2t - 4t^2: Bernstein (1, 2, -1), negative at t = 1
+        ((-4, 2, 1), ["partition_of_unity", "unit_integral", "interior_nonpositive"]),
+    ]
+    for piece, names in cases:
+        monkeypatch.setattr(bspline, "_piece_table",
+                            lambda order, piece=piece: ((pieces[0], piece), table))
+        assert property_suite(3).notes.endswith("broken on the integer pieces: " + ", ".join(names))
 
 
 def test_painless_cell_explicit_values():

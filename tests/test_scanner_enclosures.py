@@ -17,17 +17,19 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import chebyshev
 
 from framelab import bspline, cli
+from framelab.core import FrameBounds
 from framelab.bspline import (
     STATUS_FRAME,
     _chebyshev,
     _check_cell,
+    _indicator_bounds,
     _least,
     _overlap_bounds,
     _piece_reads,
     _rounding_term,
     classify_cell,
 )
-from oracles import grid_overlap_bounds
+from oracles import grid_overlap_bounds, order_one_bounds
 
 BENCHMARK_CELLS = [(N, 0.25 * k, b) for N in (2, 3, 4, 5) for k in range(1, 8)
                    for b in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 1.0)]
@@ -83,11 +85,10 @@ def assert_exact_values_inside(N, a, b, rng):
     shifts = [Fraction(k) / Fraction(b) for k in range(-N * 4, N * 4 + 1)
               if k and abs(Fraction(k) / Fraction(b)) < N]
     for left, right, minus, plus in piece_enclosures(N, a, b):
-        # the ends, the middle and two rational points between them; order 1 is
-        # right-continuous, so its pieces are half-open
-        points = [left, (left + right) / 2] + [left + (right - left) * Fraction(int(j), 97)
-                                               for j in rng.integers(1, 97, 2)]
-        for x in points + ([right] if N > 1 else []):
+        # the ends, the middle and two rational points between them
+        points = [left, right, (left + right) / 2] + [left + (right - left) * Fraction(int(j), 97)
+                                                      for j in rng.integers(1, 97, 2)]
+        for x in points:
             diag, off = exact_sums(N, Fraction(a), shifts, x)
             assert minus[0] <= diag - off <= minus[1], (N, a, b, x)
             assert plus[0] <= diag + off <= plus[1], (N, a, b, x)
@@ -102,18 +103,42 @@ def test_every_exact_value_lies_inside_its_piece_enclosure(cell):
     assert_exact_values_inside(*cell, np.random.default_rng(sum(map(hash, cell)) % 2 ** 32))
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(1, 32), st.integers(-4, 2))
-def test_order_one_is_exact_where_the_knots_are(a16, b_exponent):
-    # dyadic a and b put every knot and every translate on a float, where order 1,
-    # a step function read at its midpoints, is enclosed exactly
-    assert_exact_values_inside(1, a16 / 16, 2.0 ** b_exponent, np.random.default_rng(a16))
+def order_one_cells():
+    """(a, b): a = fl(1/k) or a float up to 3 ulps from it, or a dyadic a; b dyadic."""
+    def near(a, ulps):
+        for _ in range(abs(ulps)):
+            a = math.nextafter(a, math.inf if ulps > 0 else 0.0)
+        return a
+
+    inverse = st.builds(near, st.integers(2, 40).map(lambda k: 1 / k), st.integers(-3, 3))
+    return st.tuples(inverse | st.integers(1, 48).map(lambda m: m / 16),
+                     st.integers(1, 40).map(lambda m: m / 16) | st.integers(-3, 3).map(lambda e: 2.0 ** e))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_one_cells())
+@example((1 / 3, 0.5))
+@example((1 / 7, 0.5))
+def test_order_one_counts_its_translates_exactly(cell):
+    # B_1 jumps, so a piece narrower than a rounding holds translates that floats miss:
+    # at a = fl(1/3) < 1/3, [0, 2^-54) has 4 translates (3 a < 1) and B = 4 / b = 8
+    a, b = cell
+    lo, hi = order_one_bounds(a, b)
+    assert _indicator_bounds(a, b, len(_check_cell(1, a, b)) // 2) == (lo, hi)
+    got = classify_cell(1, a, b, attach_estimates=False)
+    assert got.bounds_estimate == FrameBounds(lo / b if got.status == STATUS_FRAME else 0.0, hi / b)
+
+
+def test_order_one_upper_bounds_at_fl_one_third_and_one_seventh():
+    assert classify_cell(1, 1 / 3, 0.5).bounds_estimate == FrameBounds(6.0, 8.0)
+    assert classify_cell(1, 1 / 7, 0.5).bounds_estimate == FrameBounds(14.0, 16.0)
 
 
 def assert_within_the_grid(N, a, b):
     """The bounds lie between the grid's values and the grid's values widened by its
     slack, and a cell the grid certified stays certified."""
-    lo, hi = _overlap_bounds(N, a, _check_cell(N, a, b))
+    shifts = _check_cell(N, a, b)
+    lo, hi = _indicator_bounds(a, b, len(shifts) // 2) if N == 1 else _overlap_bounds(N, a, shifts)
     grid_lo, grid_hi, slack = grid_overlap_bounds(N, a, b)
     assert grid_hi <= hi <= grid_hi + slack, (N, a, b)
     if grid_lo - slack > 0 or lo > 0:
@@ -172,4 +197,3 @@ def test_the_rounding_term_grows_as_stated():
     # about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5, b = 0.01
     assert _rounding_term(4, 1.0, _check_cell(4, 1.0, 0.45)) == pytest.approx(5.6e-11, rel=0.1)
     assert _rounding_term(80, 79.5, []) == pytest.approx(3.4e-9, rel=0.1)
-    assert _rounding_term(1, 0.3, _check_cell(1, 0.3, 2.5)) == 0.0
