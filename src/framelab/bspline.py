@@ -22,9 +22,9 @@ still move a bound, with an a-priori rounding term (Farouki & Rajan, CAGD 4,
 order 1, an indicator, counts its translates exactly instead.  The
 negative certificates are decided exactly, never read off a value: a
 painless diagonal that vanishes, from the support of B_N, the density
-theorem, on the exact product a b of the float cell, and the zeros of the
-transform of B_N, at an integer b >= 2.  The painless bounds do not depend
-on b, so they are computed once per column of a scan.
+theorem, on the exact product a b of the decimals typed (core._as_rational),
+and the zeros of the transform of B_N, at an integer b >= 2.  The painless
+bounds do not depend on b, so they are computed once per column of a scan.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
@@ -48,9 +48,9 @@ from .core import (
     AnalysisReport,
     DomainError,
     FrameBounds,
-    GridError,
     LatticeError,
     _as_float,
+    _as_rational,
     _check_order,
     _check_work,
     _sample_count,
@@ -377,14 +377,20 @@ def _least(values: np.ndarray, tolerance: float, floors) -> np.ndarray:
 
 def _rounding_term(N: int, a: float, shifts) -> float:
     """E: the bounds of _overlap_bounds, less and plus E, hold for the exact sums of
-    the floats a and k/b, whatever rounding did to the values read.
+    the floats a and k/b, and of the rational cell (a', b') of the regime
+    decision (core._as_rational), whatever rounding did to the values read.
 
     With u = 2^-53, m = 2N - 1, s the largest |k/b| and T = (floor(N/a) + 2)
-    (1 + len(shifts)) the live terms at a point (each at most 1, as
+    (1 + len(shifts)) the live terms at a point, at a' too (each at most 1, as
     0 <= B_N <= 1, so diag + off <= T):
     - Placement.  A node, fl(n a) and fl(k/b), the arguments fl(fl(x - n a) -
       k/b) and the knots fl(j + k/b) mod a are each within d = 2u (3N + 11a +
-      2s) of their exact values.
+      2s) of their exact values in either cell: rounding takes u (3N + 5a + s)
+      of an argument (|n a| <= N + 2a), u (N + a + 2s) of a knot and 7ua of a
+      node, and a' and b', in the rounding intervals of a and b, move an
+      argument by u (N + 2a + s) (1 + u) more and a knot, less m a' <= N + s,
+      by u (N + a + 2s) (1 + u).  The period a' exceeds a by u a at most, where
+      the float sums repeat their first piece.
     - The kernel.  Horner's rule on the rounded table is within
       _kernel_error(N) = (2N - 1) u S of B_N at a float, S the largest sum of
       |coefficients| of a piece of _piece_table (2.5 at most, falling with
@@ -410,11 +416,12 @@ def _rounding_term(N: int, a: float, shifts) -> float:
       its midpoint rounds.
 
     So E = 1.03 ((2m - 1) D + 4Td + 20 m^2 u T + _MAX_HALVINGS (m + 1) u h
-    (2m - 1) T), the 3 % covering the first-order products dropped above.  It
-    grows as N^2 T^2 u for large T and as m^3 u T through the halvings:
-    about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5,
-    b = 0.01.  It needs N >= 2: B_1 jumps, so a piece narrower than the
-    rounding of its ends can be misread, and order 1 is counted exactly
+    (2m - 1) T), the 3 % covering the first-order products dropped above and
+    the division of the bounds by the float b, not b' (2uT at most, below 1 %
+    of E >= 18Td).  It grows as N^2 T^2 u for large T and as m^3 u T through
+    the halvings: about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80,
+    a = 79.5, b = 0.01.  It needs N >= 2: B_1 jumps, so a piece narrower than
+    the rounding of its ends can be misread, and order 1 is counted exactly
     instead (_indicator_bounds).
     """
     m, u = 2 * N - 1, _UNIT
@@ -430,8 +437,8 @@ def _rounding_term(N: int, a: float, shifts) -> float:
 
 def _check_cell(N, a, b):
     """Reject a cell the scanner cannot or should not evaluate, before anything is
-    built, and return the shifts k/b of its overlap sum: none in the painless regime
-    b N <= 1, decided exactly.
+    built; return the shifts k/b of its overlap sum, none in the painless regime
+    b N <= 1, and the rational b (core._as_rational) that decides it exactly.
 
     A cell is charged by what it reads: _TERM_WORK per term of each offset
     row of the kernel's Python loop; N units per spline value at the
@@ -446,8 +453,9 @@ def _check_cell(N, a, b):
         raise DomainError(f"lattice steps must be finite (got a={a!r}, b={b!r})")
     if a <= 0 or b <= 0:
         raise DomainError("lattice steps must be positive")
+    b_rational = _as_rational(b, "b")
     try:
-        k_max = 0 if Fraction(b) * N <= 1 else int(math.ceil(b * N)) + 1
+        k_max = 0 if b_rational * N <= 1 else int(math.ceil(b * N)) + 1
         terms, m = 2 * k_max + 1, 2 * N - 1
         pieces = (N + 1) * terms + 1
         work = (_TERM_WORK * (math.ceil(N / a) + 3) * terms
@@ -456,7 +464,7 @@ def _check_cell(N, a, b):
     except OverflowError:
         work = math.inf
     _check_work(work, f"spline evaluations of cell N={N}, a={a:g}, b={b:g}")
-    return [k / b for k in range(-k_max, k_max + 1) if k != 0]
+    return [k / b for k in range(-k_max, k_max + 1) if k != 0], b_rational
 
 
 def _piece_reads(N: int, a: float, shifts):
@@ -534,24 +542,22 @@ def _indicator_bounds(a: float, b: float, k_max: int):
 def finite_section_bounds(N: int, a: float, b: float):
     """Spectral bounds of an exact cyclic section of the lattice system.
 
-    Rational (a, b) are realized on a cyclic grid: the least sampling density
-    M >= 16 with a M and M/b integral, and the cycle of gabor._cycle_length,
-    the shortest on which b is an integral frequency step, that holds the
-    support [0, N] and one sample more, up to 8192 samples (else
-    LatticeError).  The returned bounds are the extreme eigenvalues of the
-    cyclic frame operator times the step 1/M, i.e. continuous normalization.
+    The rational (a, b) of core._as_rational is realized on a cyclic grid: the
+    least sampling density M >= 16 with a M and M/b integral, and the cycle of
+    gabor._cycle_length, the shortest on which b is an integral frequency
+    step, that holds the support [0, N] and one sample more, up to 8192
+    samples (else LatticeError).  The returned bounds are the extreme
+    eigenvalues of the cyclic frame operator times the step 1/M, i.e.
+    continuous normalization.
     """
-    af = Fraction(a).limit_denominator(4096)
-    bf = Fraction(b).limit_denominator(4096)
-    if abs(float(af) - a) > 1e-9 or abs(float(bf) - b) > 1e-9:
-        raise GridError("finite sections need rational lattice parameters")
+    af, bf = _as_rational(a, "a"), _as_rational(b, "b")
     M0 = math.lcm(af.denominator, bf.numerator)
     M = M0 * max(1, math.ceil(16 / M0))
     a_int = int(af * M)
-    L = _cycle_length(a_int, b, 1 / M, M * (N + 1))
+    L = _cycle_length(a_int, bf / M, M * (N + 1))
     if L > 8192:
         raise LatticeError(f"cyclic section too large (L = {L} > 8192)")
-    fb = gabor_frame_bounds(GaborSpec(L, a_int, round(b * L / M), bspline_eval(N, np.arange(L) / M)))
+    fb = gabor_frame_bounds(GaborSpec(L, a_int, int(bf * L / M), bspline_eval(N, np.arange(L) / M)))
     return FrameBounds(fb.lower / M, fb.upper / M)
 
 
@@ -595,25 +601,26 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     its Zak transform has a zero, and at a b = 1 that rules out a frame
     (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 8).  N = 1
     at a = b = 1 is an orthonormal basis.  a b is the exact product of the
-    two floats.  After them, an integer b >= 2 zero-certifies the cell: the
+    rationals of core._as_rational, the decimals typed, as is every regime
+    decision.  After them, an integer b >= 2 zero-certifies the cell: the
     transform of B_N vanishes at every nonzero integer, so sum_k |B_N^(w -
     k b)|^2 = 0 at w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE
     Trans. Inf. Theory 49, 2003).  Input that _check_cell rejects raises
     DomainError before anything is built; a painless cell of order N >= 2
     then reads the bounds of its (N, a) column from _painless_bounds.
     """
-    shifts = _check_cell(N, a, b)
+    shifts, b_rational = _check_cell(N, a, b)
     painless = not shifts
     lo, hi = (_indicator_bounds(a, b, len(shifts) // 2) if N == 1 else
               _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts))
     lower, estimate = 0.0, None
-    density = Fraction(a) * Fraction(b)
+    density = _as_rational(a, "a") * b_rational
     if painless and (a >= N if N > 1 else a > 1):
         status, method = STATUS_ZERO, "painless diagonal vanishes exactly"
     elif density > 1 or density == 1 and N > 1:
         status, method = STATUS_ZERO, ("density theorem: a b > 1" if density > 1 else
                                        "density theorem: a b = 1 and the Zak transform of B_N vanishes")
-    elif b >= 2 and float(b).is_integer():
+    elif b_rational >= 2 and b_rational.denominator == 1:
         status, method = STATUS_ZERO, "integer b >= 2: the transform of B_N vanishes at every 1 - k b"
     elif lo > 0:
         status, lower = STATUS_FRAME, lo / b
@@ -626,7 +633,7 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
             try:
                 estimate = finite_section_bounds(N, a, b)
                 method += "; cyclic finite-section estimate"
-            except (GridError, LatticeError):
+            except LatticeError:
                 pass
     return PhaseDiagramCell(a, b, status, estimate or FrameBounds(lower, hi / b), method)
 
@@ -634,27 +641,23 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
 def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None):
     """Dual window as a combination of integer shifts of the spline itself.
 
-    In the regime b <= 1/(2N-1) (unit time step), the ansatz
-    h = sum_{|k| <= K} c_k B_N(. + k) with K >= N-1 turns the dual-pair
-    conditions into a finite linear system on [0, 1), solved here in least
-    squares; the returned report re-verifies the dual pair on a sampled
-    grid at the tolerance, 1e-8 when None.  The classical solution c_k = b
-    is reproduced up to the kernel of the (rank-deficient, symmetric-shift)
-    design matrix.
+    In the regime b <= 1/(2N-1) (unit time step) of the rational b = p/q
+    (core._as_rational), the ansatz h = sum_{|k| <= K} c_k B_N(. + k), K >= N-1,
+    turns the dual-pair conditions into a linear system on [0, 1), solved in
+    least squares; the report re-verifies the pair at the tolerance, 1e-8 when
+    None, on the grid of step 1/(64 p), which holds 1 and 1/b.  The classical
+    solution c_k = b is reproduced up to the kernel of the (rank-deficient,
+    symmetric-shift) design matrix.
     """
     _check_order(N)
-    limit = 1.0 / (2 * _as_float(N, "the order N") - 1)
-    if not 0 < b <= limit + 1e-12:
+    limit, bf = 1.0 / (2 * _as_float(N, "the order N") - 1), _as_rational(b, "b")
+    if not 0 < bf * (2 * N - 1) <= 1:
         raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
     tolerance = 1e-8 if tolerance is None else resolve_tolerance(tolerance)
     K = shift_range if shift_range is not None else max(N - 1, 0)
     if K < N - 1:
         raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")
-    bf = Fraction(b).limit_denominator(10 ** 6)
-    if bf == 0 or abs(float(bf) - b) > 1e-12:
-        raise GridError("b must be a rational of denominator at most 10^6 to sample the "
-                        "verification grid")
-    samples, n_max, table = 4 * K + 4, int(math.floor(b * (N + K) + 1e-9)), N
+    samples, n_max, table = 4 * K + 4, math.floor(bf * (N + K)), N
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1

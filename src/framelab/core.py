@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,6 +97,44 @@ def _as_float(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{what} is too large: past the float range") from None
+
+
+def _rounding_interval(x: float):
+    """(lo, hi, s): the reals that round to the finite float x = n ulp(x) lie between
+    lo 2^s and hi 2^s, at 4n -+ 2 quarter ulps (4n -+ 1 on the side of 0 at a power of
+    two above the subnormals); the two ends round to x iff n is even."""
+    ulp = math.ulp(x)
+    n = int(x / ulp)  # exact: a division by a power of two
+    narrow = abs(n) == 1 << 52 and ulp > 5e-324
+    return 4 * n - 2 + (narrow and n > 0), 4 * n + 2 - (narrow and n < 0), math.frexp(ulp)[1] - 3
+
+
+def _as_rational(value, what: str) -> Fraction:
+    """The rational a lattice or dilation parameter names: a str ("5/2", "0.1"), an int
+    or a Fraction exactly, a float as the fraction of least denominator strictly inside
+    its rounding interval (itself if integral).  That is the decimal typed, m / 10^k,
+    whenever m 10^k < 2^52, so for every decimal of at most 6 digits and 9 places: any
+    other p/q with q <= 10^k lies 10^-2k from it, farther than the interval is wide."""
+    try:
+        if isinstance(value, (str, numbers.Rational)):
+            return Fraction(value)
+        x = float(value)
+        lo, hi, s = _rounding_interval(abs(x))  # a ValueError at NaN and Inf
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"{what} must be a rational number (a finite float, an int, a Fraction "
+                          f"or a string such as '5/2'), got {value!r}") from None
+    if x.is_integer():
+        return Fraction(int(x))
+    # continued fractions: in (ln/ld, hn/hd) it is t + 1 if below hn/hd, t = ln // ld, else
+    # t + 1/y for y in the inverted remainder; p1/q1 and p0/q0 are the last two convergents
+    ln, ld, hn, hd, p0, q0, p1, q1 = lo, 1 << -s, hi, 1 << -s, 0, 1, 1, 0
+    while True:
+        t, rest = divmod(ln, ld)
+        if (t + 1) * hd < hn:
+            p, q = p1 * (t + 1) + p0, q1 * (t + 1) + q0
+            return Fraction(p if x > 0 else -p, q)
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        ln, ld, hn, hd = hd, hn - t * hd, ld, rest
 
 
 def _check_order(N, what: str = "order") -> None:

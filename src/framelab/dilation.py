@@ -43,6 +43,7 @@ from .core import (
     FrameBounds,
     TruncationUnsoundError,
     _as_float,
+    _as_rational,
     _check_work,
     _decode_pairs,
     _encode_pairs,
@@ -429,18 +430,6 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
     )
 
 
-def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, (Fraction, int, str)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"{name} must be a rational number, got {x!r}") from None
-    frac = Fraction(x).limit_denominator(10 ** 9)
-    if abs(float(frac) - float(x)) > 1e-12 * max(1.0, abs(float(x))) or (frac == 0) != (x == 0):
-        raise DomainError(f"{name} must be rational for exact ratio grouping")
-    return frac
-
-
 def _adic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, a: float, c_values):
     """j range with a^-j gamma inside some shifted nonzero piece, |gamma| in [1, a), read
     by binary search in the piece ends: x + c rounds monotonically in x and c, and to 0
@@ -498,15 +487,15 @@ def _class_points(psi_edges, psi_tilde_edges, a, c_values, alpha, members, windo
     return _pieces(edges, windows or [(1.0, a_f), (-a_f, -1.0)])[0]
 
 
-def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: float,
-                      c_values, js, ns, windows=None):
+def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a: Fraction,
+                      b: Fraction, c_values, js, ns, windows=None):
     """{alpha: max over the windows (+-[1, a)) of |T_alpha - b [alpha = 0]|}, where
 
     T_alpha(g) = sum over the j of the class and c in c_values of
     psi(a^-j g - c) conj(psit(a^-j (g + alpha) - c)),
 
-    for the classes alpha = a^j n / b (j in js, n in ns) grouped exactly as
-    rationals.  This is the one dilation/shift-class loop of the duality
+    for the classes alpha = a^j n / b (j in js, n in ns) of the rationals a, b,
+    grouped exactly.  This is the one dilation/shift-class loop of the duality
     criteria: n = 0 puts every j in the class alpha = 0, the offset/dilation
     sum that must equal b, and every other class must vanish.  Each class is
     read on its own pieces (_class_points).  For each j of the class both
@@ -515,12 +504,10 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
     then of c_values.
     """
     classes = {Fraction(0): list(js)} if 0 in ns else {}
-    if any(ns):
-        a_frac, b_frac = _as_fraction(a, "a"), _as_fraction(b, "b")
-        for j in js:
-            for n in ns:
-                if n:
-                    classes.setdefault((a_frac ** j) * n / b_frac, []).append(j)
+    for j in js:
+        for n in ns:
+            if n:
+                classes.setdefault((a ** j) * n / b, []).append(j)
     edges = psi_hat.edges, psi_tilde_hat.edges
     points = {alpha: _class_points(*edges, a, c_values, alpha, members, windows)
               for alpha, members in classes.items()}
@@ -538,35 +525,30 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b: 
                 psi_tilde_hat.values_at(shifted / (a_f ** j) - offsets))
             for row in terms:
                 total += row
-        devs[alpha] = float(np.abs(total - b if alpha == 0 else total).max())
+        devs[alpha] = float(np.abs(total - float(b) if alpha == 0 else total).max())
     return devs
 
 
 def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c_values,
                      full_check: bool = True):
-    """(float(a), b, _class_deviations) of the dual-frame criterion at dilation base a,
+    """(a, b, _class_deviations) of the dual-frame criterion at dilation base a,
     translation step b and offsets c_values, the front end of both duality checks.
 
-    a and b may be rational strings, and b is then read as a float.  The j
-    window and the n window come from the nonzero pieces.  The dilations run
-    in decreasing j, the dyadic order: where three or more scales meet on one
-    gamma the order fixes the last bits.  Without full_check only the class
-    alpha = 0 is read.
+    a and b are read by core._as_rational, strings like "5/2" too, and returned
+    so: the classes are grouped by them, the values read at their floats.  The
+    j and n windows come from the nonzero pieces.  The dilations run in
+    decreasing j, the dyadic order: where three or more scales meet on one gamma
+    the order fixes the last bits.  Without full_check only alpha = 0 is read.
     """
-    if isinstance(a, str):
-        a = _as_fraction(a, "a")
-    if not 1 < float(a) < math.inf:
-        raise DomainError("the dilation base must exceed 1 and be finite")
-    if isinstance(b, str):
-        b = float(_as_fraction(b, "b"))
-    if not 0 < b < math.inf:
-        raise DomainError("b must be positive and finite")
+    a, b = _as_rational(a, "a"), _as_rational(b, "b")
+    if not (a > 1 and b > 0):
+        raise DomainError(f"the dilation base must exceed 1 and b be positive (got a={a}, b={b})")
     c_values = [float(c) for c in c_values]
     if not all(map(math.isfinite, c_values)):
         raise DomainError("offsets must be finite (no NaN or Inf)")
     js = _adic_j_window(psi_hat, psi_tilde_hat, float(a), c_values)[::-1]
-    ns = _reachable_n(psi_hat, psi_tilde_hat, b, c_values) if full_check else (0,)
-    return float(a), b, _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
+    ns = _reachable_n(psi_hat, psi_tilde_hat, float(b), c_values) if full_check else (0,)
+    return a, b, _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
 
 
 def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
@@ -589,7 +571,7 @@ def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
     return AnalysisReport.from_residuals(
         {"scaling_sum": scaling, "shifted_sums": residual_ii}, tol,
         notes=(
-            f"dyadic dual-frame conditions at b={b}; {len(devs)} shift classes checked"
+            f"dyadic dual-frame conditions at b={float(b)}; {len(devs)} shift classes checked"
             + (f"; worst class alpha={worst}" if residual_ii > 0 else "")
         ),
         details={"shift_classes": float(len(devs))},
@@ -613,18 +595,18 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     one point per piece.
     """
     tol = resolve_tolerance(tolerance)
-    a_f, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, full_check)
+    a, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, full_check)
     residuals = {"c1": devs.pop(0)}
 
     # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b; psi
-    # is read on the extent of its nonzero pieces
+    # is read on the extent of its nonzero pieces, which meets psit at k/b in (lo2 - hi1, hi2 - lo1)
     lo1, hi1 = _extent(psi_hat)
     lo2, hi2 = _extent(psi_tilde_hat)
-    _shift_window(b * ((hi2 - lo1) - (lo2 - hi1)))  # bounds the shifts k/b listed below
-    k_lo = int(math.ceil((lo2 - hi1) * b - 1e-12))
-    k_hi = int(math.floor((hi2 - lo1) * b + 1e-12))
+    _shift_window(float(b) * ((hi2 - lo1) - (lo2 - hi1)))  # bounds the shifts k/b listed below
+    k_lo = math.ceil((Fraction(lo2) - Fraction(hi1)) * b)
+    k_hi = math.floor((Fraction(hi2) - Fraction(lo1)) * b)
     ks = [k for k in range(k_lo, k_hi + 1) if k != 0] if not psi_hat.is_zero() else []
-    c2 = _class_deviations(psi_hat, psi_tilde_hat, 1, Fraction(b), (0.0,), (0,), ks, [(lo1, hi1)])
+    c2 = _class_deviations(psi_hat, psi_tilde_hat, Fraction(1), b, (0.0,), (0,), ks, [(lo1, hi1)])
     residuals["c2"] = max(c2.values(), default=0.0)
     details = {"c2_shifts_checked": float(len(ks))}
     if full_check:
@@ -633,7 +615,7 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
 
     return AnalysisReport.from_residuals(
         residuals, tol,
-        notes=f"wave-packet dual-frame conditions at a={a_f}, b={b}",
+        notes=f"wave-packet dual-frame conditions at a={float(a)}, b={float(b)}",
         details=details,
     )
 

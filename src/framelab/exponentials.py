@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, _check_order, _check_work, _field
+from .core import DomainError, _check_order, _check_work, _field, _rounding_interval
 
 #: the constant and exponents of the factorial lower-bound estimate
 CRUDE_PREFACTOR = 1.6e-14
@@ -239,16 +239,13 @@ def _newton_sum(diag, off_sq, x, frac_bits: int):
 
 
 def _rounding_range(f: float, frac_bits: int):
-    """(first, last): the integers x with x / 2^frac_bits == f; first > last if none."""
-    half = Fraction(1 << frac_bits, 2)
-    first = math.ceil((Fraction(f) + Fraction(math.nextafter(f, -math.inf))) * half)
-    last = math.floor((Fraction(f) + Fraction(math.nextafter(f, math.inf))) * half)
+    """(first, last): the integers x with x / 2^frac_bits == f, read from the rounding
+    interval of f; first > last if none."""
+    lo, hi, s = _rounding_interval(f)
+    scale = Fraction(2) ** (s + frac_bits)
+    first, last = math.ceil(lo * scale), math.floor(hi * scale)
     # an integer on a midpoint rounds to the even neighbour
-    if first / (1 << frac_bits) != f:
-        first += 1
-    if last / (1 << frac_bits) != f:
-        last -= 1
-    return first, last
+    return first + (first / (1 << frac_bits) != f), last - (last / (1 << frac_bits) != f)
 
 
 def _smallest_eigenvalue(rows, frac_bits: int, *, nonnegative: bool = False) -> float:

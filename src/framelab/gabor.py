@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .core import (
     frame_operator,
     _all_finite,
     _as_float,
+    _as_rational,
     _bound_gaps,
     _check_work,
     _decode_pairs,
@@ -355,17 +357,17 @@ def sampled_gaussian(half_width: float = 8.0, step: float = DEFAULT_STEP) -> Sam
     return SampledWindow(-half_width, step, np.exp(-np.pi * x ** 2), (-half_width, half_width))
 
 
-def _steps_of(value: float, step: float, what: str) -> int:
-    q = value / step
-    r = round(q)
-    if abs(q - r) > 1e-9:
-        raise GridError(f"{what} = {value} is not an integer number of grid steps (step {step})")
-    return int(r)
+def _steps_of(value, step: Fraction, what: str) -> int:
+    """value / step; GridError unless value, read by core._as_rational, is a whole number of steps."""
+    q = _as_rational(value, what) / step
+    if q.denominator != 1:
+        raise GridError(f"{what} = {value} is not an integer number of grid steps (step {float(step)})")
+    return int(q)
 
 
-def _lookup(window: SampledWindow, positions: np.ndarray) -> np.ndarray:
-    """Values at integer grid positions (in units of step, relative to 0)."""
-    idx = positions - _steps_of(window.x0, window.step, "window origin")
+def _lookup(window: SampledWindow, positions: np.ndarray, step: Fraction) -> np.ndarray:
+    """Values at integer grid positions (in units of the rational step, relative to 0)."""
+    idx = positions - _steps_of(window.x0, step, "window origin")
     valid = (idx >= 0) & (idx < window.count)
     out = np.zeros(positions.shape, dtype=complex)
     out[valid] = window.samples[idx[valid]]
@@ -379,22 +381,22 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
     For each integer n with reachable overlap, evaluates
     r_n(x) = sum_k conj(g(x - n/b - k a)) h(x - k a) on the grid of [0, a)
     and compares with b * delta_{n,0}.  Compact support hints make the k-sum
-    exact; the grid must be commensurate with a and 1/b.
+    exact; a and 1/b (core._as_rational) must be whole numbers of grid steps.
     """
-    if abs(g.step - h.step) > 1e-15:
+    if g.step != h.step:
         raise GridError("both windows must share the same sampling step")
     step = g.step
     tol = RON_SHEN_TOL_PER_STEP * step if tolerance is None else resolve_tolerance(tolerance)
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
     _sample_count(a + 1.0 / b, step)  # the grid over [0, a) and the shift 1/b, in samples
-    a_steps = _steps_of(a, step, "a")
-    if a_steps < 1:
+    if a < step:
         raise DomainError(f"a = {a:g} is less than one grid step ({step:g})")
-    shift_steps = _steps_of(1.0 / b, step, "1/b")
-
     (gs, ge), (hs, he) = g.support_hint, h.support_hint
     n_max = _shift_window(b * (max(ge, he) - min(gs, hs) + a))
+    unit = _as_rational(step, "the grid step")
+    a_steps = _steps_of(a, unit, "a")
+    shift_steps = _steps_of(1 / _as_rational(b, "b"), unit, "1/b")
     k_lo = int(math.floor((-he) / a)) - 1
     k_hi = int(math.ceil((a - hs) / a)) + 1
     # per (line, n) entry: positions, indices, then shifted window, its conjugate, products (complex)
@@ -402,7 +404,8 @@ def ron_shen_duality_check(g: SampledWindow, h: SampledWindow, a: float, b: floa
     # the line x - k a, x on the grid of [0, a), in blocks of increasing k
     line = (np.arange(a_steps) - a_steps * np.arange(k_lo, k_hi + 1)[:, None]).reshape(-1)
     n = np.arange(-n_max, n_max + 1)
-    r = _class_sums(_lookup(h, line), _lookup(g, line[:, None] - shift_steps * n), a_steps)  # (x, n)
+    r = _class_sums(_lookup(h, line, unit), _lookup(g, line[:, None] - shift_steps * n, unit),
+                    a_steps)  # (x, n)
     r[:, n_max] -= b
     dev = np.abs(r).max(axis=0)
     first = int(np.argmax(dev))  # the first n of the largest deviation, n = 0 if none
@@ -443,8 +446,8 @@ def extend_gabor_windows(spec_g: GaborSpec, spec_h: GaborSpec, r1_window=None):
     return g2, r2
 
 
-def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
-    t0 = _steps_of(window.x0, window.step, "window origin")
+def _cyclic_embed(window: SampledWindow, L: int, t0: int) -> np.ndarray:
+    """The samples on a cycle of length L, the first at t0 mod L."""
     _check_work(2 * L, f"a cycle of length {L}")
     out = np.zeros(L, dtype=complex)
     if window.count > L:
@@ -457,16 +460,15 @@ def _cyclic_embed(window: SampledWindow, L: int) -> np.ndarray:
 MAX_AUTO_CYCLE = 1 << 20
 
 
-def _cycle_length(a_int: int, b: float, step: float, span: int) -> int:
-    """Smallest multiple L of a_int, at least span, on which b_int = b step L
-    is an integer dividing L: q = L / b_int = 1 / (b step) must be an integer,
-    and L is the first multiple of lcm(a_int, q) from a_int ceil(span / a_int)."""
-    q = 1 / (b * step) if b * step > 0 else math.inf
-    if q < MAX_AUTO_CYCLE + 1 and round(q) >= 1:
-        cell = math.lcm(a_int, round(q))
+def _cycle_length(a_int: int, frequency_step: Fraction, span: int) -> int:
+    """Smallest multiple L of a_int, at least span, on which b_int = frequency_step L, the
+    rational b step, is an integer dividing L: q = L / b_int = 1 / (b step) must be an
+    integer, and L is the first multiple of lcm(a_int, q) from a_int ceil(span / a_int)."""
+    q = frequency_step.denominator
+    if frequency_step.numerator == 1 and q <= MAX_AUTO_CYCLE:
+        cell = math.lcm(a_int, q)
         L = cell * -(-a_int * math.ceil(span / a_int) // cell)
-        b_int = round(b * step * L)
-        if L <= MAX_AUTO_CYCLE and abs(b * step * L - b_int) < 1e-9 and L % b_int == 0:
+        if L <= MAX_AUTO_CYCLE:
             return L
     raise LatticeError("no feasible cycle length found; pass L explicitly")
 
@@ -476,48 +478,35 @@ def gabor_extension(g1: SampledWindow, h1: SampledWindow, a: float, b: float, L:
 
     The real-line parameters are mapped onto integers: a becomes a/step
     samples and b becomes b * step * L cyclic frequency steps.  Exception:
-    integer a, b with unit step and an explicit compatible L are taken as
-    the lattice integers themselves (the unit-step continuous reading would
-    alias every modulation away).  a*b > 1 in continuous units, equivalently
-    a_int * b_int > L, is infeasible.
+    integer a, b with unit step and an explicit L are taken as the lattice
+    integers themselves (the unit-step continuous reading would alias every
+    modulation away).  Steps that do not divide L, or a*b > 1 in continuous
+    units (a_int * b_int > L), raise LatticeError.
 
     Returns (g2, h2) as SampledWindows on the cyclic grid; the union systems
     on that lattice pass the dual-pair check exactly.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"a and b must be finite (got a={a:g}, b={b:g})")
-    if abs(g1.step - h1.step) > 1e-15:
+    if g1.step != h1.step:
         raise GridError("both windows must share the same sampling step")
     step = g1.step
-    a_int = _steps_of(a, step, "a")
-    if a_int < 1 or not b > 0:
+    if not (a >= step and b > 0):  # False at NaN; core._as_rational refuses Inf below
         raise DomainError(f"a must be at least one grid step and b positive (got a={a:g}, b={b:g})")
-    direct = (
-        L is not None and step == 1.0
-        and abs(a - round(a)) < 1e-12 and abs(b - round(b)) < 1e-12
-        and L % int(round(a)) == 0 and L % int(round(b)) == 0
-    )
-    if direct:
-        a_int, b_int = int(round(a)), int(round(b))
+    unit, rational_b = _as_rational(step, "the grid step"), _as_rational(b, "b")
+    a_int = _steps_of(a, unit, "a")
+    origins = [_steps_of(w.x0, unit, f"{name} origin") for w, name in ((g1, "g1"), (h1, "h1"))]
+    if L is not None and step == 1.0 and rational_b.denominator == 1:  # the lattice integers
+        b_int = int(rational_b)
     else:
-        span = max(g1.count + max(_steps_of(g1.x0, step, "g1 origin"), 0),
-                   h1.count + max(_steps_of(h1.x0, step, "h1 origin"), 0), a_int)
+        span = max(*(w.count + max(t0, 0) for w, t0 in zip((g1, h1), origins)), a_int)
         if L is None:
-            L = _cycle_length(a_int, b, step, span)
-        b_float = b * step * _as_float(L, "the cycle length L")
-        b_int = round(b_float)
-        if abs(b_float - b_int) > 1e-9 or b_int < 1:
+            L = _cycle_length(a_int, rational_b * unit, span)
+        _as_float(L, "the cycle length L")  # past the float range is a DomainError
+        b_steps = rational_b * unit * L
+        if b_steps.denominator != 1:
             raise LatticeError(f"b = {b} does not map to an integer frequency step on L = {L}")
-        if L % a_int or L % b_int:
-            raise LatticeError(f"(a_int, b_int) = ({a_int}, {b_int}) must divide L = {L}")
-    if a_int * b_int > L:
-        raise LatticeError(
-            f"a*b = {a * b:g} exceeds 1 in continuous units (a_int*b_int = {a_int * b_int} > L = {L}); "
-            "no dual pair exists on the lattice"
-        )
-    spec_g = GaborSpec(L, a_int, b_int, _cyclic_embed(g1, L))
-    spec_h = GaborSpec(L, a_int, b_int, _cyclic_embed(h1, L))
-    g2_vec, h2_vec = extend_gabor_windows(spec_g, spec_h)
+        b_int = int(b_steps)
+    g2_vec, h2_vec = extend_gabor_windows(
+        *(GaborSpec(L, a_int, b_int, _cyclic_embed(w, L, t0)) for w, t0 in zip((g1, h1), origins)))
     hint = (0.0, (L - 1) * step)
     return SampledWindow(0.0, step, g2_vec, hint), SampledWindow(0.0, step, h2_vec, hint)
 

@@ -6,7 +6,7 @@ from operator import mul
 
 import numpy as np
 
-from framelab.core import AnalysisReport, GridError, LatticeError, _shift_window
+from framelab.core import AnalysisReport, LatticeError, _as_rational, _shift_window
 from framelab.gabor import RON_SHEN_TOL_PER_STEP, _lookup, _steps_of, finite_gabor_system
 
 
@@ -111,8 +111,9 @@ def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
     gabor.ron_shen_duality_check, which must equal it repr for repr."""
     step = g.step
     tol = tolerance if tolerance is not None else RON_SHEN_TOL_PER_STEP * step
-    a_steps = _steps_of(a, step, "a")
-    shift_steps = _steps_of(1.0 / b, step, "1/b")
+    rational_step = _as_rational(step, "the grid step")
+    a_steps = _steps_of(a, rational_step, "a")
+    shift_steps = _steps_of(1 / _as_rational(b, "b"), rational_step, "1/b")
     gs, ge = g.support_hint
     hs, he = h.support_hint
     n_max = _shift_window(b * (max(ge, he) - min(gs, hs) + a))
@@ -123,10 +124,10 @@ def looped_ron_shen(g, h, a: float, b: float, tolerance=None):
     for n in range(-n_max, n_max + 1):
         r = np.zeros(a_steps, dtype=complex)
         for k in range(k_lo, k_hi + 1):
-            hv = _lookup(h, x_pos - k * a_steps)
+            hv = _lookup(h, x_pos - k * a_steps, rational_step)
             if not np.any(hv):
                 continue
-            r += np.conj(_lookup(g, x_pos - n * shift_steps - k * a_steps)) * hv
+            r += np.conj(_lookup(g, x_pos - n * shift_steps - k * a_steps, rational_step)) * hv
         dev = float(np.abs(r - (b if n == 0 else 0.0)).max())
         if dev > worst:
             worst, worst_n = dev, n
@@ -257,11 +258,9 @@ def rational_cycle(N, a, b, resolution=16, max_length=8192):
     period search, the reference for the closed-form gabor._cycle_length that
     bspline.finite_section_bounds calls: sampling density M with a M and M/b
     integral, the period P, the first multiple of a den(a b) at least N + 1, and
-    L = M P.  GridError for irrational steps, LatticeError for L > max_length."""
-    af = Fraction(a).limit_denominator(4096)
-    bf = Fraction(b).limit_denominator(4096)
-    if abs(float(af) - a) > 1e-9 or abs(float(bf) - b) > 1e-9:
-        raise GridError("finite sections need rational lattice parameters")
+    L = M P, for the rationals a and b (core._as_rational).  LatticeError for
+    L > max_length."""
+    af, bf = _as_rational(a, "a"), _as_rational(b, "b")
     M0 = math.lcm(af.denominator, bf.numerator)
     M = M0 * max(1, math.ceil(resolution / M0))
     n_unit = (af * bf).denominator
@@ -340,8 +339,9 @@ def scan_grid(a: float, period_points: int, knots) -> np.ndarray:
 
 
 def scanner_shifts(N: int, b: float):
-    """The shifts k/b of the scanner's overlap sums: none in the painless regime b N <= 1."""
-    if Fraction(b) * N <= 1:
+    """The shifts k/b of the scanner's overlap sums: none in the painless regime b N <= 1,
+    decided on the rational b (core._as_rational)."""
+    if _as_rational(b, "b") * N <= 1:
         return []
     k_max = int(math.ceil(b * N)) + 1
     return [k / b for k in range(-k_max, k_max + 1) if k != 0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framelab import bspline
-from framelab.core import MAX_WORK, DomainError, FrameBounds, LatticeError
+from framelab.core import MAX_WORK, DomainError, FrameBounds, LatticeError, _as_rational
 from framelab.bspline import (
     PhaseDiagramCell,
     STATUS_FRAME,
@@ -28,7 +28,7 @@ from oracles import rational_cycle, recursive_bspline, triangular_bspline
 
 def overlap_bounds(N, a, b):
     """The scanner's overlap bounds of a cell, checked as classify_cell checks it."""
-    return _overlap_bounds(N, a, _check_cell(N, a, b))
+    return _overlap_bounds(N, a, _check_cell(N, a, b)[0])
 
 
 def convolution_oracle(n_max, inv_step):
@@ -366,7 +366,7 @@ def test_zero_certificate_is_decided_by_the_support(N, statuses):
     (1, 0.9999999999999999, 1.0000000000000004, "density theorem: a b > 1"),
     (2, 0.5, 2.0, "density theorem: a b = 1 and the Zak transform of B_N vanishes"),
     (3, 0.25, 4.0, "density theorem: a b = 1 and the Zak transform of B_N vanishes"),
-    (3, 1.25, 0.8, "density theorem: a b > 1"),  # the float 0.8 is above 4/5
+    (3, 1.25, 0.8, "density theorem: a b = 1 and the Zak transform of B_N vanishes"),  # 5/4 * 4/5
     (4, 1.5, 1.0, "density theorem: a b > 1"),
 ])
 def test_density_theorem_zero_certificates(N, a, b, method):
@@ -378,6 +378,21 @@ def test_density_theorem_zero_certificates(N, a, b, method):
     # the orthonormal basis at a = b = 1 stays a frame with bounds (1, 1)
     basis = classify_cell(1, 1.0, 1.0)
     assert (basis.status, basis.bounds_estimate) == (STATUS_FRAME, FrameBounds(1.0, 1.0))
+
+
+@pytest.mark.parametrize("N, b", [(10, 0.1), (5, 0.2)])
+def test_a_typed_b_on_the_painless_boundary_is_painless(N, b):
+    # b N = 1 for the decimal typed; the float b lies above 1/N, and on the float the
+    # cell took the sufficient condition, [3.066387617, 3.067805096] at N = 10
+    assert _check_cell(N, 1.0, b) == ([], Fraction(1, N))
+    cell = classify_cell(N, 1.0, b)
+    assert (cell.status, cell.method) == (STATUS_FRAME, "painless periodization")
+    # the bounds of the column at b, as one ulp below b, where b N < 1 for the float too
+    below = classify_cell(N, 1.0, math.nextafter(b, 0.0))
+    assert below.method == "painless periodization"
+    for bound in ("lower", "upper"):
+        assert getattr(cell.bounds_estimate, bound) * b == pytest.approx(
+            getattr(below.bounds_estimate, bound) * math.nextafter(b, 0.0), rel=1e-15)
 
 
 @st.composite
@@ -398,7 +413,7 @@ def density_edge_cells(draw):
 def test_no_frame_certificate_past_the_density_bound(cell_args):
     N, a, b = cell_args
     cell = classify_cell(N, a, b, attach_estimates=False)
-    ab = Fraction(a) * Fraction(b)
+    ab = _as_rational(a, "a") * _as_rational(b, "b")  # the cell the scanner decides on
     if ab > 1 or ab == 1 and N >= 2:
         assert cell.status == STATUS_ZERO and cell.bounds_estimate.lower == 0.0
     if cell.status == STATUS_FRAME:
@@ -554,7 +569,7 @@ def test_cycle_length_realizes_the_rational_period_search():
             for b in (k / 20 for k in range(1, 47)):
                 M, L, a_int, b_int = rational_cycle(N, a, b, max_length=math.inf)
                 try:
-                    got = _cycle_length(a_int, b, 1 / M, M * (N + 1))
+                    got = _cycle_length(a_int, _as_rational(b, "b") / M, M * (N + 1))
                 except LatticeError:
                     got = None
                 seen[L <= 8192] += 1

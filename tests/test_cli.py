@@ -129,6 +129,16 @@ def test_wavelet_check_dual_zero_fails(capsys):
     assert result["report"]["residuals"]["scaling_sum"] == 1.0
 
 
+def test_wavelet_check_dual_at_a_tiny_step_fails(capsys):
+    # b = 1e-300 is read as a rational of denominator about 1e300: the scaling sum
+    # is 1, not b, and the shift classes a^j n / b are far past the band
+    code, out, _ = run_cli(["wavelet", "check-dual", "--b", "1e-300"], capsys)
+    assert code == 1
+    report = json.loads(out)["result"]["report"]
+    assert report["verdict"] == "fail"
+    assert report["residuals"] == {"scaling_sum": 1.0, "shifted_sums": 0.0}
+
+
 def test_gabor_ron_shen_indicator(capsys):
     code, out, _ = run_cli([
         "gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
@@ -390,7 +400,6 @@ def assert_usage_error(argv, capsys, bad):
     (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "support across 0"),
     (["wavepacket", "check-dual", "--psi", "indicator:1:1e300"], "work budget"),
     (["wavelet", "check-dual", "--b", "1e300"], "work budget"),
-    (["wavelet", "check-dual", "--b", "1e-300"], "must be rational"),
     (["gabor", "sweep", "--L-list", "1e300"], "1e300"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
       "--a", "1e-300", "--b", "1"], "less than one grid step"),
@@ -398,7 +407,8 @@ def assert_usage_error(argv, capsys, bad):
       "--a", "1.5", "--b", "1e300"], "work budget"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
       "--a", "1", "--b", "1e-300"], "work budget"),
-    (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "denominator at most 10^6"),
+    # the verification grid of step 1/64 would have to reach the shift 1/b = 1e300
+    (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "work budget"),
     (["gabor", "bounds", "--L", "4", "--a", "2", "--b", "2", "--seed", "-1"], "'-1'"),
     (["bspline", "eval", "--N", "9" * 400, "--x", "0.5"], "too large"),
     # the differences overflowed to inf and the float Gram to NaN, printing 0.0

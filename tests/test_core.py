@@ -1,11 +1,14 @@
 import json
 import math
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import framelab
 from framelab.core import (
     AnalysisReport,
     DimensionMismatch,
@@ -14,9 +17,11 @@ from framelab.core import (
     GridError,
     SingularSystemError,
     VectorSystem,
+    _as_rational,
     _decode_pairs,
     _encode_pairs,
     _operator_norm,
+    _rounding_interval,
     _spectral_bounds,
     analysis,
     biorthogonality_residual,
@@ -565,3 +570,84 @@ def test_library_entry_points_refuse_nan_and_inf(name):
     # probe run to 10^7 terms, a bare ValueError or a LinAlgError
     with pytest.raises(DomainError):
         NAN_OR_INF_CALLS[name]()
+
+
+def rounding_interval(x):
+    """(lo, hi): the midpoints between the float x and its neighbours, as Fractions."""
+    return tuple((Fraction(x) + Fraction(math.nextafter(x, side))) / 2 for side in (-math.inf, math.inf))
+
+
+FINITE_FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(FINITE_FLOATS)
+@example(0.1)
+@example(5e-324)
+@example(2.0 ** -1022)
+@example(2.0 ** -1021)
+@example(-0.5)
+@example(1.7976931348623157e308)
+def test_the_rational_of_a_float_rounds_back_to_it(x):
+    assert float(_as_rational(x, "x")) == x
+    lo, hi, s = _rounding_interval(x)
+    if abs(x) < 1e300:  # the neighbour above the largest float is inf
+        assert (Fraction(lo) * Fraction(2) ** s, Fraction(hi) * Fraction(2) ** s) == rounding_interval(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FINITE_FLOATS.filter(lambda x: not x.is_integer()))
+@example(1 / 3)
+@example(1 / 192)
+@example(1e-300)
+@example(1.0000000000000002)
+def test_the_rational_of_a_float_has_the_least_denominator_inside_its_interval(x):
+    rational = _as_rational(x, "x")
+    lo, hi = rounding_interval(x)
+    assert lo < rational < hi
+    # the fraction nearest x of any smaller denominator lies outside
+    assert not lo < Fraction(x).limit_denominator(rational.denominator - 1) < hi
+
+
+def test_the_rational_of_a_typed_decimal_is_that_decimal():
+    # m / 10^k comes back from its float where m 10^k < 2^52, so every decimal of at most
+    # 6 significant digits and 9 places does (all 9.1e6 of them take about a minute);
+    # here the nearest to the bound: m >= 999000 at every k, and m >= 900000 of
+    # denominator 10^9
+    for k in range(10):
+        for m in range(999_000, 10 ** 6):
+            assert _as_rational(m / 10 ** k, "x") == Fraction(m, 10 ** k), (m, k)
+    for m in range(900_001, 10 ** 6, 2):
+        if m % 5:
+            rational = _as_rational(m / 10 ** 9, "x")
+            assert (rational.numerator, rational.denominator) == (m, 10 ** 9), m
+    assert [_as_rational(v, "x") for v in (0.1, 0.2, 0.4, 2.5, 1 / 3, -0.05, 123456.0, 0.999999)] == [
+        Fraction(1, 10), Fraction(1, 5), Fraction(2, 5), Fraction(5, 2), Fraction(1, 3),
+        Fraction(-1, 20), Fraction(123456), Fraction(999999, 10 ** 6)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10 ** 6 - 1), st.integers(0, 9))
+def test_every_short_decimal_comes_back_from_its_float(m, k):
+    assert _as_rational(m / 10 ** k, "x") == Fraction(m, 10 ** k)
+
+
+def test_strings_ints_and_fractions_are_read_exactly():
+    assert _as_rational("5/2", "a") == Fraction(5, 2)
+    assert _as_rational("0.1", "b") == Fraction(1, 10)
+    assert _as_rational(3, "b") == 3 and _as_rational(Fraction(1, 7), "b") == Fraction(1, 7)
+    # an integral float is itself, even where its rounding interval holds other integers
+    assert _as_rational(2.0 ** 60, "b") == 2 ** 60
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "abc", "1/0", None])
+def test_what_is_not_a_finite_rational_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="b must be a rational number"):
+        _as_rational(bad, "b")
+
+
+def test_no_module_snaps_floats_by_a_denominator_bound():
+    # every parameter is read by one rule, core._as_rational; a second snapping rule,
+    # Fraction.limit_denominator and its bound, must not come back
+    source = Path(framelab.__file__).parent
+    assert [p.name for p in sorted(source.glob("*.py")) if "limit_denominator" in p.read_text()] == []

@@ -332,7 +332,7 @@ def test_wave_packet_adapter_matches_spline_painless_bounds():
     assert bounds.upper == pytest.approx(diag.max() / b, abs=1e-12)
 
     # the scanner's enclosures hold these extremes, 5 and 6, within their tolerance
-    inf_, sup_ = _overlap_bounds(N, a, _check_cell(N, a, b))
+    inf_, sup_ = _overlap_bounds(N, a, _check_cell(N, a, b)[0])
     assert inf_ / b <= bounds.lower == pytest.approx(inf_ / b, rel=1e-3)
     assert sup_ / b >= bounds.upper == pytest.approx(sup_ / b, rel=1e-3)
 

@@ -18,11 +18,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framelab.core import FrameLabError, TruncationUnsoundError
+from framelab.core import FrameLabError, TruncationUnsoundError, _as_rational
 from framelab.dilation import (
     FreqFunction,
     _adic_j_window,
-    _as_fraction,
     _class_points,
     _pieces,
     freq_indicator,
@@ -129,7 +128,7 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     details["c2_shifts_checked"] = float(overlaps)
 
     if full_check:
-        a_frac, b_frac = _as_fraction(a, "a"), _as_fraction(b, "b")
+        a_frac, b_frac = _as_rational(a, "a"), _as_rational(b, "b")
         reach = (max(hi1, hi2) - min(lo1, lo2)) + (max(c_values) - min(c_values))
         n_max = int(math.ceil(b * reach)) + 1
         groups = {}

@@ -9,6 +9,7 @@ from framelab.core import (
     DomainError,
     GridError,
     LatticeError,
+    _as_rational,
     concat_systems,
     duality_check,
     frame_bounds,
@@ -265,6 +266,13 @@ def test_ron_shen_grid_mismatch():
         ron_shen_duality_check(g, g, 1.0, 0.3)  # 1/b = 10/3 off-grid
 
 
+def test_ron_shen_steps_are_exact_whole_numbers_of_the_grid():
+    # a = 1.00000000001 is 64.00000000064 steps of 1/64: a slack of 1e-9 steps read it as 64
+    g = sampled_indicator(0.0, 1.0, step=1 / 64)
+    with pytest.raises(GridError, match="a = 1.00000000001 is not an integer number of grid steps"):
+        ron_shen_duality_check(g, g, 1.00000000001, 1.0)
+
+
 def _ron_shen_cases():
     """(g, h, a, b) sampled-line cases: Gaussians, indicators, splines, the
     dual_window_solve windows, random windows, and a = one grid step."""
@@ -403,11 +411,12 @@ def test_cycle_length_closed_form_matches_linear_search(monkeypatch):
                 for span in (max(s, a_int) for s in (1, 3, 7, 16, 33, 100, 257)):
                     expected = cycle_length_search(a_int, b, step, span, limit)
                     found[expected is not None] += 1
+                    frequency_step = _as_rational(b, "b") * _as_rational(step, "the step")
                     if expected is None:
                         with pytest.raises(LatticeError, match="no feasible cycle length"):
-                            gabor_module._cycle_length(a_int, b, step, span)
+                            gabor_module._cycle_length(a_int, frequency_step, span)
                     else:
-                        assert gabor_module._cycle_length(a_int, b, step, span) == expected
+                        assert gabor_module._cycle_length(a_int, frequency_step, span) == expected
     assert min(found.values()) > 1000
 
 

@@ -10,7 +10,6 @@ to the last bit wherever the oracle returns.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from framelab.bspline import (
     bspline_eval,
     classify_cell,
 )
-from framelab.core import DomainError
+from framelab.core import DomainError, _as_rational
 from framelab.dilation import (
     FreqFunction,
     WavePacketGrid,
@@ -75,8 +74,9 @@ def oracle_bounds(N, a, b, monkeypatch):
 
 def density_oracle(N, a, b):
     """The method of a density-theorem zero certificate, or None: a b > 1, or
-    a b = 1 for a continuous window (N >= 2), on the exact product."""
-    ab = Fraction(a) * Fraction(b)
+    a b = 1 for a continuous window (N >= 2), on the exact product of the
+    rationals a and b (core._as_rational)."""
+    ab = _as_rational(a, "a") * _as_rational(b, "b")
     if ab > 1:
         return "density theorem: a b > 1"
     if ab == 1 and N >= 2:
@@ -89,7 +89,7 @@ def classify_oracle(N, a, b, monkeypatch):
     density = density_oracle(N, a, b)
     # order 1 counts its translates exactly, without the kernel
     lo, hi = map(float, order_one_bounds(a, b)) if N == 1 else oracle_bounds(N, a, b, monkeypatch)
-    if Fraction(b) * N <= 1:
+    if _as_rational(b, "b") * N <= 1:
         if (a >= N if N > 1 else a > 1):
             return STATUS_ZERO, 0.0, hi / b, "painless diagonal vanishes exactly"
         if density:
@@ -137,7 +137,7 @@ def test_classify_cell_matches_oracle_bitwise_on_the_benchmark_grid(monkeypatch)
 def test_overlap_bounds_match_oracles_bitwise(monkeypatch):
     for N, a, b in ((2, 0.5, 0.25), (2, 1.9, 0.5), (3, 1.25, 0.6), (4, 0.9, 0.4),
                     (5, 2.2, 0.2), (7, 0.8, 0.3), (12, 11.5, 0.05)):
-        shifts = _check_cell(N, a, b)
+        shifts = _check_cell(N, a, b)[0]
         assert shifts == scanner_shifts(N, b)
         assert bits(*_overlap_bounds(N, a, shifts)) == bits(*oracle_bounds(N, a, b, monkeypatch))
 
@@ -318,8 +318,8 @@ def test_kernel_callers_pass_ascending_points(monkeypatch):
                 classify_cell(N, 0.25 * k, b)
     scanner_calls = len(callers)
     # one call per non-painless cell and one per painless (N, a) column, whose bounds
-    # do not depend on b: 119 cells (N = 5 at the float 0.2 > 1/5 among them) and 28 columns
-    assert scanner_calls == 119 + 28
+    # do not depend on b: 112 cells and 28 columns (N = 5 at b = 0.2, read as 1/5, is painless)
+    assert scanner_calls == 112 + 28
     rng = np.random.default_rng(7)
     for _ in range(10):
         g, grid, points = random_instance(rng)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import chebyshev
 
 from framelab import bspline, cli
-from framelab.core import FrameBounds
+from framelab.core import FrameBounds, _as_rational
 from framelab.bspline import (
     STATUS_FRAME,
     _chebyshev,
@@ -58,7 +58,7 @@ def exact_sums(N, a, shifts, x):
 def piece_enclosures(N, a, b):
     """[(left, right, enclosure of diag - off, enclosure of diag + off)] of every piece,
     each read and halved on its own, the rounding term included."""
-    shifts = _check_cell(N, a, b)
+    shifts = _check_cell(N, a, b)[0]
     cuts, diag, off = _piece_reads(N, a, shifts)
     rounding = _rounding_term(N, a, shifts)
     pieces = []
@@ -82,14 +82,15 @@ def rational_cells(draw, orders=st.integers(2, 6)):
 
 
 def assert_exact_values_inside(N, a, b, rng):
-    shifts = [Fraction(k) / Fraction(b) for k in range(-N * 4, N * 4 + 1)
-              if k and abs(Fraction(k) / Fraction(b)) < N]
+    # the sums of the rational cell the scanner decides on, 1/5 for the float 0.2
+    step, inverse = _as_rational(a, "a"), 1 / _as_rational(b, "b")
+    shifts = [k * inverse for k in range(-N * 4, N * 4 + 1) if k and abs(k * inverse) < N]
     for left, right, minus, plus in piece_enclosures(N, a, b):
         # the ends, the middle and two rational points between them
         points = [left, right, (left + right) / 2] + [left + (right - left) * Fraction(int(j), 97)
                                                       for j in rng.integers(1, 97, 2)]
         for x in points:
-            diag, off = exact_sums(N, Fraction(a), shifts, x)
+            diag, off = exact_sums(N, step, shifts, x)
             assert minus[0] <= diag - off <= minus[1], (N, a, b, x)
             assert plus[0] <= diag + off <= plus[1], (N, a, b, x)
 
@@ -99,6 +100,8 @@ def assert_exact_values_inside(N, a, b, rng):
 @example((2, 1.0, 0.5))
 @example((4, 3.9, 0.25))
 @example((3, 1 / 3, 0.4))
+@example((5, 1.0, 0.2))  # painless at b = 1/5: the float 0.2 lies above it
+@example((4, 2.5, 0.4))  # a b = 1 for the rationals
 def test_every_exact_value_lies_inside_its_piece_enclosure(cell):
     assert_exact_values_inside(*cell, np.random.default_rng(sum(map(hash, cell)) % 2 ** 32))
 
@@ -124,7 +127,7 @@ def test_order_one_counts_its_translates_exactly(cell):
     # at a = fl(1/3) < 1/3, [0, 2^-54) has 4 translates (3 a < 1) and B = 4 / b = 8
     a, b = cell
     lo, hi = order_one_bounds(a, b)
-    assert _indicator_bounds(a, b, len(_check_cell(1, a, b)) // 2) == (lo, hi)
+    assert _indicator_bounds(a, b, len(_check_cell(1, a, b)[0]) // 2) == (lo, hi)
     got = classify_cell(1, a, b, attach_estimates=False)
     assert got.bounds_estimate == FrameBounds(lo / b if got.status == STATUS_FRAME else 0.0, hi / b)
 
@@ -137,7 +140,7 @@ def test_order_one_upper_bounds_at_fl_one_third_and_one_seventh():
 def assert_within_the_grid(N, a, b):
     """The bounds lie between the grid's values and the grid's values widened by its
     slack, and a cell the grid certified stays certified."""
-    shifts = _check_cell(N, a, b)
+    shifts = _check_cell(N, a, b)[0]
     lo, hi = _indicator_bounds(a, b, len(shifts) // 2) if N == 1 else _overlap_bounds(N, a, shifts)
     grid_lo, grid_hi, slack = grid_overlap_bounds(N, a, b)
     assert grid_hi <= hi <= grid_hi + slack, (N, a, b)
@@ -195,5 +198,5 @@ def test_chebyshev_maps_convert_and_halve_a_polynomial(m):
 
 def test_the_rounding_term_grows_as_stated():
     # about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5, b = 0.01
-    assert _rounding_term(4, 1.0, _check_cell(4, 1.0, 0.45)) == pytest.approx(5.6e-11, rel=0.1)
+    assert _rounding_term(4, 1.0, _check_cell(4, 1.0, 0.45)[0]) == pytest.approx(5.6e-11, rel=0.1)
     assert _rounding_term(80, 79.5, []) == pytest.approx(3.4e-9, rel=0.1)
