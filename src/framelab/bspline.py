@@ -19,7 +19,7 @@ of degree 2N - 2: each piece is read once, at its 2N - 1 Chebyshev nodes,
 enclosed through its Chebyshev coefficients, and halved only where that can
 still move a bound, with an a-priori rounding term (Farouki & Rajan, CAGD 4,
 1987; Trefethen, Approximation Theory and Approximation Practice, 2013);
-order 1, an indicator, counts its translates exactly instead.  The
+order 1, an indicator, counts its translates exactly on the rational cell.  The
 negative certificates are decided exactly, never read off a value: a
 painless diagonal that vanishes, from the support of B_N, the density
 theorem, on the exact product a b of the decimals typed (core._as_rational),
@@ -282,8 +282,9 @@ def sample_bspline(N: int, step: float = DEFAULT_STEP) -> SampledWindow:
 # -- periodized bound computations -------------------------------------------
 
 
-#: work units per term of a row of the kernel's Python loop: the 2e5 offset rows of a
-#: = 1e-5 took 1.1 s on a 2-CPU x86-64 VM, about 550 units each
+#: work units per (offset row, term) of a cell, for the kernel's window search, grouping
+#: and block calls: set when a Python loop ran per term (the 2e5 rows of a = 1e-5 took 1.1 s
+#: on a 2-CPU x86-64 VM); the masked blocks run the 97567 rows of a = 2.05e-5 in 0.1 s
 _TERM_WORK = 1000
 #: halving levels of a piece at most; the bound of a piece still open after them is kept
 _MAX_HALVINGS = 8
@@ -441,9 +442,9 @@ def _check_cell(N, a, b):
     b N <= 1, and the rational b (core._as_rational) that decides it exactly.
 
     A cell is charged by what it reads: _TERM_WORK per term of each offset
-    row of the kernel's Python loop; N units per spline value at the
+    row, for the kernel's windows and blocks; N units per spline value at the
     2N - 1 nodes of every piece (Horner's N - 1 multiply-adds and the
-    product), for each live term; and (2N - 1)^2 per piece of both sides for
+    product), for each term; and (2N - 1)^2 per piece of both sides for
     the conversion, and per half for the halvings, at most _MAX_HALVINGS
     times as many as the period has pieces.  The 741 cells of the README
     scan need less than 3.4e6 units each.
@@ -511,9 +512,10 @@ def _painless_bounds(N: int, a: float):
     return _overlap_bounds(N, a, [])
 
 
-def _indicator_bounds(a: float, b: float, k_max: int):
-    """(inf(diag - off), sup(diag + off)) of order 1, exactly, for the float a and the
-    exact shifts k/b, 0 < |k| <= k_max.
+def _indicator_bounds(a: Fraction, b: Fraction, k_max: int):
+    """(inf(diag - off), sup(diag + off)) of order 1, exactly, for the rational cell
+    (a, b) of core._as_rational, the one its regime and density are decided on, and the
+    shifts k/b, 0 < |k| <= k_max.
 
     B_1 is the indicator of [0, 1), so diag and off count translates: diag
     those of [0, 1), off those of [max(0, s), min(1, 1 + s)) for each shift
@@ -523,13 +525,12 @@ def _indicator_bounds(a: float, b: float, k_max: int):
     Fraction breakpoints, and one sweep over them, from their exact values at
     x = 0, reads every piece.
     """
-    step, inverse = Fraction(a), 1 / Fraction(b)
-    shifts = (k * inverse for k in range(-k_max, k_max + 1) if k)
+    shifts = (k / b for k in range(-k_max, k_max + 1) if k)
     intervals = [(0, 1, 0)] + [(max(0, s), min(1, 1 + s), 1) for s in shifts if -1 < s < 1]
     counts, jumps = [0, 0], {}  # diag and off at x = 0; their jumps at each breakpoint
     for left, right, sums in intervals:
-        counts[sums] += math.floor(-left / step) - math.floor(-right / step)
-        for end, jump in ((left % step, 1), (right % step, -1)):
+        counts[sums] += math.floor(-left / a) - math.floor(-right / a)
+        for end, jump in ((left % a, 1), (right % a, -1)):
             if end:
                 jumps.setdefault(end, [0, 0])[sums] += jump
     (diag, off), lo, hi = counts, counts[0] - counts[1], sum(counts)
@@ -610,11 +611,11 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     then reads the bounds of its (N, a) column from _painless_bounds.
     """
     shifts, b_rational = _check_cell(N, a, b)
-    painless = not shifts
-    lo, hi = (_indicator_bounds(a, b, len(shifts) // 2) if N == 1 else
+    a_rational, painless = _as_rational(a, "a"), not shifts
+    lo, hi = (_indicator_bounds(a_rational, b_rational, len(shifts) // 2) if N == 1 else
               _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts))
     lower, estimate = 0.0, None
-    density = _as_rational(a, "a") * b_rational
+    density = a_rational * b_rational
     if painless and (a >= N if N > 1 else a > 1):
         status, method = STATUS_ZERO, "painless diagonal vanishes exactly"
     elif density > 1 or density == 1 and N > 1:
@@ -661,9 +662,13 @@ def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None)
     output_step = 1.0 / (64 * bf.numerator)
     count = int(round((N + 2 * K) / output_step)) + 1
     n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1
-    # the (n, j) and (j, k) factor tables, the design, the window's shifted splines
+    # the (n, j) and (j, k) factor tables, the design, the window's shifted splines, the
+    # least-squares solve (its m k^2 multiply-adds run about 32 to a unit in LAPACK) and
+    # the re-check: ron_shen_duality_check's (line, n) entries for h on [-K, N + K]
+    checked = (2 * math.ceil(bf * (N + 2 * K + 1)) + 3) * (N + 2 * K + 4) * 64 * bf.numerator
     _check_work(((n_count + k_count) * j_count * samples + k_count * count) * table
-                + n_count * k_count * samples, f"the order-{N} dual window over {k_count} shifts")
+                + n_count * k_count * samples + n_count * samples * k_count ** 2 // 32
+                + 8 * checked, f"the order-{N} dual window over {k_count} shifts")
     xs = (np.arange(samples) + 0.5) / samples
     ns, ks, js = (np.arange(-m, m + 1) for m in (n_max, K, N + K + 2))
     # design[n, k] = sum over j, in order, of B_N(xs - n/b - j) B_N(xs - j + k); a

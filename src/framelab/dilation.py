@@ -15,7 +15,8 @@ Every sum is piecewise constant in gamma, with breakpoints at the dilated
 and shifted edges of the generators, so it is read exactly, at one point per
 piece (_pieces): its sup, inf and max |.| are true values, not samples.
 The translation-overlap sums, the B-spline scanner's too, run on one kernel
-(_overlap_sums), which takes the ascending points its callers build.
+(_overlap_sums): it takes the ascending points and shifts its callers build
+and reads each block of consecutive rows in one masked evaluation.
 
 The dual wavelet criterion is the a = 2, c = {0} case of the dual
 wave-packet criterion, and both run on one front end (_dual_deviations) and
@@ -231,32 +232,31 @@ def _check_ceiling(ceiling):
         raise DomainError(f"ceiling must be > 0 (got {ceiling!r})")
 
 
-#: points per values_at call of _overlap_sums: one call per whole cell is barely
-#: faster and multiplies the peak memory
-_BLOCK_POINTS = 2 ** 14
+#: (row, term, point) entries per block of _overlap_sums, each block one values_at call:
+#: one block per dilation would read every row over the union of all its windows
+_BLOCK_ENTRIES = 2 ** 14
 
 
-def _live_slices(xs, offsets, shifts, support):
-    """(start, stop) of the slice of the sorted xs where the computed fl(fl(x - c) - s)
-    lies in support = [lo, hi), for each pair of offsets c (a column) and shifts s (a row).
-
-    Rounding is monotone, so the computed value is nondecreasing in x and the
-    points where it reaches a bound are a suffix of xs.  A binary search for
-    bound + s + c lands within rounding of that suffix's first point; the
-    computed value is then tested at the edge, and the index moved over runs of
-    equal points, until it is the first point of the suffix.
-    """
-    bound = np.reshape(np.asarray(support, dtype=float), (2, 1, 1))
-    idx = np.searchsorted(xs, (bound + shifts) + offsets)
-    last = xs.size - 1
-    while True:
-        before, at = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx, last)]
-        back = ((before - offsets) - shifts >= bound) & (idx > 0)
-        ahead = ((at - offsets) - shifts < bound) & (idx <= last)
-        if not (back.any() or ahead.any()):
-            return idx
-        idx = np.where(back, np.searchsorted(xs, before),
-                       np.where(ahead, np.searchsorted(xs, at, "right"), idx))
+def _row_blocks(starts, stops, terms):
+    """[(rows, start, stop)]: the rows with a nonempty window [starts[r], stops[r]) in
+    order, grouped into blocks over their union window [start, stop) of at most
+    _BLOCK_ENTRIES (row, term, point) entries; a row wider than that is split along its
+    points (one point of every term at least)."""
+    width = max(1, _BLOCK_ENTRIES // terms)
+    blocks, joinable = [], False
+    for r, (first, last) in enumerate(zip(starts, stops)):
+        if last <= first:
+            continue
+        if joinable:
+            rows, start, stop = blocks[-1]
+            start, stop = min(start, first), max(stop, last)
+            if (len(rows) + 1) * (stop - start) <= width:
+                rows.append(r)
+                blocks[-1] = rows, start, stop
+                continue
+        blocks += [([r], p, min(p + width, last)) for p in range(first, last, width)]
+        joinable = last - first <= width  # no row joins the pieces of a split one
+    return blocks
 
 
 def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support, cost=None):
@@ -268,73 +268,66 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     painless).  support = (lo, hi) must hold every point where g is nonzero,
     and values_at is called only on points of [lo, hi).
 
-    The points must be ascending, as every caller builds them: the scanner's
-    grid, the pieces of one window (_pieces) and a sorted gamma_grid.  So the
-    points of each (dilation, offset) row whose u lies in the support, and
-    among them those whose u - s does, are contiguous slices found by binary
-    search (_live_slices).  With a cost per live point given, the slice search
-    (16 units per term) and then cost times the live points are charged before
-    either is done; only the scanner gives none, its cells are charged by
-    _check_cell.  One loop then takes the terms of each live row, the row
-    itself first and then its live shifts, into blocks of at most _BLOCK_POINTS
-    points, one values_at call per block.  The row's own term writes |g(u)|
-    into one scratch array over the points, where its shift terms read it
-    before the next row overwrites it: a block's terms are applied in order.
-    The result is bit-identical to one call per (dilation, offset, shift) term
-    at every point: values_at is elementwise, every point is the same float
-    expression, the terms are added in the same order, and a skipped term would
-    add an exact +0.0 to a nonnegative sum.
+    The points and the shifts must be ascending, as every caller builds them:
+    the scanner's nodes, the pieces of one window (_pieces) or a sorted
+    gamma_grid, and the shifts k/b.  So the points x of each (dilation,
+    offset) row with fl(x - c) in the support lie in one window, found by one
+    binary search per end: fl(x - c) in [lo, hi) puts x - c within eps M /
+    (1 - eps) of [lo, hi), M = max(|lo|, |hi|) and eps = 2^-53, and the keys
+    fl(fl(lo + c) - r) and fl(fl(hi + c) + r), r = 4 eps (|c| + M), lie
+    farther out, so the window holds every such x and a mask decides the rest.
+    Consecutive rows form blocks over their union window (_row_blocks).  A
+    block keeps, after the row itself (s = 0), the run of shifts whose term
+    can meet the support: fl(fl(x - c) - s) is monotone in x, c and s, so the
+    shifts whose term lies above the support at the block's least fl(x - c)
+    are a prefix, and those below it at the largest a suffix.
+
+    With a cost per entry given, the search and grouping (64 units per row)
+    and then cost times the (row, term, point) entries of every block are
+    charged before either is done; only the scanner gives none, its cells are
+    charged by _check_cell.  Each block forms fl(fl(x - c) - s) for its rows,
+    terms and points as one array, masks it by the support and calls values_at
+    once, on the entries inside it.  The rows' squares are added to diag, and
+    then the (row, shift) products to off, one after another by
+    np.add.accumulate (a sum over the rows may add pairwise).  So the result
+    is bit-identical to one call per (dilation, offset, shift) term at every
+    point: values_at is elementwise, every point is the same float expression,
+    the terms are added in the same order, and a masked or dropped term adds
+    an exact +0.0 to a nonnegative sum.
     """
     pts = np.ravel(gammas)
-    offsets = np.asarray(offsets, dtype=float)
-    shifts = np.concatenate(([0.0], np.asarray(shifts, dtype=float)))  # 0: the row itself
+    offsets, shifts = np.asarray(offsets, dtype=float), np.asarray(shifts, dtype=float)
+    lo, hi = support
     if cost is not None:
-        _check_work(16 * len(dilations) * offsets.size * shifts.size,
-                    "the live slices of the translation-overlap sums")
-    plan, live = [], 0
+        _check_work(64 * len(dilations) * offsets.size,
+                    "the row windows of the translation-overlap sums")
+    reach = 2.0 ** -51 * (np.abs(offsets) + max(abs(lo), abs(hi)))
+    plan, entries = [], 0
     for a in dilations:
         base = pts / a
-        starts, stops = _live_slices(base, offsets[:, None], shifts, support)
-        rows = np.flatnonzero(stops[:, 0] > starts[:, 0])
-        # a shifted term is live on the part of its row's slice where u - s is in the support
-        first, last = starts[rows, :1], stops[rows, :1]
-        starts, stops = (np.minimum(np.maximum(ends[rows], first), last)
-                         for ends in (starts, stops))
-        plan.append((a, offsets[rows].tolist(), starts.tolist(), stops.tolist()))
-        live += int(np.sum(stops - starts))
+        starts = np.searchsorted(base, (lo + offsets) - reach).tolist()
+        stops = np.searchsorted(base, (hi + offsets) + reach).tolist()
+        for rows, start, stop in _row_blocks(starts, stops, 1 + shifts.size):
+            c = offsets[rows]
+            first = np.count_nonzero(base[start] - c.max() - shifts >= hi)
+            last = max(first, np.count_nonzero(base[stop - 1] - c.min() - shifts >= lo))
+            plan.append((base[start:stop], c[:, None, None], first, last, start, stop))
+            entries += c.size * (1 + last - first) * (stop - start)
     if cost is not None:
-        _check_work(cost * live, f"translation-overlap sums on {live} live points "
-                                 f"of {pts.size} frequency points")
+        _check_work(cost * entries, f"translation-overlap sums on {entries} entries "
+                                    f"of {pts.size} frequency points")
 
     diag, off = np.zeros(pts.shape), np.zeros(pts.shape)
-    u, g = np.empty(pts.shape), np.empty(pts.shape)  # u and |g(u)| of the current row
-    buffer = np.empty(min(_BLOCK_POINTS, live))
-    batch, size = [], 0  # (start, stop, is_row) of the terms in buffer[:size]
-    shift_list = shifts.tolist()
-    for a, row_offsets, row_starts, row_stops in plan:
-        base = pts / a
-        for c, starts, stops in zip(row_offsets, row_starts, row_stops):
-            np.subtract(base[starts[0]:stops[0]], c, out=u[starts[0]:stops[0]])
-            for term, (s, start, stop) in enumerate(zip(shift_list, starts, stops)):
-                while start < stop:  # the term's points, split where the block fills up
-                    n = min(stop - start, _BLOCK_POINTS - size)
-                    np.subtract(u[start:start + n], s, out=buffer[size:size + n])
-                    batch.append((start, start + n, term == 0))
-                    size += n
-                    start += n
-                    live -= n
-                    if size == _BLOCK_POINTS or not live:  # full, or the last term
-                        values = np.abs(values_at(buffer[:size]))
-                        first = 0
-                        for i, j, is_row in batch:
-                            value = values[first:first + j - i]
-                            first += j - i
-                            if is_row:
-                                g[i:j] = value
-                                diag[i:j] += value * value
-                            else:
-                                off[i:j] += value * g[i:j]
-                        batch, size = [], 0
+    for x, c, first, last, start, stop in plan:
+        u = (x - c) - np.concatenate(([0.0], shifts[first:last]))[:, None]  # 0: the row itself
+        live = (u >= lo) & (u < hi)
+        g = np.zeros(u.shape)
+        g[live] = np.abs(values_at(u[live]))
+        g *= g[:, :1]  # the row's square, then its products with each shift
+        diag[start:stop] = np.add.accumulate(np.concatenate((diag[None, start:stop], g[:, 0])))[-1]
+        if last > first:
+            products = g[:, 1:].reshape(-1, stop - start)
+            off[start:stop] = np.add.accumulate(np.concatenate((off[None, start:stop], products)))[-1]
     return diag.reshape(np.shape(gammas)), off.reshape(np.shape(gammas))
 
 

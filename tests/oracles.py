@@ -310,11 +310,12 @@ def rational_indicator_bounds(lo, hi, a_values, b, c_values, window):
 
 def order_one_bounds(a: float, b: float):
     """(min of diag - off, max of diag + off) of the order-1 scanner cell, before the
-    division by b, in exact rationals: for the float a and the exact shifts k/b, the
-    translates of B_1 = 1 on [0, 1) counted at the midpoint of every piece of [0, a)
-    between the breakpoints (j + k/b) mod a, j = 0, 1.  rational_indicator_bounds, given
-    the offsets n a, counts the same sums, but reads every piece of every offset."""
-    a, b = Fraction(a), Fraction(b)
+    division by b, in exact rationals: for the rational cell (a, b) of core._as_rational
+    and its shifts k/b, the translates of B_1 = 1 on [0, 1) counted at the midpoint of
+    every piece of [0, a) between the breakpoints (j + k/b) mod a, j = 0, 1.
+    rational_indicator_bounds, given the offsets n a, counts the same sums, but reads
+    every piece of every offset."""
+    a, b = _as_rational(a, "a"), _as_rational(b, "b")
     shifts = [k / b for k in range(-math.ceil(b) - 1, math.ceil(b) + 2) if k]
     cuts = sorted({(j + s) % a for j in (0, 1) for s in [0, *shifts]} | {a})
     inside = lambda u: 0 <= u < 1  # noqa: E731

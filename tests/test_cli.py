@@ -445,6 +445,9 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
 # is replaced, so a request that reaches it fails the test
 @pytest.mark.parametrize("argv, module, evaluator", [
     (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "100000"], bsp, "bspline_eval"),
+    # the least-squares solve and the sampled re-check are charged with the design
+    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "104"], bsp, "bspline_eval"),
+    (["bspline", "dual-window", "--N", "4", "--b", "0.14285714285714285", "--K", "96"], bsp, "bspline_eval"),
     (EXTEND + ["--L", "100000"], gabor, "_apply_blocks"),
     (["gabor", "commute", "--L", "1024", "--a", "4", "--b", "4"], gabor, "frame_operator"),
     (["gabor", "duality", "--L", "512", "--a", "512", "--b", "512"], gabor, "riesz_bounds"),
@@ -457,7 +460,7 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["exp", "decay", "--n-max", "100"], expo, "lower_bound"),
     (["exp", "bound", "--lambdas", ",".join(map(str, range(293)))], expo, "_fixed_gram"),
     (["gabor", "sweep", "--L-list", "4", "--windows", "1000000"], cli, "_sweep_task"),
-    # 9.65e7 live points: most of the 4002 shifts k/1000 meet the band from every point
+    # 9.66e7 block entries: most of the 4002 shifts k/1000 meet the band from every point
     (["wavepacket", "bounds", "--g", "shannon", "--b", "1000"], dil.FreqFunction, "values_at"),
     (["rdual", "verify", "--random-dim", "100000"], rdual, "verify_rdual_theorem"),
     (["gabor", "wexler-raz", "--L", "8192", "--a", "8192", "--b", "1", "--window-h", "random"],
@@ -525,6 +528,8 @@ class Reached(Exception):
 # budget must admit (ROADMAP baselines and the README timings)
 @pytest.mark.parametrize("argv, module, evaluator", [
     (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "64"], bsp, "bspline_eval"),
+    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "103"], bsp, "bspline_eval"),
+    (["bspline", "dual-window", "--N", "4", "--b", "0.14285714285714285", "--K", "95"], bsp, "bspline_eval"),
     (["bspline", "props", "--N", "24"], bsp, "_piece_table"),
     (["bspline", "props", "--N", "60"], bsp, "_piece_table"),
     (["bspline", "props", "--N", "271"], bsp, "_piece_table"),
@@ -537,7 +542,7 @@ class Reached(Exception):
      bsp, "_overlap_sums"),
     (["gabor", "bounds", "--L", "65536", "--a", "64", "--b", "64"], np.linalg, "eigvalsh"),
     (["bspline", "eval", "--N", "342", "--x", "0.5"], bsp, "_piece_table"),
-    # charged by its 3.2e4 live points, not by points times offsets and shifts (4.5e8)
+    # charged by the 1.9e6 entries of its blocks, not by points times offsets and shifts (4.5e8)
     (["wavepacket", "bounds", "--g", "shannon", "--c-values=-2000:2000:1"], dil.FreqFunction,
      "values_at"),
 ])

@@ -27,6 +27,7 @@ from framelab.bspline import (
 from framelab.core import DomainError, _as_rational
 from framelab.dilation import (
     FreqFunction,
+    freq_indicator,
     WavePacketGrid,
     _bound_points,
     _coverage_box,
@@ -299,14 +300,16 @@ def test_live_slices_end_where_the_computed_difference_leaves_the_support(lo, hi
 
 
 def test_kernel_callers_pass_ascending_points(monkeypatch):
-    # the kernel slices the points by binary search and does not sort them:
-    # every production caller hands it ascending points
+    # the kernel finds windows of points and runs of shifts by binary search and
+    # monotone tests, and sorts neither: every production caller hands it
+    # ascending points and shifts
     kernel = dilation._overlap_sums
     callers = []
 
     def checked(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs):
         pts = np.ravel(gammas)
         assert np.all(pts[1:] >= pts[:-1]), "the kernel was given points out of order"
+        assert np.all(np.diff(shifts) > 0), "the kernel was given shifts out of order"
         callers.append(pts.size)
         return kernel(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs)
 
@@ -376,15 +379,17 @@ def test_wave_packet_sums_match_the_triple_sums_at_b_1(a_values, c_values):
 
 def test_kernel_calls_stay_within_the_block(monkeypatch):
     # every values_at call of the kernel gets at most 2^14 points, all inside
-    # the support it was given; rows are batched, and a row above the block
-    # size is split
+    # the support it was given; the rows of a block share one call, and a
+    # kernel call whose rows hold more than a block makes several calls
     kernel = dilation._overlap_sums
     calls = []
 
     def recording(values_at, dilations, offsets, shifts, gammas, support, *args, **kwargs):
+        kernel_call = len({call for _, _, call in calls})
+
         def wrapped(u):
             assert np.all((u >= support[0]) & (u < support[1]))
-            calls.append((np.size(u), np.size(gammas)))
+            calls.append((np.size(u), np.size(gammas), kernel_call))
             return values_at(u)
         return kernel(wrapped, dilations, offsets, shifts, gammas, support, *args, **kwargs)
 
@@ -398,15 +403,43 @@ def test_kernel_calls_stay_within_the_block(monkeypatch):
     wave_packet_frame_bounds(g, grid, gamma_grid=np.linspace(lo, hi, 40000))
     wave_packet_frame_bounds(g, grid)
     assert calls
-    assert all(points <= 2 ** 14 for points, _ in calls)
-    assert any(points > row for points, row in calls)
-    assert any(points == 2 ** 14 < row for points, row in calls)
+    assert all(points <= 2 ** 14 for points, _, _ in calls)
+    assert any(points > row for points, row, _ in calls)
+    split = [call for _, row, call in calls if row == 40000]
+    assert len(split) > 2 and len(set(split)) == 1
+
+
+def test_row_blocks_cover_every_window_within_the_block_size():
+    # windows of rows in any order, empty ones and rows wider than a block:
+    # the rows stay in order, a block holds at most 2^14 (row, term, point)
+    # entries over its union window, and every row's window is covered once
+    rng = np.random.default_rng(41)
+    for terms in (1, 3, 40, 2 ** 12, 2 ** 14 + 5):
+        for _ in range(20):
+            rows = int(rng.integers(1, 60))
+            starts = rng.integers(0, 30000, rows)
+            stops = starts + rng.choice([0, 1, 5, 400, 20000], rows) // (1 + terms // 64)
+            if rng.uniform() < 0.5:
+                starts, stops = np.sort(starts)[::-1], np.sort(stops)[::-1]
+            blocks = dilation._row_blocks(starts.tolist(), stops.tolist(), terms)
+            flat = [r for block, _, _ in blocks for r in block]
+            assert flat == sorted(flat)
+            covered = {r: [] for r in range(rows) if stops[r] > starts[r]}
+            for block, start, stop in blocks:
+                assert len(block) * terms * (stop - start) <= max(2 ** 14, terms)
+                for r in block:
+                    covered[r].append((max(start, starts[r]), min(stop, stops[r])))
+            for r, parts in covered.items():
+                parts.sort()
+                assert parts[0][0] == starts[r] and parts[-1][1] == stops[r]
+                assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
 
 
 def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
-    # with a per-point cost the kernel charges 16 units per term for the slice
-    # search, then the cost per live point, and refuses before values_at is
-    # called; without one it charges nothing and returns the same sums
+    # with a per-entry cost the kernel charges 64 units per (dilation, offset)
+    # row for the window search, then the cost per (row, term, point) entry of
+    # its blocks, and refuses before values_at is called; without one it
+    # charges nothing and returns the same sums
     rng = np.random.default_rng(23)
     g = FreqFunction(-0.5, 0.125, rng.uniform(0.5, 2.0, 20), (-0.5, 2.0))
     grid = WavePacketGrid([1.0, 2.0], 1.0, [-1.0, 0.0, 1.5])
@@ -420,24 +453,30 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
 
     expected = dilation._overlap_sums(values_at, grid.a_values, grid.c_values, shifts, gammas,
                                       g.support(), cost=2)
-    terms = 16 * len(grid.a_values) * len(grid.c_values) * (1 + len(shifts))
-    assert terms < 2 * sum(live)
+    windows = 64 * len(grid.a_values) * len(grid.c_values)
+    # the blocks hold every evaluated entry, and less than every (row, term, point)
+    entries = 46173
+    assert sum(live) <= entries < len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)) * 4001
 
     def refused(*args):
         raise AssertionError("values_at was called on a refused call")
 
-    for budget, match in ((terms - 1, "live slices"), (2 * sum(live) - 1, "live points")):
+    for budget, match in ((windows - 1, "row windows"), (2 * entries - 1, f"{entries} entries")):
         monkeypatch.setattr(core, "MAX_WORK", budget)
         with pytest.raises(DomainError, match=match):
             dilation._overlap_sums(refused, grid.a_values, grid.c_values, shifts, gammas,
                                    g.support(), cost=2)
+    monkeypatch.setattr(core, "MAX_WORK", 2 * entries)
+    sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, gammas,
+                                  g.support(), cost=2)
+    assert bits(*np.concatenate(sums)) == bits(*np.concatenate(expected))
     monkeypatch.setattr(core, "MAX_WORK", 0)
     sums = dilation._overlap_sums(g.values_at, grid.a_values, grid.c_values, shifts, gammas,
                                   g.support())
     assert bits(*np.concatenate(sums)) == bits(*np.concatenate(expected))
 
     # lic_estimate passes the same cost: a test function of 4000 cells, whose
-    # first kernel call (110165 live points) is charged more than the shift
+    # first kernel call (116093 entries) is charged more than the shift
     # window and the breakpoints before it, is refused by the kernel
     monkeypatch.undo()
     rng = np.random.default_rng(29)
@@ -446,10 +485,116 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     lic_grid = WavePacketGrid([1.0], 3.0, [-1.0, 0.0, 1.5])
     value, _ = lic_estimate(psi, lic_grid, f)
     assert value.hex() == "0x1.098504d001d5fp+4"  # where the work is charged moves no bit
-    monkeypatch.setattr(core, "MAX_WORK", 2 * 110165 - 1)
+    monkeypatch.setattr(core, "MAX_WORK", 2 * 116093 - 1)
     monkeypatch.setattr(FreqFunction, "values_at", refused)
-    with pytest.raises(DomainError, match="110165 live points"):
+    with pytest.raises(DomainError, match="116093 entries"):
         lic_estimate(psi, lic_grid, f)
+
+
+def per_term_sums(values_at, dilations, offsets, shifts, xs, support):
+    """diag and off of _overlap_sums, one masked values_at call per (dilation, offset,
+    shift) term at every point, added in that order."""
+    lo, hi = support
+    diag, off = np.zeros(xs.shape), np.zeros(xs.shape)
+
+    def magnitude(u):
+        inside = (u >= lo) & (u < hi)
+        value = np.zeros(u.shape)
+        value[inside] = np.abs(values_at(u[inside]))
+        return value
+
+    for a in dilations:
+        for c in offsets:
+            u = xs / a - c
+            g0 = magnitude(u)
+            diag += g0 * g0
+            for s in shifts:
+                off += magnitude(u - s) * g0
+    return diag, off
+
+
+def random_pieces(rng, lo, hi, count):
+    """A FreqFunction of count complex pieces on [lo, hi)."""
+    step = (hi - lo) / count
+    values = rng.uniform(0.1, 2.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
+    return FreqFunction(lo, step, values * (rng.uniform(size=count) < 0.85), (lo, hi))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_offsets_in_any_order_match_the_per_term_sums_bitwise(order):
+    # lic_estimate passes its offsets descending; the windows of consecutive
+    # rows then move down the points, and a block's union window must still
+    # hold every row's own
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        g = random_pieces(rng, -1.5, 2.5, int(rng.integers(3, 30)))
+        offsets = np.sort(rng.uniform(-6.0, 6.0, int(rng.integers(1, 80))))
+        offsets = {"ascending": offsets, "descending": offsets[::-1],
+                   "shuffled": rng.permutation(offsets)}[order]
+        shifts = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(0, 6))))
+        dilations = rng.uniform(0.5, 2.0, int(rng.integers(1, 3)))
+        xs = np.sort(rng.uniform(-10.0, 10.0, int(rng.integers(1, 700))))
+        sums = dilation._overlap_sums(g.values_at, dilations, offsets, shifts, xs, g.support())
+        oracle = per_term_sums(g.values_at, dilations, offsets, shifts, xs, g.support())
+        assert bits(*np.concatenate(sums)) == bits(*np.concatenate(oracle))
+
+
+def test_one_point_window_adds_its_terms_in_sequence():
+    # 30 rows and 12 shifts meet the one point: a sum over the rows that adds
+    # pairwise, as numpy's reductions do along a contiguous axis of more than 8
+    # terms, rounds differently from adding them in order on these values
+    rng = np.random.default_rng(47)
+    g = random_pieces(rng, 0.0, 1.0, 64)
+    offsets = rng.uniform(-0.2, 0.2, 30)
+    shifts = np.sort(rng.uniform(-0.25, 0.25, 12))
+    xs = np.array([0.5])
+    diag, off = dilation._overlap_sums(g.values_at, [1.0], offsets, shifts, xs, g.support())
+    o_diag, o_off = per_term_sums(g.values_at, [1.0], offsets, shifts, xs, g.support())
+    assert bits(*diag, *off) == bits(*o_diag, *o_off)
+    squares = np.abs(g.values_at(xs[0] - offsets)) ** 2
+    assert np.add.reduce(squares) != o_diag[0]  # the values tell the two orders apart
+
+
+def test_points_at_the_window_margin_add_nothing():
+    # the windows reach a few ulps past the support: a row whose window holds
+    # only such points, where fl(x - c) = hi, adds nothing, though its shifted
+    # term lies inside the support there
+    g = freq_indicator(0.0, 1.0, amplitude=3.0)
+    xs = np.array([1.0, 2.0])
+    for offsets, diag in (([0.0], 0.0), ([0.0, 1.0], 9.0)):  # x = 1 is live for c = 1
+        sums = dilation._overlap_sums(g.values_at, [1.0], offsets, [0.5], xs, g.support())
+        oracle = per_term_sums(g.values_at, [1.0], offsets, [0.5], xs, g.support())
+        assert bits(*np.concatenate(sums)) == bits(*np.concatenate(oracle)) == \
+            bits(diag, 0.0, 0.0, 0.0)
+
+
+def test_a_row_wider_than_a_block_is_split_along_its_points_bitwise():
+    # one row of 16500 live points and 4 terms: 4096 points a block, and 116 in
+    # the last; the next row, live on the last 165 points, takes a block of
+    # its own, since one over the last piece of the first row would read that
+    # row again on the points before the piece
+    rng = np.random.default_rng(53)
+    g = random_pieces(rng, 0.0, 1.0, 40)
+    xs = np.sort(rng.uniform(0.0, 1.0, 16500))
+    sizes = []
+
+    def values_at(u):
+        sizes.append(u.size)
+        return g.values_at(u)
+
+    shifts = [-0.5, 0.25, 0.75]
+    sums = dilation._overlap_sums(values_at, [1.0], [0.0, 0.99], shifts, xs, g.support())
+    oracle = per_term_sums(g.values_at, [1.0], [0.0, 0.99], shifts, xs, g.support())
+    assert bits(*np.concatenate(sums)) == bits(*np.concatenate(oracle))
+    assert len(sizes) == 6 and max(sizes) <= 2 ** 14
+
+
+def test_a_cell_with_hundreds_of_shifts_matches_the_oracle_bitwise(monkeypatch):
+    # b = 100 gives 402 shifts, most of which miss a block of the cell's points
+    N, a, b = 2, 0.5, 100.0
+    shifts = _check_cell(N, a, b)[0]
+    assert len(shifts) == 402
+    assert bits(*_overlap_bounds(N, a, shifts)) == bits(*oracle_bounds(N, a, b, monkeypatch))
 
 
 def dyadic_instance(rng):

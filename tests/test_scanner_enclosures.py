@@ -123,25 +123,29 @@ def order_one_cells():
 @example((1 / 3, 0.5))
 @example((1 / 7, 0.5))
 def test_order_one_counts_its_translates_exactly(cell):
-    # B_1 jumps, so a piece narrower than a rounding holds translates that floats miss:
-    # at a = fl(1/3) < 1/3, [0, 2^-54) has 4 translates (3 a < 1) and B = 4 / b = 8
+    # B_1 jumps, so a piece narrower than a rounding holds translates that floats miss;
+    # the count is made on the rational cell its regime and density are decided on
     a, b = cell
     lo, hi = order_one_bounds(a, b)
-    assert _indicator_bounds(a, b, len(_check_cell(1, a, b)[0]) // 2) == (lo, hi)
+    shifts, b_rational = _check_cell(1, a, b)
+    assert _indicator_bounds(_as_rational(a, "a"), b_rational, len(shifts) // 2) == (lo, hi)
     got = classify_cell(1, a, b, attach_estimates=False)
     assert got.bounds_estimate == FrameBounds(lo / b if got.status == STATUS_FRAME else 0.0, hi / b)
 
 
 def test_order_one_upper_bounds_at_fl_one_third_and_one_seventh():
-    assert classify_cell(1, 1 / 3, 0.5).bounds_estimate == FrameBounds(6.0, 8.0)
-    assert classify_cell(1, 1 / 7, 0.5).bounds_estimate == FrameBounds(14.0, 16.0)
+    # fl(1/3) is read as 1/3: three translates cover each point, 4/b = 8 at the float
+    # a < 1/3, where [0, 2^-54) has 4 (3 a < 1); likewise 1/7
+    assert classify_cell(1, 1 / 3, 0.5).bounds_estimate == FrameBounds(6.0, 6.0)
+    assert classify_cell(1, 1 / 7, 0.5).bounds_estimate == FrameBounds(14.0, 14.0)
 
 
 def assert_within_the_grid(N, a, b):
     """The bounds lie between the grid's values and the grid's values widened by its
     slack, and a cell the grid certified stays certified."""
     shifts = _check_cell(N, a, b)[0]
-    lo, hi = _indicator_bounds(a, b, len(shifts) // 2) if N == 1 else _overlap_bounds(N, a, shifts)
+    lo, hi = (_indicator_bounds(_as_rational(a, "a"), _as_rational(b, "b"), len(shifts) // 2)
+              if N == 1 else _overlap_bounds(N, a, shifts))
     grid_lo, grid_hi, slack = grid_overlap_bounds(N, a, b)
     assert grid_hi <= hi <= grid_hi + slack, (N, a, b)
     if grid_lo - slack > 0 or lo > 0:
