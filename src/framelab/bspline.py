@@ -28,8 +28,8 @@ bounds do not depend on b, so they are computed once per column of a scan.
 
 There is one Horner path, _horner, with no masks: bspline_eval runs it on
 the points of [0, N), and the scanner hands it to the kernel, which
-evaluates each translate and each of its frequency shifts only on the slice
-of the sorted nodes where it lies in [0, N).  Evaluation is pointwise, so
+evaluates each block of translates and their frequency shifts in one call,
+on the entries that lie in [0, N).  Evaluation is pointwise, so
 the sums are bit-identical to one call per term; cells too large to
 evaluate are rejected before anything is read.
 """
@@ -283,9 +283,10 @@ def sample_bspline(N: int, step: float = DEFAULT_STEP) -> SampledWindow:
 
 
 #: work units per (offset row, term) of a cell, for the kernel's window search, grouping
-#: and block calls: set when a Python loop ran per term (the 2e5 rows of a = 1e-5 took 1.1 s
-#: on a 2-CPU x86-64 VM); the masked blocks run the 97567 rows of a = 2.05e-5 in 0.1 s
-_TERM_WORK = 1000
+#: and block calls: a painless order-2 row takes about 0.56 us, 56 units of 10 ns, on a
+#: 2-CPU x86-64 VM, 24 of them charged as spline values; so the 8e5 rows of the least
+#: admitted a, 2.48e-6 at b = 0.3, take about half a second
+_TERM_WORK = 100
 #: halving levels of a piece at most; the bound of a piece still open after them is kept
 _MAX_HALVINGS = 8
 #: a piece is halved while its bound lies more than this share of the cell's largest value
@@ -349,7 +350,10 @@ def _least(values: np.ndarray, tolerance: float, floors) -> np.ndarray:
     the side is halved.  There are at most _MAX_HALVINGS levels, and they
     halve at most _MAX_HALVINGS times as many pieces as one side was given,
     the lowest first; the values at the ends of the halves join the values
-    read.
+    read.  That target only falls from level to level, so a piece left whole
+    is never halved later: each level marks its halved pieces +inf and goes
+    on with the halves alone, in the order they were made, and the bounds of
+    every level are read once, at the end.
     """
     sides, pieces, m = values.shape
     _, to_coefficients, halving, ends, _ = _chebyshev(m)
@@ -357,7 +361,7 @@ def _least(values: np.ndarray, tolerance: float, floors) -> np.ndarray:
     bounds = coefficients[:, 0] - np.abs(coefficients[:, 1:]).sum(axis=1)
     side = np.repeat(np.arange(sides), pieces)
     least, floors = values.min(axis=(1, 2)), np.asarray(floors, dtype=float)
-    budget = pieces * _MAX_HALVINGS
+    levels, budget, on_side = [(bounds, side)], pieces * _MAX_HALVINGS, np.arange(sides)[:, None]
     for _ in range(_MAX_HALVINGS):
         target = np.where(least > floors, np.maximum(least - tolerance, floors), -np.inf)
         halve = np.flatnonzero(bounds < target[side])
@@ -365,15 +369,15 @@ def _least(values: np.ndarray, tolerance: float, floors) -> np.ndarray:
             break
         halve = halve[np.argsort(bounds[halve], kind="stable")[:budget]]
         budget -= halve.size
-        children = (coefficients[halve] @ halving).reshape(-1, m)
-        halved = np.repeat(side[halve], 2)
-        np.minimum.at(least, halved, (children @ ends).min(axis=1))
-        keep = np.ones(bounds.size, dtype=bool)
-        keep[halve] = False
-        coefficients = np.concatenate([coefficients[keep], children])
-        bounds = np.concatenate([bounds[keep], children[:, 0] - np.abs(children[:, 1:]).sum(axis=1)])
-        side = np.concatenate([side[keep], halved])
-    return np.array([bounds[side == i].min() for i in range(sides)])
+        coefficients = (coefficients[halve] @ halving).reshape(-1, m)
+        bounds[halve] = np.inf  # bounded by its halves from here on
+        side = np.repeat(side[halve], 2)
+        ends_read = np.where(side == on_side, (coefficients @ ends).min(axis=1), np.inf)
+        least = np.minimum(least, ends_read.min(axis=1))
+        bounds = coefficients[:, 0] - np.abs(coefficients[:, 1:]).sum(axis=1)
+        levels.append((bounds, side))
+    bounds, side = (np.concatenate(part) for part in zip(*levels))
+    return np.where(side == on_side, bounds, np.inf).min(axis=1)
 
 
 def _rounding_term(N: int, a: float, shifts) -> float:
@@ -439,7 +443,7 @@ def _rounding_term(N: int, a: float, shifts) -> float:
 def _check_cell(N, a, b):
     """Reject a cell the scanner cannot or should not evaluate, before anything is
     built; return the shifts k/b of its overlap sum, none in the painless regime
-    b N <= 1, and the rational b (core._as_rational) that decides it exactly.
+    b N <= 1, and the rational b = p/q (core._as_rational) that decides it, as p N <= q.
 
     A cell is charged by what it reads: _TERM_WORK per term of each offset
     row, for the kernel's windows and blocks; N units per spline value at the
@@ -447,7 +451,7 @@ def _check_cell(N, a, b):
     product), for each term; and (2N - 1)^2 per piece of both sides for
     the conversion, and per half for the halvings, at most _MAX_HALVINGS
     times as many as the period has pieces.  The 741 cells of the README
-    scan need less than 3.4e6 units each.
+    scan need less than 3.6e5 units each.
     """
     _check_order(N)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -455,8 +459,9 @@ def _check_cell(N, a, b):
     if a <= 0 or b <= 0:
         raise DomainError("lattice steps must be positive")
     b_rational = _as_rational(b, "b")
+    painless = b_rational.numerator * N <= b_rational.denominator
     try:
-        k_max = 0 if b_rational * N <= 1 else int(math.ceil(b * N)) + 1
+        k_max = 0 if painless else int(math.ceil(b * N)) + 1
         terms, m = 2 * k_max + 1, 2 * N - 1
         pieces = (N + 1) * terms + 1
         work = (_TERM_WORK * (math.ceil(N / a) + 3) * terms
@@ -500,8 +505,11 @@ def _overlap_bounds(N: int, a: float, shifts):
     """
     _, diag, off = _piece_reads(N, a, shifts)
     rounding = _rounding_term(N, a, shifts)
-    lower, upper = _least(np.stack([diag - off, -(diag + off)]),
-                          _TOLERANCE * float((diag + off).max()), [rounding, -math.inf])
+    sides = np.empty((2, *diag.shape))
+    np.subtract(diag, off, out=sides[0])
+    largest = float(np.add(diag, off, out=sides[1]).max())
+    np.negative(sides[1], out=sides[1])
+    lower, upper = _least(sides, _TOLERANCE * largest, [rounding, -math.inf])
     return float(lower) - rounding, rounding - float(upper)
 
 
@@ -603,7 +611,8 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 8).  N = 1
     at a = b = 1 is an orthonormal basis.  a b is the exact product of the
     rationals of core._as_rational, the decimals typed, as is every regime
-    decision.  After them, an integer b >= 2 zero-certifies the cell: the
+    decision, each compared on integers (p p' against q q' for a b = (p/q)
+    (p'/q')).  After them, an integer b >= 2 zero-certifies the cell: the
     transform of B_N vanishes at every nonzero integer, so sum_k |B_N^(w -
     k b)|^2 = 0 at w = 1 (Groechenig, Janssen, Kaiblinger & Pfander, IEEE
     Trans. Inf. Theory 49, 2003).  Input that _check_cell rejects raises
@@ -615,13 +624,14 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     lo, hi = (_indicator_bounds(a_rational, b_rational, len(shifts) // 2) if N == 1 else
               _painless_bounds(N, a) if painless else _overlap_bounds(N, a, shifts))
     lower, estimate = 0.0, None
-    density = a_rational * b_rational
+    product = a_rational.numerator * b_rational.numerator
+    unit = a_rational.denominator * b_rational.denominator
     if painless and (a >= N if N > 1 else a > 1):
         status, method = STATUS_ZERO, "painless diagonal vanishes exactly"
-    elif density > 1 or density == 1 and N > 1:
-        status, method = STATUS_ZERO, ("density theorem: a b > 1" if density > 1 else
+    elif product > unit or product == unit and N > 1:
+        status, method = STATUS_ZERO, ("density theorem: a b > 1" if product > unit else
                                        "density theorem: a b = 1 and the Zak transform of B_N vanishes")
-    elif b_rational >= 2 and b_rational.denominator == 1:
+    elif b_rational.denominator == 1 and b_rational.numerator >= 2:
         status, method = STATUS_ZERO, "integer b >= 2: the transform of B_N vanishes at every 1 - k b"
     elif lo > 0:
         status, lower = STATUS_FRAME, lo / b

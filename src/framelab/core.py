@@ -11,6 +11,7 @@ statement downstream becomes an exact numerical identity.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import numbers
@@ -114,15 +115,21 @@ def _as_rational(value, what: str) -> Fraction:
     or a Fraction exactly, a float as the fraction of least denominator strictly inside
     its rounding interval (itself if integral).  That is the decimal typed, m / 10^k,
     whenever m 10^k < 2^52, so for every decimal of at most 6 digits and 9 places: any
-    other p/q with q <= 10^k lies 10^-2k from it, farther than the interval is wide."""
+    other p/q with q <= 10^k lies 10^-2k from it, farther than the interval is wide.
+    A float's reading is kept in a bounded memo (_float_rational)."""
     try:
         if isinstance(value, (str, numbers.Rational)):
             return Fraction(value)
-        x = float(value)
-        lo, hi, s = _rounding_interval(abs(x))  # a ValueError at NaN and Inf
+        return _float_rational(float(value))
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError(f"{what} must be a rational number (a finite float, an int, a Fraction "
                           f"or a string such as '5/2'), got {value!r}") from None
+
+
+@functools.lru_cache(maxsize=1024)  # a scan reads the same few floats cell after cell
+def _float_rational(x: float) -> Fraction:
+    """_as_rational of a float, kept (a Fraction is immutable); ValueError at NaN and Inf."""
+    lo, hi, s = _rounding_interval(abs(x))  # a ValueError at NaN and Inf
     if x.is_integer():
         return Fraction(int(x))
     # continued fractions: in (ln/ld, hn/hd) it is t + 1 if below hn/hd, t = ln // ld, else

@@ -31,6 +31,7 @@ c = 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,23 +241,63 @@ _BLOCK_ENTRIES = 2 ** 14
 def _row_blocks(starts, stops, terms):
     """[(rows, start, stop)]: the rows with a nonempty window [starts[r], stops[r]) in
     order, grouped into blocks over their union window [start, stop) of at most
-    _BLOCK_ENTRIES (row, term, point) entries; a row wider than that is split along its
-    points (one point of every term at least)."""
+    _BLOCK_ENTRIES (row, term, point) entries, or of one row wider than that.  When all
+    of them fit, the one block is read off the arrays at once; else each row joins the
+    block before it while the union fits."""
     width = max(1, _BLOCK_ENTRIES // terms)
-    blocks, joinable = [], False
-    for r, (first, last) in enumerate(zip(starts, stops)):
-        if last <= first:
-            continue
-        if joinable:
-            rows, start, stop = blocks[-1]
-            start, stop = min(start, first), max(stop, last)
-            if (len(rows) + 1) * (stop - start) <= width:
-                rows.append(r)
-                blocks[-1] = rows, start, stop
-                continue
-        blocks += [([r], p, min(p + width, last)) for p in range(first, last, width)]
-        joinable = last - first <= width  # no row joins the pieces of a split one
-    return blocks
+    rows = np.flatnonzero(stops > starts)
+    if not rows.size:
+        return []
+    firsts, lasts = starts[rows], stops[rows]
+    start, stop = int(firsts.min()), int(lasts.max())
+    if rows.size * (stop - start) <= width:
+        return [(rows, start, stop)]
+    rows, firsts, lasts = rows.tolist(), firsts.tolist(), lasts.tolist()
+    blocks, block, start, stop = [], [rows[0]], firsts[0], lasts[0]
+    for r, first, last in zip(rows[1:], firsts[1:], lasts[1:]):
+        low, high = first if first < start else start, last if last > stop else stop
+        if (len(block) + 1) * (high - low) <= width:
+            block.append(r)
+            start, stop = low, high
+        else:
+            blocks.append((block, start, stop))
+            block, start, stop = [r], first, last
+    return blocks + [(block, start, stop)]
+
+
+def _run_end(shifts, u, bound, start=0):
+    """max(start, #{s : fl(u - s) >= bound}) for the ascending float list shifts:
+    fl(u - s) falls as s grows, so those shifts are a prefix, found by bisection."""
+    return bisect.bisect_left(shifts, True, start, key=lambda s: u - s < bound)
+
+
+def _block_cuts(x, count, c_min, c_max, shifts, support):
+    """[(p, q, first, last)]: the ascending points x (a list) of a block of count rows
+    with offsets c in [c_min, c_max], cut into the longest chunks [p, q), one point at
+    least, whose (row, term, point) entries fit _BLOCK_ENTRIES, each with its run of
+    shifts shifts[first:last], those whose term can meet the support [lo, hi) in it.
+    fl(fl(x - c) - s) is monotone in x, c and s, so the shifts above it at the chunk's
+    least fl(x - c) are a prefix, and those below it at the largest a suffix (_run_end).
+    A run only widens as its chunk grows, so the chunk is bisected for, between the one
+    that fits with every shift and the one that fits with the run of that one."""
+    lo, hi = support
+    every = max(1, _BLOCK_ENTRIES // (count * (1 + len(shifts))))
+    cuts, p = [], 0
+    while p < len(x):
+        first = _run_end(shifts, x[p] - c_max, hi)
+        q = min(len(x), p + every)
+        last = _run_end(shifts, x[q - 1] - c_min, lo, first)
+        top = min(len(x), p + _BLOCK_ENTRIES // (count * (1 + last - first)))
+        while q < top:
+            mid = (q + top + 1) // 2
+            end = _run_end(shifts, x[mid - 1] - c_min, lo, first)
+            if count * (1 + end - first) * (mid - p) <= _BLOCK_ENTRIES:
+                q, last = mid, end
+            else:
+                top = mid - 1
+        cuts.append((p, q, first, last))
+        p = q
+    return cuts
 
 
 def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, support, cost=None):
@@ -276,16 +317,15 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
     (1 - eps) of [lo, hi), M = max(|lo|, |hi|) and eps = 2^-53, and the keys
     fl(fl(lo + c) - r) and fl(fl(hi + c) + r), r = 4 eps (|c| + M), lie
     farther out, so the window holds every such x and a mask decides the rest.
-    Consecutive rows form blocks over their union window (_row_blocks).  A
-    block keeps, after the row itself (s = 0), the run of shifts whose term
-    can meet the support: fl(fl(x - c) - s) is monotone in x, c and s, so the
-    shifts whose term lies above the support at the block's least fl(x - c)
-    are a prefix, and those below it at the largest a suffix.
+    Consecutive rows form blocks over their union window (_row_blocks), and
+    each block is cut along its points into chunks that keep, after the row
+    itself (s = 0), only the run of shifts whose term can meet the support in
+    them, at most 2^14 (row, term, point) entries each (_block_cuts).
 
     With a cost per entry given, the search and grouping (64 units per row)
-    and then cost times the (row, term, point) entries of every block are
+    and then cost times the (row, term, point) entries of every chunk are
     charged before either is done; only the scanner gives none, its cells are
-    charged by _check_cell.  Each block forms fl(fl(x - c) - s) for its rows,
+    charged by _check_cell.  Each chunk forms fl(fl(x - c) - s) for its rows,
     terms and points as one array, masks it by the support and calls values_at
     once, on the entries inside it.  The rows' squares are added to diag, and
     then the (row, shift) products to off, one after another by
@@ -302,17 +342,18 @@ def _overlap_sums(values_at, dilations, offsets, shifts, gammas: np.ndarray, sup
         _check_work(64 * len(dilations) * offsets.size,
                     "the row windows of the translation-overlap sums")
     reach = 2.0 ** -51 * (np.abs(offsets) + max(abs(lo), abs(hi)))
-    plan, entries = [], 0
+    shift_list, plan, entries = shifts.tolist(), [], 0
     for a in dilations:
         base = pts / a
-        starts = np.searchsorted(base, (lo + offsets) - reach).tolist()
-        stops = np.searchsorted(base, (hi + offsets) + reach).tolist()
+        starts = np.searchsorted(base, (lo + offsets) - reach)
+        stops = np.searchsorted(base, (hi + offsets) + reach)
         for rows, start, stop in _row_blocks(starts, stops, 1 + shifts.size):
             c = offsets[rows]
-            first = np.count_nonzero(base[start] - c.max() - shifts >= hi)
-            last = max(first, np.count_nonzero(base[stop - 1] - c.min() - shifts >= lo))
-            plan.append((base[start:stop], c[:, None, None], first, last, start, stop))
-            entries += c.size * (1 + last - first) * (stop - start)
+            for p, q, first, last in _block_cuts(base[start:stop].tolist(), c.size, float(c.min()),
+                                                 float(c.max()), shift_list, support):
+                plan.append((base[start + p:start + q], c[:, None, None], first, last,
+                             start + p, start + q))
+                entries += c.size * (1 + last - first) * (q - p)
     if cost is not None:
         _check_work(cost * entries, f"translation-overlap sums on {entries} entries "
                                     f"of {pts.size} frequency points")

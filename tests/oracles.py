@@ -364,3 +364,54 @@ def grid_overlap_bounds(N: int, a: float, b: float, period_points: int = 1024):
     terms = (int(math.floor(N / a)) + 1) * (len(shifts) + 1)
     slack = 0.0 if N == 1 else 2.0 * terms * (a / period_points) / 2
     return float((diag - off).min()), float((diag + off).max()), slack
+
+
+def greedy_row_blocks(starts, stops, terms):
+    """The grouping of dilation._row_blocks, row by row: each row with a nonempty window
+    joins the block before it while their union window holds at most 2^14 (row, term,
+    point) entries; a row wider than a block is a block of its own, which no row joins."""
+    width = max(1, 2 ** 14 // terms)
+    blocks = []
+    for r, (first, last) in enumerate(zip(starts, stops)):
+        if last <= first:
+            continue
+        if blocks and blocks[-1][3]:
+            rows, start, stop, _ = blocks[-1]
+            start, stop = min(start, first), max(stop, last)
+            if (len(rows) + 1) * (stop - start) <= width:
+                blocks[-1] = rows + [r], start, stop, True
+                continue
+        blocks.append(([r], first, last, last - first <= width))
+    return [(rows, start, stop) for rows, start, stop, _ in blocks]
+
+
+def least_oracle(values, tolerance, floors):
+    """(bounds, budget_bound): bspline._least as it was written first, each level keeping
+    the pieces left whole by a mask and concatenating them with the new halves, and
+    whether the halving budget ever cut a level short."""
+    from framelab.bspline import _MAX_HALVINGS, _chebyshev
+
+    sides, pieces, m = values.shape
+    _, to_coefficients, halving, ends, _ = _chebyshev(m)
+    coefficients = values.reshape(-1, m) @ to_coefficients
+    bounds = coefficients[:, 0] - np.abs(coefficients[:, 1:]).sum(axis=1)
+    side = np.repeat(np.arange(sides), pieces)
+    least, floors = values.min(axis=(1, 2)), np.asarray(floors, dtype=float)
+    budget, budget_bound = pieces * _MAX_HALVINGS, False
+    for _ in range(_MAX_HALVINGS):
+        target = np.where(least > floors, np.maximum(least - tolerance, floors), -np.inf)
+        halve = np.flatnonzero(bounds < target[side])
+        if not (halve.size and budget):
+            break
+        budget_bound |= halve.size > budget
+        halve = halve[np.argsort(bounds[halve], kind="stable")[:budget]]
+        budget -= halve.size
+        children = (coefficients[halve] @ halving).reshape(-1, m)
+        halved = np.repeat(side[halve], 2)
+        np.minimum.at(least, halved, (children @ ends).min(axis=1))
+        keep = np.ones(bounds.size, dtype=bool)
+        keep[halve] = False
+        coefficients = np.concatenate([coefficients[keep], children])
+        bounds = np.concatenate([bounds[keep], children[:, 0] - np.abs(children[:, 1:]).sum(axis=1)])
+        side = np.concatenate([side[keep], halved])
+    return np.array([bounds[side == i].min() for i in range(sides)]), budget_bound

@@ -494,10 +494,10 @@ def no_evaluation(*args):
     (2.5, 0.5, 0.3, "order"),
     (2.0, 0.5, 0.3, "order"),
     (10 ** 400, 0.5, 0.3, "spline evaluations"),
-    # a = 1e-5 (2e5 offsets) and b = 1e4 (4e4 shifts), no smaller a and no
-    # larger b: without the guard these lists are still small; each offset and
-    # shift is a Python pass of the kernel
-    (2, 1e-5, 0.3, "more than the limit"),
+    # a = 1e-6 (2e6 offsets) and b = 1e4 (4e4 shifts), no smaller a and no
+    # larger b: without the guard these lists are still small; every offset and
+    # shift is a row or a term of the kernel's blocks
+    (2, 1e-6, 0.3, "more than the limit"),
     (2, 0.5, 1e4, "more than the limit"),
     # few pieces, but each is converted and halved at (2N - 1)^2 = 1.6e7 units
     (2000, 2000.0, 1e-3, "more than the limit"),

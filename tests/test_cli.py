@@ -433,8 +433,8 @@ def test_oversized_scan_cell_exits_2_before_any_grid(capsys, monkeypatch):
         raise AssertionError("the cell was evaluated")
 
     monkeypatch.setattr(bsp, "_overlap_sums", no_sums)
-    assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "1e-5", "--b-grid", "0.3"],
-                       capsys, "a=1e-05")
+    assert_usage_error(["bspline", "scan", "--N", "2", "--a-grid", "1e-6", "--b-grid", "0.3"],
+                       capsys, "a=1e-06")
 
 
 EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
@@ -477,6 +477,9 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
     (["gabor", "hrt", "--window", "indicator:0:1", "--step", "0.001", "--points", "0,0;0,20000"],
      gabor.SampledWindow, "values_interpolated"),
     (["bspline", "eval", "--N", "343", "--x", "0.5"], bsp, "_piece_table"),
+    # 100 units per (offset row, term) and 24 per row for the spline values: the
+    # 833337 rows of a = 2.4e-6 are over the budget, the 800003 of 2.5e-6 within it
+    (["bspline", "scan", "--N", "2", "--a-grid", "2.4e-6", "--b-grid", "0.3"], bsp, "_overlap_sums"),
 ])
 def test_requests_over_the_work_budget_exit_2_before_evaluating(argv, module, evaluator, capsys,
                                                                  monkeypatch):
@@ -545,6 +548,8 @@ class Reached(Exception):
     # charged by the 1.9e6 entries of its blocks, not by points times offsets and shifts (4.5e8)
     (["wavepacket", "bounds", "--g", "shannon", "--c-values=-2000:2000:1"], dil.FreqFunction,
      "values_at"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "2.5e-6", "--b-grid", "0.3"], bsp, "_overlap_sums"),
+    (["bspline", "scan", "--N", "2", "--a-grid", "1e-5", "--b-grid", "0.3"], bsp, "_overlap_sums"),
 ])
 def test_requests_within_the_work_budget_reach_their_evaluator(argv, module, evaluator, monkeypatch):
     def reached(*args, **kwargs):

@@ -19,6 +19,7 @@ from framelab.core import (
     VectorSystem,
     _as_rational,
     _decode_pairs,
+    _float_rational,
     _encode_pairs,
     _operator_norm,
     _rounding_interval,
@@ -644,6 +645,20 @@ def test_strings_ints_and_fractions_are_read_exactly():
 def test_what_is_not_a_finite_rational_is_a_domain_error(bad):
     with pytest.raises(DomainError, match="b must be a rational number"):
         _as_rational(bad, "b")
+
+
+def test_float_readings_are_kept_and_errors_still_name_their_parameter():
+    # the scanner reads the same few floats cell after cell: one memo entry serves a
+    # float under any name and as a numpy scalar, and a refused value is never kept
+    _float_rational.cache_clear()
+    first = _as_rational(0.35, "a")
+    assert _as_rational(0.35, "b") is first and _as_rational(np.float64(0.35), "b") is first
+    assert first == Fraction(7, 20) and _float_rational.cache_info().currsize == 1
+    for what in ("a", "b"):
+        with pytest.raises(DomainError, match=f"^{what} must be a rational number"):
+            _as_rational(math.nan, what)
+    assert _float_rational.cache_info().currsize == 1
+    assert _float_rational.cache_info().maxsize == 1024
 
 
 def test_no_module_snaps_floats_by_a_denominator_bound():

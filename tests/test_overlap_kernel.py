@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from framelab import bspline, core, dilation
 from framelab.bspline import (
@@ -37,7 +38,7 @@ from framelab.dilation import (
     wave_packet_bessel_bound,
     wave_packet_frame_bounds,
 )
-from oracles import order_one_bounds, scan_grid, scanner_shifts
+from oracles import greedy_row_blocks, order_one_bounds, scan_grid, scanner_shifts
 
 
 def bits(*values):
@@ -412,7 +413,8 @@ def test_kernel_calls_stay_within_the_block(monkeypatch):
 def test_row_blocks_cover_every_window_within_the_block_size():
     # windows of rows in any order, empty ones and rows wider than a block:
     # the rows stay in order, a block holds at most 2^14 (row, term, point)
-    # entries over its union window, and every row's window is covered once
+    # entries over its union window or is one row wider than that, and every
+    # row's window is covered once
     rng = np.random.default_rng(41)
     for terms in (1, 3, 40, 2 ** 12, 2 ** 14 + 5):
         for _ in range(20):
@@ -421,18 +423,80 @@ def test_row_blocks_cover_every_window_within_the_block_size():
             stops = starts + rng.choice([0, 1, 5, 400, 20000], rows) // (1 + terms // 64)
             if rng.uniform() < 0.5:
                 starts, stops = np.sort(starts)[::-1], np.sort(stops)[::-1]
-            blocks = dilation._row_blocks(starts.tolist(), stops.tolist(), terms)
-            flat = [r for block, _, _ in blocks for r in block]
-            assert flat == sorted(flat)
-            covered = {r: [] for r in range(rows) if stops[r] > starts[r]}
+            blocks = dilation._row_blocks(starts, stops, terms)
+            flat = [int(r) for block, _, _ in blocks for r in block]
+            assert flat == sorted(flat) == [r for r in range(rows) if stops[r] > starts[r]]
             for block, start, stop in blocks:
-                assert len(block) * terms * (stop - start) <= max(2 ** 14, terms)
-                for r in block:
-                    covered[r].append((max(start, starts[r]), min(stop, stops[r])))
-            for r, parts in covered.items():
-                parts.sort()
-                assert parts[0][0] == starts[r] and parts[-1][1] == stops[r]
-                assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+                assert len(block) * terms * (stop - start) <= max(2 ** 14, terms) or len(block) == 1
+                assert start == min(starts[block]) and stop == max(stops[block])
+
+
+@st.composite
+def row_windows(draw):
+    """(starts, stops, terms): windows over 30000 points, empty ones anywhere, among them
+    between nonempty ones and outside their union, and now and then one wider than a
+    block."""
+    terms = draw(st.sampled_from([1, 2, 9, 40, 2 ** 12, 2 ** 14 + 5]))
+    starts, stops = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        first = draw(st.integers(0, 30000))
+        width = draw(st.sampled_from([0, 0, 1, 3, 8, 60, 500, 20000]))
+        starts.append(first)
+        stops.append(min(30000, first + width))
+    return np.array(starts), np.array(stops), terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row_windows())
+def test_the_closed_form_plan_is_the_greedy_grouping(windows):
+    # when every nonempty row fits one block it is read off the arrays in one
+    # step; the grouping is the row-by-row one either way, over the union of
+    # the nonempty windows only
+    starts, stops, terms = windows
+    blocks = dilation._row_blocks(starts, stops, terms)
+    assert [([int(r) for r in rows], start, stop) for rows, start, stop in blocks] == \
+        greedy_row_blocks(starts.tolist(), stops.tolist(), terms)
+
+
+def test_the_closed_form_plan_skips_empty_rows_outside_the_union():
+    # rows 1 and 3 are empty, at points 0 and 900, outside the union [10, 40) of the
+    # others; row 4 is wider than a block of 2^14 // 9 = 1820 points
+    starts, stops = np.array([10, 0, 20, 900, 30]), np.array([30, 0, 25, 900, 40])
+    assert [(rows.tolist(), start, stop) for rows, start, stop in
+            dilation._row_blocks(starts, stops, 9)] == [([0, 2, 4], 10, 40)]
+    stops[4] = 30 + 1821
+    assert [(list(rows), start, stop) for rows, start, stop in
+            dilation._row_blocks(starts, stops, 9)] == [([0, 2], 10, 30), ([4], 30, 1851)]
+
+
+@st.composite
+def shift_lists(draw, u, bound):
+    """Ascending shifts around u - bound, where fl(u - s) crosses bound, some of them a
+    few ulps apart there."""
+    edge = u - bound
+    ulps = draw(st.integers(0, 4))
+    far = draw(st.lists(st.floats(-4.0, 4.0), max_size=12))
+    return sorted({*(edge + k * math.ulp(edge) for k in range(-ulps, ulps + 1)),
+                   *(edge + s for s in far)})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.floats(-1e3, 1e3), st.floats(-8.0, 8.0), st.data())
+@example(0.1, 0.3, None)
+@example(1.0, 2.0 ** -60, None)
+def test_bisected_shift_runs_equal_the_array_predicates(u, bound, data):
+    # a run's end is fl(u - s) >= bound counted over every shift, as one array
+    # pass counts it; at the rounding boundary fl(u - s) can equal bound for an
+    # s other than u - bound
+    if data is None:
+        edge = u - bound
+        shifts, start = sorted({edge + k * math.ulp(edge) for k in range(-3, 4)} | {edge - 1.0}), 1
+    else:
+        shifts = data.draw(shift_lists(u, bound))
+        start = data.draw(st.integers(0, len(shifts)))
+    counted = int(np.count_nonzero(u - np.array(shifts) >= bound))
+    assert dilation._run_end(shifts, u, bound) == counted
+    assert dilation._run_end(shifts, u, bound, start) == max(start, counted)
 
 
 def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
@@ -454,8 +518,8 @@ def test_kernel_charges_its_cost_before_any_evaluation(monkeypatch):
     expected = dilation._overlap_sums(values_at, grid.a_values, grid.c_values, shifts, gammas,
                                       g.support(), cost=2)
     windows = 64 * len(grid.a_values) * len(grid.c_values)
-    # the blocks hold every evaluated entry, and less than every (row, term, point)
-    entries = 46173
+    # the chunks hold every evaluated entry, and less than every (row, term, point)
+    entries = 47785
     assert sum(live) <= entries < len(grid.a_values) * len(grid.c_values) * (1 + len(shifts)) * 4001
 
     def refused(*args):
@@ -569,10 +633,11 @@ def test_points_at_the_window_margin_add_nothing():
 
 
 def test_a_row_wider_than_a_block_is_split_along_its_points_bitwise():
-    # one row of 16500 live points and 4 terms: 4096 points a block, and 116 in
-    # the last; the next row, live on the last 165 points, takes a block of
-    # its own, since one over the last piece of the first row would read that
-    # row again on the points before the piece
+    # one row of 16500 live points and 4 terms, of which a chunk keeps only the
+    # shifts that can meet [0, 1) in it: -0.5 below x = 0.5, 0.25 from 0.25 on
+    # and 0.75 from 0.75 on; so the row takes 4 calls of 3 terms or fewer where
+    # 4096 points a call took 5, and the next row, live on the last 165 points,
+    # a call of its own
     rng = np.random.default_rng(53)
     g = random_pieces(rng, 0.0, 1.0, 40)
     xs = np.sort(rng.uniform(0.0, 1.0, 16500))
@@ -586,7 +651,33 @@ def test_a_row_wider_than_a_block_is_split_along_its_points_bitwise():
     sums = dilation._overlap_sums(values_at, [1.0], [0.0, 0.99], shifts, xs, g.support())
     oracle = per_term_sums(g.values_at, [1.0], [0.0, 0.99], shifts, xs, g.support())
     assert bits(*np.concatenate(sums)) == bits(*np.concatenate(oracle))
-    assert len(sizes) == 6 and max(sizes) <= 2 ** 14
+    assert len(sizes) == 5 and max(sizes) <= 2 ** 14
+
+
+@pytest.mark.parametrize("rows, count, shifts", [(1, 16500, 3), (1, 3000, 400), (1, 20, 2 ** 14 + 3),
+                                                  (3, 4000, 60)])
+def test_block_cuts_are_the_longest_chunks_within_the_block_size(rows, count, shifts):
+    # each chunk keeps the run of shifts the array predicates give at its ends,
+    # holds at most 2^14 (row, term, point) entries (or is one point), and one
+    # point more would not fit; the chunks cover the points in order
+    rng = np.random.default_rng(count)
+    x = np.sort(rng.uniform(-1.0, 3.0, count))
+    c_min, c_max = -0.25, -0.25 + 0.1 * (rows - 1)
+    shift_list = np.sort(rng.uniform(-2.0, 2.0, shifts)).tolist()
+    lo, hi = 0.0, 1.5
+    cuts = dilation._block_cuts(x.tolist(), rows, c_min, c_max, shift_list, (lo, hi))
+    assert [p for p, *_ in cuts] == [0] + [q for _, q, *_ in cuts[:-1]] and cuts[-1][1] == count
+
+    def run(p, q):
+        first = int(np.count_nonzero(x[p] - c_max - np.array(shift_list) >= hi))
+        return first, max(first, int(np.count_nonzero(x[q - 1] - c_min - np.array(shift_list) >= lo)))
+
+    for p, q, first, last in cuts:
+        assert (first, last) == run(p, q)
+        assert rows * (1 + last - first) * (q - p) <= 2 ** 14 or q == p + 1
+        if q < count:
+            first, last = run(p, q + 1)
+            assert rows * (1 + last - first) * (q + 1 - p) > 2 ** 14
 
 
 def test_a_cell_with_hundreds_of_shifts_matches_the_oracle_bitwise(monkeypatch):

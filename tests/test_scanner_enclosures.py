@@ -8,6 +8,7 @@ than the grid that read the sums before them (tests/oracles.py), with its
 Lipschitz slack, nor lose a cell that grid certified.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from framelab.bspline import (
     _rounding_term,
     classify_cell,
 )
-from oracles import grid_overlap_bounds, order_one_bounds
+from oracles import grid_overlap_bounds, least_oracle, order_one_bounds
 
 BENCHMARK_CELLS = [(N, 0.25 * k, b) for N in (2, 3, 4, 5) for k in range(1, 8)
                    for b in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 1.0)]
@@ -204,3 +205,44 @@ def test_the_rounding_term_grows_as_stated():
     # about 5e-11 at N = 4, a = 1, b = 0.45 and 3e-9 at N = 80, a = 79.5, b = 0.01
     assert _rounding_term(4, 1.0, _check_cell(4, 1.0, 0.45)[0]) == pytest.approx(5.6e-11, rel=0.1)
     assert _rounding_term(80, 79.5, []) == pytest.approx(3.4e-9, rel=0.1)
+
+
+def bits(*values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_least_matches_the_concatenating_oracle_bitwise():
+    # random polynomials of degree m - 1 on each piece, at a tolerance that keeps
+    # halving them: the halves replace their piece in place of a mask and a
+    # concatenation, and the bounds come out the same bits, the cases where the
+    # halving budget cuts a level short among them
+    rng = np.random.default_rng(67)
+    seen = set()
+    for trial in range(120):
+        m = int(rng.choice([3, 5, 7, 9]))
+        pieces = int(rng.integers(1, 6))
+        values = rng.normal(size=(2, pieces, m)) + rng.uniform(0.0, 3.0, (2, pieces, 1))
+        tolerance = float(rng.choice([0.0, 1e-12, 1e-3, 0.1]))
+        floors = [float(rng.choice([-math.inf, 0.0, 1e-3])), -math.inf]
+        want, budget_bound = least_oracle(values, tolerance, floors)
+        assert bits(*_least(values, tolerance, floors)) == bits(*want), trial
+        seen.add(budget_bound)
+    assert seen == {False, True}
+
+
+#: sha256 of (N, a, b, status, bounds as float.hex, method) of classify_cell without
+#: estimates over the scan_decay cells and the README grid at N = 2, 3 and 4, 2475 cells
+CELL_DIGEST = "42aad7bdc89621fc899cd3d5f1e84fbc2c118dea7895a06f63d8832106a4a40c"
+
+
+def test_classify_cell_digest_over_the_benchmark_and_readme_grids():
+    cells = [(N, a, b) for N, a, b in BENCHMARK_CELLS]
+    cells += [(N, a, b) for N in (2, 3, 4) for a in cli._range("0.1:3.9:0.1")
+              for b in cli._range("0.05:0.5:0.025")]
+    digest = hashlib.sha256()
+    for N, a, b in cells:
+        cell = classify_cell(N, a, b, attach_estimates=False)
+        bounds = cell.bounds_estimate
+        digest.update(f"{N} {a!r} {b!r} {cell.status} {bounds.lower.hex()} {bounds.upper.hex()} "
+                      f"{cell.method}\n".encode())
+    assert len(cells) == 2475 and digest.hexdigest() == CELL_DIGEST
