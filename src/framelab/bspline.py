@@ -57,8 +57,7 @@ from .core import (
     resolve_tolerance,
 )
 from .dilation import _overlap_sums
-from .gabor import (DEFAULT_STEP, GaborSpec, SampledWindow, _cycle_length, gabor_frame_bounds,
-                    ron_shen_duality_check)
+from .gabor import DEFAULT_STEP, GaborSpec, SampledWindow, _cycle_length, gabor_frame_bounds
 
 
 #: work units per big-integer addition of a piece table: one took about 100 ns up to
@@ -649,65 +648,38 @@ def classify_cell(N: int, a: float, b: float, attach_estimates: bool = True) -> 
     return PhaseDiagramCell(a, b, status, estimate or FrameBounds(lower, hi / b), method)
 
 
-def dual_window_solve(N: int, b: float, shift_range: int = None, tolerance=None):
-    """Dual window as a combination of integer shifts of the spline itself.
+def dual_window_solve(N: int, b: float, tolerance=None):
+    """The classical dual window h = b sum_{|k| <= N-1} B_N(. + k) of B_N at unit
+    time step and modulation b, for b <= 1/(2N - 1) (Christensen, ACHA 20, 2006).
 
-    In the regime b <= 1/(2N-1) (unit time step) of the rational b = p/q
-    (core._as_rational), the ansatz h = sum_{|k| <= K} c_k B_N(. + k), K >= N-1,
-    turns the dual-pair conditions into a linear system on [0, 1), solved in
-    least squares; the report re-verifies the pair at the tolerance, 1e-8 when
-    None, on the grid of step 1/(64 p), which holds 1 and 1/b.  The classical
-    solution c_k = b is reproduced up to the kernel of the (rank-deficient,
-    symmetric-shift) design matrix.
+    h = b on [0, N] by the partition of unity (proven on the integer pieces,
+    property_suite), and for n != 0 the support [n/b, n/b + N] of B_N(. - n/b)
+    meets supp h = [-(N - 1), 2N - 1] in at most a point exactly when
+    b (2N - 1) <= 1, decided on the integers of b = p/q (core._as_rational) as
+    p (2N - 1) <= q.  So the pair satisfies the Ron-Shen identity
+    sum_k B_N(x - n/b - k) h(x - k) = b delta_n0 exactly: its residual is 0 by
+    theorem, not by sampling, and passes at the tolerance, 1e-8 when None.
+    The window is sampled on [-(N - 1), 2N - 1] at step 1/(64 p), which holds
+    1 and 1/b, so gabor's sampled-line checks can read it; each of its samples
+    is charged its 2N - 1 spline values, N units each.
     """
     _check_order(N)
     limit, bf = 1.0 / (2 * _as_float(N, "the order N") - 1), _as_rational(b, "b")
-    if not 0 < bf * (2 * N - 1) <= 1:
-        raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b:g})")
+    p, q = bf.numerator, bf.denominator
+    if not 0 < p * (2 * N - 1) <= q:
+        raise DomainError(f"dual-window regime needs 0 < b <= 1/(2N-1) = {limit:g} (got {b})")
     tolerance = 1e-8 if tolerance is None else resolve_tolerance(tolerance)
-    K = shift_range if shift_range is not None else max(N - 1, 0)
-    if K < N - 1:
-        raise DomainError(f"need at least K = N-1 = {N - 1} shifts (got {K})")
-    samples, n_max, table = 4 * K + 4, math.floor(bf * (N + K)), N
-    output_step = 1.0 / (64 * bf.numerator)
-    count = int(round((N + 2 * K) / output_step)) + 1
-    n_count, k_count, j_count = 2 * n_max + 1, 2 * K + 1, 2 * (N + K + 2) + 1
-    # the (n, j) and (j, k) factor tables, the design, the window's shifted splines, the
-    # least-squares solve (its m k^2 multiply-adds run about 32 to a unit in LAPACK) and
-    # the re-check: ron_shen_duality_check's (line, n) entries for h on [-K, N + K]
-    checked = (2 * math.ceil(bf * (N + 2 * K + 1)) + 3) * (N + 2 * K + 4) * 64 * bf.numerator
-    _check_work(((n_count + k_count) * j_count * samples + k_count * count) * table
-                + n_count * k_count * samples + n_count * samples * k_count ** 2 // 32
-                + 8 * checked, f"the order-{N} dual window over {k_count} shifts")
-    xs = (np.arange(samples) + 0.5) / samples
-    ns, ks, js = (np.arange(-m, m + 1) for m in (n_max, K, N + K + 2))
-    # design[n, k] = sum over j, in order, of B_N(xs - n/b - j) B_N(xs - j + k); a
-    # product with a zero factor is +0.0, so each j adds only its live (n, k) block
-    left = bspline_eval(N, xs - ns[:, None, None] / b - js[:, None])  # (n, j, sample)
-    right = bspline_eval(N, xs - js[:, None, None] + ks[:, None])  # (j, k, sample)
-    design = np.zeros((n_count, k_count, samples))
-    for j in range(j_count):
-        n_live, k_live = left[:, j].any(axis=1), right[j].any(axis=1)
-        design[np.ix_(n_live, k_live)] += left[n_live, j, None] * right[None, j, k_live]
-    target = np.repeat(np.where(ns == 0, b, 0.0), samples)
-    coeff, _, rank, _ = np.linalg.lstsq(design.transpose(0, 2, 1).reshape(-1, k_count), target,
-                                        rcond=None)
-
-    x = -K + output_step * np.arange(count)
+    K, count = N - 1, 64 * p * (3 * N - 2) + 1
+    _check_work((2 * K + 1) * count * N, f"the order-{N} dual window on {count} samples")
+    step, scale = 1.0 / (64 * p), float(bf)  # b itself for a float b
+    x = -K + step * np.arange(count)
     hvals = np.zeros(count)
-    for ck, k in zip(coeff, ks):
-        hvals += ck * bspline_eval(N, x + k)
-    window = SampledWindow(-float(K), output_step, hvals, (-float(K), float(N + K)))
-
-    check = ron_shen_duality_check(sample_bspline(N, output_step), window, 1.0, b,
-                                   tolerance=tolerance)
+    for k in range(-K, K + 1):
+        hvals += scale * bspline_eval(N, x + k)
+    window = SampledWindow(-float(K), step, hvals, (-float(K), float(N + K)))
     report = AnalysisReport.from_residuals(
-        check.residuals, tolerance,
-        notes=(
-            f"shift coefficients {np.round(coeff, 12).tolist()}; "
-            f"design rank {rank} of {len(ks)} (shift symmetry halves it); "
-            + check.notes
-        ),
-        details={"rank": float(rank), "shift_count": float(len(ks))},
+        {"ron_shen": 0.0}, tolerance,
+        notes=(f"h = b sum_{{|k| <= {K}}} B_{N}(. + k); dual by theorem, not by sampling: "
+               f"p (2N - 1) = {p * (2 * N - 1)} <= q = {q} for b = p/q; grid step 1/{64 * p}"),
     )
     return window, report

@@ -385,7 +385,7 @@ def _bspline_scan(args):
 
 
 def _bspline_dual_window(args):
-    window, report = bsp.dual_window_solve(args.N, args.b, shift_range=args.K, tolerance=args.tolerance)
+    window, report = bsp.dual_window_solve(args.N, args.b, tolerance=args.tolerance)
     return {"window": window, "report": report}
 
 
@@ -567,8 +567,8 @@ COMMANDS = {
                 (ORDER, _required("--a-grid", type=_range), _required("--b-grid", type=_range),
                  _opt("--no-estimates", action="store_true"), JOBS),
                 _bspline_scan, ("a", "b", "status", "A", "B", "method")),
-        Command("dual-window", "dual window as a finite combination of integer shifts of the spline",
-                (ORDER, _required("--b", type=_number), _opt("--K", type=int, default=None), TOLERANCE),
+        Command("dual-window", "the classical dual window b sum_{|k| < N} B_N(. + k), for b <= 1/(2N-1)",
+                (ORDER, _required("--b", type=_number), TOLERANCE),
                 _bspline_dual_window),
     ),
     ("exp", "finite exponential systems on (-pi, pi)"): (

@@ -12,8 +12,12 @@ conditions are invariant under gamma -> 2 gamma (resp. a gamma), so
 checking +-[1, 2) (resp. +-[1, a)) covers almost every gamma.
 
 Every sum is piecewise constant in gamma, with breakpoints at the dilated
-and shifted edges of the generators, so it is read exactly, at one point per
-piece (_pieces): its sup, inf and max |.| are true values, not samples.
+and shifted edges of the generators, so it is read at one point per piece
+(_pieces): its sup, inf and max |.| are read off its pieces, not sampled.
+At a piece only ulps wide the kernel can count one term the exact sum does
+not have, so such a value lies on the sound side, never below the exact
+sum: `wavepacket bounds --g shannon --b 702` reports B = 703/702 where the
+sup is 1.  ROADMAP.md item 14 tracks the fix.
 The translation-overlap sums, the B-spline scanner's too, run on one kernel
 (_overlap_sums): it takes the ascending points and shifts its callers build
 and reads each block of consecutive rows in one masked evaluation.

@@ -1,5 +1,6 @@
 """Independent oracles shared by several test modules."""
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -415,3 +416,49 @@ def least_oracle(values, tolerance, floors):
         bounds = np.concatenate([bounds[keep], children[:, 0] - np.abs(children[:, 1:]).sum(axis=1)])
         side = np.concatenate([side[keep], halved])
     return np.array([bounds[side == i].min() for i in range(sides)]), budget_bound
+
+
+@functools.lru_cache(maxsize=1 << 14)  # a sum reads each x + integer many times
+def cox_de_boor(N, x):
+    """B_N at a rational x by the Cox-de Boor recursion on the integer knots, in Fractions:
+    B_{j,1} is the indicator of [j, j + 1) and B_{j,k}(x) = ((x - j) B_{j,k-1}(x)
+    + (j + k - x) B_{j+1,k-1}(x)) / (k - 1), so B_N = B_{0,N} exactly, independent of
+    bspline._piece_table and Horner's rule."""
+    x = Fraction(x)
+    values = [Fraction(int(j <= x < j + 1)) for j in range(N)]
+    for k in range(2, N + 1):
+        values = [((x - j) * values[j] + (j + k - x) * values[j + 1]) / (k - 1)
+                  for j in range(N - k + 1)]
+    return values[0]
+
+
+def exact_shift_window(N, coefficients, x):
+    """h(x) = sum_j c_j B_N(x + j) for the coefficients c_{-J..J}, exactly at a rational x."""
+    J = len(coefficients) // 2
+    return sum(c * cox_de_boor(N, Fraction(x) + j) for j, c in zip(range(-J, J + 1), coefficients))
+
+
+def ron_shen_deviations(N, b, coefficients):
+    """{n: max |sum_k B_N(x - n/b - k) h(x - k) - b delta_n0|} over x in [0, 1), exactly,
+    for h = sum_j c_j B_N(. + j) (exact_shift_window) at time step 1 and modulation b.
+
+    The sum is 1-periodic in x, and on [0, 1) each factor is a polynomial of degree
+    N - 1 between the breakpoints 0 and n/b mod 1, so each sum is a polynomial of
+    degree 2N - 2 on every open piece between them: it vanishes there if and only if
+    it vanishes at 2N - 1 distinct points of the piece, which are the points read.  All
+    deviations 0 prove the Ron-Shen identity almost everywhere, so the pair dual.
+    Only n with |n| <= b (N + J + 1) can have a term: supp h lies in [-J, N + J].
+    """
+    b, J = Fraction(b), len(coefficients) // 2
+    deviations = {}
+    for n in range(-math.ceil(b * (N + J + 1)), math.ceil(b * (N + J + 1)) + 1):
+        cuts = sorted({Fraction(0), (n / b) % 1, Fraction(1)})
+        worst = Fraction(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            for i in range(1, 2 * N):
+                x = lo + (hi - lo) * i / (2 * N)
+                total = sum(cox_de_boor(N, x - n / b - k) * exact_shift_window(N, coefficients, x - k)
+                            for k in range(-N - J, J + 1))
+                worst = max(worst, abs(total - (b if n == 0 else 0)))
+        deviations[n] = worst
+    return deviations

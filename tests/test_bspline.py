@@ -23,7 +23,8 @@ from framelab.bspline import (
     sample_bspline,
 )
 from framelab.gabor import GaborSpec, _cycle_length, gabor_frame_bounds
-from oracles import rational_cycle, recursive_bspline, triangular_bspline
+from oracles import (exact_shift_window, rational_cycle, recursive_bspline, ron_shen_deviations,
+                     triangular_bspline)
 
 
 def overlap_bounds(N, a, b):
@@ -613,7 +614,7 @@ def test_cell_invariant_enforced():
 
 
 def test_dual_window_order_one():
-    window, report = dual_window_solve(1, 1.0, shift_range=0)
+    window, report = dual_window_solve(1, 1.0)
     assert report.passed
     # classical self-dual unit indicator: c_0 = 1
     assert window.values_interpolated(0.5) == pytest.approx(1.0, abs=1e-10)
@@ -626,44 +627,57 @@ def test_dual_window_order_two():
         assert report.residuals["ron_shen"] <= 1e-8
 
 
-def loop_design(N, b, K):
-    """The dual-window design matrix as one spline call per (n, k, j) term,
-    the order the batched design must reproduce bit for bit."""
-    samples = 4 * K + 4
-    xs = (np.arange(samples) + 0.5) / samples
-    n_max = int(math.floor(b * (N + K) + 1e-9))
-    blocks = []
-    for n in range(-n_max, n_max + 1):
-        M = np.zeros((samples, 2 * K + 1))
-        for col, k in enumerate(range(-K, K + 1)):
-            for j in range(-(N + K + 2), N + K + 3):
-                M[:, col] += bspline_eval(N, xs - n / b - j) * bspline_eval(N, xs - j + k)
-        blocks.append(M)
-    return np.vstack(blocks)
-
-
-@pytest.mark.parametrize("N, b, K", [(2, 1 / 4, 1), (2, 1 / 3, 1), (3, 1 / 5, 2), (2, 1 / 4, 8),
-                                     (3, 1 / 5, 6), (2, 1 / 4, 16)])
-def test_batched_dual_window_design_is_bit_identical_to_the_loop(N, b, K, monkeypatch):
-    designs = []
-    lstsq = np.linalg.lstsq
-
-    def capture(design, target, rcond):
-        designs.append(design)
-        return lstsq(design, target, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", capture)
-    dual_window_solve(N, b, shift_range=K)
-    expected = loop_design(N, b, K)
-    assert designs[0].shape == expected.shape
-    assert np.array_equal(designs[0].view(np.uint64), expected.view(np.uint64))
-
-
 def test_dual_window_range_check():
     with pytest.raises(DomainError):
         dual_window_solve(2, 0.6)
-    with pytest.raises(DomainError):
-        dual_window_solve(3, 0.2, shift_range=1)
+
+
+def classical_cases():
+    return [(N, b) for N in range(1, 6)
+            for b in (Fraction(1, 2 * N - 1), Fraction(1, 2 * N + 1), Fraction(2, 5 * N))]
+
+
+@pytest.mark.parametrize("N, b", classical_cases())
+def test_classical_dual_window_is_exact_by_the_oracle(N, b):
+    # h = b sum_{|k| <= N-1} B_N(. + k): the Ron-Shen sums are exactly b delta_n0
+    assert set(ron_shen_deviations(N, b, [b] * (2 * N - 1)).values()) == {0}
+    _, report = dual_window_solve(N, float(b))
+    assert report.passed and report.residuals == {"ron_shen": 0.0}
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_a_coefficient_moved_by_1e_6_is_no_dual_window(N):
+    b = Fraction(1, 2 * N - 1)
+    for j in range(2 * N - 1):
+        moved = [b] * (2 * N - 1)
+        moved[j] += Fraction(1, 10 ** 6)
+        assert max(ron_shen_deviations(N, b, moved).values()) > 0
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_classical_window_past_the_regime_is_no_dual_window_and_refused(N):
+    # at b = 1/(2N - 2) the shift 1/b = 2N - 2 meets supp h = [-(N - 1), 2N - 1] on an
+    # interval: the n = +-1 sums are not 0, so a regime test off by one would pass a false pair
+    b = Fraction(1, 2 * N - 2)
+    deviations = ron_shen_deviations(N, b, [b] * (2 * N - 1))
+    assert deviations[1] > 0 and deviations[-1] > 0
+    with pytest.raises(DomainError, match="regime"):
+        dual_window_solve(N, float(b))
+
+
+@pytest.mark.parametrize("N, b", classical_cases())
+def test_dual_window_samples_match_the_exact_window(N, b):
+    window, _ = dual_window_solve(N, float(b))
+    assert window.x0 == -(N - 1) and window.support_hint == (-(N - 1), 2 * N - 1)
+    assert window.step == 1 / (64 * b.numerator) and not window.samples.imag.any()
+    # a priori: per nonzero term (at most N) the argument's rounding, within N u of it
+    # (B_N is 1-Lipschitz), and Horner's error (bspline._kernel_error), then one rounding
+    # per product and per addition, and the float b within half an ulp of b
+    u = 2.0 ** -53
+    bound = Fraction(float(b) * (N * (bspline._kernel_error(N) + N * u) + 2 * N * u)
+                     + math.ulp(b) / 2)
+    assert max(abs(Fraction(value) - exact_shift_window(N, [b] * (2 * N - 1), x))
+               for x, value in zip(window.grid().tolist(), window.samples.real.tolist())) <= bound
 
 
 def test_sample_bspline_window():

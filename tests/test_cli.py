@@ -407,8 +407,6 @@ def assert_usage_error(argv, capsys, bad):
       "--a", "1.5", "--b", "1e300"], "work budget"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
       "--a", "1", "--b", "1e-300"], "work budget"),
-    # the verification grid of step 1/64 would have to reach the shift 1/b = 1e300
-    (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], "work budget"),
     (["gabor", "bounds", "--L", "4", "--a", "2", "--b", "2", "--seed", "-1"], "'-1'"),
     (["bspline", "eval", "--N", "9" * 400, "--x", "0.5"], "too large"),
     # the differences overflowed to inf and the float Gram to NaN, printing 0.0
@@ -444,10 +442,9 @@ EXTEND = ["gabor", "extend", "--window-g", "indicator:0:1", "--window-h", "indic
 # each request is far over core.MAX_WORK; the evaluator that would do its work
 # is replaced, so a request that reaches it fails the test
 @pytest.mark.parametrize("argv, module, evaluator", [
-    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "100000"], bsp, "bspline_eval"),
-    # the least-squares solve and the sampled re-check are charged with the design
-    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "104"], bsp, "bspline_eval"),
-    (["bspline", "dual-window", "--N", "4", "--b", "0.14285714285714285", "--K", "96"], bsp, "bspline_eval"),
+    # (2N - 1) N units for each of the 64 p (3N - 2) + 1 samples at step 1/(64 p), b = p/q:
+    # 1.00012e8 at b = 5581/100000, 9.9976e7 at 5579/100000 below
+    (["bspline", "dual-window", "--N", "4", "--b", "0.05581"], bsp, "bspline_eval"),
     (EXTEND + ["--L", "100000"], gabor, "_apply_blocks"),
     (["gabor", "commute", "--L", "1024", "--a", "4", "--b", "4"], gabor, "frame_operator"),
     (["gabor", "duality", "--L", "512", "--a", "512", "--b", "512"], gabor, "riesz_bounds"),
@@ -530,9 +527,9 @@ class Reached(Exception):
 # goldens and README examples run in full above; these are the larger runs the
 # budget must admit (ROADMAP baselines and the README timings)
 @pytest.mark.parametrize("argv, module, evaluator", [
-    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "64"], bsp, "bspline_eval"),
-    (["bspline", "dual-window", "--N", "2", "--b", "0.25", "--K", "103"], bsp, "bspline_eval"),
-    (["bspline", "dual-window", "--N", "4", "--b", "0.14285714285714285", "--K", "95"], bsp, "bspline_eval"),
+    (["bspline", "dual-window", "--N", "4", "--b", "0.05579"], bsp, "bspline_eval"),
+    # the grid has 64 p + 1 = 65 samples at b = 1/10^300: no check has to reach the shift 1/b
+    (["bspline", "dual-window", "--N", "1", "--b", "1e-300"], bsp, "bspline_eval"),
     (["bspline", "props", "--N", "24"], bsp, "_piece_table"),
     (["bspline", "props", "--N", "60"], bsp, "_piece_table"),
     (["bspline", "props", "--N", "271"], bsp, "_piece_table"),

@@ -666,3 +666,10 @@ def test_no_module_snaps_floats_by_a_denominator_bound():
     # Fraction.limit_denominator and its bound, must not come back
     source = Path(framelab.__file__).parent
     assert [p.name for p in sorted(source.glob("*.py")) if "limit_denominator" in p.read_text()] == []
+
+
+def test_no_module_solves_by_least_squares():
+    # the B-spline dual window is the classical one, dual by theorem; a sampled
+    # least-squares design, lstsq, must not come back
+    source = Path(framelab.__file__).parent
+    assert [p.name for p in sorted(source.glob("*.py")) if "lstsq" in p.read_text()] == []
