@@ -17,7 +17,6 @@ from .core import (
     GridError,
     LatticeError,
     SingularSystemError,
-    TruncationUnsoundError,
     VectorSystem,
     analysis,
     biorthogonality_residual,

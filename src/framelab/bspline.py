@@ -223,12 +223,12 @@ def property_suite(N: int, tolerance=None) -> AnalysisReport:
     - Unit integral: sum_j sum_k c_jk / (k + 1) = (N - 1)!, over lcm(1..N).
     - Interior positivity: each piece has Bernstein coefficients >= 0, not all
       0, so it is positive on (0, 1), and B_N > 0 at the interior knots.
-    A broken identity reports residual 1.0, a holding one 0.0; the partition
-    of unity then reports _partition_bound, the a-priori bound of the float
-    sums of bspline_eval.  The support is read by one bspline_eval call at
-    400 points outside [0, N].  The table and the shifts are charged before
-    either is built (_suite_work), so every admitted order runs in about a
-    second.
+    A broken identity reports residual inf, failing at every tolerance, a
+    holding one 0.0; the partition of unity then reports _partition_bound,
+    the a-priori bound of the float sums of bspline_eval.  The support is read
+    by one bspline_eval call at 400 points outside [0, N].  The table and the
+    shifts are charged before either is built (_suite_work), so every
+    admitted order runs in about a second.
     """
     _check_order(N)
     tol = resolve_tolerance(tolerance)
@@ -257,7 +257,7 @@ def property_suite(N: int, tolerance=None) -> AnalysisReport:
     exact = {"partition_of_unity": partition, "unit_integral": integral == fact * common,
              "interior_nonpositive": positive}
     broken = [name for name, holds in exact.items() if not holds]
-    residuals = {name: 0.0 if holds else 1.0 for name, holds in exact.items()}
+    residuals = {name: 0.0 if holds else math.inf for name, holds in exact.items()}
     if partition:
         residuals["partition_of_unity"] = _partition_bound(N)
     return AnalysisReport.from_residuals(

@@ -546,7 +546,7 @@ COMMANDS = {
         Command("lic", "local integrability sum of a class-D test function",
                 (_required("--psi"), _required("--f")) + WAVE_PACKET_GRID, _wavepacket_lic),
         Command("bessel-probe",
-                "divergence probe: covering offsets with bounded dilations defeat the Bessel bound",
+                "divergence probe: exact diagonal sums of covering offsets, to the first past --ceiling",
                 (_opt("--b", type=_number, default=1.0), _opt("--c-step", type=_number, default=1.0),
                  _opt("--amplitude", type=_number, default=4.0),
                  _opt("--ceiling", type=float, default=1e6),

@@ -51,10 +51,6 @@ class LatticeError(FrameLabError):
     """Lattice parameters are inconsistent or infeasible."""
 
 
-class TruncationUnsoundError(FrameLabError):
-    """A truncated sum cannot be certified to represent the full sum."""
-
-
 def resolve_tolerance(tolerance=None) -> float:
     """Per-call tolerance, falling back to FRAMELAB_TOLERANCE, then 1e-10.
 
@@ -611,10 +607,11 @@ def biorthogonality_residual(f_system: VectorSystem, g_system: VectorSystem) -> 
 def _equivalence_report(duality: float, bio: float, tol: float,
                         theorem: str, first: str, second: str) -> AnalysisReport:
     """Verdict on "dual pair iff biorthogonal" (theorem, with sides first and
-    second): pass when both residuals are within tol or both are above it."""
+    second): pass when both residuals are within tol or both are above it, else fail
+    at every tolerance (a disagreement of inf)."""
     dual_pass, bio_pass = duality <= tol, bio <= tol
     return AnalysisReport.from_residuals(
-        {"verdict_disagreement": 0.0 if dual_pass == bio_pass else 1.0}, tol,
+        {"verdict_disagreement": 0.0 if dual_pass == bio_pass else math.inf}, tol,
         notes=(f"{theorem}; {first} {'passed' if dual_pass else 'failed'}, "
                f"{second} {'passed' if bio_pass else 'failed'}"),
         details={"duality_residual": duality, "biorthogonality_residual": bio},

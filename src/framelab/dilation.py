@@ -3,9 +3,9 @@
 All generators are band-limited piecewise-constant functions, held by their
 exact pieces (class-D model: bounded, compactly supported on the frequency
 side).  Band limitation is what makes every dilation, translation and shift
-sum below finite, so truncation is exact rather than approximate; inputs
-whose support reaches 0 are rejected where that would make infinitely many
-dilations contribute.
+sum below finite, so truncation is exact rather than approximate; where an
+offset puts a nonzero piece at 0, the diagonal of infinitely many dilations
+diverges, and the duality checks report the system not Bessel.
 
 Scale invariance is exploited throughout: the dyadic (resp. a-adic)
 conditions are invariant under gamma -> 2 gamma (resp. a gamma), so
@@ -36,6 +36,7 @@ c = 0.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,11 +44,11 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MAX_WORK,
     AnalysisReport,
     DimensionMismatch,
     DomainError,
     FrameBounds,
-    TruncationUnsoundError,
     _as_float,
     _as_rational,
     _check_work,
@@ -420,7 +421,7 @@ def wave_packet_frame_bounds(g_hat: FreqFunction, grid: WavePacketGrid,
     peak = float((diag + off).max())
     if peak > ceiling * grid.b:
         return FrameBounds(0.0, math.inf), AnalysisReport.from_residuals(
-            {"partial_sum_overflow": 1.0}, resolve_tolerance(None),
+            {"partial_sum_overflow": math.inf}, resolve_tolerance(None),
             notes=f"unbounded (Bessel violated) beyond ceiling {ceiling:g}", details={"ceiling": ceiling})
     upper = max(0.0, peak / grid.b)
     lower_raw = float((diag - off)[inner].min()) / grid.b if inner.any() else -math.inf
@@ -471,17 +472,19 @@ def wave_packet_bessel_bound(g_hat: FreqFunction, grid: WavePacketGrid,
 def _adic_j_window(psi: FreqFunction, psi_tilde: FreqFunction, a: float, c_values):
     """j range with a^-j gamma inside some shifted nonzero piece, |gamma| in [1, a), read
     by binary search in the piece ends: x + c rounds monotonically in x and c, and to 0
-    only at x = -c, so the shifted ends nearest 0 are the two around -c."""
+    only at x = -c, so the shifted ends nearest 0 are the two around -c.  Where an offset
+    c puts a nonzero piece [lo, hi) of a side at 0, lo <= -c <= hi, it returns that
+    certificate (name, c, lo, hi) instead."""
     offsets = np.asarray(c_values, dtype=float)
     near, far = [], []
-    for starts, ends in (fn.nonzero_cells() for fn in (psi, psi_tilde)
-                         if offsets.size and not fn.is_zero()):
+    sides = (("psi", psi), ("psi_tilde", psi_tilde)) if offsets.size else ()
+    for name, (starts, ends) in ((name, fn.nonzero_cells()) for name, fn in sides if not fn.is_zero()):
         # of the disjoint pieces, only the last one starting at or below -c can hold -c
         k = np.searchsorted(starts, -offsets, "right") - 1
         across = (k >= 0) & (ends[k] >= -offsets)
         if across.any():
-            raise TruncationUnsoundError(f"offset c={c_values[np.argmax(across)]} places the support "
-                                         "across 0; the dilation sum has no sound finite truncation")
+            m = int(np.argmax(across))
+            return name, c_values[m], float(starts[k[m]]), float(ends[k[m]])
         cuts = np.union1d(starts, ends)
         k = np.searchsorted(cuts, -offsets).clip(1, cuts.size - 1)
         near.append(np.minimum(np.abs(cuts[k - 1] + offsets), np.abs(cuts[k] + offsets)).min())
@@ -568,7 +571,7 @@ def _class_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a: Fra
 
 
 def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c_values,
-                     full_check: bool = True):
+                     tol: float, full_check: bool = True):
     """(a, b, _class_deviations) of the dual-frame criterion at dilation base a,
     translation step b and offsets c_values, the front end of both duality checks.
 
@@ -577,6 +580,10 @@ def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c
     j and n windows come from the nonzero pieces.  The dilations run in
     decreasing j, the dyadic order: where three or more scales meet on one gamma
     the order fixes the last bits.  Without full_check only alpha = 0 is read.
+    Where _adic_j_window finds a piece at 0, they are the report "not Bessel", failing at every
+    tolerance: a^-j gamma - c tends to -c from the side of the sign of gamma, so sum_j |psi(a^-j
+    gamma - c)|^2 diverges on a half-line, and a Bessel system bounds it (Chui & Shi, SIAM J.
+    Math. Anal. 24, 1993; Hernandez, Labate, Weiss & Wilson, ACHA 16, 2004).
     """
     a, b = _as_rational(a, "a"), _as_rational(b, "b")
     if not (a > 1 and b > 0):
@@ -584,9 +591,15 @@ def _dual_deviations(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction, a, b, c
     c_values = [float(c) for c in c_values]
     if not all(map(math.isfinite, c_values)):
         raise DomainError("offsets must be finite (no NaN or Inf)")
-    js = _adic_j_window(psi_hat, psi_tilde_hat, float(a), c_values)[::-1]
+    js = _adic_j_window(psi_hat, psi_tilde_hat, float(a), c_values)
+    if not isinstance(js, range):
+        name, c, lo, hi = js
+        return a, b, AnalysisReport.from_residuals(
+            {"divergent_diagonal": math.inf}, tol, details={"offset": c, "piece_lo": lo, "piece_hi": hi},
+            notes=(f"not Bessel: the offset c={c} puts the nonzero piece [{lo}, {hi}) of {name} at 0, "
+                   f"so sum_j |{name}(a^-j gamma - c)|^2 diverges on a half-line of gamma"))
     ns = _reachable_n(psi_hat, psi_tilde_hat, float(b), c_values) if full_check else (0,)
-    return a, b, _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js, ns)
+    return a, b, _class_deviations(psi_hat, psi_tilde_hat, a, b, c_values, js[::-1], ns)
 
 
 def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
@@ -602,7 +615,9 @@ def wavelet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction,
     dilation invariant, so both are read exactly on every piece over +-[1, 2).
     """
     tol = resolve_tolerance(tolerance)
-    _, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, 2, b, (0.0,))
+    _, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, 2, b, (0.0,), tol)
+    if isinstance(devs, AnalysisReport):
+        return devs
     scaling = devs.pop(0)
     worst = max(devs, key=devs.get, default=None)
     residual_ii = devs[worst] if worst is not None else 0.0
@@ -633,7 +648,9 @@ def wave_packet_duality_check(psi_hat: FreqFunction, psi_tilde_hat: FreqFunction
     one point per piece.
     """
     tol = resolve_tolerance(tolerance)
-    a, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, full_check)
+    a, b, devs = _dual_deviations(psi_hat, psi_tilde_hat, a, b, c_values, tol, full_check)
+    if isinstance(devs, AnalysisReport):
+        return devs
     residuals = {"c1": devs.pop(0)}
 
     # c2: distinct n are distinct classes, so b goes in exactly and each shift is n/b; psi
@@ -703,61 +720,86 @@ def lic_estimate(psi_hat: FreqFunction, grid: WavePacketGrid, f_hat: FreqFunctio
     return total, report
 
 
-def bessel_divergence_probe(g_hat: FreqFunction, b: float, c_step: float,
-                            ceiling: float = 1e6, rule: str = "inverse_linear"):
+#: work units (about 10 ns each, core.MAX_WORK) per edge of _fold and per step of the probe's
+#: orbit, which took 18-30 us and 0.24-0.53 us on a 2-CPU VM, for 1000 to 30000 edges
+_EDGE_WORK, _STEP_WORK = 3000, 50
+
+
+def _fold(fn: FreqFunction, period: Fraction):
+    """(cuts, values): P(u) = sum_m |fn(u - m period)|^2 is values[i] on [cuts[i], cuts[i + 1]) of
+    [0, period), exactly.  The cuts are 0 and the edges of fn read as Fractions, folded modulo the
+    period.  A piece [lo, hi) meets (hi - lo) // period offsets m at every u, and one more on the
+    arc from lo to hi modulo the period: P is swept up the cuts in integers from its value at 0."""
+    _check_work(_EDGE_WORK * fn.edges.size, f"the fold of {fn.edges.size} edges")
+    edges = [Fraction(x) for x in fn.edges.tolist()]
+    squares = [Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in fn.pieces.tolist()]
+    scale = math.lcm(period.denominator, *(x.denominator for x in edges))
+    weight = math.lcm(*(s.denominator for s in squares))
+    ends, span = [int(x * scale) for x in edges], int(period * scale)
+    cuts = sorted({x % span for x in ends} | {0})
+    steps = dict.fromkeys(cuts, 0)  # the change of P at each cut, in order; at 0, its value
+    for s, lo, hi in zip(squares, ends, ends[1:]):
+        h, start, stop = int(s * weight), lo % span, hi % span
+        steps[0] += h * ((hi - lo) // span + (stop < start))  # whole laps, and an arc past 0
+        steps[start] += h
+        steps[stop] -= h
+    return [Fraction(x, scale) for x in cuts], [
+        Fraction(v, weight) for v in itertools.accumulate(steps.values())]
+
+
+def bessel_divergence_probe(g_hat: FreqFunction, b, c_step, ceiling: float = 1e6,
+                            rule: str = "inverse_linear"):
     """Partial translation-overlap sums under covering offsets, until a ceiling.
 
-    Models the obstruction hypotheses: |g| bounded below on an interval, the
-    offsets c_m = m * c_step covering the line, and a dilation family bounded
-    above on an infinite index set (a_j = 1/(1+j), or 2^-j with "dyadic").
-    The diagonal partial sums at gamma = 0.75 are then monotone increasing
-    and unbounded; rows of (J, partial sum), one per 4096 dilations, are
-    returned together with the first J exceeding the ceiling.  The probe
-    gives up after the block that passes 10^7 dilations.
+    Models the obstruction hypotheses: |g| bounded below on an interval, the offsets c_m = m c_step
+    covering the line, and dilations bounded above on an infinite index set (a_j = 1/(1+j), or
+    2^-j with "dyadic").  Term j is P(u_j) / b, u_j = gamma / a_j at gamma = 3/4 and P the diagonal
+    folded modulo c_step = p/q (_fold; core._as_rational).  n_j = 4q u_j mod 4p steps by n + 3q or
+    2n, so its orbit enters a cycle at step r, 0 or the power of 2 in 4p / gcd(n_0, 4p), and the
+    terms are added as integers until the sum passes the ceiling or n_j = n_r again.  Each lap then
+    adds one gain: 0 bounds the sums, else the laps under the ceiling are skipped.  Rows (terms,
+    partial sum) are where the walk stopped and at the first J past the ceiling.  Over
+    core.MAX_WORK, at _STEP_WORK a step, it raises DomainError.
     """
     if rule not in ("inverse_linear", "dyadic"):
         raise DomainError("rule must be 'inverse_linear' or 'dyadic'")
-    if not (0 < c_step < math.inf and 0 < b < math.inf):
-        raise DomainError(f"b and c_step must be positive and finite (got {b!r} and {c_step!r})")
+    b, step = _as_rational(b, "b"), _as_rational(c_step, "c_step")
+    if not (b > 0 and step > 0):
+        raise DomainError(f"b and c_step must be positive (got {b} and {step})")
     _check_ceiling(ceiling)
-    gamma, block = 0.75, 4096
-    lo_b, hi_b = g_hat.band
-    offsets = np.arange(0, _shift_window((hi_b - lo_b) / c_step) + 1)
-    rows = []
-    total = 0.0
-    exceeded_at = None
-    j0 = 0
-    while j0 < 10 ** 7:
-        j = np.arange(j0, j0 + block)
-        if rule == "inverse_linear":
-            u = gamma * (1.0 + j)
-        else:
-            with np.errstate(over="ignore"):
-                u = gamma * np.exp2(j.astype(float))
-        finite = np.isfinite(u)
-        u = np.where(finite, u, 0.0)
-        base = np.floor((u - hi_b) / c_step)
-        contrib = np.zeros(u.shape)
-        for off in offsets if finite.any() else []:  # terms past the float range are zeroed
-            c = (base + off) * c_step
-            contrib += np.abs(g_hat.values_at(u - c)) ** 2
-        contrib[~finite] = 0.0
-        csum = total + np.cumsum(contrib) / b
-        total = float(csum[-1])
-        j0 += block
-        rows.append((j0, total))
-        if exceeded_at is None and np.any(csum > ceiling):
-            exceeded_at = int(j[np.argmax(csum > ceiling)]) + 1
+    cuts, values = _fold(g_hat, step)
+    m4, q, den = 4 * step.numerator, step.denominator, math.lcm(*(v.denominator for v in values))
+    keys = [math.ceil(4 * q * x) for x in cuts]  # n / 4q >= cuts[i] iff n >= keys[i]
+    terms, unit = [int(v * den) for v in values], den * b  # a partial sum is total / unit
+    top = math.floor(Fraction(ceiling) * unit) if ceiling < math.inf else math.inf  # S > C: total > top
+    mul, add = (1, 3 * q) if rule == "inverse_linear" else (2, 0)
+    n = 3 * q % m4
+    orbit = m4 // math.gcd(n, m4)
+    r = 0 if mul == 1 else (orbit & -orbit).bit_length() - 1
+    j, total, rows = 0, 0, []
+    for _ in range(MAX_WORK // _STEP_WORK):
+        if total > top:
             break
-    exceeded = exceeded_at is not None
-    report = AnalysisReport.from_residuals(
-        {"ceiling_not_exceeded": 0.0 if exceeded else 1.0}, resolve_tolerance(None),
-        notes=(
-            f"diagonal partial sums at gamma={gamma} "
-            + (f"exceeded ceiling {ceiling:g} after {exceeded_at} dilations"
-               if exceeded else f"did not exceed ceiling {ceiling:g} within {j0} dilations")
-        ),
-        details={"ceiling": ceiling, "last_partial": total,
-                 "dilations_used": float(exceeded_at if exceeded else j0)},
-    )
-    return rows, report
+        if j == r:
+            entry = n, total
+        elif j > r and n == entry[0]:
+            rows.append((j, total))
+            gain = total - entry[1]
+            if not gain or top == math.inf:
+                break
+            laps = (top - total) // gain
+            j, total = j + laps * (j - r), total + laps * gain
+        total += terms[bisect.bisect_right(keys, n) - 1]
+        n, j = (mul * n + add) % m4, j + 1
+    else:
+        raise DomainError(f"the orbit of u_j modulo c_step={step} neither repeats nor passes "
+                          f"the ceiling in {MAX_WORK // _STEP_WORK} steps, the work budget (core.MAX_WORK)")
+    exceeded = total > top
+    rows = [(t, float(s / unit)) for t, s in rows + [(j, total)] * exceeded]
+    return rows, AnalysisReport.from_residuals(
+        {"ceiling_not_exceeded": 0.0 if exceeded else math.inf}, resolve_tolerance(None),
+        notes="diagonal partial sums at gamma=0.75 " + (
+            f"exceeded ceiling {ceiling:g} after {j} dilations" if exceeded else
+            f"did not exceed ceiling {ceiling:g}: the orbit of u_j modulo c_step repeats after "
+            f"{j} dilations, and each lap adds {float(gain / unit):g}"),
+        details={"ceiling": ceiling, "last_partial": rows[-1][1], "dilations_used": float(j)})

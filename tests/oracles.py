@@ -462,3 +462,23 @@ def ron_shen_deviations(N, b, coefficients):
                 worst = max(worst, abs(total - (b if n == 0 else 0)))
         deviations[n] = worst
     return deviations
+
+
+def probe_oracle(pieces, b, c_step, ceiling, rule, max_terms):
+    """(J, S_J) of the Bessel divergence probe in exact rationals, term by term: the first J
+    with S_J = sum_{j < J} sum_m |g(u_j - m c_step)|^2 / b > ceiling, u_j = 3/4 (1 + j)
+    (inverse_linear) or 3/4 2^j (dyadic), g = v on [lo, hi) for (lo, hi, v) in pieces,
+    disjoint and ascending, zero elsewhere; each m whose argument can meet [pieces[0][0],
+    pieces[-1][1]) is read.  No fold and no cycle; None when no J <= max_terms passes."""
+    b, c, ceiling, total = Fraction(b), Fraction(c_step), Fraction(ceiling), Fraction(0)
+    lo, hi = (Fraction(pieces[0][0]), Fraction(pieces[-1][1])) if pieces else (0, 0)
+    for j in range(max_terms):
+        u = Fraction(3, 4) * ((1 + j) if rule == "inverse_linear" else 2 ** j)
+        for m in range(math.floor((u - hi) / c), math.floor((u - lo) / c) + 1):
+            x = u - m * c
+            for p_lo, p_hi, value in pieces:
+                if Fraction(p_lo) <= x < Fraction(p_hi):
+                    total += (Fraction(value.real) ** 2 + Fraction(value.imag) ** 2) / b
+        if total > ceiling:
+            return j + 1, total
+    return None

@@ -276,7 +276,7 @@ def test_a_coefficient_off_by_one_fails_the_suite_and_names_the_identities(N, de
             # no result is kept: every call reads the table it is given
             report = property_suite(N)
             assert not report.passed, (j, i)
-            assert report.residuals["partition_of_unity"] == report.residuals["unit_integral"] == 1.0
+            assert report.residuals["partition_of_unity"] == report.residuals["unit_integral"] == math.inf
             assert "broken on the integer pieces: partition_of_unity, unit_integral" in report.notes
     monkeypatch.undo()
     assert property_suite(N).passed

@@ -220,6 +220,66 @@ def test_wavepacket_bessel_probe(capsys):
     assert result["report"]["residuals"]["ceiling_not_exceeded"] == 0.0
 
 
+def test_dyadic_bessel_probe_answers_exactly_and_quietly(capsys):
+    # u = 0.75 2^j passes the float range from j = 1024: the exact walk neither warns nor fails
+    code, out, err = run_cli(["wavepacket", "bessel-probe", "--rule", "dyadic", "--c-step", "0.25",
+                              "--b", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["report"]["details"]["dilations_used"] == 46876
+
+
+@pytest.mark.parametrize("argv, offset, piece", [
+    (["wavelet", "check-dual", "--psi", "indicator:-1:1"], 0.0, [-1.0, 1.0]),
+    (["wavepacket", "check-dual", "--psi", "indicator:1:2", "--a", "2", "--b", "1.0",
+      "--c-values=-1.5,0"], -1.5, [1.0, 2.0]),
+    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], 0.0, [0.0, 1e300]),
+])
+def test_support_at_zero_exits_1_not_bessel(argv, offset, piece, capsys):
+    code, out, err = run_cli(argv + ["--tolerance", "2"], capsys)
+    report = json.loads(out)["result"]["report"]
+    assert (code, err, report["verdict"]) == (1, "", "fail")
+    assert report["residuals"] == {"divergent_diagonal": "inf"}
+    assert report["details"] == {"offset": offset, "piece_lo": piece[0], "piece_hi": piece[1]}
+    assert report["notes"].startswith(f"not Bessel: the offset c={offset} puts the nonzero piece")
+
+
+def test_tripped_flags_exit_1_at_tolerance_2(tmp_path, capsys, monkeypatch):
+    # a tripped flag is inf: 1.0 passed FRAMELAB_TOLERANCE=2 (or --tolerance 2) with exit 0
+    f = write_system(tmp_path, "f.json", VectorSystem(np.eye(2)))
+    g = write_system(tmp_path, "g.json", VectorSystem([[2.5, 1.5], [1.5, 2.5]]))  # 3.0 and 1.5
+    cases = [
+        (["wavepacket", "bounds", "--g", "indicator:0:1", "--a-values", "1,0.5,0.25,0.125",
+          "--c-values", "0:50:1", "--ceiling", "2"], "partial_sum_overflow"),
+        (["wavepacket", "bessel-probe", "--ceiling", "inf"], "ceiling_not_exceeded"),
+        (["wavepacket", "bessel-probe", "--amplitude", "0"], "ceiling_not_exceeded"),
+        (["gabor", "wexler-raz", "--L", "4", "--a", "2", "--b", "2", "--window-g", "random",
+          "--window-h", "delta", "--seed", "0"], "verdict_disagreement"),  # 4.2 and 1.45
+        (["rdual", "check-dual-pair", "--f", f, "--g", g], "verdict_disagreement"),
+    ]
+    for env in (None, "2"):
+        if env:
+            monkeypatch.setenv("FRAMELAB_TOLERANCE", env)
+        for argv, flag in cases:
+            if not env and argv[0] == "wavepacket":
+                continue  # bounds and bessel-probe take the tolerance from the environment only
+            code, out, _ = run_cli(argv + ([] if env else ["--tolerance", "2"]), capsys)
+            report = json.loads(out)["result"]["report"]
+            assert (code, report["verdict"], report["residuals"][flag]) == (1, "fail", "inf"), argv
+            assert report["tolerance_used"] == 2.0
+
+
+def test_broken_spline_identity_fails_at_tolerance_2(capsys, monkeypatch):
+    pieces, table = bsp._piece_table(3)
+    monkeypatch.setattr(bsp, "_piece_table", lambda N: ([pieces[0], [2, 2, 1]], table))
+    for argv, env in ((["--tolerance", "2"], None), ([], "2")):
+        if env:
+            monkeypatch.setenv("FRAMELAB_TOLERANCE", env)
+        code, out, _ = run_cli(["bspline", "props", "--N", "3"] + argv, capsys)
+        report = json.loads(out)["result"]["report"]
+        assert (code, report["verdict"], report["tolerance_used"]) == (1, "fail", 2.0)
+        assert "inf" in report["residuals"].values() and "broken on the integer pieces" in report["notes"]
+
+
 def test_jobs_flag_keeps_output_identical(capsys):
     base = ["bspline", "scan", "--N", "2", "--a-grid", "0.5,1.0", "--b-grid", "0.2,0.25",
             "--format", "csv", "--no-estimates"]
@@ -397,9 +457,10 @@ def assert_usage_error(argv, capsys, bad):
       "--a", "1", "--b", "1"], "width of -1"),
     (["gabor", "hrt", "--window", "indicator:0:1", "--points", "0,1e300"], "1e+300"),
     (["bspline", "scan", "--N", "2", "--a-grid", "0:1e8:1", "--b-grid", "0.25"], "work budget"),
-    (["wavepacket", "check-dual", "--psi", "indicator:0:1e300"], "support across 0"),
     (["wavepacket", "check-dual", "--psi", "indicator:1:1e300"], "work budget"),
     (["wavelet", "check-dual", "--b", "1e300"], "work budget"),
+    # u_j = 0.75 (1 + j) modulo 4999999 neither repeats nor passes the ceiling within the budget
+    (["wavepacket", "bessel-probe", "--c-step", "4999999"], "work budget"),
     (["gabor", "sweep", "--L-list", "1e300"], "1e300"),
     (["gabor", "ron-shen", "--window-g", "indicator:0:1", "--window-h", "indicator:0:1",
       "--a", "1e-300", "--b", "1"], "less than one grid step"),

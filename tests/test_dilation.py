@@ -1,14 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from framelab.core import DomainError, TruncationUnsoundError
+from framelab.core import DomainError
 from framelab.dilation import (
     FreqFunction,
     WavePacketGrid,
+    _fold,
     bessel_divergence_probe,
     freq_indicator,
     lic_estimate,
@@ -18,7 +20,7 @@ from framelab.dilation import (
     wave_packet_frame_bounds,
     wavelet_duality_check,
 )
-from oracles import grid_values_at, rational_indicator_bounds
+from oracles import grid_values_at, probe_oracle, rational_indicator_bounds
 
 
 def test_freq_function_cell_semantics():
@@ -163,10 +165,23 @@ def test_perturbation_moves_residual_linearly():
     assert devs[1] / devs[0] == pytest.approx(2.0, rel=1e-6)
 
 
-def test_support_touching_zero_rejected():
-    bad = freq_indicator(0.0, 1.0)  # support reaches 0: infinite dilation tail
-    with pytest.raises(TruncationUnsoundError):
-        wavelet_duality_check(bad, bad, b=1.0)
+@pytest.mark.parametrize("lo, hi, c", [
+    (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (1.0, 2.0, -1.5), (1.0, 2.0, -2.0), (1.0, 2.0, -1.0),
+])
+def test_support_touching_zero_is_not_bessel(lo, hi, c):
+    # a piece holding -c, or starting or ending at it, meets a^-j gamma - c at every large j
+    # on a half-line of gamma: the diagonal diverges, so the system is not Bessel, at every
+    # tolerance, whichever side carries the piece
+    bad, good = freq_indicator(lo, hi), freq_indicator(4.0, 5.0)
+    reports = [(wave_packet_duality_check(bad, bad, a=2, b=1.0, c_values=[10.0, c]), "psi"),
+               (wave_packet_duality_check(good, bad, a=3, b=0.5, c_values=[c], tolerance=2,
+                                          full_check=False), "psi_tilde")]
+    if c == 0:
+        reports.append((wavelet_duality_check(bad, bad, b=1.0, tolerance=2), "psi"))
+    for report, name in reports:
+        assert report.verdict == "fail" and report.residuals == {"divergent_diagonal": math.inf}
+        assert report.details == {"offset": c, "piece_lo": lo, "piece_hi": hi}
+        assert f"offset c={c} puts the nonzero piece [{lo}, {hi}) of {name} at 0" in report.notes
 
 
 def test_shifted_sum_violation_detected():
@@ -396,7 +411,10 @@ def test_divergence_probe_exceeds_ceiling():
 def test_divergence_probe_monotone_growth():
     g = freq_indicator(0.0, 1.0)
     rows, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=1e9)
-    assert report.residuals["ceiling_not_exceeded"] == 1.0  # not reached in 10^7 terms
+    # every dilation adds 1: the orbit repeats after 4, and 10^9 + 1 terms pass 10^9
+    assert report.residuals["ceiling_not_exceeded"] == 0.0
+    assert report.details["dilations_used"] == 10 ** 9 + 1
+    assert rows == [(4, 4.0), (10 ** 9 + 1, 1e9 + 1)]
     partials = [p for _, p in rows]
     assert all(p2 > p1 for p1, p2 in zip(partials, partials[1:]))
 
@@ -461,7 +479,111 @@ def test_infinite_ceiling_allowed():
     value, _ = wave_packet_bessel_bound(g, grid, ceiling=math.inf)
     assert value == pytest.approx(1.0, abs=1e-12)
     _, report = bessel_divergence_probe(g, b=1.0, c_step=1.0, ceiling=math.inf)
-    assert report.residuals["ceiling_not_exceeded"] == 1.0
+    assert report.residuals["ceiling_not_exceeded"] == math.inf
+
+
+# -- the exact periodized diagonal and the orbit walk of the probe ------------------------
+
+
+def brute_force_fold(fn, period, u):
+    """sum_m |fn(u - m period)|^2 in rationals, reading each piece by its edges."""
+    edges, total = [Fraction(x) for x in fn.edges.tolist()] or [Fraction(0)], Fraction(0)
+    for m in range(math.floor((u - edges[-1]) / period), math.floor((u - edges[0]) / period) + 1):
+        for lo, hi, v in zip(edges, edges[1:], fn.pieces.tolist()):
+            if lo <= u - m * period < hi:
+                total += Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+    return total
+
+
+def piecewise(cells, values, denominator):
+    """A FreqFunction with values[i] on cells i of width 1/denominator from cells[0]; its
+    float edges k/denominator are rationals, read exactly when denominator is a power of 2."""
+    return FreqFunction(cells / denominator, 1 / denominator, values,
+                        (cells / denominator, (cells + len(values)) / denominator))
+
+
+amplitudes = st.sampled_from([0, 1, 2, 3, 1 + 2j, 0.5, -1.5])
+generators = st.tuples(st.integers(-12, 12), st.lists(amplitudes, min_size=1, max_size=6),
+                       st.sampled_from([1, 2, 4, 8, 10])).map(lambda t: piecewise(*t))
+rationals = st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 5, 8, 10])).map(
+    lambda t: Fraction(*t))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(generators, rationals, st.lists(rationals, min_size=1, max_size=4))
+def test_fold_is_the_periodized_diagonal_at_every_cut_and_between(fn, period, probes):
+    cuts, values = _fold(fn, period)
+    assert cuts[0] == 0 and cuts == sorted(set(cuts)) and cuts[-1] < period
+    assert {Fraction(x) % period for x in fn.edges.tolist()} <= set(cuts)
+    ends = cuts[1:] + [period]
+    points = [(lo, v) for lo, v in zip(cuts, values)] + [
+        ((lo + hi) / 2, v) for lo, hi, v in zip(cuts, ends, values)] + [
+        (hi - Fraction(1, 10 ** 6) * (hi - lo), v) for lo, hi, v in zip(cuts, ends, values)]
+    # and at points of several periods, read through the pieces
+    for x in probes:
+        k = max(i for i, lo in enumerate(cuts) if lo <= x % period)
+        points.append((x, values[k]))
+    for u, value in points:
+        assert brute_force_fold(fn, period, u) == value
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(generators, rationals, rationals, st.integers(1, 10 ** 4),
+       st.sampled_from(["inverse_linear", "dyadic"]))
+def test_probe_first_j_equals_a_fraction_oracle(fn, b, c_step, ceiling, rule):
+    # b and c_step as the decimals typed or as Fractions, both read by core._as_rational
+    decimal = all(x.denominator in (1, 2, 4, 5, 8, 10) for x in (b, c_step))
+    typed = (float(b), float(c_step)) if decimal else (b, c_step)
+    rows, report = bessel_divergence_probe(fn, *typed, ceiling=float(ceiling), rule=rule)
+    pieces = list(zip(fn.edges[:-1].tolist(), fn.edges[1:].tolist(), fn.pieces.tolist()))
+    reached = probe_oracle(pieces, b, c_step, ceiling, rule, max_terms=1500)
+    J = int(report.details["dilations_used"])
+    if report.residuals["ceiling_not_exceeded"] == 0.0:
+        if J <= 1500:
+            assert reached is not None and (J, float(reached[1])) == rows[-1]
+        else:
+            assert reached is None
+    else:  # the orbit repeats with no gain: no partial sum ever passes the ceiling
+        assert reached is None and "repeats" in report.notes
+    assert [t for t, _ in rows] == sorted({t for t, _ in rows}) and rows[-1][0] == J
+
+
+@pytest.mark.parametrize("rule, ceiling, b, c_step, expected", [
+    ("dyadic", 1e3, 1.0, 1.0, 63), ("inverse_linear", 1e4, 1.0, 1.0, 626),
+    ("dyadic", 1e4, 1.0, 1.0, 626), ("dyadic", 1e6, 1.0, 1.0, 62501),
+    ("dyadic", 1e6, 3.0, 0.25, 46876), ("inverse_linear", 1e6, 3.0, 0.25, 46876),
+])
+def test_probe_counts_of_the_old_float_draws(rule, ceiling, b, c_step, expected):
+    # c_step divides 1, so every term is 16 / (b c_step) and J is the least with J 16 > C b c_step;
+    # the dyadic counts are those a float walk misses: u = 0.75 2^j loses its offsets from j = 54
+    # (58 read for 63) and overflows from j = 1024 (no answer for 62501 or 46876)
+    g = freq_indicator(0.0, 1.0, amplitude=4.0)
+    rows, report = bessel_divergence_probe(g, b=b, c_step=c_step, ceiling=ceiling, rule=rule)
+    assert expected == math.floor(Fraction(ceiling) * Fraction(b) * Fraction(c_step) / 16) + 1
+    assert report.details["dilations_used"] == expected and report.verdict == "pass"
+    assert rows[-1] == (expected, expected * 16 / (b * c_step))
+    if expected < 1000:
+        assert probe_oracle([(0.0, 1.0, 4.0)], b, c_step, ceiling, rule, 1000)[0] == expected
+
+
+def test_probe_walk_over_the_work_budget_is_a_domain_error():
+    # u_j = 0.75 (1 + j) stays below c_step, and its orbit has 4 * 4999999 points, more steps
+    # than the budget: neither the ceiling nor a repeat is reached
+    with pytest.raises(DomainError, match="work budget"):
+        bessel_divergence_probe(freq_indicator(0.0, 1.0), b=1.0, c_step=4999999.0, ceiling=1e6)
+
+
+def test_tripped_flags_fail_at_tolerance_2(monkeypatch):
+    # a tripped flag is inf, so no tolerance passes it, FRAMELAB_TOLERANCE=2 included
+    monkeypatch.setenv("FRAMELAB_TOLERANCE", "2")
+    for amplitude, ceiling in ((0.0, 10.0), (1.0, math.inf)):
+        _, report = bessel_divergence_probe(freq_indicator(0.0, 1.0, amplitude=amplitude), b=1.0,
+                                            c_step=1.0, ceiling=ceiling)
+        assert report.verdict == "fail" and report.residuals == {"ceiling_not_exceeded": math.inf}
+        assert report.tolerance_used == 2.0
+    grid = WavePacketGrid(a_values=[1.0, 0.5, 0.25, 0.125], b=1.0, c_values=list(range(51)))
+    _, report = wave_packet_frame_bounds(freq_indicator(0.0, 1.0), grid, ceiling=2.0)
+    assert report.verdict == "fail" and report.residuals == {"partial_sum_overflow": math.inf}
 
 
 def test_ten_dyadic_dilations_over_800_offsets_are_charged_by_their_live_points():

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framelab.core import FrameLabError, TruncationUnsoundError, _as_rational
+from framelab.core import FrameLabError, _as_rational
 from framelab.dilation import (
     FreqFunction,
     _adic_j_window,
@@ -99,7 +99,11 @@ def wave_packet_oracle(psi_hat, psi_tilde_hat, a, b, c_values, full_check=True):
     """(residuals, details) of the wave-packet check with separate c1 and g1 loops."""
     a_f = float(a)
     c_values = [float(c) for c in c_values]
-    js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)[::-1]  # decreasing j
+    js = _adic_j_window(psi_hat, psi_tilde_hat, a_f, c_values)
+    if not isinstance(js, range):  # a piece at 0: the certificate that the system is not Bessel
+        _, c, lo, hi = js
+        return {"divergent_diagonal": math.inf}, {"offset": c, "piece_lo": lo, "piece_hi": hi}
+    js = js[::-1]  # decreasing j
     residuals, details = {}, {}
 
     edges = psi_hat.edges, psi_tilde_hat.edges
@@ -344,7 +348,7 @@ def test_padded_band_reads_the_j_window_of_its_pieces():
 
 def j_window_oracle(psi, psit, a, c_values):
     """The j window from the dense (offset, piece end) sums, or the first offset
-    that puts a piece across 0."""
+    that puts a piece at 0, holding it or ending there."""
     radii = []
     for fn in (psi, psit):
         s_lo, s_hi = (np.add.outer(c_values, x) for x in fn.nonzero_cells())
@@ -372,6 +376,9 @@ def test_j_window_is_that_of_every_shifted_piece_end():
         expected = j_window_oracle(psi, psit, a, c_values)
         if isinstance(expected, range):
             assert _adic_j_window(psi, psit, a, c_values) == expected
-        else:
-            with pytest.raises(TruncationUnsoundError, match=f"offset c={expected} places"):
-                _adic_j_window(psi, psit, a, c_values)
+        else:  # the certificate: the offset and a nonzero piece of that side holding -c
+            name, c, lo, hi = _adic_j_window(psi, psit, a, c_values)
+            starts, ends = (psi if name == "psi" else psit).nonzero_cells()
+            assert c == expected and lo <= -c <= hi and (lo, hi) in zip(starts.tolist(), ends.tolist())
+            report = wave_packet_duality_check(psi, psit, a, 1.0, c_values)
+            assert report.verdict == "fail" and report.details == {"offset": c, "piece_lo": lo, "piece_hi": hi}
